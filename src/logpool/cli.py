@@ -104,7 +104,15 @@ def _write_text(path: str | None, text: str) -> None:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
+def _require_seed(seed: int) -> int:
+    """Seeds key NumPy's SeedSequence, which takes non-negative integers only."""
+    if seed < 0:
+        raise ParseError(f"seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
+    _require_seed(args.seed)
     started = time.perf_counter()
     checks = run_suite(args.suite, args.seed, args.samples, args.tolerance)
     elapsed = time.perf_counter() - started
@@ -215,6 +223,9 @@ def _analysis_suppression(config: dict, seed: int) -> tuple[list[str], list[list
     """Optimal event suppression across a budget grid (linear in the budget)."""
     params = config.get("suppression", {})
     m = int(params.get("outcomes", 5))
+    if m < 3:
+        # the suppressed event needs 1 <= size < m - 1 outcomes
+        raise ConfigParse(f'"suppression.outcomes" must be at least 3, got {m}')
     n = int(params.get("agents", 3))
     instances = int(params.get("instances", 4))
     budgets = [float(b) for b in _as_list(params.get("budgets", [0.01, 0.02, 0.04, 0.08]))]
@@ -302,7 +313,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         if name not in _ANALYSES:
             known = ", ".join(sorted(_ANALYSES))
             raise ConfigParse(f"unknown analysis {name!r}; expected one of: {known}")
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+    seed = _require_seed(args.seed if args.seed is not None else int(config.get("seed", 0)))
 
     prefix = args.out or "experiment"
     started = time.perf_counter()
@@ -378,6 +389,7 @@ def _cmd_gap(args: argparse.Namespace) -> int:
 
 
 def _cmd_factor(args: argparse.Namespace) -> int:
+    _require_seed(args.seed)
     obj = loads(_read_text(args.input))
     if not isinstance(obj, dict) or "parent" not in obj or "weights" not in obj:
         raise ParseError('input must be {"parent": {...}, "weights": [...]}')

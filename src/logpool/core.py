@@ -58,6 +58,8 @@ __all__ = [
     "ScoreFn",
     "make_dist",
     "dist_from_log_weights",
+    "softmax",
+    "require_prob_rows",
     "uniform",
     "entropy",
     "kl",
@@ -87,8 +89,40 @@ def _as_readonly(values: Iterable[float]) -> np.ndarray:
 
 
 def _require_finite(arr: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFinite(f"{what} must be finite everywhere")
+
+
+def first_row(bad: np.ndarray) -> tuple[tuple[int, ...], str]:
+    """Index of the first True entry of ``bad`` and " in row i" naming it for
+    an error message; a 0-d ``bad`` (one object, B=1) gives ``()`` and ""."""
+    idx = tuple(int(i) for i in np.argwhere(bad)[0])
+    return idx, f" in row {idx[0] if len(idx) == 1 else idx}" if idx else ""
+
+
+def require_prob_rows(p: np.ndarray) -> None:
+    """Validate each row (last axis) of ``p`` as :class:`Dist` does, in its
+    order: ``NonFinite``, ``NonPositiveEntry``, then ``NotNormalized`` (sum
+    off 1 by more than ``NORM_TOL``).  A batch error names the first bad row.
+    """
+    finite = np.isfinite(p)
+    if not finite.all():
+        where = first_row(~finite.all(axis=-1))[1]
+        raise NonFinite(f"probability vector{where} must be finite everywhere")
+    nonpositive = p <= 0.0
+    if nonpositive.any():
+        where = first_row(nonpositive.any(axis=-1))[1]
+        raise NonPositiveEntry(
+            f"distributions must be strictly positive on every outcome{where}"
+        )
+    totals = p.sum(axis=-1)
+    off = np.abs(totals - 1.0) > NORM_TOL
+    if off.any():
+        row, where = first_row(off)
+        total = float(totals[row])
+        raise NotNormalized(
+            f"probabilities{where} sum to {total!r}, expected 1 within {NORM_TOL}"
+        )
 
 
 def _require_length(arr: np.ndarray, size: int, what: str) -> None:
@@ -151,16 +185,7 @@ class Dist:
         arr = _as_readonly(self.p)
         object.__setattr__(self, "p", arr)
         _require_length(arr, self.space.size, "probability vector")
-        _require_finite(arr, "probability vector")
-        if np.any(arr <= 0.0):
-            raise NonPositiveEntry(
-                "distributions must be strictly positive on every outcome"
-            )
-        total = float(arr.sum())
-        if abs(total - 1.0) > NORM_TOL:
-            raise NotNormalized(
-                f"probabilities sum to {total!r}, expected 1 within {NORM_TOL}"
-            )
+        require_prob_rows(arr)
 
     @property
     def log_p(self) -> np.ndarray:
@@ -181,7 +206,7 @@ class Weights:
         arr = _as_readonly(self.beta)
         object.__setattr__(self, "beta", arr)
         _require_finite(arr, "weights")
-        if np.any(arr < 0.0):
+        if (arr < 0.0).any():
             raise ParamOutOfRange("weights must be nonnegative")
         total = float(arr.sum())
         if abs(total - 1.0) > NORM_TOL:
@@ -243,7 +268,7 @@ def make_dist(space: OutcomeSpace, raw: Iterable[float]) -> Dist:
     arr = np.array(list(raw) if not isinstance(raw, np.ndarray) else raw, dtype=float)
     _require_length(arr, space.size, "raw weight vector")
     _require_finite(arr, "raw weight vector")
-    if np.any(arr <= 0.0):
+    if (arr <= 0.0).any():
         raise NonPositiveEntry("raw weights must all be > 0")
     p = arr / arr.sum()
     # one more pass pins the sum to 1 exactly within float rounding
@@ -260,11 +285,19 @@ def dist_from_log_weights(space: OutcomeSpace, log_w: Iterable[float]) -> Dist:
     lw = np.asarray(log_w, dtype=float).reshape(-1)
     _require_length(lw, space.size, "log-weight vector")
     _require_finite(lw, "log-weight vector")
-    shifted = lw - lw.max()
-    w = np.exp(shifted)
-    p = w / w.sum()
-    p = p / p.sum()
-    return Dist(space, p)
+    return Dist(space, softmax(lw)[0])
+
+
+def softmax(log_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Max-shifted softmax over the last axis of ``log_w`` (..., m): returns
+    ``p``, normalized twice to pin each row sum to 1, and each row's log-sum-exp
+    ``log_z`` (...).  Rows are not validated here."""
+    shift = log_w.max(axis=-1, keepdims=True)
+    w = np.exp(log_w - shift)
+    total = w.sum(axis=-1, keepdims=True)
+    p = w / total
+    p = p / p.sum(axis=-1, keepdims=True)
+    return p, (shift + np.log(total))[..., 0]
 
 
 def uniform(space: OutcomeSpace) -> Dist:
@@ -276,9 +309,7 @@ def uniform(space: OutcomeSpace) -> Dist:
 # ---------------------------------------------------------------------------
 
 def log_sum_exp(values: Iterable[float]) -> float:
-    v = np.asarray(values, dtype=float)
-    m = v.max()
-    return float(m + np.log(np.exp(v - m).sum()))
+    return float(softmax(np.asarray(values, dtype=float).reshape(-1))[1])
 
 
 def entropy(P: Dist) -> float:

@@ -18,8 +18,7 @@ from .core import (
     OutcomeSpace,
     ScoreFn,
     Weights,
-    dist_from_log_weights,
-    log_sum_exp,
+    softmax,
     tv,
 )
 from .errors import LengthMismatch, NotAPoolWitness, ParamOutOfRange, SpaceMismatch
@@ -27,6 +26,7 @@ from .errors import LengthMismatch, NotAPoolWitness, ParamOutOfRange, SpaceMisma
 __all__ = [
     "POOL_WITNESS_TOL",
     "POOL_REVALIDATION_TOL",
+    "log_pool_arrays",
     "log_pool",
     "log_pool_with_log_z",
     "linear_pool",
@@ -58,15 +58,24 @@ def _check_family(agents: Sequence[Dist], weights: Weights) -> OutcomeSpace:
     return space
 
 
+def log_pool_arrays(logs: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked log pools: the softmax of sum_j beta_j * logs_j.
+
+    ``logs`` holds agent log-probabilities (..., n, m) and ``beta`` their
+    weights (..., n).  Returns the pooled probabilities (..., m) and log Z
+    (...), Z = sum_o prod_j P_j(o)^beta_j.  Rows are not validated: wrap one
+    in a :class:`Dist` or pass a batch to :func:`~logpool.core.require_prob_rows`.
+    """
+    mixed = np.matmul(beta[..., None, :], logs)[..., 0, :]
+    return softmax(mixed)
+
+
 def log_pool(agents: Sequence[Dist], weights: Weights) -> Dist:
     """Normalized weighted geometric mean of ``agents``.
 
     Computed entirely in log-space: softmax of sum_j beta_j * log P_j.
     """
-    space = _check_family(agents, weights)
-    stacked = np.stack([a.log_p for a in agents])
-    mixed = weights.beta @ stacked
-    return dist_from_log_weights(space, mixed)
+    return log_pool_with_log_z(agents, weights)[0]
 
 
 def log_pool_with_log_z(agents: Sequence[Dist], weights: Weights) -> tuple[Dist, float]:
@@ -77,9 +86,8 @@ def log_pool_with_log_z(agents: Sequence[Dist], weights: Weights) -> tuple[Dist,
     measures, so the value is exposed here rather than stored anywhere.
     """
     space = _check_family(agents, weights)
-    stacked = np.stack([a.log_p for a in agents])
-    mixed = weights.beta @ stacked
-    return dist_from_log_weights(space, mixed), log_sum_exp(mixed)
+    p, log_z = log_pool_arrays(np.stack([a.log_p for a in agents]), weights.beta)
+    return Dist(space, p), float(log_z)
 
 
 def linear_pool(agents: Sequence[Dist], weights: Weights) -> Dist:

@@ -29,6 +29,7 @@ from .core import (
     kl,
     make_dist,
     norm_p,
+    require_prob_rows,
     rng_from,
     tv,
     uniform,
@@ -38,11 +39,13 @@ from .pooling import (
     Decomposition,
     linear_pool,
     log_pool,
+    log_pool_arrays,
     log_pool_with_log_z,
     make_decomposition,
 )
 from .welfare import (
     covariance_condition,
+    gap_terms,
     unanimity_report,
     weighted_gap_sum,
     welfare_gap,
@@ -303,21 +306,18 @@ def _check_binary_census(seed: int, samples: int, tol: float) -> CheckResult:
     space = OutcomeSpace(2)
     grid = np.arange(1, samples + 1) / (samples + 1)
     betas = np.arange(1, 10) / 10.0
-    worst_joint = -np.inf
-    between_ok = True
-    for x1 in grid:
-        a1 = make_dist(space, np.array([x1, 1.0 - x1]))
-        for x2 in grid:
-            a2 = make_dist(space, np.array([x2, 1.0 - x2]))
-            for b in betas:
-                pooled = log_pool([a1, a2], Weights(np.array([b, 1.0 - b])))
-                g1 = welfare_gap(a1, pooled)
-                g2 = welfare_gap(a2, pooled)
-                worst_joint = max(worst_joint, min(g1, g2))
-                x = float(pooled.p[0])
-                lo, hi = min(x1, x2), max(x1, x2)
-                if x1 != x2 and not (lo < x < hi):
-                    between_ok = False
+    i1, i2, b = (a.reshape(-1) for a in np.meshgrid(
+        np.arange(samples), np.arange(samples), betas, indexing="ij"
+    ))
+    x = np.stack([make_dist(space, np.array([g, 1.0 - g])).p for g in grid])
+    agents = np.stack([x[i1], x[i2]], axis=1)
+    pooled = log_pool_arrays(np.log(agents), np.stack([b, 1.0 - b], axis=1))[0]
+    require_prob_rows(pooled)
+    gaps = gap_terms(agents, pooled[:, None, :])[0]
+    worst_joint = gaps.min(axis=1).max()
+    x1, x2, mass = grid[i1], grid[i2], pooled[:, 0]
+    lo, hi = np.minimum(x1, x2), np.maximum(x1, x2)
+    between_ok = bool(((lo < mass) & (mass < hi))[x1 != x2].all())
     return CheckResult(
         name="welfare.binary_census",
         passed=(worst_joint <= tol) and between_ok,

@@ -17,13 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dist, ScoreFn, VALUE_TOL, cov, entropy, expect, kl
+from .core import Dist, ScoreFn, VALUE_TOL, cov, first_row
 from .errors import IdentityMismatch, SpaceMismatch
 from .pooling import Decomposition
 
 __all__ = [
     "UNANIMITY_TOL",
     "WelfareReport",
+    "gap_terms",
     "welfare_gap",
     "covariance_condition",
     "unanimity_report",
@@ -36,6 +37,36 @@ __all__ = [
 UNANIMITY_TOL = 1e-9
 
 
+def gap_terms(
+    agents: np.ndarray, pools: np.ndarray, tol: float = VALUE_TOL
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Stacked welfare gaps of agents R (..., m) against pools P (..., m).
+
+    Returns ``(gaps, entropy_agents, entropy_pools, kl_pool_agents)``; each
+    entropy is computed once over its own input's leading axes, the gaps and
+    KL terms over the broadcast ones.  The gap is the direct form
+    E_P[log R] − E_R[log R]; the identity form H(R) − H(P) − KL(P‖R) must
+    agree within ``tol`` on every row, checked once per batch, or
+    :class:`IdentityMismatch` names the first row that disagrees.
+    """
+    log_r = np.log(agents)
+    log_p = np.log(pools)
+    e_r = (agents * log_r).sum(axis=-1)
+    gaps = (pools * log_r).sum(axis=-1) - e_r
+    h_r = -e_r
+    h_p = -(pools * log_p).sum(axis=-1)
+    kl_pr = (pools * (log_p - log_r)).sum(axis=-1)
+    identity = h_r - h_p - kl_pr
+    bad = np.abs(gaps - identity) > tol
+    if bad.any():
+        row, where = first_row(bad)
+        raise IdentityMismatch(
+            f"welfare gap disagreement{where}: "
+            f"direct={float(gaps[row])!r} identity={float(identity[row])!r}"
+        )
+    return gaps, h_r, h_p, kl_pr
+
+
 def welfare_gap(agent: Dist, pool: Dist, tol: float = VALUE_TOL) -> float:
     """E_pool[log agent] − E_agent[log agent], cross-checked two ways.
 
@@ -44,13 +75,7 @@ def welfare_gap(agent: Dist, pool: Dist, tol: float = VALUE_TOL) -> float:
     """
     if agent.space != pool.space:
         raise SpaceMismatch("agent and pool must share an outcome space")
-    direct = expect(pool, agent.log_p) - expect(agent, agent.log_p)
-    identity = entropy(agent) - entropy(pool) - kl(pool, agent)
-    if abs(direct - identity) > tol:
-        raise IdentityMismatch(
-            f"welfare gap disagreement: direct={direct!r} identity={identity!r}"
-        )
-    return direct
+    return float(gap_terms(agent.p, pool.p, tol)[0])
 
 
 def covariance_condition(
@@ -72,12 +97,6 @@ def covariance_condition(
     ratio = np.exp(pool.log_p - agent.log_p)
     c = cov(agent, welfare.f, ratio)
     return c, bool(c >= -tol)
-
-
-def _gap_vector(decomp: Decomposition, tol: float) -> np.ndarray:
-    return np.array(
-        [welfare_gap(child, decomp.parent, tol=tol) for child in decomp.children]
-    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,14 +142,13 @@ def unanimity_report(decomp: Decomposition, tol: float = UNANIMITY_TOL) -> Welfa
     :func:`covariance_condition`.)  Linear-pool decompositions are accepted
     so the mixture impossibility is demonstrable through the same report.
     """
-    gaps = _gap_vector(decomp, tol=VALUE_TOL)
-    h_children = np.array([entropy(c) for c in decomp.children])
-    h_parent = entropy(decomp.parent)
-    kl_terms = np.array([kl(decomp.parent, c) for c in decomp.children])
+    gaps, h_children, h_parent, kl_terms = gap_terms(
+        np.stack([c.p for c in decomp.children]), decomp.parent.p
+    )
     return WelfareReport(
         gaps=gaps,
         entropy_children=h_children,
-        entropy_parent=h_parent,
+        entropy_parent=float(h_parent),
         kl_parent_children=kl_terms,
         unanimous=bool(np.all(gaps >= -tol)),
         strictly_unanimous=bool(np.all(gaps > tol)),
@@ -140,5 +158,5 @@ def unanimity_report(decomp: Decomposition, tol: float = UNANIMITY_TOL) -> Welfa
 
 def weighted_gap_sum(decomp: Decomposition, tol: float = VALUE_TOL) -> float:
     """sum_i beta_i * gap_i — the group's weight-averaged welfare change."""
-    gaps = _gap_vector(decomp, tol=tol)
+    gaps = gap_terms(np.stack([c.p for c in decomp.children]), decomp.parent.p, tol)[0]
     return float(decomp.weights.beta @ gaps)

@@ -18,6 +18,13 @@ def run_cli(*argv, cwd=None):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def assert_usage_error(capsys, argv):
+    """``main(argv)`` exits 2 and explains itself on an ``error:`` line."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert any(line.startswith("error:") for line in err.splitlines()), err
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -72,6 +79,10 @@ def test_verify_sample_and_tolerance_overrides_enter_the_config_hash(tmp_path):
 
 def test_verify_unknown_suite_is_a_usage_error():
     assert main(["verify", "mystery", "--seed", "1"]) == 2
+
+
+def test_negative_verify_seed_is_a_usage_error(capsys):
+    assert_usage_error(capsys, ["verify", "pools", "--seed", "-1"])
 
 
 def test_verify_all_via_subprocess():
@@ -175,6 +186,12 @@ def test_factor_is_seed_deterministic(tmp_path):
     assert main(["factor", "--seed", "5", str(path), "--out", str(a)]) == 0
     assert main(["factor", "--seed", "5", str(path), "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_negative_factor_seed_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "factor.json"
+    path.write_text(json.dumps({"parent": {"p": [0.5, 0.3, 0.2]}, "weights": [0.5, 0.5]}))
+    assert_usage_error(capsys, ["factor", str(path), "--seed", "-3"])
 
 
 def test_stdin_input(tmp_path):
@@ -311,3 +328,29 @@ def test_experiment_config_validation(tmp_path):
     assert main(["experiment", str(cfg), "--out", str(tmp_path / "x")]) == 2
     cfg.write_text(json.dumps({"family": {"kind": "analytic_unanimity"}}))
     assert main(["experiment", str(cfg), "--out", str(tmp_path / "x")]) == 2
+
+
+def test_negative_experiment_seed_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**CONFIG, "seed": -1, "analyses": ["gaps"]}))
+    assert_usage_error(capsys, ["experiment", str(cfg), "--out", str(tmp_path / "x")])
+    cfg.write_text(json.dumps({**CONFIG, "analyses": ["gaps"]}))
+    argv = ["experiment", str(cfg), "--seed", "-1", "--out", str(tmp_path / "x")]
+    assert_usage_error(capsys, argv)
+    assert not (tmp_path / "x.manifest.json").exists()
+
+
+def test_two_outcome_suppression_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(
+        json.dumps(
+            {**CONFIG, "analyses": ["suppression"], "suppression": {"outcomes": 2}}
+        )
+    )
+    assert_usage_error(capsys, ["experiment", str(cfg), "--out", str(tmp_path / "x")])
+    cfg.write_text(
+        json.dumps(
+            {**CONFIG, "analyses": ["suppression"], "suppression": {"outcomes": 3}}
+        )
+    )
+    assert main(["experiment", str(cfg), "--out", str(tmp_path / "x")]) == 0

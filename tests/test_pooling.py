@@ -10,7 +10,11 @@ import _oracles
 from _gen import random_dist, random_family, random_strict_weights
 from logpool import (
     Decomposition,
+    Dist,
+    NonFinite,
+    NonPositiveEntry,
     NotAPoolWitness,
+    NotNormalized,
     OutcomeSpace,
     ParamOutOfRange,
     SpaceMismatch,
@@ -18,6 +22,7 @@ from logpool import (
     expect,
     linear_pool,
     log_pool,
+    log_pool_arrays,
     log_pool_with_log_z,
     make_decomposition,
     make_dist,
@@ -26,6 +31,7 @@ from logpool import (
     tilt_representation,
     tv,
 )
+from logpool.core import require_prob_rows
 
 
 def test_log_pool_matches_oracle_on_random_families():
@@ -202,3 +208,60 @@ def test_linear_pool_means_are_mixtures(seed):
     mixed = linear_pool(agents, w)
     direct = sum(b * expect(a, f) for a, b in zip(agents, w.beta))
     assert expect(mixed, f) == pytest.approx(direct, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the stacked kernel behind log_pool
+# ---------------------------------------------------------------------------
+
+
+def _stacked_families(seed, m, n, batch):
+    rng = rng_from(seed, m, n)
+    families = [random_family(rng, m, n) for _ in range(batch)]
+    logs = np.stack([[a.log_p for a in agents] for agents, _ in families])
+    beta = np.stack([w.beta for _, w in families])
+    return families, logs, beta
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (3, 6), (8, 4), (13, 5), (13, 6)])
+def test_stacked_log_pool_rows_match_per_instance_pools(m, n):
+    families, logs, beta = _stacked_families(221, m, n, 120)
+    p, log_z = log_pool_arrays(logs, beta)
+    assert p.shape == (120, m) and log_z.shape == (120,)
+    for row, (agents, weights) in enumerate(families):
+        pooled, one_log_z = log_pool_with_log_z(agents, weights)
+        assert np.abs(p[row] - pooled.p).max() <= 1e-15
+        assert np.abs(p[row] - log_pool(agents, weights).p).max() <= 1e-15
+        assert abs(log_z[row] - one_log_z) <= 1e-15
+    # any leading shape: the same rows arranged as a 10 x 12 grid
+    p_grid, log_z_grid = log_pool_arrays(logs.reshape(10, 12, n, m), beta.reshape(10, 12, n))
+    assert np.array_equal(p_grid.reshape(120, m), p)
+    assert np.array_equal(log_z_grid.reshape(120), log_z)
+    require_prob_rows(p)
+
+
+def _zero_entry(row):
+    row[0] = 0.0
+
+
+def _off_the_simplex(row):
+    row *= 1.0 + 1e-9
+
+
+def _nan_entry(row):
+    row[-1] = np.nan
+
+
+@pytest.mark.parametrize(
+    "spoil, error",
+    [(_zero_entry, NonPositiveEntry), (_off_the_simplex, NotNormalized), (_nan_entry, NonFinite)],
+)
+def test_a_spoiled_pooled_row_fails_as_its_dist_would(spoil, error):
+    _, logs, beta = _stacked_families(223, 5, 3, 100)
+    p = log_pool_arrays(logs, beta)[0]
+    spoil(p[37])
+    with pytest.raises(error):
+        Dist(OutcomeSpace(5), p[37])
+    with pytest.raises(error, match="in row 37"):
+        require_prob_rows(p)
+    require_prob_rows(np.delete(p, 37, axis=0))

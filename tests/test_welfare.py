@@ -9,14 +9,18 @@ from hypothesis import strategies as st
 import _oracles
 from _gen import random_decomposition, random_dist, random_family
 from logpool import (
+    Dist,
+    IdentityMismatch,
     OutcomeSpace,
     ScoreFn,
     Weights,
     binary_gap_closed_form,
     covariance_condition,
     entropy,
+    gap_terms,
     kl,
     linear_pool,
+    log_pool_arrays,
     log_pool_with_log_z,
     make_decomposition,
     make_dist,
@@ -200,3 +204,54 @@ def test_gap_is_linear_in_the_pool_argument(seed):
     assert welfare_gap(r, mix) == pytest.approx(
         lam * welfare_gap(r, p1) + (1 - lam) * welfare_gap(r, p2), abs=1e-10
     )
+
+
+# ---------------------------------------------------------------------------
+# the stacked kernel behind welfare_gap / unanimity_report / weighted_gap_sum
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (3, 6), (8, 4), (13, 5), (13, 6)])
+def test_stacked_gap_rows_match_per_instance_reports(m, n):
+    rng = rng_from(311, m, n)
+    decomps = [random_decomposition(rng, m, n) for _ in range(110)]
+    children = np.stack([[c.p for c in d.children] for d in decomps])
+    beta = np.stack([d.weights.beta for d in decomps])
+    parents = log_pool_arrays(np.log(children), beta)[0]
+    gaps, h_children, h_parents, kl_terms = gap_terms(children, parents[:, None, :])
+    assert gaps.shape == kl_terms.shape == h_children.shape == (110, n)
+    assert h_parents.shape == (110, 1)
+    for row, d in enumerate(decomps):
+        assert np.abs(parents[row] - d.parent.p).max() <= 1e-15
+        rep = unanimity_report(d)
+        assert np.abs(gaps[row] - rep.gaps).max() <= 1e-15
+        assert np.abs(h_children[row] - rep.entropy_children).max() <= 1e-15
+        assert abs(h_parents[row, 0] - rep.entropy_parent) <= 1e-15
+        assert np.abs(kl_terms[row] - rep.kl_parent_children).max() <= 1e-15
+        assert abs(beta[row] @ gaps[row] - weighted_gap_sum(d)) <= 1e-15
+        for i, child in enumerate(d.children):
+            assert abs(gaps[row, i] - welfare_gap(child, d.parent)) <= 1e-15
+
+
+def _unchecked_dist(space, p):
+    """A Dist that skips validation, to feed the object path a spoiled row."""
+    d = object.__new__(Dist)
+    object.__setattr__(d, "space", space)
+    object.__setattr__(d, "p", p)
+    return d
+
+
+def test_a_spoiled_gap_row_fails_as_the_object_path_would():
+    rng = rng_from(313)
+    space = OutcomeSpace(6)
+    agents = np.stack([random_dist(rng, space).p for _ in range(100)])
+    pools = np.stack([random_dist(rng, space).p for _ in range(100)])
+    gap_terms(agents, pools)
+    # a pool row scaled far off the simplex: the entropy and KL forms cancel
+    # catastrophically, so the two forms of the gap disagree
+    pools[41] *= 1e12
+    with pytest.raises(IdentityMismatch):
+        welfare_gap(Dist(space, agents[41]), _unchecked_dist(space, pools[41]))
+    with pytest.raises(IdentityMismatch, match="in row 41"):
+        gap_terms(agents, pools)
+    gap_terms(np.delete(agents, 41, axis=0), np.delete(pools, 41, axis=0))
