@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from . import __version__, constructions, factorize, persona, stability
-from .core import OutcomeSpace, Weights, entropy, kl, make_dist, norm_p, rng_from
+from .core import Weights, entropy, kl, norm_p, rng_from
 from .errors import (
     ConfigParse,
     IoError,
@@ -45,7 +45,7 @@ from .jsonio import (
     weights_from_json,
 )
 from .pooling import linear_pool, log_pool, log_pool_with_log_z, make_decomposition
-from .suites import SUITE_NAMES, run_suite
+from .suites import SUITE_NAMES, _random_dist, _random_strict_weights, run_suite
 from .welfare import UNANIMITY_TOL, unanimity_report, weighted_gap_sum, welfare_gap
 
 __all__ = ["main", "build_report"]
@@ -131,31 +131,44 @@ def _as_list(value: Any) -> list:
     return value if isinstance(value, list) else [value]
 
 
+def _number(value: Any, kind: type, name: str, minimum: int | None = None) -> Any:
+    """Config value ``name`` converted by ``kind`` (int or float) and at least
+    ``minimum`` if given, or a :class:`ConfigParse` naming it."""
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigParse(f'"{name}" is not a valid {kind.__name__}: {value!r}') from None
+    if minimum is not None and number < minimum:
+        raise ConfigParse(f'"{name}" must be at least {minimum}, got {number}')
+    return number
+
+
+def _section(config: dict, name: str) -> dict:
+    section = config.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigParse(f'"{name}" must be a JSON object')
+    return section
+
+
 def _family_grid(config: dict) -> tuple[str, list[int], list[float], dict]:
     family = config.get("family")
     if not isinstance(family, dict) or "kind" not in family:
         raise ConfigParse('config needs a "family" object with a "kind"')
     kind = family["kind"]
-    ns = [int(n) for n in _as_list(family.get("n", [2, 3]))]
-    eps = [float(e) for e in _as_list(family.get("epsilon", [0.1, 0.03, 0.01]))]
-    return kind, ns, eps, family
-
-
-def _seeded_strict_weights(rng, n: int) -> Weights:
-    raw = 0.15 + rng.random(n)
-    return Weights(raw / raw.sum())
+    ns = [_number(n, int, "family.n") for n in _as_list(family.get("n", [2, 3]))]
+    eps = _as_list(family.get("epsilon", [0.1, 0.03, 0.01]))
+    return kind, ns, [_number(e, float, "family.epsilon") for e in eps], family
 
 
 def _seeded_decomposition(rng, m: int, n: int):
-    space = OutcomeSpace(m)
-    agents = [make_dist(space, rng.gamma(1.5, 1.0, m) + 0.02) for _ in range(n)]
-    return make_decomposition(agents, _seeded_strict_weights(rng, n), "log")
+    agents = [_random_dist(rng, m) for _ in range(n)]
+    return make_decomposition(agents, _random_strict_weights(rng, n), "log")
 
 
 def _analysis_gaps(config: dict, seed: int) -> tuple[list[str], list[list], dict]:
     """Welfare-gap summary over the family's (n, epsilon) grid."""
     kind, ns, eps_grid, family = _family_grid(config)
-    beta_samples = int(family.get("beta_samples", 5))
+    beta_samples = _number(family.get("beta_samples", 5), int, "family.beta_samples", 0)
     rows = []
     for n in ns:
         for eps in eps_grid:
@@ -163,7 +176,7 @@ def _analysis_gaps(config: dict, seed: int) -> tuple[list[str], list[list], dict
                 decomps = [("uniform", constructions.analytic_unanimity_instance(n, eps))]
             elif kind == "cyclic_welfare":
                 inst = constructions.cyclic_welfare_instance(
-                    n, eps, float(family.get("C", 1.0))
+                    n, eps, _number(family.get("C", 1.0), float, "family.C")
                 )
                 decomps = [
                     ("uniform", make_decomposition(list(inst.agents), inst.weights, "log"))
@@ -172,7 +185,7 @@ def _analysis_gaps(config: dict, seed: int) -> tuple[list[str], list[list], dict
                 agents = constructions.peaked_incompatible_family(n, eps)
                 decomps = []
                 for s in range(beta_samples):
-                    w = _seeded_strict_weights(rng_from(seed, 10, n, s), n)
+                    w = _random_strict_weights(rng_from(seed, 10, n, s), n)
                     decomps.append((f"sample{s}", make_decomposition(agents, w, "log")))
             else:
                 raise ConfigParse(f"unknown family kind {kind!r}")
@@ -206,7 +219,8 @@ def _analysis_openness(config: dict, seed: int) -> tuple[list[str], list[list], 
     kind, ns, _, _ = _family_grid(config)
     if kind != "analytic_unanimity":
         raise ConfigParse("the openness analysis needs the analytic_unanimity family")
-    samples = int(config.get("openness", {}).get("samples", 32))
+    params = _section(config, "openness")
+    samples = _number(params.get("samples", 32), int, "openness.samples", 0)
     rows = []
     epsilon_by_n = {}
     for n in ns:
@@ -221,21 +235,20 @@ def _analysis_openness(config: dict, seed: int) -> tuple[list[str], list[list], 
 
 def _analysis_suppression(config: dict, seed: int) -> tuple[list[str], list[list], dict]:
     """Optimal event suppression across a budget grid (linear in the budget)."""
-    params = config.get("suppression", {})
-    m = int(params.get("outcomes", 5))
-    if m < 3:
-        # the suppressed event needs 1 <= size < m - 1 outcomes
-        raise ConfigParse(f'"suppression.outcomes" must be at least 3, got {m}')
-    n = int(params.get("agents", 3))
-    instances = int(params.get("instances", 4))
-    budgets = [float(b) for b in _as_list(params.get("budgets", [0.01, 0.02, 0.04, 0.08]))]
+    params = _section(config, "suppression")
+    # the suppressed event needs 1 <= size < m - 1 outcomes
+    m = _number(params.get("outcomes", 5), int, "suppression.outcomes", 3)
+    n = _number(params.get("agents", 3), int, "suppression.agents")
+    instances = _number(params.get("instances", 4), int, "suppression.instances", 0)
+    budgets = _as_list(params.get("budgets", [0.01, 0.02, 0.04, 0.08]))
+    budgets = [_number(b, float, "suppression.budgets") for b in budgets]
     rows = []
     for i in range(instances):
         rng = rng_from(seed, 20, i)
         decomp = _seeded_decomposition(rng, m, n)
         profiles = persona.centered_profiles(decomp)
         k = int(rng.integers(1, m - 1))
-        event = tuple(int(x) for x in rng.choice(m, size=k, replace=False))
+        event = rng.choice(m, size=k, replace=False)
         for eps in budgets:
             plan = persona.optimal_suppression(profiles, event, eps)
             rows.append(
@@ -247,11 +260,11 @@ def _analysis_suppression(config: dict, seed: int) -> tuple[list[str], list[list
 
 def _analysis_compensation(config: dict, seed: int) -> tuple[list[str], list[list], dict]:
     """Compensation-inequality slack over seeded random weight changes."""
-    params = config.get("compensation", {})
-    m = int(params.get("outcomes", 5))
-    n = int(params.get("agents", 4))
-    instances = int(params.get("instances", 25))
-    scale = float(params.get("scale", 1e-3))
+    params = _section(config, "compensation")
+    m = _number(params.get("outcomes", 5), int, "compensation.outcomes")
+    n = _number(params.get("agents", 4), int, "compensation.agents")
+    instances = _number(params.get("instances", 25), int, "compensation.instances", 0)
+    scale = _number(params.get("scale", 1e-3), float, "compensation.scale")
     rows = []
     for i in range(instances):
         for attempt in range(50):
@@ -313,7 +326,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         if name not in _ANALYSES:
             known = ", ".join(sorted(_ANALYSES))
             raise ConfigParse(f"unknown analysis {name!r}; expected one of: {known}")
-    seed = _require_seed(args.seed if args.seed is not None else int(config.get("seed", 0)))
+    raw_seed = config.get("seed", 0) if args.seed is None else args.seed
+    seed = _require_seed(_number(raw_seed, int, "seed"))
 
     prefix = args.out or "experiment"
     started = time.perf_counter()

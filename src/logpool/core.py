@@ -158,7 +158,9 @@ class OutcomeSpace:
         return f"o{i}"
 
     def all_labels(self) -> list[str]:
-        return [self.label_of(i) for i in range(self.size)]
+        if self.labels is not None:
+            return list(self.labels)
+        return [f"o{i}" for i in range(self.size)]
 
 
 def _require_same_space(a, b) -> None:
@@ -192,8 +194,7 @@ class Dist:
         return np.log(self.p)
 
     def prob_of(self, event: Sequence[int]) -> float:
-        idx = event_indices(self.space, event, allow_full=True)
-        return float(self.p[list(idx)].sum())
+        return float(self.p[_event_array(self.space, event, allow_full=True)].sum())
 
 
 @dataclass(frozen=True, slots=True)
@@ -370,23 +371,33 @@ def event_indices(
 ) -> tuple[int, ...]:
     """Canonicalize an outcome subset to a sorted duplicate-free index tuple.
 
-    Rejects empty events always, and full events unless ``allow_full``.
+    Rejects empty events always, and full events unless ``allow_full``; an
+    out-of-range event names its smallest out-of-range index.
     """
-    idx = sorted({int(i) for i in event})
-    for i in idx:
-        if i < 0 or i >= space.size:
-            raise IndexOutOfRange(f"outcome index {i} outside [0, {space.size})")
-    if len(idx) == 0:
+    return tuple(_event_array(space, event, allow_full).tolist())
+
+
+def _event_array(space: OutcomeSpace, event, allow_full: bool) -> np.ndarray:
+    """:func:`event_indices` as a sorted duplicate-free int64 array."""
+    values = event if isinstance(event, (np.ndarray, list, tuple)) else list(event)
+    try:
+        idx = np.sort(np.asarray(values, dtype=np.int64), axis=None)
+        bad = idx[(idx < 0) | (idx >= space.size)].tolist()
+    except OverflowError:  # an index beyond int64 is out of range
+        bad = sorted(i for i in map(int, values) if not 0 <= i < space.size)
+    if bad:
+        raise IndexOutOfRange(f"outcome index {bad[0]} outside [0, {space.size})")
+    if idx.size == 0:
         raise EmptyOrFullEvent("event must be nonempty")
-    if not allow_full and len(idx) == space.size:
+    idx = idx[np.concatenate(([True], idx[1:] != idx[:-1]))]
+    if not allow_full and idx.size == space.size:
         raise EmptyOrFullEvent("event must be a proper subset of the outcomes")
-    return tuple(idx)
+    return idx
 
 
 def indicator(space: OutcomeSpace, event: Sequence[int]) -> ScoreFn:
-    idx = event_indices(space, event, allow_full=True)
     f = np.zeros(space.size)
-    f[list(idx)] = 1.0
+    f[_event_array(space, event, allow_full=True)] = 1.0
     return ScoreFn(space, f)
 
 
@@ -400,9 +411,8 @@ def coarse_grain_bound(
     equality exactly when P/Q is constant on the event and on its complement.
     """
     _require_same_space(P, Q)
-    idx = list(event_indices(P.space, event))
     mask = np.zeros(P.space.size, dtype=bool)
-    mask[idx] = True
+    mask[_event_array(P.space, event, allow_full=False)] = True
     pa = float(P.p[mask].sum())
     pac = float(P.p[~mask].sum())
     qa = float(Q.p[mask].sum())

@@ -4,7 +4,9 @@ Serialization here is deliberately boring and deterministic: floats are
 written with ``%.17g`` (enough digits to round-trip IEEE doubles exactly),
 keys keep insertion order unless a canonical form is requested, and nothing
 machine-generated carries wall-clock or filesystem state.  Two calls with
-equal inputs produce byte-identical text.
+equal inputs produce byte-identical text.  The encoder is built on public
+APIs only and writes the stdlib's layout; a list of plain floats or strings
+is written in one ``join``.
 
 Deserialization never repairs data.  A distribution parsed from JSON goes
 straight through the :class:`~logpool.core.Dist` constructor, so an entry
@@ -16,7 +18,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import json.encoder
+from dataclasses import fields
+from itertools import repeat
+from json.encoder import encode_basestring_ascii as _str_text
 from typing import Any
 
 import numpy as np
@@ -27,7 +31,6 @@ from .persona import CompensationReport, SuppressionPlan
 from .pooling import Decomposition
 
 __all__ = [
-    "PrecisionEncoder",
     "dumps",
     "dumps_canonical",
     "loads",
@@ -42,70 +45,67 @@ __all__ = [
     "compensation_report_to_json",
 ]
 
+#: How the stdlib writes the floats that have no ``%.17g`` number form.
+_SPECIAL = {"nan": "NaN", "-nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
-class PrecisionEncoder(json.JSONEncoder):
-    """JSON encoder writing floats as ``%.17g`` and flattening numpy types."""
 
-    def default(self, o: Any) -> Any:
-        if isinstance(o, np.ndarray):
-            return o.tolist()
-        if isinstance(o, np.integer):
-            return int(o)
-        if isinstance(o, np.floating):
-            return float(o)
-        if isinstance(o, np.bool_):
-            return bool(o)
-        return super().default(o)
+def _scalar_text(o: None | bool | int | float) -> str:
+    if o is None or o is True or o is False:
+        return "null" if o is None else "true" if o else "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    text = format(o, ".17g")
+    return _SPECIAL.get(text, text)
 
-    def iterencode(self, o: Any, _one_shot: bool = False):
-        markers: dict | None = {} if self.check_circular else None
 
-        def floatstr(
-            f: float,
-            allow_nan: bool = self.allow_nan,
-            _inf: float = float("inf"),
-            _neginf: float = -float("inf"),
-        ) -> str:
-            if f != f:
-                text = "NaN"
-            elif f == _inf:
-                text = "Infinity"
-            elif f == _neginf:
-                text = "-Infinity"
+def _serialize(obj: Any, indent: int | None, sep: str, colon: str, sort_keys: bool) -> str:
+    """JSON text in the stdlib's layout and key rules, floats as ``%.17g`` and
+    numpy values as the Python values they hold.  A list of plain floats or
+    plain strings is written in one ``join``; anything else recurses."""
+    step = "" if indent is None else " " * indent
+
+    def key_text(key: Any) -> str:
+        if not (key is None or isinstance(key, (str, int, float))):
+            raise TypeError(f"keys must be str, int, float, bool or None, not {key!r}")
+        return _str_text(key if isinstance(key, str) else _scalar_text(key))
+
+    def encode(o: Any, pad: str) -> str:
+        if isinstance(o, str):
+            return _str_text(o)
+        if o is None or isinstance(o, (int, float)):
+            return _scalar_text(o)
+        inner = pad + step
+        if isinstance(o, dict):
+            items = sorted(o.items()) if sort_keys else o.items()
+            pairs = (key_text(k) + colon + encode(v, inner) for k, v in items)
+            body = (sep + inner).join(pairs)
+            return "{" + inner + body + pad + "}" if o else "{}"
+        if isinstance(o, (list, tuple)):
+            kinds = set(map(type, o))
+            if kinds == {float}:
+                body = (sep + inner).join(map(format, o, repeat(".17g")))
+                if "n" in body:  # nan or inf: no finite %.17g text has an "n"
+                    body = (sep + inner).join(map(_scalar_text, o))
+            elif kinds == {str}:
+                body = (sep + inner).join(map(_str_text, o))
             else:
-                return format(f, ".17g")
-            if not allow_nan:
-                raise ValueError(f"out of range float value: {f!r}")
-            return text
+                body = (sep + inner).join(encode(x, inner) for x in o)
+            return "[" + inner + body + pad + "]" if o else "[]"
+        if isinstance(o, (np.ndarray, np.generic)):
+            return encode(_plain(o), pad)
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
-        indent = self.indent
-        if indent is not None and not isinstance(indent, str):
-            indent = " " * indent
-        _iterencode = json.encoder._make_iterencode(
-            markers,
-            self.default,
-            json.encoder.encode_basestring_ascii,
-            indent,
-            floatstr,
-            self.key_separator,
-            self.item_separator,
-            self.sort_keys,
-            self.skipkeys,
-            _one_shot,
-        )
-        return _iterencode(o, 0)
+    return encode(obj, "" if indent is None else "\n")
 
 
 def dumps(obj: Any, indent: int | None = 2) -> str:
     """Serialize with full float precision, stable across equal inputs."""
-    return json.dumps(obj, cls=PrecisionEncoder, indent=indent)
+    return _serialize(obj, indent, ", " if indent is None else ",", ": ", sort_keys=False)
 
 
 def dumps_canonical(obj: Any) -> str:
     """Compact, key-sorted form used for hashing configurations."""
-    return json.dumps(
-        obj, cls=PrecisionEncoder, indent=None, sort_keys=True, separators=(",", ":")
-    )
+    return _serialize(obj, None, ",", ":", sort_keys=True)
 
 
 def loads(text: str) -> Any:
@@ -118,6 +118,20 @@ def loads(text: str) -> Any:
 def config_hash(config: Any) -> str:
     """SHA-256 of the canonical serialization of a configuration object."""
     return hashlib.sha256(dumps_canonical(config).encode("utf-8")).hexdigest()
+
+
+def _plain(value: Any) -> Any:
+    """A numpy value or a tuple as a plain Python value or list."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    return list(value) if isinstance(value, tuple) else value
+
+
+def _array_of(values: Any, *kinds: type) -> bool:
+    """True for a list or tuple of ``kinds`` values; a bool is not a number."""
+    return isinstance(values, (list, tuple)) and all(
+        issubclass(t, kinds) and not issubclass(t, bool) for t in set(map(type, values))
+    )
 
 
 def dist_to_json(dist: Dist) -> dict:
@@ -133,23 +147,17 @@ def dist_from_json(obj: Any, space: OutcomeSpace | None = None) -> Dist:
     if not isinstance(obj, dict) or "p" not in obj:
         raise ParseError('a distribution is an object with a "p" array')
     p = obj["p"]
-    if not isinstance(p, (list, tuple)) or not all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in p
-    ):
+    if not _array_of(p, int, float):
         raise ParseError('"p" must be an array of numbers')
     labels = obj.get("labels")
     if labels is not None:
-        if not isinstance(labels, (list, tuple)) or not all(
-            isinstance(x, str) for x in labels
-        ):
+        if not _array_of(labels, str):
             raise ParseError('"labels" must be an array of strings')
         labels = tuple(labels)
     if space is not None:
         if len(p) != space.size:
-            raise ParseError(
-                f"expected {space.size} probability entries, got {len(p)}"
-            )
-        if labels is not None and labels != tuple(space.all_labels()):
+            raise ParseError(f"expected {space.size} probability entries, got {len(p)}")
+        if labels is not None and labels != (space.labels or tuple(space.all_labels())):
             raise ParseError("labels do not match the expected outcome space")
     else:
         space = OutcomeSpace(len(p), labels)
@@ -164,9 +172,7 @@ def weights_from_json(obj: Any) -> Weights:
     """Parse ``{"beta": [...]}`` or a bare array of numbers."""
     if isinstance(obj, dict):
         obj = obj.get("beta")
-    if not isinstance(obj, (list, tuple)) or not all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in obj
-    ):
+    if not _array_of(obj, int, float):
         raise ParseError('weights are {"beta": [...]} or a bare array of numbers')
     return Weights(np.asarray(obj, dtype=float))
 
@@ -192,9 +198,7 @@ def decomposition_from_json(obj: Any) -> Decomposition:
     if not isinstance(children_raw, list) or not children_raw:
         raise ParseError('"children" must be a non-empty array')
     first = dist_from_json(children_raw[0])
-    children = [first] + [
-        dist_from_json(c, space=first.space) for c in children_raw[1:]
-    ]
+    children = [first] + [dist_from_json(c, space=first.space) for c in children_raw[1:]]
     parent = dist_from_json(obj["parent"], space=first.space)
     weights = weights_from_json(obj["weights"])
     return Decomposition(
@@ -203,41 +207,13 @@ def decomposition_from_json(obj: Any) -> Decomposition:
 
 
 def suppression_plan_to_json(plan: SuppressionPlan) -> dict[str, Any]:
-    """Serialize a suppression plan, including the realized log-deviation."""
-    return {
-        "base": dist_to_json(plan.base),
-        "delta_l": plan.delta_l.f.tolist(),
-        "budget": float(plan.budget),
-        "achieved": float(plan.achieved),
-        "projection_norm": float(plan.projection_norm),
-        "span_dim": int(plan.span_dim),
-        "zero_projection": bool(plan.zero_projection),
-    }
+    """Serialize a suppression plan, one key per field, including the
+    realized log-deviation."""
+    doc = {f.name: _plain(getattr(plan, f.name)) for f in fields(plan)}
+    return doc | {"base": dist_to_json(plan.base), "delta_l": plan.delta_l.f.tolist()}
 
 
 def compensation_report_to_json(report: CompensationReport) -> dict[str, Any]:
-    """Serialize a compensation report: inner products, classes, and slack."""
-    return {
-        "h_index": int(report.h_index),
-        "delta": float(report.delta),
-        "budget": float(report.budget),
-        "inner_products": report.inner_products.tolist(),
-        "anti_indices": list(report.anti_indices),
-        "aligned_indices": list(report.aligned_indices),
-        "target_norm": float(report.target_norm),
-        "residual_norm": float(report.residual_norm),
-        "delta_l_norm": float(report.delta_l_norm),
-        "lhs": float(report.lhs),
-        "rhs": float(report.rhs),
-        "slack": float(report.slack),
-        "single_anti_aligned": bool(report.single_anti_aligned),
-        "counter_index": (
-            None if report.counter_index is None else int(report.counter_index)
-        ),
-        "counter_lower_bound": (
-            None
-            if report.counter_lower_bound is None
-            else float(report.counter_lower_bound)
-        ),
-        "aligned_not_downgraded": bool(report.aligned_not_downgraded),
-    }
+    """Serialize a compensation report, one key per field: inner products,
+    classes, and slack."""
+    return {f.name: _plain(getattr(report, f.name)) for f in fields(report)}

@@ -354,3 +354,46 @@ def test_two_outcome_suppression_is_a_usage_error(tmp_path, capsys):
         )
     )
     assert main(["experiment", str(cfg), "--out", str(tmp_path / "x")]) == 0
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"seed": "x"},
+        {"family": {"kind": "analytic_unanimity", "n": ["a"]}},
+        {"family": {"kind": "analytic_unanimity", "epsilon": [None]}},
+        {"suppression": {"outcomes": "x"}},
+        {"suppression": {"budgets": [[0.01]]}},
+        {"compensation": {"scale": {}}},
+        {"openness": 5},
+    ],
+    ids=["seed", "family.n", "family.epsilon", "suppression.outcomes",
+         "suppression.budgets", "compensation.scale", "openness-section"],
+)
+def test_non_numeric_config_values_are_usage_errors(tmp_path, capsys, change):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**CONFIG, **change}))
+    assert_usage_error(capsys, ["experiment", str(cfg), "--out", str(tmp_path / "x")])
+    assert not (tmp_path / "x.manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"analyses": ["suppression"], "suppression": {"instances": -1}},
+        {"analyses": ["compensation"], "compensation": {"instances": -1}},
+        {
+            "analyses": ["gaps"],
+            "family": {"kind": "peaked_incompatible", "n": [2], "beta_samples": -1},
+        },
+        {"analyses": ["openness"], "openness": {"samples": -1}},
+    ],
+    ids=["suppression.instances", "compensation.instances", "family.beta_samples",
+         "openness.samples"],
+)
+def test_negative_counts_are_usage_errors(tmp_path, capsys, change):
+    """A negative count used to write an empty table and exit 0."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**CONFIG, **change}))
+    assert_usage_error(capsys, ["experiment", str(cfg), "--out", str(tmp_path / "x")])
+    assert not list(tmp_path.glob("x.*"))

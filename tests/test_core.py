@@ -206,6 +206,77 @@ def test_event_indices_canonicalization_and_rejection():
         event_indices(SPACE4, [-1])
 
 
+def _event_indices_loop(space, event, allow_full=False):
+    """The element-by-element canonicalization ``event_indices`` replaced:
+    the reference its array version must agree with."""
+    idx = sorted({int(i) for i in event})
+    for i in idx:
+        if i < 0 or i >= space.size:
+            raise IndexOutOfRange(f"outcome index {i} outside [0, {space.size})")
+    if len(idx) == 0:
+        raise EmptyOrFullEvent("event must be nonempty")
+    if not allow_full and len(idx) == space.size:
+        raise EmptyOrFullEvent("event must be a proper subset of the outcomes")
+    return tuple(idx)
+
+
+def _outcome(fn, *args, **kwargs):
+    """A result, or the type and message of the error raised instead."""
+    try:
+        return fn(*args, **kwargs)
+    except (IndexOutOfRange, EmptyOrFullEvent) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "event",
+    [
+        [9, -3, 7, -1, 4],  # out of range on both sides: names -3
+        (12, 5, 9, 7),  # above only: names the smallest, 7
+        [2**70, 3],  # beyond int64
+        [-(2**70), 9, 1],
+        np.array([5, 0, 5, 2, 0]),
+        (3, 1, 3, 3, 1),
+        np.array([4, 1], dtype=np.int32),
+        [],
+        (),
+        np.array([], dtype=np.int64),
+        [0, 1, 2, 3, 4, 5, 6],
+        [6, 5, 4, 3, 2, 1, 0, 3],
+        range(2, 5),
+        {4, 2},
+    ],
+)
+@pytest.mark.parametrize("allow_full", [False, True])
+def test_event_indices_agrees_with_the_loop_reference(event, allow_full):
+    space = OutcomeSpace(7)
+    got = _outcome(event_indices, space, event, allow_full=allow_full)
+    assert got == _outcome(_event_indices_loop, space, event, allow_full)
+    if isinstance(got, tuple) and got and isinstance(got[0], int):
+        assert all(type(i) is int for i in got)
+
+
+def test_event_indices_error_messages():
+    space = OutcomeSpace(5)
+    with pytest.raises(IndexOutOfRange, match=r"^outcome index -2 outside \[0, 5\)$"):
+        event_indices(space, [6, -2, 8, -1])
+    with pytest.raises(IndexOutOfRange, match=r"^outcome index 6 outside \[0, 5\)$"):
+        event_indices(space, [8, 6, 1])
+    with pytest.raises(EmptyOrFullEvent, match="^event must be nonempty$"):
+        event_indices(space, np.array([], dtype=int))
+    with pytest.raises(EmptyOrFullEvent, match="^event must be a proper subset of the outcomes$"):
+        event_indices(space, np.arange(5)[::-1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-20, 30), max_size=25), st.integers(2, 12), st.booleans())
+def test_event_indices_matches_the_loop_reference_on_random_events(event, m, allow_full):
+    space = OutcomeSpace(m)
+    want = _outcome(_event_indices_loop, space, event, allow_full)
+    assert _outcome(event_indices, space, event, allow_full=allow_full) == want
+    assert _outcome(event_indices, space, np.array(event, dtype=np.int64), allow_full=allow_full) == want
+
+
 def test_indicator_vector():
     f = indicator(SPACE4, [1, 3])
     assert f.f.tolist() == [0.0, 1.0, 0.0, 1.0]

@@ -2,9 +2,14 @@
 hashing, and validated round-trips for every exchanged structure."""
 
 import json
+import math
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _gen import random_decomposition, random_dist, random_strict_weights
 from logpool import (
@@ -33,6 +38,86 @@ from logpool import (
     weights_from_json,
     weights_to_json,
 )
+
+LAYOUT_GOLDEN = Path(__file__).parent / "golden" / "jsonio_layout.json"
+
+
+def layout_object():
+    """Every kind of value the encoder writes, in the nestings that decide
+    its layout.  ``golden/jsonio_layout.json`` holds what ``dumps`` and
+    ``dumps_canonical`` wrote for it when they were built on the stdlib's
+    private ``json.encoder._make_iterencode``; the bytes must not change."""
+    floats = [0.1, 2.0 / 3.0, -0.0, 0.0, 5e-324, 1e300, -1.5e-310, 1.0, 123456789.0]
+    return {
+        "z_first": {"nested": {"deeper": [[], {}, [1, [2.5, "x"]], {"k": None}]}},
+        "floats": floats,
+        "specials": [float("nan"), float("inf"), -float("inf"), 0.25],
+        "special_scalars": {"nan": float("nan"), "inf": float("inf"), "ninf": -float("inf")},
+        "zeros": {"neg": -0.0, "pos": 0.0},
+        "extremes": [5e-324, 1e300, -1e300, 2.2250738585072014e-308],
+        "mixed": [1, 2.5, "three", True, False, None, [], {}, -0.0],
+        "strings": ["a", "b\"q", "tab\t", "é", "\u2603 snow", ""],
+        "empty_list": [],
+        "empty_dict": {},
+        "numpy": {
+            "int64": np.int64(-7),
+            "float64": np.float64(0.1),
+            "float32": np.float32(0.5),
+            "bool": np.bool_(False),
+            "array": np.array([0.25, -0.0, 1e-300]),
+            "int_array": np.array([[1, 2], [3, 4]]),
+            "in_list": [np.float64(1.0 / 3.0), np.int64(3), np.bool_(True)],
+        },
+        "none": None,
+        "big_int": 2**70 + 1,
+        "negative_int": -12,
+        "non_ascii": "Gödel’s λ → ∞",
+        7: "int key",
+        0.1: "float key",
+        True: "bool key",
+        None: "none key",
+        "tuple": (1.5, 2.5),
+        "a_last": [0.5],
+    }
+
+
+def test_dumps_layout_matches_the_golden_bytes():
+    golden = json.loads(LAYOUT_GOLDEN.read_text())
+    assert dumps(layout_object()) == golden["dumps"]
+    assert dumps(layout_object(), indent=None) == golden["dumps_no_indent"]
+
+
+def canonical_object():
+    """``layout_object`` with its non-str keys replaced by a dict of int
+    keys, since ``sort_keys`` cannot order mixed key types."""
+    obj = layout_object()
+    for key in (7, 0.1, True, None):
+        del obj[key]
+    obj["int_keys"] = {10: "ten", 2: "two", -1: "minus one"}
+    return obj
+
+
+def test_dumps_canonical_layout_matches_the_golden_bytes():
+    golden = json.loads(LAYOUT_GOLDEN.read_text())
+    assert dumps_canonical(canonical_object()) == golden["dumps_canonical"]
+
+
+_bits = struct.Struct("<d")
+_finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [5e-324, -5e-324, 2.2250738585072009e-308, -2.2250738585072014e-308]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_finite.filter(lambda x: x != 0.0 or math.copysign(1.0, x) > 0), max_size=40))
+def test_float_lists_round_trip_bit_for_bit(values):
+    """Every finite double but -0.0 comes back with the same bits; -0.0 is
+    written ``-0``, which JSON parsers read as the integer 0."""
+    back = loads(dumps({"v": values}))["v"]
+    assert len(back) == len(values)
+    for got, want in zip(back, values):
+        assert isinstance(got, (int, float))
+        assert _bits.pack(float(got)) == _bits.pack(want)
 
 
 def test_float_round_trip_through_dumps():
