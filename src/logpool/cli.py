@@ -45,7 +45,7 @@ from .jsonio import (
     weights_from_json,
 )
 from .pooling import linear_pool, log_pool, log_pool_with_log_z, make_decomposition
-from .suites import SUITE_NAMES, _random_dist, _random_strict_weights, run_suite
+from .suites import SUITE_NAMES, run_suite
 from .welfare import UNANIMITY_TOL, unanimity_report, weighted_gap_sum, welfare_gap
 
 __all__ = ["main", "build_report"]
@@ -113,6 +113,8 @@ def _require_seed(seed: int) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     _require_seed(args.seed)
+    if args.samples is not None and args.samples < 1:
+        raise ParseError(f"--samples must be at least 1, got {args.samples}")
     started = time.perf_counter()
     checks = run_suite(args.suite, args.seed, args.samples, args.tolerance)
     elapsed = time.perf_counter() - started
@@ -160,11 +162,6 @@ def _family_grid(config: dict) -> tuple[str, list[int], list[float], dict]:
     return kind, ns, [_number(e, float, "family.epsilon") for e in eps], family
 
 
-def _seeded_decomposition(rng, m: int, n: int):
-    agents = [_random_dist(rng, m) for _ in range(n)]
-    return make_decomposition(agents, _random_strict_weights(rng, n), "log")
-
-
 def _analysis_gaps(config: dict, seed: int) -> tuple[list[str], list[list], dict]:
     """Welfare-gap summary over the family's (n, epsilon) grid."""
     kind, ns, eps_grid, family = _family_grid(config)
@@ -185,7 +182,7 @@ def _analysis_gaps(config: dict, seed: int) -> tuple[list[str], list[list], dict
                 agents = constructions.peaked_incompatible_family(n, eps)
                 decomps = []
                 for s in range(beta_samples):
-                    w = _random_strict_weights(rng_from(seed, 10, n, s), n)
+                    w = constructions.random_strict_weights(rng_from(seed, 10, n, s), n)
                     decomps.append((f"sample{s}", make_decomposition(agents, w, "log")))
             else:
                 raise ConfigParse(f"unknown family kind {kind!r}")
@@ -245,7 +242,7 @@ def _analysis_suppression(config: dict, seed: int) -> tuple[list[str], list[list
     rows = []
     for i in range(instances):
         rng = rng_from(seed, 20, i)
-        decomp = _seeded_decomposition(rng, m, n)
+        decomp = constructions.random_decomposition(rng, m, n)
         profiles = persona.centered_profiles(decomp)
         k = int(rng.integers(1, m - 1))
         event = rng.choice(m, size=k, replace=False)
@@ -269,7 +266,7 @@ def _analysis_compensation(config: dict, seed: int) -> tuple[list[str], list[lis
     for i in range(instances):
         for attempt in range(50):
             rng = rng_from(seed, 21, i, attempt)
-            decomp = _seeded_decomposition(rng, m, n)
+            decomp = constructions.random_decomposition(rng, m, n)
             d = rng.standard_normal(n)
             d -= d.mean()
             d *= scale / max(1e-12, float(abs(d).max()))

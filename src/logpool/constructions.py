@@ -13,12 +13,15 @@ Three families, each parameterized by a peakedness scale ``epsilon``:
 
 How small "small epsilon" must be is discovered by logarithmic grid search
 (:func:`find_epsilon_for_unanimity`), recorded in reports, and never hard-coded.
+
+The seeded random instances (:func:`random_dist`, :func:`random_strict_weights`,
+:func:`random_family`, :func:`random_decomposition`) are the one copy the
+``verify`` suites, the ``experiment`` analyses and the tests all draw from.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,13 +40,16 @@ from .welfare import unanimity_report
 __all__ = [
     "EPSILON_GRID",
     "CyclicInstance",
-    "InstanceFamily",
     "cyclic_welfare_instance",
     "analytic_unanimity_instance",
     "find_epsilon_for_unanimity",
     "peaked_incompatible_family",
     "binary_gap_closed_form",
     "single_counteragent_instance",
+    "random_dist",
+    "random_strict_weights",
+    "random_family",
+    "random_decomposition",
 ]
 
 #: The search grid for peakedness thresholds: 10^(-k/4), k = 1..40.
@@ -206,40 +212,26 @@ def single_counteragent_instance(
     return decomp, 0, dbeta
 
 
-_FAMILY_KINDS = ("cyclic_welfare", "analytic_unanimity", "peaked_incompatible")
+def random_dist(rng: np.random.Generator, space: OutcomeSpace) -> Dist:
+    """A strictly positive random distribution on ``space``, bounded away
+    from zero: gamma(1.5, 1) + 0.02, normalized."""
+    return make_dist(space, rng.gamma(1.5, 1.0, space.size) + 0.02)
 
 
-@dataclass(frozen=True, slots=True)
-class InstanceFamily:
-    """A named family plus parameters; round-trips through CLI JSON configs."""
+def random_strict_weights(rng: np.random.Generator, n: int) -> Weights:
+    """n strictly positive weights: 0.15 + U[0, 1), normalized."""
+    raw = 0.15 + rng.random(n)
+    return Weights(raw / raw.sum())
 
-    kind: str
-    n: int
-    epsilon: float
-    extra: Mapping[str, float] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        if self.kind not in _FAMILY_KINDS:
-            raise ParamOutOfRange(f"unknown family kind {self.kind!r}")
-        bound = {
-            "cyclic_welfare": 1.0 / self.n if self.n else 0.0,
-            "analytic_unanimity": 0.25,
-            "peaked_incompatible": 0.5,
-        }[self.kind]
-        if not (0.0 < self.epsilon < bound):
-            raise ParamOutOfRange(
-                f"epsilon for {self.kind} must lie in (0, {bound})"
-            )
-        object.__setattr__(self, "extra", dict(self.extra))
+def random_family(rng: np.random.Generator, m: int, n: int) -> tuple[list[Dist], Weights]:
+    """n random agents on one m-outcome space, then their strict weights."""
+    space = OutcomeSpace(m)
+    return [random_dist(rng, space) for _ in range(n)], random_strict_weights(rng, n)
 
-    def instantiate(self):
-        if self.kind == "cyclic_welfare":
-            return cyclic_welfare_instance(
-                self.n, self.epsilon, float(self.extra.get("C", 1.0))
-            )
-        if self.kind == "analytic_unanimity":
-            weights = self.extra.get("weights")
-            if weights is not None and not isinstance(weights, Weights):
-                weights = Weights(np.asarray(weights, dtype=float))
-            return analytic_unanimity_instance(self.n, self.epsilon, weights)
-        return peaked_incompatible_family(self.n, self.epsilon)
+
+def random_decomposition(
+    rng: np.random.Generator, m: int, n: int, kind: str = "log"
+) -> Decomposition:
+    """The ``kind`` pool of :func:`random_family`'s agents and weights."""
+    return make_decomposition(*random_family(rng, m, n), kind)

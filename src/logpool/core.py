@@ -34,6 +34,7 @@ state anywhere in the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -158,9 +159,14 @@ class OutcomeSpace:
         return f"o{i}"
 
     def all_labels(self) -> list[str]:
-        if self.labels is not None:
-            return list(self.labels)
-        return [f"o{i}" for i in range(self.size)]
+        return list(self.labels or default_labels(self.size))
+
+
+@lru_cache(maxsize=16)
+def default_labels(size: int) -> tuple[str, ...]:
+    """``o0`` ... ``o{size-1}``, the labels of an unlabeled space, built once
+    per size."""
+    return tuple(f"o{i}" for i in range(size))
 
 
 def _require_same_space(a, b) -> None:

@@ -1,12 +1,14 @@
 """JSON round-tripping with full float precision.
 
 Serialization here is deliberately boring and deterministic: floats are
-written with ``%.17g`` (enough digits to round-trip IEEE doubles exactly),
-keys keep insertion order unless a canonical form is requested, and nothing
-machine-generated carries wall-clock or filesystem state.  Two calls with
-equal inputs produce byte-identical text.  The encoder is built on public
-APIs only and writes the stdlib's layout; a list of plain floats or strings
-is written in one ``join``.
+written with ``%.17g``, enough digits to round-trip IEEE doubles exactly,
+with one exception: ``-0.0`` is written as ``-0`` and reads back as the
+integer 0, losing the sign of zero.  Keys keep insertion order unless a
+canonical form is requested, and nothing machine-generated carries
+wall-clock or filesystem state.  Two calls with equal inputs produce
+byte-identical text.  The encoder is built on public APIs only and writes
+the stdlib's layout; a list of plain floats or strings is written in one
+``join``.
 
 Deserialization never repairs data.  A distribution parsed from JSON goes
 straight through the :class:`~logpool.core.Dist` constructor, so an entry
@@ -25,7 +27,7 @@ from typing import Any
 
 import numpy as np
 
-from .core import Dist, OutcomeSpace, Weights
+from .core import Dist, OutcomeSpace, Weights, default_labels
 from .errors import ParseError
 from .persona import CompensationReport, SuppressionPlan
 from .pooling import Decomposition
@@ -157,7 +159,7 @@ def dist_from_json(obj: Any, space: OutcomeSpace | None = None) -> Dist:
     if space is not None:
         if len(p) != space.size:
             raise ParseError(f"expected {space.size} probability entries, got {len(p)}")
-        if labels is not None and labels != (space.labels or tuple(space.all_labels())):
+        if labels is not None and labels != (space.labels or default_labels(space.size)):
             raise ParseError("labels do not match the expected outcome space")
     else:
         space = OutcomeSpace(len(p), labels)

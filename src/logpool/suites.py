@@ -1,10 +1,20 @@
 """Named, seeded verification suites behind the ``verify`` CLI command.
 
-Every check draws its instances through :func:`~logpool.core.rng_from` with a
-path ``(seed, suite_id, check_id, instance)``, so a seed pins every number in
-the run.  Checks compare library results against independent re-computations
-(extended-precision pooling, closed forms, brute-force searches) and report
-one extremal statistic each — a max error, a min margin, a found threshold.
+Each check is one function registered with :func:`_check`, which records its
+name (prefixed by its suite), default instance count, tolerance, pass
+direction and detail text.  The function only computes: it returns its
+extremal statistic (a max error, a min margin, a found threshold) as
+``value``, ``(value, ok)`` or ``(value, ok, count)``, where ``ok`` is an extra
+verdict and ``count`` the instances a fixed catalog checked.  One runner
+builds every :class:`CheckResult`: a check passes when ``value`` meets its
+tolerance in the registered direction and ``ok`` holds.
+
+A check draws its instances through ``run.rng(*path)``, which is
+:func:`~logpool.core.rng_from` at ``(seed, suite_id, check_id, *path)``: the
+suite's place in :data:`SUITE_NAMES` and the check's place in registration
+order.  So a seed pins every number in the run.  Checks compare library
+results against independent re-computations (extended-precision pooling,
+closed forms, brute-force searches).
 
 These are runtime smoke batteries sized for seconds, not the exhaustive
 test-suite versions; the comparisons are the same, the instance counts are
@@ -13,56 +23,29 @@ smaller.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import constructions, factorize, persona, stability
+from .constructions import random_decomposition, random_dist, random_family, random_strict_weights
 from .core import (
-    Dist,
-    OutcomeSpace,
-    ScoreFn,
-    Weights,
-    event_indices,
-    expect,
-    kl,
-    make_dist,
-    norm_p,
-    require_prob_rows,
-    rng_from,
-    tv,
-    uniform,
+    OutcomeSpace, ScoreFn, Weights, event_indices, expect, kl, make_dist, norm_p,
+    require_prob_rows, rng_from, tv, uniform,
 )
-from .errors import UnknownSuite
+from .errors import ParamOutOfRange, UnknownSuite
 from .pooling import (
-    Decomposition,
-    linear_pool,
-    log_pool,
-    log_pool_arrays,
-    log_pool_with_log_z,
-    make_decomposition,
+    linear_pool, log_pool, log_pool_arrays, log_pool_with_log_z, make_decomposition,
 )
 from .welfare import (
-    covariance_condition,
-    gap_terms,
-    unanimity_report,
-    weighted_gap_sum,
-    welfare_gap,
+    covariance_condition, gap_terms, unanimity_report, weighted_gap_sum, welfare_gap,
 )
 
 __all__ = ["CheckResult", "SUITE_NAMES", "run_suite"]
 
-SUITE_NAMES = (
-    "pools",
-    "welfare",
-    "constructions",
-    "factorize",
-    "stability",
-    "persona",
-)
-
-_SUITE_ID = {name: i for i, name in enumerate(SUITE_NAMES)}
+SUITE_NAMES = ("pools", "welfare", "constructions", "factorize", "stability", "persona")
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,47 +67,105 @@ class CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# Shared instance generators
+# Registration and the runner
 # ---------------------------------------------------------------------------
 
-def _random_dist(rng: np.random.Generator, m: int) -> Dist:
-    raw = rng.gamma(1.5, 1.0, m) + 0.02
-    return make_dist(OutcomeSpace(m), raw)
+class _Run(NamedTuple):
+    """What a check body is handed: the seed, its instance count and
+    tolerance, and ``rng(*path)`` on the check's own stream."""
+
+    seed: int
+    samples: int
+    tol: float
+    ids: tuple[int, int]
+
+    def rng(self, *path: int) -> np.random.Generator:
+        return rng_from(self.seed, *self.ids, *path)
 
 
-def _random_strict_weights(rng: np.random.Generator, n: int) -> Weights:
-    raw = 0.15 + rng.random(n)
-    return Weights(raw / raw.sum())
+class _Check(NamedTuple):
+    name: str
+    samples: int
+    tol: float
+    passes: Callable[[float, float], bool]
+    detail: str
+    body: Callable[[_Run], object]
 
 
-def _random_family(
-    rng: np.random.Generator, *, m_lo: int = 2, m_hi: int = 9, n_lo: int = 2, n_hi: int = 7
-) -> tuple[list[Dist], Weights]:
-    m = int(rng.integers(m_lo, m_hi))
-    n = int(rng.integers(n_lo, n_hi))
-    return [_random_dist(rng, m) for _ in range(n)], _random_strict_weights(rng, n)
+_PASSES = {"<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+_CHECKS: dict[str, list[_Check]] = {suite: [] for suite in SUITE_NAMES}
 
 
-def _longdouble_log_pool(agents: list[Dist], weights: Weights) -> np.ndarray:
-    logs = np.stack([np.log(a.p.astype(np.longdouble)) for a in agents])
-    combo = (weights.beta.astype(np.longdouble)[:, None] * logs).sum(axis=0)
-    combo -= combo.max()
-    w = np.exp(combo)
-    return w / w.sum()
+def _check(name: str, samples: int, tol: float, passes: str, detail: str):
+    """Register the decorated body as check ``name``, in the suite its prefix
+    names.  ``samples`` 0 marks a fixed catalog that no override resizes."""
+
+    def register(body: Callable[[_Run], object]) -> Callable[[_Run], object]:
+        check = _Check(name, samples, tol, _PASSES[passes], detail, body)
+        _CHECKS[name.split(".")[0]].append(check)
+        return body
+
+    return register
 
 
-def _longdouble_log_z(agents: list[Dist], weights: Weights) -> float:
+def run_suite(
+    name: str,
+    seed: int,
+    samples: int | None = None,
+    tolerance: float | None = None,
+) -> list[CheckResult]:
+    """Run one suite (or ``"all"``) and return its check results.
+
+    ``samples`` (at least 1) sets the random-instance count of every check
+    that has one (fixed catalogs keep their size); ``tolerance`` overrides each
+    check's default threshold — a blunt instrument, mostly useful for exploring
+    how much numerical headroom the implementation has.
+    """
+    if samples is not None and samples < 1:
+        raise ParamOutOfRange(f"samples must be at least 1, got {samples}")
+    if name != "all" and name not in _CHECKS:
+        known = ", ".join((*SUITE_NAMES, "all"))
+        raise UnknownSuite(f"unknown suite {name!r}; expected one of: {known}")
+    results = []
+    for suite_id, suite in enumerate(SUITE_NAMES):
+        if name not in ("all", suite):
+            continue
+        for check_id, check in enumerate(_CHECKS[suite]):
+            n = check.samples if samples is None or check.samples == 0 else samples
+            tol = check.tol if tolerance is None else tolerance
+            out = check.body(_Run(seed, n, tol, (suite_id, check_id)))
+            value, ok, count = (*out, n)[:3] if isinstance(out, tuple) else (out, True, n)
+            passed = check.passes(value, tol) and ok
+            results.append(CheckResult(check.name, passed, value, tol, count, check.detail))
+    return results
+
+
+# ---------------------------------------------------------------------------
+# Shared helpers
+# ---------------------------------------------------------------------------
+
+def _sizes(
+    rng: np.random.Generator, m_lo: int = 2, m_hi: int = 9, n_lo: int = 2, n_hi: int = 7
+) -> tuple[int, int]:
+    """An outcome count in [m_lo, m_hi), then an agent count in [n_lo, n_hi)."""
+    return int(rng.integers(m_lo, m_hi)), int(rng.integers(n_lo, n_hi))
+
+
+def _longdouble_log_pool(agents, weights: Weights) -> tuple[np.ndarray, float]:
+    """The log pool and its log-normalizer, recomputed in long double."""
     logs = np.stack([np.log(a.p.astype(np.longdouble)) for a in agents])
     combo = (weights.beta.astype(np.longdouble)[:, None] * logs).sum(axis=0)
     shift = combo.max()
-    return float(shift + np.log(np.exp(combo - shift).sum()))
+    w = np.exp(combo - shift)
+    return w / w.sum(), float(shift + np.log(w.sum()))
 
 
-def _tv_vs_longdouble(pooled: Dist, oracle: np.ndarray) -> float:
+def _tv_vs_longdouble(pooled, oracle: np.ndarray) -> float:
     return float(0.5 * np.abs(pooled.p.astype(np.longdouble) - oracle).sum())
 
 
-def _longdouble_gap(agent: Dist, pool: Dist) -> float:
+def _longdouble_gap(agent, pool) -> float:
     pa = agent.p.astype(np.longdouble)
     pr = pool.p.astype(np.longdouble)
     la = np.log(pa)
@@ -135,48 +176,40 @@ def _longdouble_gap(agent: Dist, pool: Dist) -> float:
 # pools
 # ---------------------------------------------------------------------------
 
-def _check_log_pool_extended(seed: int, samples: int, tol: float) -> CheckResult:
+@_check("pools.log_pool_extended_precision", 200, 1e-12, "<=",
+        "max tv between log_pool and an extended-precision recomputation")
+def _log_pool_extended(run: _Run):
     worst = 0.0
-    for i in range(samples):
-        rng = rng_from(seed, 0, 0, i)
-        agents, weights = _random_family(rng)
+    for i in range(run.samples):
+        rng = run.rng(i)
+        agents, weights = random_family(rng, *_sizes(rng))
         pooled = log_pool(agents, weights)
-        worst = max(worst, _tv_vs_longdouble(pooled, _longdouble_log_pool(agents, weights)))
-    return CheckResult(
-        name="pools.log_pool_extended_precision",
-        passed=worst <= tol,
-        value=worst,
-        tolerance=tol,
-        samples=samples,
-        detail="max tv between log_pool and an extended-precision recomputation",
-    )
+        worst = max(worst, _tv_vs_longdouble(pooled, _longdouble_log_pool(agents, weights)[0]))
+    return worst
 
 
-def _check_linear_pool_extended(seed: int, samples: int, tol: float) -> CheckResult:
+@_check("pools.linear_pool_extended_precision", 200, 1e-12, "<=",
+        "max tv between linear_pool and an extended-precision recomputation")
+def _linear_pool_extended(run: _Run):
     worst = 0.0
-    for i in range(samples):
-        rng = rng_from(seed, 0, 1, i)
-        agents, weights = _random_family(rng)
+    for i in range(run.samples):
+        rng = run.rng(i)
+        agents, weights = random_family(rng, *_sizes(rng))
         pooled = linear_pool(agents, weights)
         stackld = np.stack([a.p.astype(np.longdouble) for a in agents])
         oracle = (weights.beta.astype(np.longdouble)[:, None] * stackld).sum(axis=0)
         oracle = oracle / oracle.sum()
         worst = max(worst, _tv_vs_longdouble(pooled, oracle))
-    return CheckResult(
-        name="pools.linear_pool_extended_precision",
-        passed=worst <= tol,
-        value=worst,
-        tolerance=tol,
-        samples=samples,
-        detail="max tv between linear_pool and an extended-precision recomputation",
-    )
+    return worst
 
 
-def _check_pool_weight_edges(seed: int, samples: int, tol: float) -> CheckResult:
+@_check("pools.weight_edge_cases", 60, 1e-12, "<=",
+        "max tv over one-hot weights, dropped zero weights, identical agents")
+def _pool_weight_edges(run: _Run):
     worst = 0.0
-    for i in range(samples):
-        rng = rng_from(seed, 0, 2, i)
-        agents, weights = _random_family(rng, n_lo=3)
+    for i in range(run.samples):
+        rng = run.rng(i)
+        agents, weights = random_family(rng, *_sizes(rng, n_lo=3))
         n = weights.n
         # a one-hot weight vector must return that agent
         j = int(rng.integers(0, n))
@@ -195,89 +228,69 @@ def _check_pool_weight_edges(seed: int, samples: int, tol: float) -> CheckResult
         )
         # pooling identical copies returns the copy
         worst = max(worst, tv(log_pool([agents[0]] * n, weights), agents[0]))
-    return CheckResult(
-        name="pools.weight_edge_cases",
-        passed=worst <= tol,
-        value=worst,
-        tolerance=tol,
-        samples=samples,
-        detail="max tv over one-hot weights, dropped zero weights, identical agents",
-    )
+    return worst
 
 
-def _check_log_z(seed: int, samples: int, tol: float) -> CheckResult:
+@_check("pools.log_normalizer", 200, 1e-12, "<=",
+        "max error of the log-normalizer against extended precision, "
+        "its sign bound, and exact renormalization")
+def _log_z(run: _Run):
     worst = 0.0
-    for i in range(samples):
-        rng = rng_from(seed, 0, 3, i)
-        agents, weights = _random_family(rng)
+    for i in range(run.samples):
+        rng = run.rng(i)
+        agents, weights = random_family(rng, *_sizes(rng))
         pooled, log_z = log_pool_with_log_z(agents, weights)
-        worst = max(worst, abs(log_z - _longdouble_log_z(agents, weights)))
+        worst = max(worst, abs(log_z - _longdouble_log_pool(agents, weights)[1]))
         if log_z > 1e-12:  # the normalizer of a geometric mean cannot exceed 1
             worst = max(worst, log_z)
         combo = sum(b * a.log_p for b, a in zip(weights.beta, agents))
         worst = max(worst, float(abs(np.exp(combo - log_z).sum() - 1.0)))
-    return CheckResult(
-        name="pools.log_normalizer",
-        passed=worst <= tol,
-        value=worst,
-        tolerance=tol,
-        samples=samples,
-        detail="max error of the log-normalizer against extended precision, "
-        "its sign bound, and exact renormalization",
-    )
+    return worst
 
 
 # ---------------------------------------------------------------------------
 # welfare
 # ---------------------------------------------------------------------------
 
-def _check_gap_extended(seed: int, samples: int, tol: float) -> CheckResult:
+@_check("welfare.gap_extended_precision", 200, 1e-12, "<=",
+        "max |welfare_gap - extended-precision recomputation|")
+def _gap_extended(run: _Run):
     worst = 0.0
-    for i in range(samples):
-        rng = rng_from(seed, 1, 0, i)
+    for i in range(run.samples):
+        rng = run.rng(i)
         m = int(rng.integers(2, 9))
-        agent = _random_dist(rng, m)
-        pool_d = _random_dist(rng, m)
+        agent = random_dist(rng, OutcomeSpace(m))
+        pool_d = random_dist(rng, OutcomeSpace(m))
         gap = welfare_gap(agent, pool_d)  # raises if its two forms disagree
         worst = max(worst, abs(gap - _longdouble_gap(agent, pool_d)))
-    return CheckResult(
-        name="welfare.gap_extended_precision",
-        passed=worst <= tol,
-        value=worst,
-        tolerance=tol,
-        samples=samples,
-        detail="max |welfare_gap - extended-precision recomputation|",
-    )
+    return worst
 
 
-def _check_cov_condition(seed: int, samples: int, tol: float) -> CheckResult:
+@_check("welfare.covariance_equals_mean_shift", 200, 1e-10, "<=",
+        "max |covariance criterion - (E_pool[w] - E_agent[w])|")
+def _cov_condition(run: _Run):
     worst = 0.0
-    for i in range(samples):
-        rng = rng_from(seed, 1, 1, i)
+    for i in range(run.samples):
+        rng = run.rng(i)
         m = int(rng.integers(2, 9))
-        agent = _random_dist(rng, m)
-        pool_d = _random_dist(rng, m)
+        agent = random_dist(rng, OutcomeSpace(m))
+        pool_d = random_dist(rng, OutcomeSpace(m))
         w = ScoreFn(agent.space, rng.standard_normal(m))
         c, verdict = covariance_condition(agent, w, pool_d, tol=1e-9)
         shift = expect(pool_d, w) - expect(agent, w)
         worst = max(worst, abs(c - shift))
         if verdict != (shift >= -1e-9):
             worst = max(worst, 1.0)
-    return CheckResult(
-        name="welfare.covariance_equals_mean_shift",
-        passed=worst <= tol,
-        value=worst,
-        tolerance=tol,
-        samples=samples,
-        detail="max |covariance criterion - (E_pool[w] - E_agent[w])|",
-    )
+    return worst
 
 
-def _check_binary_closed_form(seed: int, samples: int, tol: float) -> CheckResult:
+@_check("welfare.binary_closed_form", 200, 1e-10, "<=",
+        "max |welfare_gap - (x - x_i) log(x_i/(1-x_i))| on two outcomes")
+def _binary_closed_form(run: _Run):
     space = OutcomeSpace(2)
     worst = 0.0
-    for i in range(samples):
-        rng = rng_from(seed, 1, 2, i)
+    for i in range(run.samples):
+        rng = run.rng(i)
         x1, x2 = rng.uniform(0.02, 0.98, 2)
         b = float(rng.uniform(0.1, 0.9))
         a1 = make_dist(space, np.array([x1, 1.0 - x1]))
@@ -285,77 +298,55 @@ def _check_binary_closed_form(seed: int, samples: int, tol: float) -> CheckResul
         pooled = log_pool([a1, a2], Weights(np.array([b, 1.0 - b])))
         x = float(pooled.p[0])
         for agent, xi in ((a1, x1), (a2, x2)):
-            worst = max(
-                worst,
-                abs(
-                    welfare_gap(agent, pooled)
-                    - constructions.binary_gap_closed_form(xi, x)
-                ),
-            )
-    return CheckResult(
-        name="welfare.binary_closed_form",
-        passed=worst <= tol,
-        value=worst,
-        tolerance=tol,
-        samples=samples,
-        detail="max |welfare_gap - (x - x_i) log(x_i/(1-x_i))| on two outcomes",
-    )
+            gap = welfare_gap(agent, pooled)
+            worst = max(worst, abs(gap - constructions.binary_gap_closed_form(xi, x)))
+    return worst
 
 
-def _check_binary_census(seed: int, samples: int, tol: float) -> CheckResult:
+@_check("welfare.binary_census", 21, 1e-9, "<=",
+        "max over the census of min(gap1, gap2) — two-outcome agents "
+        "never both strictly gain; pooled mass stays between the agents'")
+def _binary_census(run: _Run):
     space = OutcomeSpace(2)
-    grid = np.arange(1, samples + 1) / (samples + 1)
+    grid = np.arange(1, run.samples + 1) / (run.samples + 1)
     betas = np.arange(1, 10) / 10.0
     i1, i2, b = (a.reshape(-1) for a in np.meshgrid(
-        np.arange(samples), np.arange(samples), betas, indexing="ij"
+        np.arange(run.samples), np.arange(run.samples), betas, indexing="ij"
     ))
     x = np.stack([make_dist(space, np.array([g, 1.0 - g])).p for g in grid])
     agents = np.stack([x[i1], x[i2]], axis=1)
     pooled = log_pool_arrays(np.log(agents), np.stack([b, 1.0 - b], axis=1))[0]
     require_prob_rows(pooled)
     gaps = gap_terms(agents, pooled[:, None, :])[0]
-    worst_joint = gaps.min(axis=1).max()
     x1, x2, mass = grid[i1], grid[i2], pooled[:, 0]
     lo, hi = np.minimum(x1, x2), np.maximum(x1, x2)
     between_ok = bool(((lo < mass) & (mass < hi))[x1 != x2].all())
-    return CheckResult(
-        name="welfare.binary_census",
-        passed=(worst_joint <= tol) and between_ok,
-        value=float(worst_joint),
-        tolerance=tol,
-        samples=samples,
-        detail="max over the census of min(gap1, gap2) — two-outcome agents "
-        "never both strictly gain; pooled mass stays between the agents'",
-    )
+    return gaps.min(axis=1).max(), between_ok
 
 
-def _check_uniform_no_gain(seed: int, samples: int, tol: float) -> CheckResult:
+@_check("welfare.uniform_reference_no_gain", 200, 1e-10, "<=",
+        "uniform's gap against any reference is <= 0 and equals "
+        "-(KL(r,u)+KL(u,r)); value is the max identity error")
+def _uniform_no_gain(run: _Run):
     worst_err = 0.0
     worst_gap = -np.inf
-    for i in range(samples):
-        rng = rng_from(seed, 1, 4, i)
-        m = int(rng.integers(2, 13))
-        r = _random_dist(rng, m)
+    for i in range(run.samples):
+        rng = run.rng(i)
+        r = random_dist(rng, OutcomeSpace(int(rng.integers(2, 13))))
         gap = stability.uniform_no_gain(r)
         u = uniform(r.space)
         worst_err = max(worst_err, abs(gap + kl(r, u) + kl(u, r)))
         worst_gap = max(worst_gap, gap)
-    return CheckResult(
-        name="welfare.uniform_reference_no_gain",
-        passed=(worst_gap <= 0.0) and (worst_err <= tol),
-        value=worst_err,
-        tolerance=tol,
-        samples=samples,
-        detail="uniform's gap against any reference is <= 0 and equals "
-        "-(KL(r,u)+KL(u,r)); value is the max identity error",
-    )
+    return worst_err, worst_gap <= 0.0
 
 
 # ---------------------------------------------------------------------------
 # constructions
 # ---------------------------------------------------------------------------
 
-def _check_cyclic(seed: int, samples: int, tol: float) -> CheckResult:
+@_check("constructions.cyclic_uniform_pool_and_margins", 0, 1e-9, "<=",
+        "pool exactly uniform; every agent's welfare rises by C(1/n - eps)")
+def _cyclic(run: _Run):
     worst = 0.0
     cases = 0
     for n in (2, 3, 5, 8):
@@ -372,17 +363,13 @@ def _check_cyclic(seed: int, samples: int, tol: float) -> CheckResult:
                 if not verdict:
                     worst = max(worst, 1.0)
             cases += 1
-    return CheckResult(
-        name="constructions.cyclic_uniform_pool_and_margins",
-        passed=worst <= tol,
-        value=worst,
-        tolerance=tol,
-        samples=cases,
-        detail="pool exactly uniform; every agent's welfare rises by C(1/n - eps)",
-    )
+    return worst, True, cases
 
 
-def _check_unanimity_threshold(seed: int, samples: int, tol: float) -> CheckResult:
+@_check("constructions.unanimity_threshold_exists", 0, 1e-9, ">",
+        "smallest welfare gap at the discovered peakedness threshold "
+        "(must be strictly positive)")
+def _unanimity_threshold(run: _Run):
     worst_min_gap = np.inf
     cases = 0
     for n in (2, 3, 5):
@@ -394,27 +381,21 @@ def _check_unanimity_threshold(seed: int, samples: int, tol: float) -> CheckResu
         ):
             eps = constructions.find_epsilon_for_unanimity(n, weights)
             decomp = constructions.analytic_unanimity_instance(n, eps, weights)
-            rep = unanimity_report(decomp)
-            worst_min_gap = min(worst_min_gap, rep.min_gap)
+            worst_min_gap = min(worst_min_gap, unanimity_report(decomp).min_gap)
             cases += 1
-    return CheckResult(
-        name="constructions.unanimity_threshold_exists",
-        passed=worst_min_gap > tol,
-        value=float(worst_min_gap),
-        tolerance=tol,
-        samples=cases,
-        detail="smallest welfare gap at the discovered peakedness threshold "
-        "(must be strictly positive)",
-    )
+    return worst_min_gap, True, cases
 
 
-def _check_unanimity_pool_formula(seed: int, samples: int, tol: float) -> CheckResult:
+@_check("constructions.unanimity_pool_closed_form", 60, 1e-12, "<=",
+        "max tv between the pooled distribution and its closed form "
+        "eps^((n+1) - n*beta_i) on private outcomes")
+def _unanimity_pool_formula(run: _Run):
     worst = 0.0
-    for i in range(samples):
-        rng = rng_from(seed, 2, 2, i)
+    for i in range(run.samples):
+        rng = run.rng(i)
         n = int(rng.integers(2, 6))
         eps = float(rng.uniform(0.01, 0.24))
-        weights = _random_strict_weights(rng, n)
+        weights = random_strict_weights(rng, n)
         decomp = constructions.analytic_unanimity_instance(n, eps, weights)
         e = np.longdouble(eps)
         raw = np.empty(n + 1, dtype=np.longdouble)
@@ -424,25 +405,19 @@ def _check_unanimity_pool_formula(seed: int, samples: int, tol: float) -> CheckR
             raw[j + 1] = e**c_j
         oracle = raw / raw.sum()
         worst = max(worst, _tv_vs_longdouble(decomp.parent, oracle))
-    return CheckResult(
-        name="constructions.unanimity_pool_closed_form",
-        passed=worst <= tol,
-        value=worst,
-        tolerance=tol,
-        samples=samples,
-        detail="max tv between the pooled distribution and its closed form "
-        "eps^((n+1) - n*beta_i) on private outcomes",
-    )
+    return worst
 
 
-def _check_peaked_negative(seed: int, samples: int, tol: float) -> CheckResult:
+@_check("constructions.peaked_sum_negative_with_slope", 80, 0.05, "<=",
+        "a negative weighted gap sum is reached on the grid for every "
+        "strict weight vector; log-normalizer slope matches 1 - max(beta)")
+def _peaked_negative(run: _Run):
     worst_slope_err = 0.0
     all_found = True
     cases = 0
     for n in (2, 4):
-        for i in range(max(10, samples // 8)):
-            rng = rng_from(seed, 2, 3, n, i)
-            weights = _random_strict_weights(rng, n)
+        for i in range(max(10, run.samples // 8)):
+            weights = random_strict_weights(run.rng(n, i), n)
             found = None
             for eps in constructions.EPSILON_GRID:
                 if eps >= 0.5:
@@ -467,78 +442,63 @@ def _check_peaked_negative(seed: int, samples: int, tol: float) -> CheckResult:
             expected = 1.0 - float(weights.beta.max())
             worst_slope_err = max(worst_slope_err, abs(slope - expected) / expected)
             cases += 1
-    return CheckResult(
-        name="constructions.peaked_sum_negative_with_slope",
-        passed=all_found and worst_slope_err <= tol,
-        value=worst_slope_err,
-        tolerance=tol,
-        samples=cases,
-        detail="a negative weighted gap sum is reached on the grid for every "
-        "strict weight vector; log-normalizer slope matches 1 - max(beta)",
-    )
+    return worst_slope_err, all_found, cases
 
 
 # ---------------------------------------------------------------------------
 # factorize
 # ---------------------------------------------------------------------------
 
-def _check_factor_distinct(seed: int, samples: int, tol: float) -> CheckResult:
+@_check("factorize.pairwise_distinct_reconstructs", 80, 1e-12, "<=",
+        "children re-pool to the parent exactly; all pairwise tv "
+        "distances exceed the distinctness floor")
+def _factor_distinct(run: _Run):
     worst_tv = 0.0
     worst_dist = np.inf
-    for i in range(samples):
-        rng = rng_from(seed, 3, 0, i)
+    for i in range(run.samples):
+        rng = run.rng(i)
         m = int(rng.integers(3, 9))
         n = int(rng.integers(2, 6))
-        parent = _random_dist(rng, m)
-        weights = _random_strict_weights(rng, n)
+        parent = random_dist(rng, OutcomeSpace(m))
+        weights = random_strict_weights(rng, n)
         decomp = factorize.factor_pairwise_distinct(parent, weights, seed=i)
         worst_tv = max(worst_tv, tv(log_pool(list(decomp.children), weights), parent))
         family = [parent, *decomp.children]
         for a in range(len(family)):
             for b in range(a + 1, len(family)):
                 worst_dist = min(worst_dist, tv(family[a], family[b]))
-    return CheckResult(
-        name="factorize.pairwise_distinct_reconstructs",
-        passed=(worst_tv <= tol) and (worst_dist > factorize.DISTINCTNESS_TV),
-        value=worst_tv,
-        tolerance=tol,
-        samples=samples,
-        detail="children re-pool to the parent exactly; all pairwise tv "
-        "distances exceed the distinctness floor",
-    )
+    return worst_tv, worst_dist > factorize.DISTINCTNESS_TV
 
 
-def _check_factor_fixed(seed: int, samples: int, tol: float) -> CheckResult:
+@_check("factorize.fixed_children_reconstructs", 60, 1e-12, "<=",
+        "prescribed children pass through bit-identical and the "
+        "family still re-pools to the parent")
+def _factor_fixed(run: _Run):
     worst = 0.0
-    for i in range(samples):
-        rng = rng_from(seed, 3, 1, i)
+    for i in range(run.samples):
+        rng = run.rng(i)
         k = int(rng.integers(1, 3))
         n = k + 2 + int(rng.integers(0, 3))
         m = int(rng.integers(3, 9))
-        parent = _random_dist(rng, m)
-        fixed = [_random_dist(rng, m) for _ in range(k)]
-        weights = _random_strict_weights(rng, n)
+        parent = random_dist(rng, OutcomeSpace(m))
+        fixed = [random_dist(rng, OutcomeSpace(m)) for _ in range(k)]
+        weights = random_strict_weights(rng, n)
         decomp = factorize.factor_with_fixed(parent, fixed, weights, seed=i)
         for f, c in zip(fixed, decomp.children):
             if not np.array_equal(f.p, c.p):
                 worst = max(worst, 1.0)
         worst = max(worst, tv(log_pool(list(decomp.children), weights), parent))
-    return CheckResult(
-        name="factorize.fixed_children_reconstructs",
-        passed=worst <= tol,
-        value=worst,
-        tolerance=tol,
-        samples=samples,
-        detail="prescribed children pass through bit-identical and the "
-        "family still re-pools to the parent",
-    )
+    return worst
 
 
-def _check_split_invariance(seed: int, samples: int, tol: float) -> CheckResult:
+@_check("factorize.split_leaves_pool_unchanged", 80, 1e-10, "<=",
+        "max pool drift under compatible splits, plus clone-gap "
+        "agreement for zero tilts")
+def _split_invariance(run: _Run):
     worst = 0.0
-    for i in range(samples):
-        rng = rng_from(seed, 3, 2, i)
-        agents, weights = _random_family(rng, m_lo=3, n_lo=2, n_hi=5)
+    for i in range(run.samples):
+        rng = run.rng(i)
+        agents, weights = random_family(rng, *_sizes(rng, m_lo=3, n_hi=5))
         decomp = make_decomposition(agents, weights, "log")
         idx = int(rng.integers(0, weights.n))
         alpha = float(rng.uniform(0.1, 0.9))
@@ -554,18 +514,14 @@ def _check_split_invariance(seed: int, samples: int, tol: float) -> CheckResult:
         base_gap = welfare_gap(agents[idx], decomp.parent)
         for clone in (first, second):
             worst = max(worst, abs(welfare_gap(clone, decomp.parent) - base_gap))
-    return CheckResult(
-        name="factorize.split_leaves_pool_unchanged",
-        passed=worst <= tol,
-        value=worst,
-        tolerance=tol,
-        samples=samples,
-        detail="max pool drift under compatible splits, plus clone-gap "
-        "agreement for zero tilts",
-    )
+    return worst
 
 
-def _check_parent_benefit(seed: int, samples: int, tol: float) -> CheckResult:
+@_check("factorize.depressed_subagent_loses", 0, 1e-9, ">",
+        "the sharpened pool benefits the parent, sharpening helps "
+        "monotonically, and some depression strength makes a subagent lose; "
+        "value is the first losing strength")
+def _parent_benefit(run: _Run):
     p1 = make_dist(OutcomeSpace(3), np.array([0.5, 0.3, 0.2]))
     sweep = factorize.parent_benefit_sweep(p1, t=2.0, alpha=0.5, o_star=0)
     ts = (1.0 + 1e-9, 1.5, 2.0, 3.0)
@@ -575,160 +531,123 @@ def _check_parent_benefit(seed: int, samples: int, tol: float) -> CheckResult:
         scores.append(expect(rep.pool, p1.log_p))
     monotone = all(b >= a - 1e-12 for a, b in zip(scores, scores[1:]))
     found = sweep.first_losing_lambda is not None
-    passed = (sweep.parent_gap > tol) and found and monotone
-    return CheckResult(
-        name="factorize.depressed_subagent_loses",
-        passed=passed,
-        value=float(sweep.first_losing_lambda if found else -1.0),
-        tolerance=tol,
-        samples=len(sweep.rows),
-        detail="the sharpened pool benefits the parent, sharpening helps "
-        "monotonically, and some depression strength makes a subagent lose; "
-        "value is the first losing strength",
-    )
+    ok = (sweep.parent_gap > run.tol) and found and monotone
+    return (sweep.first_losing_lambda if found else -1.0), ok, len(sweep.rows)
 
 
 # ---------------------------------------------------------------------------
 # stability
 # ---------------------------------------------------------------------------
 
-def _check_transport(seed: int, samples: int, tol: float) -> CheckResult:
+@_check("stability.transport_pools_to_target", 120, 1e-10, "<=",
+        "transported children re-pool to the target; transporting "
+        "to the same base is bit-exact identity")
+def _transport(run: _Run):
     worst = 0.0
     identity_ok = True
-    for i in range(samples):
-        rng = rng_from(seed, 4, 0, i)
-        agents, weights = _random_family(rng, m_lo=3)
+    for i in range(run.samples):
+        rng = run.rng(i)
+        agents, weights = random_family(rng, *_sizes(rng, m_lo=3))
         decomp = make_decomposition(agents, weights, "log")
-        target = _random_dist(rng, decomp.space.size)
+        target = random_dist(rng, decomp.space)
         moved = stability.transport_decomposition(decomp, target)
         worst = max(worst, tv(log_pool(list(moved.children), weights), target))
         kept = stability.transport(agents[0], decomp.parent, decomp.parent)
         if not np.array_equal(kept.p, agents[0].p):
             identity_ok = False
-    return CheckResult(
-        name="stability.transport_pools_to_target",
-        passed=(worst <= tol) and identity_ok,
-        value=worst,
-        tolerance=tol,
-        samples=samples,
-        detail="transported children re-pool to the target; transporting "
-        "to the same base is bit-exact identity",
-    )
+    return worst, identity_ok
 
 
-def _check_openness(seed: int, samples: int, tol: float) -> CheckResult:
+@_check("stability.unanimity_survives_in_a_ball", 0, 0.0, ">",
+        "smallest certified tv radius around a strictly unanimous "
+        "instance (must be positive)")
+def _openness(run: _Run):
     min_radius = np.inf
     cases = 0
     for n in (2, 3):
         eps = constructions.find_epsilon_for_unanimity(n)
         decomp = constructions.analytic_unanimity_instance(n, eps)
-        cert = stability.certify_openness(decomp, samples=16, seed=seed)
+        cert = stability.certify_openness(decomp, samples=16, seed=run.seed)
         min_radius = min(min_radius, cert.radius)
         cases += 1
-    return CheckResult(
-        name="stability.unanimity_survives_in_a_ball",
-        passed=min_radius > tol,
-        value=float(min_radius),
-        tolerance=tol,
-        samples=cases,
-        detail="smallest certified tv radius around a strictly unanimous "
-        "instance (must be positive)",
-    )
+    return min_radius, True, cases
 
 
-def _check_tilt_fd(seed: int, samples: int, tol: float) -> CheckResult:
+@_check("stability.tilt_derivative_matches_finite_difference", 120, 1e-6, "<=",
+        "max relative error between -Cov(h, log p) and a central "
+        "finite difference of the tilted gap")
+def _tilt_fd(run: _Run):
     worst = 0.0
-    for i in range(samples):
+    for i in range(run.samples):
         for attempt in range(50):
-            rng = rng_from(seed, 4, 2, i, attempt)
+            rng = run.rng(i, attempt)
             m = int(rng.integers(2, 9))
-            p = _random_dist(rng, m)
+            p = random_dist(rng, OutcomeSpace(m))
             h = ScoreFn(p.space, rng.standard_normal(m))
             analytic = stability.tilt_gap_derivative(p, h)
             if abs(analytic) >= 1e-3:
                 break
         fd = stability.tilt_gap_fd(p, h)
         worst = max(worst, abs(fd - analytic) / abs(analytic))
-    return CheckResult(
-        name="stability.tilt_derivative_matches_finite_difference",
-        passed=worst <= tol,
-        value=worst,
-        tolerance=tol,
-        samples=samples,
-        detail="max relative error between -Cov(h, log p) and a central "
-        "finite difference of the tilted gap",
-    )
+    return worst
 
 
-def _check_local_audit(seed: int, samples: int, tol: float) -> CheckResult:
+@_check("stability.weighted_tilt_derivatives_cancel", 100, 1e-8, "<=",
+        "max |sum_i beta_i d(gap_i)| over families of tilts whose "
+        "weighted sum vanishes pointwise")
+def _local_audit(run: _Run):
     worst = 0.0
-    for i in range(samples):
-        rng = rng_from(seed, 4, 3, i)
+    for i in range(run.samples):
+        rng = run.rng(i)
         m = int(rng.integers(2, 9))
         n = int(rng.integers(2, 6))
-        p = _random_dist(rng, m)
-        weights = _random_strict_weights(rng, n)
+        p = random_dist(rng, OutcomeSpace(m))
+        weights = random_strict_weights(rng, n)
         hs = [rng.standard_normal(m) for _ in range(n - 1)]
         closing = -sum(b * h for b, h in zip(weights.beta[:-1], hs))
         hs.append(closing / weights.beta[-1])
         tilts = [ScoreFn(p.space, h) for h in hs]
         _, weighted = stability.local_unanimity_audit(p, tilts, weights)
         worst = max(worst, abs(weighted))
-    return CheckResult(
-        name="stability.weighted_tilt_derivatives_cancel",
-        passed=worst <= tol,
-        value=worst,
-        tolerance=tol,
-        samples=samples,
-        detail="max |sum_i beta_i d(gap_i)| over families of tilts whose "
-        "weighted sum vanishes pointwise",
-    )
+    return worst
 
 
 # ---------------------------------------------------------------------------
 # persona
 # ---------------------------------------------------------------------------
 
-def _random_profile_instance(
-    rng: np.random.Generator,
-) -> tuple[Decomposition, list[persona.LogProfile]]:
-    agents, weights = _random_family(rng, m_lo=3, m_hi=9, n_lo=2, n_hi=6)
-    decomp = make_decomposition(agents, weights, "log")
-    return decomp, persona.centered_profiles(decomp)
-
-
-def _check_residual_slope(seed: int, samples: int, tol: float) -> CheckResult:
+@_check("persona.linearization_residual_is_second_order", 80, 1.9, ">=",
+        "min log-log slope of the linearization residual (quadratic "
+        "decay means slope about 2)")
+def _residual_slope(run: _Run):
     worst = np.inf
-    for i in range(samples):
+    for i in range(run.samples):
         for attempt in range(50):
-            rng = rng_from(seed, 5, 0, i, attempt)
-            decomp, profiles = _random_profile_instance(rng)
+            rng = run.rng(i, attempt)
+            decomp = random_decomposition(rng, *_sizes(rng, m_lo=3, n_hi=6))
             d = rng.standard_normal(decomp.n)
             d -= d.mean()
-            predicted, residual_norm_fn = persona.first_order_delta_l(profiles, d)
+            predicted, residual_norm_fn = persona.first_order_delta_l(
+                persona.centered_profiles(decomp), d
+            )
             if norm_p(decomp.parent, predicted.f) > 1e-8:
                 break
         t1, t2 = 1e-2, 1e-3
         r1, r2 = residual_norm_fn(t1), residual_norm_fn(t2)
         slope = (np.log(r1) - np.log(r2)) / (np.log(t1) - np.log(t2))
         worst = min(worst, slope)
-    return CheckResult(
-        name="persona.linearization_residual_is_second_order",
-        passed=worst >= tol,
-        value=float(worst),
-        tolerance=tol,
-        samples=samples,
-        detail="min log-log slope of the linearization residual (quadratic "
-        "decay means slope about 2)",
-    )
+    return worst
 
 
-def _check_compensation_slack(seed: int, samples: int, tol: float) -> CheckResult:
+@_check("persona.compensation_inequality_slack", 80, -1e-9, ">=",
+        "min slack of the compensation inequality over random "
+        "small zero-sum weight changes")
+def _compensation_slack(run: _Run):
     worst = np.inf
-    for i in range(samples):
+    for i in range(run.samples):
         for attempt in range(50):
-            rng = rng_from(seed, 5, 1, i, attempt)
-            decomp, profiles = _random_profile_instance(rng)
+            rng = run.rng(i, attempt)
+            decomp = random_decomposition(rng, *_sizes(rng, m_lo=3, n_hi=6))
             d = rng.standard_normal(decomp.n)
             d -= d.mean()
             d *= 1e-3 / max(1e-12, float(np.abs(d).max()))
@@ -741,46 +660,36 @@ def _check_compensation_slack(seed: int, samples: int, tol: float) -> CheckResul
             decomp, h_index, float(d[h_index]), realized * 1.25 + 1e-9, d
         )
         worst = min(worst, rep.slack)
-    return CheckResult(
-        name="persona.compensation_inequality_slack",
-        passed=worst >= tol,
-        value=float(worst),
-        tolerance=tol,
-        samples=samples,
-        detail="min slack of the compensation inequality over random "
-        "small zero-sum weight changes",
-    )
+    return worst
 
 
-def _check_counteragent_bound(seed: int, samples: int, tol: float) -> CheckResult:
+@_check("persona.counteragent_weight_forced_up", 0, 0.0, ">",
+        "on the engineered instance the single counteracting agent's "
+        "weight increase has a strictly positive lower bound, and the "
+        "realized increase meets it")
+def _counteragent_bound(run: _Run):
     decomp, h_index, dbeta = constructions.single_counteragent_instance(delta=0.02)
     rep = persona.compensation_bound(decomp, h_index, 0.02, epsilon=0.005, dbeta=dbeta)
     bound = rep.counter_lower_bound if rep.counter_lower_bound is not None else -1.0
-    passed = (
+    ok = (
         rep.single_anti_aligned
         and rep.aligned_not_downgraded
-        and bound > tol
         and float(dbeta[rep.counter_index]) >= bound - 1e-12
     )
-    return CheckResult(
-        name="persona.counteragent_weight_forced_up",
-        passed=passed,
-        value=float(bound),
-        tolerance=tol,
-        samples=1,
-        detail="on the engineered instance the single counteracting agent's "
-        "weight increase has a strictly positive lower bound, and the "
-        "realized increase meets it",
-    )
+    return bound, ok, 1
 
 
-def _check_suppression_optimal(seed: int, samples: int, tol: float) -> CheckResult:
+@_check("persona.suppression_never_beaten", 40, 1e-9, "<=",
+        "max excess of any brute-force in-span direction over the "
+        "claimed optimum (also checks the plan's own first-order effect)")
+def _suppression_optimal(run: _Run):
     worst = -np.inf
     budget = 0.05
     directions = 2000
-    for i in range(samples):
-        rng = rng_from(seed, 5, 3, i)
-        decomp, profiles = _random_profile_instance(rng)
+    for i in range(run.samples):
+        rng = run.rng(i)
+        decomp = random_decomposition(rng, *_sizes(rng, m_lo=3, n_hi=6))
+        profiles = persona.centered_profiles(decomp)
         m = decomp.space.size
         k = int(rng.integers(1, m - 1))
         event = tuple(rng.choice(m, size=k, replace=False))
@@ -799,22 +708,18 @@ def _check_suppression_optimal(seed: int, samples: int, tol: float) -> CheckResu
         g -= g @ p
         reductions = -(cand * g * p).sum(axis=1)
         worst = max(worst, float(reductions.max()) - plan.achieved)
-    return CheckResult(
-        name="persona.suppression_never_beaten",
-        passed=worst <= tol,
-        value=float(worst),
-        tolerance=tol,
-        samples=samples,
-        detail="max excess of any brute-force in-span direction over the "
-        "claimed optimum (also checks the plan's own first-order effect)",
-    )
+    return worst
 
 
-def _check_projection_gain(seed: int, samples: int, tol: float) -> CheckResult:
+@_check("persona.projection_gain_pythagoras", 80, 1e-10, "<=",
+        "max disagreement between the direct and incremental squared "
+        "projection norms; re-adding a spanned profile gains nothing")
+def _projection_gain(run: _Run):
     worst = 0.0
-    for i in range(samples):
-        rng = rng_from(seed, 5, 4, i)
-        decomp, profiles = _random_profile_instance(rng)
+    for i in range(run.samples):
+        rng = run.rng(i)
+        decomp = random_decomposition(rng, *_sizes(rng, m_lo=3, n_hi=6))
+        profiles = persona.centered_profiles(decomp)
         m = decomp.space.size
         raw = rng.standard_normal(m)
         w = persona.LogProfile(decomp.parent, raw - expect(decomp.parent, raw))
@@ -827,116 +732,22 @@ def _check_projection_gain(seed: int, samples: int, tol: float) -> CheckResult:
         member = persona.projection_gain(profiles, profiles[0], event, epsilon=0.05)
         if not member.w_in_span or member.gain != 0.0:
             worst = max(worst, 1.0)
-    return CheckResult(
-        name="persona.projection_gain_pythagoras",
-        passed=worst <= tol,
-        value=worst,
-        tolerance=tol,
-        samples=samples,
-        detail="max disagreement between the direct and incremental squared "
-        "projection norms; re-adding a spanned profile gains nothing",
-    )
+    return worst
 
 
-def _check_kl_budget(seed: int, samples: int, tol: float) -> CheckResult:
+@_check("persona.kl_matches_half_variance", 200, 0.1, "<=",
+        "max |KL / (Var/2) - 1| for log-deviations of weighted norm "
+        "at most 0.01")
+def _kl_budget(run: _Run):
     worst = 0.0
-    for i in range(samples):
-        rng = rng_from(seed, 5, 5, i)
+    for i in range(run.samples):
+        rng = run.rng(i)
         m = int(rng.integers(2, 13))
-        p = _random_dist(rng, m)
+        p = random_dist(rng, OutcomeSpace(m))
         raw = rng.standard_normal(m)
         scale = float(rng.uniform(0.1, 1.0)) * 0.01
         current = norm_p(p, raw - expect(p, raw))
         delta_l = ScoreFn(p.space, raw * (scale / max(current, 1e-12)))
         kl_value, half_var = persona.kl_budget(p, delta_l)
         worst = max(worst, abs(kl_value / half_var - 1.0))
-    return CheckResult(
-        name="persona.kl_matches_half_variance",
-        passed=worst <= tol,
-        value=worst,
-        tolerance=tol,
-        samples=samples,
-        detail="max |KL / (Var/2) - 1| for log-deviations of weighted norm "
-        "at most 0.01",
-    )
-
-
-# ---------------------------------------------------------------------------
-# Registry and runner
-# ---------------------------------------------------------------------------
-
-_CheckFn = Callable[[int, int, float], CheckResult]
-
-# (function, default sample count, default tolerance)
-_REGISTRY: dict[str, list[tuple[_CheckFn, int, float]]] = {
-    "pools": [
-        (_check_log_pool_extended, 200, 1e-12),
-        (_check_linear_pool_extended, 200, 1e-12),
-        (_check_pool_weight_edges, 60, 1e-12),
-        (_check_log_z, 200, 1e-12),
-    ],
-    "welfare": [
-        (_check_gap_extended, 200, 1e-12),
-        (_check_cov_condition, 200, 1e-10),
-        (_check_binary_closed_form, 200, 1e-10),
-        (_check_binary_census, 21, 1e-9),
-        (_check_uniform_no_gain, 200, 1e-10),
-    ],
-    "constructions": [
-        (_check_cyclic, 0, 1e-9),
-        (_check_unanimity_threshold, 0, 1e-9),
-        (_check_unanimity_pool_formula, 60, 1e-12),
-        (_check_peaked_negative, 80, 0.05),
-    ],
-    "factorize": [
-        (_check_factor_distinct, 80, 1e-12),
-        (_check_factor_fixed, 60, 1e-12),
-        (_check_split_invariance, 80, 1e-10),
-        (_check_parent_benefit, 0, 1e-9),
-    ],
-    "stability": [
-        (_check_transport, 120, 1e-10),
-        (_check_openness, 0, 0.0),
-        (_check_tilt_fd, 120, 1e-6),
-        (_check_local_audit, 100, 1e-8),
-    ],
-    "persona": [
-        (_check_residual_slope, 80, 1.9),
-        (_check_compensation_slack, 80, -1e-9),
-        (_check_counteragent_bound, 0, 0.0),
-        (_check_suppression_optimal, 40, 1e-9),
-        (_check_projection_gain, 80, 1e-10),
-        (_check_kl_budget, 200, 0.1),
-    ],
-}
-
-
-def run_suite(
-    name: str,
-    seed: int,
-    samples: int | None = None,
-    tolerance: float | None = None,
-) -> list[CheckResult]:
-    """Run one suite (or ``"all"``) and return its check results.
-
-    ``samples`` scales the random-instance counts of checks that have them
-    (fixed catalogs keep their size); ``tolerance`` overrides each check's
-    default threshold — a blunt instrument, mostly useful for exploring how
-    much numerical headroom the implementation has.
-    """
-    if name == "all":
-        out: list[CheckResult] = []
-        for suite in SUITE_NAMES:
-            out.extend(run_suite(suite, seed, samples, tolerance))
-        return out
-    if name not in _REGISTRY:
-        known = ", ".join((*SUITE_NAMES, "all"))
-        raise UnknownSuite(f"unknown suite {name!r}; expected one of: {known}")
-    results = []
-    for fn, default_samples, default_tol in _REGISTRY[name]:
-        n = default_samples
-        if samples is not None and default_samples > 0:
-            n = max(1, samples)
-        tol = default_tol if tolerance is None else tolerance
-        results.append(fn(seed, n, tol))
-    return results
+    return worst

@@ -1,35 +1,16 @@
-"""Seeded random instance generators shared across the test modules."""
+"""Seeded random instance generators shared across the test modules: the
+library's own copies, so tests draw exactly what the ``verify`` suites and the
+``experiment`` analyses draw."""
 
 import numpy as np
 
-from logpool import (
-    Dist,
-    OutcomeSpace,
-    Weights,
-    make_decomposition,
-    make_dist,
-    rng_from,
+from logpool import rng_from
+from logpool.constructions import (  # noqa: F401  (re-exported to the tests)
+    random_decomposition,
+    random_dist,
+    random_family,
+    random_strict_weights,
 )
-
-
-def random_dist(rng: np.random.Generator, space: OutcomeSpace) -> Dist:
-    """A strictly positive random distribution, bounded away from zero."""
-    return make_dist(space, rng.gamma(1.5, 1.0, space.size) + 0.02)
-
-
-def random_strict_weights(rng: np.random.Generator, n: int) -> Weights:
-    raw = 0.15 + rng.random(n)
-    return Weights(raw / raw.sum())
-
-
-def random_family(rng: np.random.Generator, m: int, n: int):
-    space = OutcomeSpace(m)
-    return [random_dist(rng, space) for _ in range(n)], random_strict_weights(rng, n)
-
-
-def random_decomposition(rng: np.random.Generator, m: int, n: int, kind: str = "log"):
-    agents, weights = random_family(rng, m, n)
-    return make_decomposition(agents, weights, kind)
 
 
 def seeded(seed: int, *path: int) -> np.random.Generator:

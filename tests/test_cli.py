@@ -85,6 +85,13 @@ def test_negative_verify_seed_is_a_usage_error(capsys):
     assert_usage_error(capsys, ["verify", "pools", "--seed", "-1"])
 
 
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_verify_samples_below_one_is_a_usage_error(tmp_path, capsys, samples):
+    out = tmp_path / "report.json"
+    assert_usage_error(capsys, ["verify", "pools", "--samples", samples, "--out", str(out)])
+    assert not out.exists()
+
+
 def test_verify_all_via_subprocess():
     code, stdout, stderr = run_cli("verify", "all", "--seed", "1")
     assert code == 0, stderr

@@ -20,7 +20,6 @@ from logpool import (
     cyclic_welfare_instance,
     expect,
     find_epsilon_for_unanimity,
-    InstanceFamily,
     log_pool,
     make_decomposition,
     norm_p,
@@ -210,23 +209,3 @@ def test_single_counteragent_instance_validation():
         single_counteragent_instance(0.02, scale=-1.0)
     with pytest.raises(ParamOutOfRange):
         single_counteragent_instance(0.2)  # drains the third agent below zero
-
-
-# ---------------------------------------------------------------------------
-# Family round-trip plumbing
-# ---------------------------------------------------------------------------
-
-
-def test_instance_family_round_trip_and_validation():
-    fam = InstanceFamily("analytic_unanimity", 3, 0.05)
-    decomp = fam.instantiate()
-    assert decomp.n == 3
-    cyc = InstanceFamily("cyclic_welfare", 4, 0.05, {"C": 2.0})
-    inst = cyc.instantiate()
-    assert len(inst.agents) == 4
-    peaked = InstanceFamily("peaked_incompatible", 3, 0.2)
-    assert len(peaked.instantiate()) == 3
-    with pytest.raises(ParamOutOfRange):
-        InstanceFamily("mystery", 3, 0.05)
-    with pytest.raises(ParamOutOfRange):
-        InstanceFamily("analytic_unanimity", 3, 0.3)
