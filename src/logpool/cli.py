@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from . import __version__, constructions, factorize, persona, stability
-from .core import Weights, entropy, kl, norm_p, rng_from
+from .core import Weights, entropy, kl, rng_from
 from .errors import (
     ConfigParse,
     IoError,
@@ -44,7 +44,7 @@ from .jsonio import (
     loads,
     weights_from_json,
 )
-from .pooling import linear_pool, log_pool, log_pool_with_log_z, make_decomposition
+from .pooling import linear_pool, log_pool_with_log_z, make_decomposition
 from .suites import SUITE_NAMES, run_suite
 from .welfare import UNANIMITY_TOL, unanimity_report, weighted_gap_sum, welfare_gap
 
@@ -264,20 +264,8 @@ def _analysis_compensation(config: dict, seed: int) -> tuple[list[str], list[lis
     scale = _number(params.get("scale", 1e-3), float, "compensation.scale")
     rows = []
     for i in range(instances):
-        for attempt in range(50):
-            rng = rng_from(seed, 21, i, attempt)
-            decomp = constructions.random_decomposition(rng, m, n)
-            d = rng.standard_normal(n)
-            d -= d.mean()
-            d *= scale / max(1e-12, float(abs(d).max()))
-            h_index = int(d.argmax())
-            if d[h_index] > 0 and bool((decomp.weights.beta + d > 0).all()):
-                break
-        shifted = log_pool(list(decomp.children), Weights(decomp.weights.beta + d))
-        realized = norm_p(decomp.parent, shifted.log_p - decomp.parent.log_p)
-        rep = persona.compensation_bound(
-            decomp, h_index, float(d[h_index]), realized * 1.25 + 1e-9, d
-        )
+        rng_for = lambda attempt: rng_from(seed, 21, i, attempt)  # noqa: E731
+        rep = persona.random_compensation_report(rng_for, lambda rng: (m, n), scale)
         rows.append(
             [i, rep.lhs, rep.rhs, rep.slack, rep.residual_norm, rep.delta_l_norm]
         )
@@ -320,7 +308,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     if not isinstance(analyses, list) or not analyses:
         raise ConfigParse('config needs a non-empty "analyses" array')
     for name in analyses:
-        if name not in _ANALYSES:
+        if not isinstance(name, str) or name not in _ANALYSES:
             known = ", ".join(sorted(_ANALYSES))
             raise ConfigParse(f"unknown analysis {name!r}; expected one of: {known}")
     raw_seed = config.get("seed", 0) if args.seed is None else args.seed

@@ -14,9 +14,11 @@ Three families, each parameterized by a peakedness scale ``epsilon``:
 How small "small epsilon" must be is discovered by logarithmic grid search
 (:func:`find_epsilon_for_unanimity`), recorded in reports, and never hard-coded.
 
-The seeded random instances (:func:`random_dist`, :func:`random_strict_weights`,
-:func:`random_family`, :func:`random_decomposition`) are the one copy the
-``verify`` suites, the ``experiment`` analyses and the tests all draw from.
+The seeded random instances are one array-level draw each,
+:func:`random_probs` and :func:`random_beta`; :func:`random_dist`,
+:func:`random_strict_weights`, :func:`random_family` and
+:func:`random_decomposition` wrap them in objects.  The ``verify`` suites, the
+``experiment`` analyses and the tests all draw from this one copy.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .core import (
     Weights,
     dist_from_log_weights,
     make_dist,
+    normalize_rows,
 )
 from .errors import DegenerateWeights, NotFound, ParamOutOfRange
 from .pooling import Decomposition, make_decomposition
@@ -43,9 +46,13 @@ __all__ = [
     "cyclic_welfare_instance",
     "analytic_unanimity_instance",
     "find_epsilon_for_unanimity",
+    "analytic_unanimity_rows",
     "peaked_incompatible_family",
+    "peaked_incompatible_rows",
     "binary_gap_closed_form",
     "single_counteragent_instance",
+    "random_probs",
+    "random_beta",
     "random_dist",
     "random_strict_weights",
     "random_family",
@@ -114,16 +121,20 @@ def analytic_unanimity_instance(
         raise DegenerateWeights(
             "a weight equal to 1 collapses the pool onto a single agent"
         )
-    alpha = epsilon
-    delta = epsilon ** (n + 1)
     space = OutcomeSpace(n + 1)
-    agents = []
-    for i in range(n):
-        raw = np.full(n + 1, delta)
-        raw[0] = 1.0 - alpha - (n - 1) * delta
-        raw[i + 1] = alpha
-        agents.append(make_dist(space, raw))
+    agents = [make_dist(space, raw) for raw in analytic_unanimity_rows(n, epsilon)]
     return make_decomposition(agents, weights, "log")
+
+
+def analytic_unanimity_rows(n: int, epsilon) -> np.ndarray:
+    """The raw (unnormalized) agents of :func:`analytic_unanimity_instance`,
+    (..., n, n+1) for ``epsilon`` of shape (...); not validated."""
+    eps = np.asarray(epsilon, dtype=float)[..., None, None]
+    delta = eps ** (n + 1)
+    raw = np.repeat(np.repeat(delta, n, axis=-2), n + 1, axis=-1)
+    raw[..., 0] = (1.0 - eps - (n - 1) * delta)[..., 0]
+    raw[..., np.arange(n), np.arange(1, n + 1)] = eps[..., 0]
+    return raw
 
 
 def find_epsilon_for_unanimity(n: int, weights: Weights | None = None) -> float:
@@ -153,23 +164,30 @@ def peaked_incompatible_family(n: int, epsilon: float) -> list[Dist]:
     if not (0.0 < epsilon < 0.5):
         raise ParamOutOfRange("epsilon must lie in (0, 1/2)")
     space = OutcomeSpace(n)
-    agents = []
-    for i in range(n):
-        raw = np.full(n, epsilon / (n - 1))
-        raw[i] = 1.0 - epsilon
-        agents.append(make_dist(space, raw))
-    return agents
+    return [make_dist(space, raw) for raw in peaked_incompatible_rows(n, epsilon)]
 
 
-def binary_gap_closed_form(x_i: float, x: float) -> float:
+def peaked_incompatible_rows(n: int, epsilon) -> np.ndarray:
+    """The raw agents of :func:`peaked_incompatible_family`, (..., n, n) for
+    ``epsilon`` of shape (...); not validated."""
+    eps = np.asarray(epsilon, dtype=float)[..., None, None]
+    raw = np.repeat(np.repeat(eps / (n - 1), n, axis=-2), n, axis=-1)
+    raw[..., np.arange(n), np.arange(n)] = 1.0 - eps[..., 0]
+    return raw
+
+
+def binary_gap_closed_form(x_i, x):
     """Closed-form welfare gap on two outcomes.
 
     For an agent holding mass ``x_i`` on the first outcome, against a pool
     holding mass ``x`` there, the gap is (x - x_i) * log(x_i / (1 - x_i)).
+    Scalars give a float; arrays broadcast elementwise.
     """
-    if not (0.0 < x_i < 1.0) or not (0.0 < x < 1.0):
+    x_i, x = np.asarray(x_i, dtype=float), np.asarray(x, dtype=float)
+    if not (((0.0 < x_i) & (x_i < 1.0)).all() and ((0.0 < x) & (x < 1.0)).all()):
         raise ParamOutOfRange("both masses must lie in (0, 1)")
-    return (x - x_i) * float(np.log(x_i / (1.0 - x_i)))
+    gap = (x - x_i) * np.log(x_i / (1.0 - x_i))
+    return float(gap) if gap.ndim == 0 else gap
 
 
 def single_counteragent_instance(
@@ -212,22 +230,34 @@ def single_counteragent_instance(
     return decomp, 0, dbeta
 
 
+def random_probs(rng: np.random.Generator, m: int, n: int | None = None) -> np.ndarray:
+    """A strictly positive random probability vector of length ``m`` (or
+    ``n`` of them, (n, m), drawn in order), bounded away from zero:
+    gamma(1.5, 1) + 0.02, normalized as :func:`~logpool.core.make_dist` does."""
+    return normalize_rows(rng.gamma(1.5, 1.0, m if n is None else (n, m)) + 0.02)
+
+
+def random_beta(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n strictly positive weights: 0.15 + U[0, 1), normalized."""
+    raw = 0.15 + rng.random(n)
+    return raw / raw.sum()
+
+
 def random_dist(rng: np.random.Generator, space: OutcomeSpace) -> Dist:
-    """A strictly positive random distribution on ``space``, bounded away
-    from zero: gamma(1.5, 1) + 0.02, normalized."""
-    return make_dist(space, rng.gamma(1.5, 1.0, space.size) + 0.02)
+    """:func:`random_probs` on ``space``."""
+    return Dist(space, random_probs(rng, space.size))
 
 
 def random_strict_weights(rng: np.random.Generator, n: int) -> Weights:
-    """n strictly positive weights: 0.15 + U[0, 1), normalized."""
-    raw = 0.15 + rng.random(n)
-    return Weights(raw / raw.sum())
+    """:func:`random_beta` as :class:`~logpool.core.Weights`."""
+    return Weights(random_beta(rng, n))
 
 
 def random_family(rng: np.random.Generator, m: int, n: int) -> tuple[list[Dist], Weights]:
     """n random agents on one m-outcome space, then their strict weights."""
     space = OutcomeSpace(m)
-    return [random_dist(rng, space) for _ in range(n)], random_strict_weights(rng, n)
+    agents = [Dist(space, p) for p in random_probs(rng, m, n)]
+    return agents, random_strict_weights(rng, n)
 
 
 def random_decomposition(

@@ -59,8 +59,10 @@ __all__ = [
     "ScoreFn",
     "make_dist",
     "dist_from_log_weights",
+    "normalize_rows",
     "softmax",
     "require_prob_rows",
+    "require_weight_rows",
     "uniform",
     "entropy",
     "kl",
@@ -124,6 +126,25 @@ def require_prob_rows(p: np.ndarray) -> None:
         raise NotNormalized(
             f"probabilities{where} sum to {total!r}, expected 1 within {NORM_TOL}"
         )
+
+
+def require_weight_rows(beta: np.ndarray) -> None:
+    """Validate each row (last axis) of ``beta`` as :class:`Weights` does:
+    ``NonFinite``, negative weights (``ParamOutOfRange``), then a sum off 1 by
+    more than ``NORM_TOL`` (``NotNormalized``).  A batch error names the first
+    bad row."""
+    finite = np.isfinite(beta)
+    if not finite.all():
+        raise NonFinite(f"weights{first_row(~finite.all(axis=-1))[1]} must be finite everywhere")
+    negative = beta < 0.0
+    if negative.any():
+        raise ParamOutOfRange(f"weights{first_row(negative.any(axis=-1))[1]} must be nonnegative")
+    totals = beta.sum(axis=-1)
+    off = np.abs(totals - 1.0) > NORM_TOL
+    if off.any():
+        row, where = first_row(off)
+        total = float(totals[row])
+        raise NotNormalized(f"weights{where} sum to {total!r}, expected 1 within {NORM_TOL}")
 
 
 def _require_length(arr: np.ndarray, size: int, what: str) -> None:
@@ -212,14 +233,7 @@ class Weights:
     def __post_init__(self) -> None:
         arr = _as_readonly(self.beta)
         object.__setattr__(self, "beta", arr)
-        _require_finite(arr, "weights")
-        if (arr < 0.0).any():
-            raise ParamOutOfRange("weights must be nonnegative")
-        total = float(arr.sum())
-        if abs(total - 1.0) > NORM_TOL:
-            raise NotNormalized(
-                f"weights sum to {total!r}, expected 1 within {NORM_TOL}"
-            )
+        require_weight_rows(arr)
 
     @property
     def n(self) -> int:
@@ -277,10 +291,14 @@ def make_dist(space: OutcomeSpace, raw: Iterable[float]) -> Dist:
     _require_finite(arr, "raw weight vector")
     if (arr <= 0.0).any():
         raise NonPositiveEntry("raw weights must all be > 0")
-    p = arr / arr.sum()
-    # one more pass pins the sum to 1 exactly within float rounding
-    p = p / p.sum()
-    return Dist(space, p)
+    return Dist(space, normalize_rows(arr))
+
+
+def normalize_rows(raw: np.ndarray) -> np.ndarray:
+    """Each row (last axis) of positive ``raw`` divided by its sum, twice: the
+    second pass pins the sum to 1 within float rounding.  Not validated."""
+    p = raw / raw.sum(axis=-1, keepdims=True)
+    return p / p.sum(axis=-1, keepdims=True)
 
 
 def dist_from_log_weights(space: OutcomeSpace, log_w: Iterable[float]) -> Dist:

@@ -46,6 +46,7 @@ from .errors import (
     SpaceMismatch,
     TiltsNotCentered,
 )
+from .constructions import random_decomposition
 from .pooling import Decomposition, log_pool
 
 __all__ = [
@@ -58,6 +59,7 @@ __all__ = [
     "first_order_delta_l",
     "CompensationReport",
     "compensation_bound",
+    "random_compensation_report",
     "event_first_order",
     "SuppressionPlan",
     "optimal_suppression",
@@ -140,12 +142,13 @@ def first_order_delta_l(
     """Predicted log-deviation for a weight change, plus its residual probe.
 
     ``predicted = sum_i dbeta_i * v_i``.  The returned ``residual_norm_fn(t)``
-    re-pools at the scaled change ``t * dbeta`` and measures
-    ``‖ΔL(t) − t·predicted‖`` in the base-weighted norm.  Shifting the pool
-    weights by ``t·dbeta`` tilts the pooled log-vector by exactly
-    ``t·predicted`` up to the normalization constant, so the re-pool here is
-    the tilt of the base by ``t·predicted`` — an exact identity, not an
-    approximation — and the residual is purely the normalization cost.
+    is ``‖ΔL(t) − t·predicted‖`` in the base-weighted norm for the re-pool at
+    the scaled change ``t * dbeta``.  Shifting the pool weights by ``t·dbeta``
+    tilts the pooled log-vector by exactly ``t·predicted`` up to the
+    normalization constant, so ``ΔL(t) − t·predicted`` is the constant
+    ``−log E_P[exp(t·predicted)]`` and its norm is that constant's absolute
+    value.  It is evaluated as ``|log1p(E_P[expm1(t·predicted)])|``, which
+    stays accurate when the residual is far below the rounding of ``log P``.
     """
     base = _require_shared_base(profiles)
     d = np.asarray(dbeta, dtype=float).reshape(-1)
@@ -160,9 +163,7 @@ def first_order_delta_l(
     predicted = ScoreFn(base.space, predicted_vec)
 
     def residual_norm_fn(t: float) -> float:
-        shifted = dist_from_log_weights(base.space, base.log_p + t * predicted_vec)
-        delta_l = shifted.log_p - base.log_p
-        return norm_p(base, delta_l - t * predicted_vec)
+        return abs(float(np.log1p((base.p * np.expm1(t * predicted_vec)).sum())))
 
     return predicted, residual_norm_fn
 
@@ -289,6 +290,33 @@ def compensation_bound(
         counter_lower_bound=counter_lower_bound,
         aligned_not_downgraded=bool(downgrade_term <= dead_zone),
     )
+
+
+def random_compensation_report(
+    rng_for: Callable[[int], np.random.Generator],
+    sizes: Callable[[np.random.Generator], tuple[int, int]],
+    scale: float,
+) -> CompensationReport:
+    """:func:`compensation_bound` for a random zero-sum weight change.
+
+    Attempt k (of 50) draws from ``rng_for(k)``: the outcome and agent counts
+    ``sizes(rng)``, a random decomposition, then a centered change ``d``
+    scaled to a largest entry of ``scale`` that amplifies h = argmax d.  The
+    first attempt that keeps every weight positive is used (the last one
+    otherwise), with a budget of 1.25 times the realized deviation plus 1e-9.
+    """
+    for attempt in range(50):
+        rng = rng_for(attempt)
+        decomp = random_decomposition(rng, *sizes(rng))
+        d = rng.standard_normal(decomp.n)
+        d -= d.mean()
+        d *= scale / max(1e-12, float(np.abs(d).max()))
+        h_index = int(d.argmax())
+        if d[h_index] > 0 and bool((decomp.weights.beta + d > 0).all()):
+            break
+    shifted = log_pool(list(decomp.children), Weights(decomp.weights.beta + d))
+    realized = norm_p(decomp.parent, shifted.log_p - decomp.parent.log_p)
+    return compensation_bound(decomp, h_index, float(d[h_index]), realized * 1.25 + 1e-9, d)
 
 
 def event_first_order(

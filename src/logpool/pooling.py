@@ -29,6 +29,7 @@ __all__ = [
     "log_pool_arrays",
     "log_pool",
     "log_pool_with_log_z",
+    "linear_pool_arrays",
     "linear_pool",
     "pool",
     "Decomposition",
@@ -93,10 +94,14 @@ def log_pool_with_log_z(agents: Sequence[Dist], weights: Weights) -> tuple[Dist,
 def linear_pool(agents: Sequence[Dist], weights: Weights) -> Dist:
     """Convex combination (mixture) of the agent distributions."""
     space = _check_family(agents, weights)
-    stacked = np.stack([a.p for a in agents])
-    p = weights.beta @ stacked
-    p = p / p.sum()
-    return Dist(space, p)
+    return Dist(space, linear_pool_arrays(np.stack([a.p for a in agents]), weights.beta))
+
+
+def linear_pool_arrays(probs: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Stacked linear pools: sum_j beta_j * probs_j, renormalized, for agent
+    probabilities (..., n, m) and weights (..., n).  Rows are not validated."""
+    mixed = np.matmul(beta[..., None, :], probs)[..., 0, :]
+    return mixed / mixed.sum(axis=-1, keepdims=True)
 
 
 def pool(agents: Sequence[Dist], weights: Weights, kind: str) -> Dist:

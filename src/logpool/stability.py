@@ -24,15 +24,19 @@ from .core import (
     ScoreFn,
     Weights,
     cov,
-    dist_from_log_weights,
+    require_prob_rows,
     rng_from,
+    softmax,
     uniform,
 )
-from .errors import NotFound, NotStrictlyUnanimous, SpaceMismatch, TiltsNotCentered
-from .pooling import Decomposition, POOL_REVALIDATION_TOL
-from .welfare import UNANIMITY_TOL, unanimity_report, welfare_gap
+from .errors import (
+    NotAPoolWitness, NotFound, NotStrictlyUnanimous, SpaceMismatch, TiltsNotCentered,
+)
+from .pooling import Decomposition, POOL_REVALIDATION_TOL, log_pool_arrays
+from .welfare import UNANIMITY_TOL, gap_terms, unanimity_report, welfare_gap
 
 __all__ = [
+    "transport_rows",
     "transport",
     "transport_decomposition",
     "OpennessCertificate",
@@ -49,6 +53,13 @@ __all__ = [
 POSITIVITY_FLOOR = 1e-9
 
 
+def transport_rows(children: np.ndarray, base: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Stacked transport: the softmax of (log C + log T) − log P over the last
+    axis, for children C, base P and target T broadcast together (..., m).
+    Rows are not validated."""
+    return softmax(np.log(children) + np.log(target) - np.log(base))[0]
+
+
 def transport(child: Dist, base: Dist, target: Dist) -> Dist:
     """Reweight ``child`` by target/base and renormalize.
 
@@ -59,9 +70,7 @@ def transport(child: Dist, base: Dist, target: Dist) -> Dist:
         raise SpaceMismatch("child, base, and target must share an outcome space")
     if np.array_equal(base.p, target.p):
         return child
-    return dist_from_log_weights(
-        child.space, child.log_p + target.log_p - base.log_p
-    )
+    return Dist(child.space, transport_rows(child.p, base.p, target.p))
 
 
 def transport_decomposition(decomp: Decomposition, target: Dist) -> Decomposition:
@@ -72,12 +81,31 @@ def transport_decomposition(decomp: Decomposition, target: Dist) -> Decompositio
     """
     if target.space != decomp.space:
         raise SpaceMismatch("target must live on the decomposition's space")
-    moved = tuple(
-        transport(child, decomp.parent, target) for child in decomp.children
-    )
+    moved = decomp.children
+    if not np.array_equal(decomp.parent.p, target.p):
+        rows = transport_rows(np.stack([c.p for c in moved]), decomp.parent.p, target.p)
+        moved = tuple(Dist(decomp.space, row) for row in rows)
     return Decomposition(
         target, moved, decomp.weights, decomp.pool_kind, tol=POOL_REVALIDATION_TOL
     )
+
+
+def _tv_directions(rng: np.random.Generator, m: int, max_tries: int):
+    """``max_tries`` centered directions (max_tries, m), drawn in order, and
+    their L1 norms: what a probe at any radius scales."""
+    d = rng.standard_normal((max_tries, m))
+    d = d - d.mean(axis=-1, keepdims=True)
+    return d, np.abs(d).sum(axis=-1)
+
+
+def _at_radius(base: np.ndarray, d: np.ndarray, l1: np.ndarray, radius: float):
+    """Scale directions (..., tries, m) to tv ``radius`` around ``base`` and
+    keep each stack's first draw with every coordinate in (POSITIVITY_FLOOR,
+    1): returns the normalized targets (..., m) and whether one fit (...)."""
+    p = base + d * (2.0 * radius / l1)[..., None]
+    fits = (l1 != 0.0) & (p > POSITIVITY_FLOOR).all(axis=-1) & (p < 1.0).all(axis=-1)
+    p = np.take_along_axis(p, fits.argmax(axis=-1)[..., None, None], axis=-2)[..., 0, :]
+    return p / p.sum(axis=-1, keepdims=True), fits.any(axis=-1)
 
 
 def sample_at_tv_radius(
@@ -88,23 +116,14 @@ def sample_at_tv_radius(
 ) -> Dist | None:
     """A seeded random distribution at tv-distance ``radius`` from ``base``.
 
-    Draws centered directions in the simplex tangent space, scales them to
-    the requested tv, and rejects any draw that would push a coordinate
-    outside (POSITIVITY_FLOOR, 1).  Returns None when no draw fits within
-    ``max_tries`` — the radius is simply too large around this base point.
+    Draws ``max_tries`` centered directions in the simplex tangent space up
+    front, scales them to the requested tv, and takes the first that keeps
+    every coordinate inside (POSITIVITY_FLOOR, 1).  Returns None when none
+    fits — the radius is simply too large around this base point.
     """
-    m = base.space.size
-    for _ in range(max_tries):
-        d = rng.standard_normal(m)
-        d = d - d.mean()
-        l1 = float(np.abs(d).sum())
-        if l1 == 0.0:
-            continue
-        d = d * (2.0 * radius / l1)
-        p = base.p + d
-        if np.all(p > POSITIVITY_FLOOR) and np.all(p < 1.0):
-            return Dist(base.space, p / p.sum())
-    return None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p, found = _at_radius(base.p, *_tv_directions(rng, base.space.size, max_tries), radius)
+    return Dist(base.space, p) if found else None
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,7 +161,11 @@ def certify_openness(
     The input must be strictly unanimous.  Probe directions are keyed by
     (seed, sample index) only, so a run with more samples extends — never
     replaces — the probe set of a run with fewer; certified radii can
-    therefore only shrink or hold as ``samples`` grows.
+    therefore only shrink or hold as ``samples`` grows.  Each step scores
+    its probes as one batch: one transport over (samples, n, m), one
+    re-pool check at ``POOL_REVALIDATION_TOL`` and one gap computation.  A
+    step fails when some sample has no feasible target at its radius or
+    loses strict unanimity.
 
     This is sampled evidence with a seed and sample count, not a proof: the
     guarantee that *some* positive radius exists is the theorem's job; the
@@ -155,18 +178,28 @@ def certify_openness(
             f"min gap is {base_report.min_gap!r}"
         )
 
+    # a probe direction does not depend on the radius, only its rejection
+    # does: each sample's stream is drawn once and scaled at every step
+    m = decomp.space.size
+    d, l1 = np.empty((samples, 64, m)), np.empty((samples, 64))
+    for s in range(samples):
+        d[s], l1[s] = _tv_directions(rng_from(seed, s), m, 64)
+    children = np.stack([c.p for c in decomp.children])
+
     def probe(radius: float) -> tuple[bool, float]:
-        worst = np.inf
-        for s in range(samples):
-            target = sample_at_tv_radius(decomp.parent, radius, rng_from(seed, s))
-            if target is None:
-                return False, np.inf
-            moved = transport_decomposition(decomp, target)
-            rep = unanimity_report(moved, tol=tol)
-            if not rep.strictly_unanimous:
-                return False, np.inf
-            worst = min(worst, rep.min_gap)
-        return True, float(worst)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            targets, found = _at_radius(decomp.parent.p, d, l1, radius)
+        if not found.all():
+            return False, np.inf
+        require_prob_rows(targets)
+        moved = transport_rows(children, decomp.parent.p, targets[:, None, :])
+        require_prob_rows(moved)
+        repooled = log_pool_arrays(np.log(moved), decomp.weights.beta)[0]
+        require_prob_rows(repooled)
+        if (0.5 * np.abs(repooled - targets).sum(axis=-1) > POOL_REVALIDATION_TOL).any():
+            raise NotAPoolWitness("a transported probe no longer pools to its target")
+        gaps = gap_terms(moved, targets[:, None, :])[0]
+        return bool((gaps > tol).all()), float(gaps.min(initial=np.inf))
 
     lo, lo_gap = 0.0, 0.0
     hi = 0.5
@@ -200,13 +233,12 @@ def tilt_gap_derivative(P: Dist, h: ScoreFn) -> float:
 
 
 def tilt_gap_fd(P: Dist, h: ScoreFn, step: float = 1e-5) -> float:
-    """Central finite difference companion to :func:`tilt_gap_derivative`."""
-
-    def gap_at(eps: float) -> float:
-        tilted = dist_from_log_weights(P.space, P.log_p + eps * h.f)
-        return welfare_gap(tilted, P)
-
-    return (gap_at(step) - gap_at(-step)) / (2.0 * step)
+    """Central finite difference companion to :func:`tilt_gap_derivative`:
+    both tilted agents are scored against P in one stacked gap call."""
+    tilted = softmax(P.log_p + np.array([[step], [-step]]) * h.f)[0]
+    require_prob_rows(tilted)
+    up, down = gap_terms(tilted, P.p)[0]
+    return float((up - down) / (2.0 * step))
 
 
 def local_unanimity_audit(

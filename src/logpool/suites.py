@@ -30,18 +30,17 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import constructions, factorize, persona, stability
-from .constructions import random_decomposition, random_dist, random_family, random_strict_weights
+from .constructions import (
+    random_beta, random_decomposition, random_dist, random_family, random_probs,
+    random_strict_weights,
+)
 from .core import (
-    OutcomeSpace, ScoreFn, Weights, event_indices, expect, kl, make_dist, norm_p,
-    require_prob_rows, rng_from, tv, uniform,
+    Dist, OutcomeSpace, ScoreFn, Weights, event_indices, expect, make_dist, norm_p,
+    normalize_rows, require_prob_rows, require_weight_rows, rng_from, tv, uniform,
 )
 from .errors import ParamOutOfRange, UnknownSuite
-from .pooling import (
-    linear_pool, log_pool, log_pool_arrays, log_pool_with_log_z, make_decomposition,
-)
-from .welfare import (
-    covariance_condition, gap_terms, unanimity_report, weighted_gap_sum, welfare_gap,
-)
+from .pooling import linear_pool_arrays, log_pool, log_pool_arrays, make_decomposition
+from .welfare import covariance_condition, covariance_terms, gap_terms, unanimity_report
 
 __all__ = ["CheckResult", "SUITE_NAMES", "run_suite"]
 
@@ -152,24 +151,61 @@ def _sizes(
     return int(rng.integers(m_lo, m_hi)), int(rng.integers(n_lo, n_hi))
 
 
-def _longdouble_log_pool(agents, weights: Weights) -> tuple[np.ndarray, float]:
-    """The log pool and its log-normalizer, recomputed in long double."""
-    logs = np.stack([np.log(a.p.astype(np.longdouble)) for a in agents])
-    combo = (weights.beta.astype(np.longdouble)[:, None] * logs).sum(axis=0)
-    shift = combo.max()
+def _stacked(instances) -> list[tuple[np.ndarray, ...]]:
+    """Instances ``(key, *arrays)`` grouped by key (their shapes), in
+    first-seen order, each array field stacked over the group's instances."""
+    groups: dict = {}
+    for key, *arrays in instances:
+        groups.setdefault(key, []).append(arrays)
+    return [tuple(map(np.stack, zip(*rows))) for rows in groups.values()]
+
+
+def _groups(run: _Run, draw) -> list[tuple[np.ndarray, ...]]:
+    """Instance i drawn by ``draw(run.rng(i))`` from its own stream, in
+    instance order, then grouped by :func:`_stacked`."""
+    return _stacked(draw(run.rng(i)) for i in range(run.samples))
+
+
+def _families(run: _Run, extra=lambda rng, m, n: (), **sizes) -> list[tuple[np.ndarray, ...]]:
+    """Each instance's sizes, n random agents and their strict weights (then
+    ``extra(rng, m, n)``), grouped by (m, n) and validated as ``Dist`` and
+    ``Weights`` validate: ``(agents (B, n, m), beta (B, n), *extras)``."""
+
+    def draw(rng):
+        m, n = _sizes(rng, **sizes)
+        return (m, n), random_probs(rng, m, n), random_beta(rng, n), *extra(rng, m, n)
+
+    groups = _groups(run, draw)
+    for agents, beta, *_ in groups:
+        require_prob_rows(agents)
+        require_weight_rows(beta)
+    return groups
+
+
+def _log_pool(logs: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked log pools and log Z, each pooled row validated as a ``Dist``."""
+    pooled, log_z = log_pool_arrays(logs, beta)
+    require_prob_rows(pooled)
+    return pooled, log_z
+
+
+def _tv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise tv distance, in long double when either side is."""
+    return 0.5 * np.abs(a - b).sum(axis=-1)
+
+
+def _worst(worst: float, *values: np.ndarray) -> float:
+    return max(worst, *(float(v.max()) for v in values))
+
+
+def _longdouble_log_pool(agents: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked log pools and their log-normalizers, recomputed in long double."""
+    logs = np.log(agents.astype(np.longdouble))
+    combo = (beta.astype(np.longdouble)[..., None] * logs).sum(axis=-2)
+    shift = combo.max(axis=-1, keepdims=True)
     w = np.exp(combo - shift)
-    return w / w.sum(), float(shift + np.log(w.sum()))
-
-
-def _tv_vs_longdouble(pooled, oracle: np.ndarray) -> float:
-    return float(0.5 * np.abs(pooled.p.astype(np.longdouble) - oracle).sum())
-
-
-def _longdouble_gap(agent, pool) -> float:
-    pa = agent.p.astype(np.longdouble)
-    pr = pool.p.astype(np.longdouble)
-    la = np.log(pa)
-    return float((pr * la).sum() - (pa * la).sum())
+    total = w.sum(axis=-1, keepdims=True)
+    return w / total, (shift + np.log(total))[..., 0].astype(float)
 
 
 # ---------------------------------------------------------------------------
@@ -180,11 +216,9 @@ def _longdouble_gap(agent, pool) -> float:
         "max tv between log_pool and an extended-precision recomputation")
 def _log_pool_extended(run: _Run):
     worst = 0.0
-    for i in range(run.samples):
-        rng = run.rng(i)
-        agents, weights = random_family(rng, *_sizes(rng))
-        pooled = log_pool(agents, weights)
-        worst = max(worst, _tv_vs_longdouble(pooled, _longdouble_log_pool(agents, weights)[0]))
+    for agents, beta in _families(run):
+        pooled = _log_pool(np.log(agents), beta)[0]
+        worst = _worst(worst, _tv(pooled, _longdouble_log_pool(agents, beta)[0]))
     return worst
 
 
@@ -192,14 +226,11 @@ def _log_pool_extended(run: _Run):
         "max tv between linear_pool and an extended-precision recomputation")
 def _linear_pool_extended(run: _Run):
     worst = 0.0
-    for i in range(run.samples):
-        rng = run.rng(i)
-        agents, weights = random_family(rng, *_sizes(rng))
-        pooled = linear_pool(agents, weights)
-        stackld = np.stack([a.p.astype(np.longdouble) for a in agents])
-        oracle = (weights.beta.astype(np.longdouble)[:, None] * stackld).sum(axis=0)
-        oracle = oracle / oracle.sum()
-        worst = max(worst, _tv_vs_longdouble(pooled, oracle))
+    for agents, beta in _families(run):
+        pooled = linear_pool_arrays(agents, beta)
+        require_prob_rows(pooled)
+        oracle = (beta.astype(np.longdouble)[..., None] * agents.astype(np.longdouble)).sum(axis=-2)
+        worst = _worst(worst, _tv(pooled, oracle / oracle.sum(axis=-1, keepdims=True)))
     return worst
 
 
@@ -207,27 +238,21 @@ def _linear_pool_extended(run: _Run):
         "max tv over one-hot weights, dropped zero weights, identical agents")
 def _pool_weight_edges(run: _Run):
     worst = 0.0
-    for i in range(run.samples):
-        rng = run.rng(i)
-        agents, weights = random_family(rng, *_sizes(rng, n_lo=3))
-        n = weights.n
+    one_agent = lambda rng, m, n: (rng.integers(0, n),)  # noqa: E731
+    for agents, beta, j in _families(run, one_agent, n_lo=3):
+        (count, n), rows, logs = beta.shape, np.arange(len(j)), np.log(agents)
         # a one-hot weight vector must return that agent
-        j = int(rng.integers(0, n))
-        onehot = np.zeros(n)
-        onehot[j] = 1.0
-        worst = max(worst, tv(log_pool(agents, Weights(onehot)), agents[j]))
+        onehot = _tv(_log_pool(logs, np.eye(n)[j])[0], agents[rows, j])
         # zero-weight agents must not matter
-        beta = weights.beta.copy()
-        beta[j] = 0.0
-        beta = beta / beta.sum()
-        reduced = [a for t, a in enumerate(agents) if t != j]
-        rbeta = np.array([b for t, b in enumerate(beta) if t != j])
-        worst = max(
-            worst,
-            tv(log_pool(agents, Weights(beta)), log_pool(reduced, Weights(rbeta))),
-        )
+        zeroed = beta.copy()
+        zeroed[rows, j] = 0.0
+        zeroed = zeroed / zeroed.sum(axis=-1, keepdims=True)
+        keep = np.arange(n) != j[:, None]
+        reduced = logs[keep].reshape(count, n - 1, -1), zeroed[keep].reshape(count, n - 1)
+        dropped = _tv(_log_pool(logs, zeroed)[0], _log_pool(*reduced)[0])
         # pooling identical copies returns the copy
-        worst = max(worst, tv(log_pool([agents[0]] * n, weights), agents[0]))
+        copies = _tv(_log_pool(logs[:, [0] * n], beta)[0], agents[:, 0])
+        worst = _worst(worst, onehot, dropped, copies)
     return worst
 
 
@@ -236,15 +261,17 @@ def _pool_weight_edges(run: _Run):
         "its sign bound, and exact renormalization")
 def _log_z(run: _Run):
     worst = 0.0
-    for i in range(run.samples):
-        rng = run.rng(i)
-        agents, weights = random_family(rng, *_sizes(rng))
-        pooled, log_z = log_pool_with_log_z(agents, weights)
-        worst = max(worst, abs(log_z - _longdouble_log_pool(agents, weights)[1]))
-        if log_z > 1e-12:  # the normalizer of a geometric mean cannot exceed 1
-            worst = max(worst, log_z)
-        combo = sum(b * a.log_p for b, a in zip(weights.beta, agents))
-        worst = max(worst, float(abs(np.exp(combo - log_z).sum() - 1.0)))
+    for agents, beta in _families(run):
+        logs = np.log(agents)
+        log_z = _log_pool(logs, beta)[1]
+        combo = (beta[..., None] * logs).sum(axis=-2)
+        worst = _worst(
+            worst,
+            np.abs(log_z - _longdouble_log_pool(agents, beta)[1]),
+            # the normalizer of a geometric mean cannot exceed 1
+            np.where(log_z > 1e-12, log_z, 0.0),
+            np.abs(np.exp(combo - log_z[:, None]).sum(axis=-1) - 1.0),
+        )
     return worst
 
 
@@ -252,17 +279,29 @@ def _log_z(run: _Run):
 # welfare
 # ---------------------------------------------------------------------------
 
+def _agent_pool_pairs(run: _Run, with_welfare: bool = False):
+    """Per instance an m in [2, 9), an agent and a pool (then welfare values
+    when asked), grouped by m: ``(agents (B, m), pools (B, m)[, welfare])``."""
+
+    def draw(rng):
+        m = int(rng.integers(2, 9))
+        return m, random_probs(rng, m, 2), *((rng.standard_normal(m),) if with_welfare else ())
+
+    for pair, *welfare in _groups(run, draw):
+        require_prob_rows(pair)
+        yield pair[:, 0], pair[:, 1], *welfare
+
+
 @_check("welfare.gap_extended_precision", 200, 1e-12, "<=",
         "max |welfare_gap - extended-precision recomputation|")
 def _gap_extended(run: _Run):
     worst = 0.0
-    for i in range(run.samples):
-        rng = run.rng(i)
-        m = int(rng.integers(2, 9))
-        agent = random_dist(rng, OutcomeSpace(m))
-        pool_d = random_dist(rng, OutcomeSpace(m))
-        gap = welfare_gap(agent, pool_d)  # raises if its two forms disagree
-        worst = max(worst, abs(gap - _longdouble_gap(agent, pool_d)))
+    for agent, pool in _agent_pool_pairs(run):
+        gaps = gap_terms(agent, pool)[0]  # raises if its two forms disagree
+        pa, pr = agent.astype(np.longdouble), pool.astype(np.longdouble)
+        la = np.log(pa)
+        oracle = ((pr * la).sum(axis=-1) - (pa * la).sum(axis=-1)).astype(float)
+        worst = _worst(worst, np.abs(gaps - oracle))
     return worst
 
 
@@ -270,16 +309,11 @@ def _gap_extended(run: _Run):
         "max |covariance criterion - (E_pool[w] - E_agent[w])|")
 def _cov_condition(run: _Run):
     worst = 0.0
-    for i in range(run.samples):
-        rng = run.rng(i)
-        m = int(rng.integers(2, 9))
-        agent = random_dist(rng, OutcomeSpace(m))
-        pool_d = random_dist(rng, OutcomeSpace(m))
-        w = ScoreFn(agent.space, rng.standard_normal(m))
-        c, verdict = covariance_condition(agent, w, pool_d, tol=1e-9)
-        shift = expect(pool_d, w) - expect(agent, w)
-        worst = max(worst, abs(c - shift))
-        if verdict != (shift >= -1e-9):
+    for agent, pool, w in _agent_pool_pairs(run, with_welfare=True):
+        c = covariance_terms(agent, w, pool)
+        shift = (pool * w).sum(axis=-1) - (agent * w).sum(axis=-1)
+        worst = _worst(worst, np.abs(c - shift))
+        if ((c >= -1e-9) != (shift >= -1e-9)).any():
             worst = max(worst, 1.0)
     return worst
 
@@ -287,36 +321,28 @@ def _cov_condition(run: _Run):
 @_check("welfare.binary_closed_form", 200, 1e-10, "<=",
         "max |welfare_gap - (x - x_i) log(x_i/(1-x_i))| on two outcomes")
 def _binary_closed_form(run: _Run):
-    space = OutcomeSpace(2)
-    worst = 0.0
-    for i in range(run.samples):
-        rng = run.rng(i)
-        x1, x2 = rng.uniform(0.02, 0.98, 2)
-        b = float(rng.uniform(0.1, 0.9))
-        a1 = make_dist(space, np.array([x1, 1.0 - x1]))
-        a2 = make_dist(space, np.array([x2, 1.0 - x2]))
-        pooled = log_pool([a1, a2], Weights(np.array([b, 1.0 - b])))
-        x = float(pooled.p[0])
-        for agent, xi in ((a1, x1), (a2, x2)):
-            gap = welfare_gap(agent, pooled)
-            worst = max(worst, abs(gap - constructions.binary_gap_closed_form(xi, x)))
-    return worst
+    draw = lambda rng: (2, rng.uniform(0.02, 0.98, 2), float(rng.uniform(0.1, 0.9)))  # noqa: E731
+    ((x, b),) = _groups(run, draw)
+    agents = normalize_rows(np.stack([x, 1.0 - x], axis=-1))
+    require_prob_rows(agents)
+    pooled = _log_pool(np.log(agents), np.stack([b, 1.0 - b], axis=-1))[0]
+    gaps = gap_terms(agents, pooled[:, None, :])[0]
+    return _worst(0.0, np.abs(gaps - constructions.binary_gap_closed_form(x, pooled[:, :1])))
 
 
 @_check("welfare.binary_census", 21, 1e-9, "<=",
         "max over the census of min(gap1, gap2) — two-outcome agents "
         "never both strictly gain; pooled mass stays between the agents'")
 def _binary_census(run: _Run):
-    space = OutcomeSpace(2)
     grid = np.arange(1, run.samples + 1) / (run.samples + 1)
     betas = np.arange(1, 10) / 10.0
     i1, i2, b = (a.reshape(-1) for a in np.meshgrid(
         np.arange(run.samples), np.arange(run.samples), betas, indexing="ij"
     ))
-    x = np.stack([make_dist(space, np.array([g, 1.0 - g])).p for g in grid])
+    x = normalize_rows(np.stack([grid, 1.0 - grid], axis=1))
+    require_prob_rows(x)
     agents = np.stack([x[i1], x[i2]], axis=1)
-    pooled = log_pool_arrays(np.log(agents), np.stack([b, 1.0 - b], axis=1))[0]
-    require_prob_rows(pooled)
+    pooled = _log_pool(np.log(agents), np.stack([b, 1.0 - b], axis=1))[0]
     gaps = gap_terms(agents, pooled[:, None, :])[0]
     x1, x2, mass = grid[i1], grid[i2], pooled[:, 0]
     lo, hi = np.minimum(x1, x2), np.maximum(x1, x2)
@@ -328,15 +354,15 @@ def _binary_census(run: _Run):
         "uniform's gap against any reference is <= 0 and equals "
         "-(KL(r,u)+KL(u,r)); value is the max identity error")
 def _uniform_no_gain(run: _Run):
-    worst_err = 0.0
-    worst_gap = -np.inf
-    for i in range(run.samples):
-        rng = run.rng(i)
-        r = random_dist(rng, OutcomeSpace(int(rng.integers(2, 13))))
-        gap = stability.uniform_no_gain(r)
-        u = uniform(r.space)
-        worst_err = max(worst_err, abs(gap + kl(r, u) + kl(u, r)))
-        worst_gap = max(worst_gap, gap)
+    worst_err, worst_gap = 0.0, -np.inf
+    for (r,) in _groups(run, lambda rng: (m := int(rng.integers(2, 13)), random_probs(rng, m))):
+        require_prob_rows(r)
+        u = np.full_like(r, 1.0 / r.shape[-1])
+        gap = gap_terms(r, u)[0]  # stability.uniform_no_gain, stacked
+        log_r, log_u = np.log(r), np.log(u)
+        kl_ru, kl_ur = (r * (log_r - log_u)).sum(axis=-1), (u * (log_u - log_r)).sum(axis=-1)
+        worst_err = _worst(worst_err, np.abs(gap + kl_ru + kl_ur))
+        worst_gap = _worst(worst_gap, gap)
     return worst_err, worst_gap <= 0.0
 
 
@@ -390,21 +416,21 @@ def _unanimity_threshold(run: _Run):
         "max tv between the pooled distribution and its closed form "
         "eps^((n+1) - n*beta_i) on private outcomes")
 def _unanimity_pool_formula(run: _Run):
-    worst = 0.0
-    for i in range(run.samples):
-        rng = run.rng(i)
+    def draw(rng):
         n = int(rng.integers(2, 6))
-        eps = float(rng.uniform(0.01, 0.24))
-        weights = random_strict_weights(rng, n)
-        decomp = constructions.analytic_unanimity_instance(n, eps, weights)
-        e = np.longdouble(eps)
-        raw = np.empty(n + 1, dtype=np.longdouble)
-        raw[0] = (1.0 - e - (n - 1) * e ** (n + 1)) ** np.longdouble(1.0)
-        for j in range(n):
-            c_j = (n + 1) - n * np.longdouble(weights.beta[j])
-            raw[j + 1] = e**c_j
-        oracle = raw / raw.sum()
-        worst = max(worst, _tv_vs_longdouble(decomp.parent, oracle))
+        return n, float(rng.uniform(0.01, 0.24)), random_beta(rng, n)
+
+    worst = 0.0
+    for eps, beta in _groups(run, draw):
+        n = beta.shape[-1]
+        require_weight_rows(beta)
+        agents = normalize_rows(constructions.analytic_unanimity_rows(n, eps))
+        require_prob_rows(agents)
+        pooled = _log_pool(np.log(agents), beta)[0]
+        e = eps.astype(np.longdouble)[:, None]
+        shared = (1.0 - e - (n - 1) * e ** (n + 1)) ** np.longdouble(1.0)
+        raw = np.concatenate([shared, e ** ((n + 1) - n * beta.astype(np.longdouble))], axis=-1)
+        worst = _worst(worst, _tv(pooled, raw / raw.sum(axis=-1, keepdims=True)))
     return worst
 
 
@@ -415,31 +441,24 @@ def _peaked_negative(run: _Run):
     worst_slope_err = 0.0
     all_found = True
     cases = 0
+    grid = np.array([e for e in constructions.EPSILON_GRID if e < 0.5])
+    # the slope claim is asymptotic, so regress on the small-eps tail of the
+    # grid (1e-6 down to 1e-10)
+    tail = grid <= 1e-6
     for n in (2, 4):
-        for i in range(max(10, run.samples // 8)):
-            weights = random_strict_weights(run.rng(n, i), n)
-            found = None
-            for eps in constructions.EPSILON_GRID:
-                if eps >= 0.5:
-                    continue
-                agents = constructions.peaked_incompatible_family(n, eps)
-                s = weighted_gap_sum(make_decomposition(agents, weights, "log"))
-                if s < 0.0:
-                    found = eps
-                    break
-            if found is None:
-                all_found = False
-                continue
-            # the slope claim is asymptotic, so regress on the small-eps
-            # tail of the grid (1e-6 down to 1e-10)
-            eps_tail = [e for e in constructions.EPSILON_GRID if e <= 1e-6]
-            log_zs = []
-            for eps in eps_tail:
-                agents = constructions.peaked_incompatible_family(n, eps)
-                _, log_z = log_pool_with_log_z(agents, weights)
-                log_zs.append(log_z)
-            slope = float(np.polyfit(np.log(eps_tail), log_zs, 1)[0])
-            expected = 1.0 - float(weights.beta.max())
+        beta = np.stack([random_beta(run.rng(n, i), n) for i in range(max(10, run.samples // 8))])
+        require_weight_rows(beta)
+        agents = normalize_rows(constructions.peaked_incompatible_rows(n, grid))
+        require_prob_rows(agents)
+        # every weight vector (W) against every grid family (E) at once
+        pooled, log_z = _log_pool(np.log(agents), beta[:, None, :])
+        gaps = gap_terms(agents, pooled[..., None, :])[0]
+        sums = np.matmul(gaps[..., None, :], beta[:, None, :, None])[..., 0, 0]
+        found = (sums < 0.0).any(axis=-1)
+        all_found = all_found and bool(found.all())
+        for w in np.flatnonzero(found):
+            slope = float(np.polyfit(np.log(grid[tail]), log_z[w, tail], 1)[0])
+            expected = 1.0 - float(beta[w].max())
             worst_slope_err = max(worst_slope_err, abs(slope - expected) / expected)
             cases += 1
     return worst_slope_err, all_found, cases
@@ -449,24 +468,28 @@ def _peaked_negative(run: _Run):
 # factorize
 # ---------------------------------------------------------------------------
 
+def _children(decomp) -> np.ndarray:
+    return np.stack([c.p for c in decomp.children])
+
+
 @_check("factorize.pairwise_distinct_reconstructs", 80, 1e-12, "<=",
         "children re-pool to the parent exactly; all pairwise tv "
         "distances exceed the distinctness floor")
 def _factor_distinct(run: _Run):
-    worst_tv = 0.0
-    worst_dist = np.inf
-    for i in range(run.samples):
+    def factored(i):
         rng = run.rng(i)
         m = int(rng.integers(3, 9))
         n = int(rng.integers(2, 6))
         parent = random_dist(rng, OutcomeSpace(m))
-        weights = random_strict_weights(rng, n)
-        decomp = factorize.factor_pairwise_distinct(parent, weights, seed=i)
-        worst_tv = max(worst_tv, tv(log_pool(list(decomp.children), weights), parent))
-        family = [parent, *decomp.children]
-        for a in range(len(family)):
-            for b in range(a + 1, len(family)):
-                worst_dist = min(worst_dist, tv(family[a], family[b]))
+        decomp = factorize.factor_pairwise_distinct(parent, random_strict_weights(rng, n), seed=i)
+        return (m, n), parent.p, _children(decomp), decomp.weights.beta
+
+    worst_tv, worst_dist = 0.0, np.inf
+    for parent, children, beta in _stacked(map(factored, range(run.samples))):
+        worst_tv = _worst(worst_tv, _tv(_log_pool(np.log(children), beta)[0], parent))
+        family = np.concatenate([parent[:, None], children], axis=1)
+        a, b = np.triu_indices(family.shape[1], 1)
+        worst_dist = min(worst_dist, float(_tv(family[:, a], family[:, b]).min()))
     return worst_tv, worst_dist > factorize.DISTINCTNESS_TV
 
 
@@ -474,20 +497,24 @@ def _factor_distinct(run: _Run):
         "prescribed children pass through bit-identical and the "
         "family still re-pools to the parent")
 def _factor_fixed(run: _Run):
-    worst = 0.0
-    for i in range(run.samples):
+    def factored(i):
         rng = run.rng(i)
         k = int(rng.integers(1, 3))
         n = k + 2 + int(rng.integers(0, 3))
         m = int(rng.integers(3, 9))
-        parent = random_dist(rng, OutcomeSpace(m))
-        fixed = [random_dist(rng, OutcomeSpace(m)) for _ in range(k)]
+        space = OutcomeSpace(m)
+        parent = random_dist(rng, space)
+        fixed = random_probs(rng, m, k)
         weights = random_strict_weights(rng, n)
-        decomp = factorize.factor_with_fixed(parent, fixed, weights, seed=i)
-        for f, c in zip(fixed, decomp.children):
-            if not np.array_equal(f.p, c.p):
-                worst = max(worst, 1.0)
-        worst = max(worst, tv(log_pool(list(decomp.children), weights), parent))
+        fixed_dists = [Dist(space, f) for f in fixed]
+        decomp = factorize.factor_with_fixed(parent, fixed_dists, weights, seed=i)
+        return (m, n, k), parent.p, fixed, _children(decomp), weights.beta
+
+    worst = 0.0
+    for parent, fixed, children, beta in _stacked(map(factored, range(run.samples))):
+        if not np.array_equal(fixed, children[:, : fixed.shape[1]]):
+            worst = 1.0
+        worst = _worst(worst, _tv(_log_pool(np.log(children), beta)[0], parent))
     return worst
 
 
@@ -495,25 +522,24 @@ def _factor_fixed(run: _Run):
         "max pool drift under compatible splits, plus clone-gap "
         "agreement for zero tilts")
 def _split_invariance(run: _Run):
-    worst = 0.0
-    for i in range(run.samples):
-        rng = run.rng(i)
+    def split(rng):
         agents, weights = random_family(rng, *_sizes(rng, m_lo=3, n_hi=5))
         decomp = make_decomposition(agents, weights, "log")
         idx = int(rng.integers(0, weights.n))
         alpha = float(rng.uniform(0.1, 0.9))
         g = ScoreFn(decomp.space, 0.7 * rng.standard_normal(decomp.space.size))
-        _, _, delta = factorize.split_invariance_check(decomp, idx, alpha, g)
-        worst = max(worst, delta)
+        delta = factorize.split_invariance_check(decomp, idx, alpha, g)[2]
         # a zero-tilt split produces two clones with the original's welfare gap
         zero = ScoreFn(decomp.space, np.zeros(decomp.space.size))
-        first, second, delta0 = factorize.split_invariance_check(
-            decomp, idx, alpha, zero
-        )
-        worst = max(worst, delta0)
-        base_gap = welfare_gap(agents[idx], decomp.parent)
-        for clone in (first, second):
-            worst = max(worst, abs(welfare_gap(clone, decomp.parent) - base_gap))
+        first, second, delta0 = factorize.split_invariance_check(decomp, idx, alpha, zero)
+        clones = np.stack([first.p, second.p])
+        return decomp.space.size, np.array([delta, delta0]), clones, agents[idx].p, decomp.parent.p
+
+    worst = 0.0
+    for deltas, clones, agent, parent in _groups(run, split):
+        base_gap = gap_terms(agent, parent)[0]
+        clone_gaps = gap_terms(clones, parent[:, None, :])[0]
+        worst = _worst(worst, deltas, np.abs(clone_gaps - base_gap[:, None]))
     return worst
 
 
@@ -545,16 +571,15 @@ def _parent_benefit(run: _Run):
 def _transport(run: _Run):
     worst = 0.0
     identity_ok = True
-    for i in range(run.samples):
-        rng = run.rng(i)
-        agents, weights = random_family(rng, *_sizes(rng, m_lo=3))
-        decomp = make_decomposition(agents, weights, "log")
-        target = random_dist(rng, decomp.space)
-        moved = stability.transport_decomposition(decomp, target)
-        worst = max(worst, tv(log_pool(list(moved.children), weights), target))
-        kept = stability.transport(agents[0], decomp.parent, decomp.parent)
-        if not np.array_equal(kept.p, agents[0].p):
-            identity_ok = False
+    with_target = lambda rng, m, n: (random_probs(rng, m),)  # noqa: E731
+    for agents, beta, target in _families(run, with_target, m_lo=3):
+        parent = _log_pool(np.log(agents), beta)[0]
+        moved = stability.transport_rows(agents, parent[:, None, :], target[:, None, :])
+        require_prob_rows(moved)
+        worst = _worst(worst, _tv(_log_pool(np.log(moved), beta)[0], target))
+        space = OutcomeSpace(agents.shape[-1])
+        child, base = Dist(space, agents[0, 0]), Dist(space, parent[0])
+        identity_ok = identity_ok and stability.transport(child, base, base) is child
     return worst, identity_ok
 
 
@@ -643,24 +668,11 @@ def _residual_slope(run: _Run):
         "min slack of the compensation inequality over random "
         "small zero-sum weight changes")
 def _compensation_slack(run: _Run):
-    worst = np.inf
-    for i in range(run.samples):
-        for attempt in range(50):
-            rng = run.rng(i, attempt)
-            decomp = random_decomposition(rng, *_sizes(rng, m_lo=3, n_hi=6))
-            d = rng.standard_normal(decomp.n)
-            d -= d.mean()
-            d *= 1e-3 / max(1e-12, float(np.abs(d).max()))
-            h_index = int(np.argmax(d))
-            if d[h_index] > 0 and np.all(decomp.weights.beta + d > 0):
-                break
-        shifted = log_pool(list(decomp.children), Weights(decomp.weights.beta + d))
-        realized = norm_p(decomp.parent, shifted.log_p - decomp.parent.log_p)
-        rep = persona.compensation_bound(
-            decomp, h_index, float(d[h_index]), realized * 1.25 + 1e-9, d
-        )
-        worst = min(worst, rep.slack)
-    return worst
+    sizes = lambda rng: _sizes(rng, m_lo=3, n_hi=6)  # noqa: E731
+    return min(
+        persona.random_compensation_report(lambda k: run.rng(i, k), sizes, 1e-3).slack
+        for i in range(run.samples)
+    )
 
 
 @_check("persona.counteragent_weight_forced_up", 0, 0.0, ">",

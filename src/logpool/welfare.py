@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dist, ScoreFn, VALUE_TOL, cov, first_row
+from .core import Dist, ScoreFn, VALUE_TOL, first_row
 from .errors import IdentityMismatch, SpaceMismatch
 from .pooling import Decomposition
 
@@ -26,6 +26,7 @@ __all__ = [
     "WelfareReport",
     "gap_terms",
     "welfare_gap",
+    "covariance_terms",
     "covariance_condition",
     "unanimity_report",
     "weighted_gap_sum",
@@ -94,9 +95,18 @@ def covariance_condition(
     """
     if agent.space != pool.space or welfare.space != pool.space:
         raise SpaceMismatch("agent, welfare, and pool must share an outcome space")
-    ratio = np.exp(pool.log_p - agent.log_p)
-    c = cov(agent, welfare.f, ratio)
+    c = float(covariance_terms(agent.p, welfare.f, pool.p))
     return c, bool(c >= -tol)
+
+
+def covariance_terms(agents: np.ndarray, welfare: np.ndarray, pools: np.ndarray) -> np.ndarray:
+    """Stacked covariance criteria Cov_R(w, P/R) over rows (..., m) of agents
+    R, welfare values w and pools P, from centered values, with the ratio
+    evaluated as exp(log P − log R)."""
+    ratio = np.exp(np.log(pools) - np.log(agents))
+    w_c = welfare - (agents * welfare).sum(axis=-1, keepdims=True)
+    ratio_c = ratio - (agents * ratio).sum(axis=-1, keepdims=True)
+    return (agents * w_c * ratio_c).sum(axis=-1)
 
 
 @dataclass(frozen=True, slots=True)

@@ -90,3 +90,11 @@ def max_abs_against(values_np, mp_values):
 def loglog_slope(xs, ys):
     """Least-squares slope of log(y) against log(x)."""
     return float(np.polyfit(np.log(np.asarray(xs)), np.log(np.asarray(ys)), 1)[0])
+
+
+def mp_tilt_log_normalizer(p, f, t):
+    """log E_P[exp(t * f)] for P = p / sum(p), the log-normalizer of P
+    tilted by t * f."""
+    p, f = _mpf_list(p), _mpf_list(f)
+    t = mp.mpf(repr(float(t)))
+    return float(mp.log(mp.fsum(pi * mp.e ** (t * fi) for pi, fi in zip(p, f)) / mp.fsum(p)))

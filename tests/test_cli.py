@@ -337,6 +337,13 @@ def test_experiment_config_validation(tmp_path):
     assert main(["experiment", str(cfg), "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("analysis", [["gaps"], {"gaps": 1}, 3, None])
+def test_an_analysis_name_that_is_not_a_string_is_a_usage_error(tmp_path, capsys, analysis):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"family": {"kind": "analytic_unanimity"}, "analyses": [analysis]}))
+    assert_usage_error(capsys, ["experiment", str(cfg), "--out", str(tmp_path / "x")])
+
+
 def test_negative_experiment_seed_is_a_usage_error(tmp_path, capsys):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({**CONFIG, "seed": -1, "analyses": ["gaps"]}))

@@ -31,6 +31,11 @@ from logpool import (
     uniform,
     weighted_gap_sum,
 )
+from logpool.constructions import (
+    analytic_unanimity_rows, peaked_incompatible_rows, random_beta, random_dist, random_family,
+    random_probs,
+)
+from logpool.core import normalize_rows
 
 mp.mp.dps = 50
 
@@ -209,3 +214,25 @@ def test_single_counteragent_instance_validation():
         single_counteragent_instance(0.02, scale=-1.0)
     with pytest.raises(ParamOutOfRange):
         single_counteragent_instance(0.2)  # drains the third agent below zero
+
+
+def test_array_draws_match_the_object_draws_bit_for_bit():
+    for m, n in ((2, 2), (5, 3), (13, 6)):
+        a, b = rng_from(130, m, n), rng_from(130, m, n)
+        agents, weights = random_family(a, m, n)
+        probs, beta = random_probs(b, m, n), random_beta(b, n)
+        assert np.array_equal(np.stack([x.p for x in agents]), probs)
+        assert np.array_equal(weights.beta, beta)
+        assert np.array_equal(random_dist(a, OutcomeSpace(m)).p, random_probs(b, m))
+
+
+def test_instance_rows_stack_the_object_constructions():
+    eps = np.array([0.2, 0.03, 1e-4])
+    for n in (2, 3, 5):
+        analytic = normalize_rows(analytic_unanimity_rows(n, eps))
+        peaked = normalize_rows(peaked_incompatible_rows(n, eps))
+        for k, e in enumerate(eps):
+            decomp = analytic_unanimity_instance(n, float(e))
+            assert np.array_equal(analytic[k], np.stack([c.p for c in decomp.children]))
+            family = peaked_incompatible_family(n, float(e))
+            assert np.array_equal(peaked[k], np.stack([a.p for a in family]))

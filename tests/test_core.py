@@ -35,6 +35,7 @@ from logpool import (
     uniform,
 )
 from _gen import random_dist
+from logpool.core import normalize_rows, require_weight_rows
 
 SPACE3 = OutcomeSpace(3)
 SPACE4 = OutcomeSpace(4, ("a", "b", "c", "d"))
@@ -341,3 +342,27 @@ def test_kl_to_uniform_is_entropy_deficit(seed):
     assert kl(p, uniform(space)) == pytest.approx(
         np.log(m) - entropy(p), abs=1e-12
     )
+
+
+def test_weight_rows_fail_as_their_weights_would():
+    beta = np.full((50, 4), 0.25)
+    require_weight_rows(beta)
+    for spoil, error, message in (
+        (np.nan, NonFinite, "weights must be finite everywhere"),
+        (-0.25, ParamOutOfRange, "weights must be nonnegative"),
+        (0.5, NotNormalized, "weights sum to 1.25, expected 1 within 1e-12"),
+    ):
+        bad = beta.copy()
+        bad[23, 1] = spoil
+        with pytest.raises(error, match=message):
+            Weights(bad[23])
+        with pytest.raises(error, match="in row 23"):
+            require_weight_rows(bad)
+        require_weight_rows(np.delete(bad, 23, axis=0))
+
+
+def test_normalize_rows_is_make_dist_row_by_row():
+    raw = rng_from(120).gamma(1.5, 1.0, (40, 7)) + 0.02
+    p = normalize_rows(raw)
+    for row in range(40):
+        assert np.array_equal(p[row], make_dist(OutcomeSpace(7), raw[row]).p)

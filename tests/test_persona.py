@@ -44,6 +44,7 @@ from logpool import (
     tv,
     uniform,
 )
+from logpool.suites import run_suite
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +137,30 @@ def test_first_order_residual_slope_is_quadratic():
             continue
         slopes.append(_oracles.loglog_slope(ts, rs))
     assert slopes and min(slopes) >= 1.9
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-5])
+def test_first_order_residual_matches_the_mpmath_closed_form(scale):
+    # the residual is the constant -log E_P[exp(t * predicted)]; at scale
+    # 1e-5 it is ~1e-16 at t = 1e-3, below the rounding of log P itself
+    rng = rng_from(708)
+    for _ in range(10):
+        decomp = random_decomposition(rng, 6, 3)
+        profiles = centered_profiles(decomp)
+        d = rng.standard_normal(3)
+        d -= d.mean()
+        predicted, residual_norm_fn = first_order_delta_l(profiles, d * scale)
+        for t in (1e-2, 1e-3):
+            want = abs(_oracles.mp_tilt_log_normalizer(decomp.parent.p, predicted.f, t))
+            assert residual_norm_fn(t) == pytest.approx(want, rel=1e-9)
+
+
+def test_residual_slope_check_passes_where_rounding_used_to_fail_it():
+    # instance 25 of this seed has |predicted| = 1.8e-5: a slope of 1.73
+    # when the residual was measured as a difference of two log vectors
+    results = {r.name: r for r in run_suite("persona", 1741860215)}
+    check = results["persona.linearization_residual_is_second_order"]
+    assert check.passed and check.value >= 1.9
 
 
 def test_first_order_delta_l_validates_lengths():

@@ -32,6 +32,7 @@ from logpool import (
     tv,
 )
 from logpool.core import require_prob_rows
+from logpool.pooling import linear_pool_arrays
 
 
 def test_log_pool_matches_oracle_on_random_families():
@@ -265,3 +266,15 @@ def test_a_spoiled_pooled_row_fails_as_its_dist_would(spoil, error):
     with pytest.raises(error, match="in row 37"):
         require_prob_rows(p)
     require_prob_rows(np.delete(p, 37, axis=0))
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (3, 6), (8, 4), (13, 5)])
+def test_stacked_linear_pool_rows_match_per_instance_pools(m, n):
+    families, logs, beta = _stacked_families(225, m, n, 110)
+    p = linear_pool_arrays(np.exp(logs), beta)
+    assert p.shape == (110, m)
+    for row, (agents, weights) in enumerate(families):
+        assert np.array_equal(linear_pool_arrays(np.stack([a.p for a in agents]), weights.beta),
+                              linear_pool(agents, weights).p)
+        assert np.abs(p[row] - linear_pool(agents, weights).p).max() <= 1e-15
+    require_prob_rows(p)

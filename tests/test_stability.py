@@ -35,6 +35,7 @@ from logpool import (
     kl,
     welfare_gap,
 )
+from logpool.stability import transport_rows
 
 
 # ---------------------------------------------------------------------------
@@ -213,3 +214,17 @@ def test_transported_decomposition_keeps_weights_and_count(seed):
         shift = after.log_p - before.log_p
         expected = target.log_p - decomp.parent.log_p
         assert np.abs((shift - expected) - (shift - expected).mean()).max() <= 1e-10
+
+
+def test_stacked_transport_rows_match_per_child_transport():
+    rng = rng_from(612)
+    decomp = random_decomposition(rng, 6, 4)
+    targets = [random_dist(rng, decomp.space) for _ in range(30)]
+    children = np.stack([c.p for c in decomp.children])
+    rows = transport_rows(children, decomp.parent.p, np.stack([t.p for t in targets])[:, None, :])
+    assert rows.shape == (30, 4, 6)
+    for k, target in enumerate(targets):
+        moved = transport_decomposition(decomp, target)
+        for i, child in enumerate(decomp.children):
+            assert np.array_equal(rows[k, i], moved.children[i].p)
+            assert np.array_equal(rows[k, i], transport(child, decomp.parent, target).p)

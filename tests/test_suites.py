@@ -1,6 +1,8 @@
 """The verification-suite registry: what each suite holds, and how the
 ``samples`` and ``tolerance`` overrides reach its checks."""
 
+import sys
+
 import pytest
 
 from logpool import ParamOutOfRange, UnknownSuite
@@ -56,3 +58,46 @@ def test_run_suite_rejects_fewer_than_one_sample(samples):
 def test_run_suite_rejects_an_unknown_suite():
     with pytest.raises(UnknownSuite):
         run_suite("mystery", 0)
+
+
+#: Per suite at seed 42: ``Dist`` constructions and stacked-kernel calls
+#: before the instance loops were batched, and the most allowed now.  A
+#: batched check draws each instance from its own stream but validates, pools
+#: and scores a whole (m, n) shape group at once, so kernel calls scale with
+#: the shape groups (up to 42 per check), not the instances; the calls left
+#: in ``stability`` are the per-instance ``tilt_gap_fd`` (one each) and one
+#: per bisection step of each openness certificate.
+BATCHING_BOUNDS = {
+    # suite: {counter: (count before batching, bound now)}
+    "pools": {"Dist": (3503, 350), "log_pool_arrays": (640, 192)},
+    "welfare": {"Dist": (2021, 202), "gap_terms": (801, 80)},
+    "stability": {"Dist": (3328, 333), "gap_terms": (534, 160)},
+}
+
+
+@pytest.mark.parametrize("suite", sorted(BATCHING_BOUNDS))
+def test_batched_suites_build_few_objects_and_call_each_kernel_per_group(suite, monkeypatch):
+    import logpool
+    from logpool import core, pooling, welfare
+
+    counts = dict.fromkeys(BATCHING_BOUNDS[suite], 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    post_init = core.Dist.__post_init__
+    monkeypatch.setattr(core.Dist, "__post_init__", counted("Dist", post_init))
+    modules = [logpool, *(m for k, m in sys.modules.items() if k.startswith("logpool."))]
+    kernels = {"log_pool_arrays": pooling.log_pool_arrays, "gap_terms": welfare.gap_terms}
+    for name, fn in kernels.items():
+        if name in counts:
+            # rebind every module-level reference, wherever it was imported
+            for module in modules:
+                if getattr(module, name, None) is fn:
+                    monkeypatch.setattr(module, name, counted(name, fn))
+    run_suite(suite, 42)
+    for name, (before, bound) in BATCHING_BOUNDS[suite].items():
+        assert counts[name] <= bound, (name, counts[name], before)

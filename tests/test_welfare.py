@@ -30,6 +30,7 @@ from logpool import (
     weighted_gap_sum,
     welfare_gap,
 )
+from logpool.welfare import covariance_terms
 
 
 def test_welfare_gap_matches_oracle_definition():
@@ -255,3 +256,18 @@ def test_a_spoiled_gap_row_fails_as_the_object_path_would():
     with pytest.raises(IdentityMismatch, match="in row 41"):
         gap_terms(agents, pools)
     gap_terms(np.delete(agents, 41, axis=0), np.delete(pools, 41, axis=0))
+
+
+def test_stacked_covariance_rows_match_per_instance_conditions():
+    rng = rng_from(315)
+    for m in (2, 5, 13):
+        space = OutcomeSpace(m)
+        agents = [random_dist(rng, space) for _ in range(60)]
+        pools = [random_dist(rng, space) for _ in range(60)]
+        welfare = rng.standard_normal((60, m))
+        stacked = np.stack([a.p for a in agents]), np.stack([q.p for q in pools])
+        c = covariance_terms(stacked[0], welfare, stacked[1])
+        assert c.shape == (60,)
+        for row in range(60):
+            one, _ = covariance_condition(agents[row], ScoreFn(space, welfare[row]), pools[row])
+            assert c[row] == one
