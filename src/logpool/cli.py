@@ -217,7 +217,7 @@ def _analysis_openness(config: dict, seed: int) -> tuple[list[str], list[list], 
     if kind != "analytic_unanimity":
         raise ConfigParse("the openness analysis needs the analytic_unanimity family")
     params = _section(config, "openness")
-    samples = _number(params.get("samples", 32), int, "openness.samples", 0)
+    samples = _number(params.get("samples", 32), int, "openness.samples", 1)
     rows = []
     epsilon_by_n = {}
     for n in ns:

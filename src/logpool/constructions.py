@@ -191,11 +191,10 @@ def binary_gap_closed_form(x_i, x):
 
 
 def single_counteragent_instance(
-    delta: float,
-    beta: tuple[float, float, float] = (0.5, 0.3, 0.2),
-    scale: float = 1.0,
+    delta: float, scale: float = 1.0
 ) -> tuple[Decomposition, int, np.ndarray]:
-    """Three agents over a uniform pool with exactly one counteracting profile.
+    """Three agents with weights (0.5, 0.3, 0.2) over a uniform pool, with
+    exactly one counteracting profile.
 
     The first agent's centered log-profile is ``scale * g`` for a fixed unit
     direction g; the second agent's profile points exactly opposite, rescaled
@@ -213,9 +212,7 @@ def single_counteragent_instance(
         raise ParamOutOfRange("delta must be positive")
     if not scale > 0.0:
         raise ParamOutOfRange("scale must be positive")
-    b = np.asarray(beta, dtype=float)
-    if b.shape != (3,):
-        raise ParamOutOfRange("exactly three weights are required")
+    b = np.array([0.5, 0.3, 0.2])
     space = OutcomeSpace(4)
     g = np.array([3.0, -1.0, -1.0, -1.0]) / np.sqrt(3.0)
     ratio = b[0] / b[1]

@@ -454,7 +454,10 @@ def rng_from(seed: int, *path: int) -> np.random.Generator:
 
     All randomness in the package flows through this helper so a single
     CLI-level seed reproduces every draw; no wall clock, no OS entropy.
-    Distinct paths give independent streams.
+    Distinct paths give independent streams.  A negative seed or path entry
+    raises :class:`ParamOutOfRange`.
     """
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(x) for x in path))
-    return np.random.default_rng(ss)
+    key = tuple(int(x) for x in (seed, *path))
+    if min(key) < 0:
+        raise ParamOutOfRange(f"seed and path must be non-negative, got {seed!r}, {path!r}")
+    return np.random.default_rng(np.random.SeedSequence(entropy=key[0], spawn_key=key[1:]))

@@ -14,6 +14,7 @@ a subagent produced by such a split.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -83,6 +84,33 @@ def _seeded_tilt_direction(rng: np.random.Generator, m: int) -> np.ndarray:
     return g / scale
 
 
+def _balanced_children(
+    parent: Dist, weights: Weights, fixed: Sequence[Dist], solved: int, rng: np.random.Generator
+) -> list[Dist]:
+    """``fixed``, then a seeded free tilt of the uniform reference at every
+    later index but ``solved`` (drawn in index order, child i with magnitude
+    TILT_MAGNITUDE_BASE * (1 + (i+1)/n)), then the child at ``solved`` that
+    makes the weighted log-pool equal ``parent`` exactly."""
+    n, m = weights.n, parent.space.size
+    children: list[Dist | None] = list(fixed) + [None] * (n - len(fixed))
+    for i in range(len(fixed), n):
+        if i != solved:
+            magnitude = TILT_MAGNITUDE_BASE * (1.0 + (i + 1) / n)
+            children[i] = dist_from_log_weights(
+                parent.space, magnitude * _seeded_tilt_direction(rng, m)
+            )
+    gamma = 1.0 - float(weights.beta[solved])
+    mixed = np.zeros(m)
+    for i in range(n):
+        if i != solved:
+            mixed += weights.beta[i] * children[i].log_p
+    log_q_star = mixed / gamma
+    children[solved] = dist_from_log_weights(
+        parent.space, (parent.log_p - gamma * log_q_star) / weights.beta[solved]
+    )
+    return children
+
+
 def factor_pairwise_distinct(parent: Dist, weights: Weights, seed: int) -> Decomposition:
     """Factor ``parent`` into children that are pairwise distinct and distinct
     from the parent.
@@ -94,40 +122,15 @@ def factor_pairwise_distinct(parent: Dist, weights: Weights, seed: int) -> Decom
     deterministically from ``seed``) until every pairwise tv distance
     exceeds :data:`DISTINCTNESS_TV`.
     """
-    n = weights.n
     if int(np.count_nonzero(weights.beta > 0.0)) < 2:
         raise WeightTooConcentrated(
             "need at least two strictly positive weights to factor"
         )
-    m = parent.space.size
     absorber = int(np.argmax(weights.beta > 0.0))
-    gamma = 1.0 - float(weights.beta[absorber])
-
     for attempt in range(RETRY_BUDGET):
-        rng = rng_from(seed, attempt)
-        children: list[Dist | None] = [None] * n
-        for i in range(n):
-            if i == absorber:
-                continue
-            magnitude = TILT_MAGNITUDE_BASE * (1.0 + (i + 1) / n)
-            direction = _seeded_tilt_direction(rng, m)
-            children[i] = dist_from_log_weights(parent.space, magnitude * direction)
-        mixed = np.zeros(m)
-        for i in range(n):
-            if i != absorber:
-                mixed += weights.beta[i] * children[i].log_p
-        log_q_star = mixed / gamma
-        children[absorber] = dist_from_log_weights(
-            parent.space,
-            (parent.log_p - gamma * log_q_star) / weights.beta[absorber],
-        )
-        family = [parent] + [c for c in children if c is not None]
-        distances = [
-            tv(family[a], family[b])
-            for a in range(len(family))
-            for b in range(a + 1, len(family))
-        ]
-        if min(distances) > DISTINCTNESS_TV:
+        children = _balanced_children(parent, weights, (), absorber, rng_from(seed, attempt))
+        pairs = combinations([parent] + children, 2)
+        if min(tv(a, b) for a, b in pairs) > DISTINCTNESS_TV:
             return Decomposition(parent, tuple(children), weights, "log")
     raise DistinctnessFailure(
         f"could not separate children after {RETRY_BUDGET} seeds; "
@@ -160,24 +163,7 @@ def factor_with_fixed(
     for f in fixed:
         if f.space != parent.space:
             raise SpaceMismatch("fixed children must share the parent's space")
-
-    m = parent.space.size
-    rng = rng_from(seed, 0)
-    children: list[Dist | None] = list(fixed) + [None] * (n - k)
-    for j in range(k + 1, n):
-        magnitude = TILT_MAGNITUDE_BASE * (1.0 + (j + 1) / n)
-        children[j] = dist_from_log_weights(
-            parent.space, magnitude * _seeded_tilt_direction(rng, m)
-        )
-    gamma = 1.0 - float(weights.beta[k])
-    mixed = np.zeros(m)
-    for i in range(n):
-        if i != k:
-            mixed += weights.beta[i] * children[i].log_p
-    log_q_star = mixed / gamma
-    children[k] = dist_from_log_weights(
-        parent.space, (parent.log_p - gamma * log_q_star) / weights.beta[k]
-    )
+    children = _balanced_children(parent, weights, fixed, k, rng_from(seed, 0))
     return Decomposition(parent, tuple(children), weights, "log")
 
 
@@ -289,17 +275,13 @@ class ParentBenefitSweep:
     first_losing_lambda: float | None
 
 
-def parent_benefit_sweep(
-    P1: Dist,
-    t: float,
-    alpha: float,
-    o_star: int,
-    lambdas: Sequence[float] = LAMBDA_SWEEP,
-) -> ParentBenefitSweep:
+def parent_benefit_sweep(P1: Dist, t: float, alpha: float, o_star: int) -> ParentBenefitSweep:
+    """:func:`parent_benefit_counterexample` at each strength of
+    :data:`LAMBDA_SWEEP`, stopping early where the subagent underflows."""
     rows = []
     first = None
     parent_gap = None
-    for lam in lambdas:
+    for lam in LAMBDA_SWEEP:
         try:
             rep = parent_benefit_counterexample(P1, t, alpha, o_star, lam)
         except NonPositiveEntry:

@@ -28,8 +28,8 @@ from .core import (
     ScoreFn,
     Weights,
     cov,
+    _event_array,
     dist_from_log_weights,
-    event_indices,
     expect,
     inner_p,
     kl,
@@ -114,14 +114,28 @@ class LogProfile:
         return self.base.space
 
 
-def _require_shared_base(profiles: Sequence[LogProfile]) -> Dist:
+def _stack(profiles: Sequence[LogProfile]) -> tuple[Dist, np.ndarray]:
+    """The shared base of ``profiles`` and their vectors as rows (n, m)."""
     if len(profiles) == 0:
         raise LengthMismatch("need at least one profile")
     base = profiles[0].base
     for prof in profiles[1:]:
         if prof.base.space != base.space or not np.array_equal(prof.base.p, base.p):
             raise SpaceMismatch("profiles must share one base distribution")
-    return base
+    return base, np.stack([prof.v for prof in profiles])
+
+
+def _combine(coef: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sum_i coef_i * rows_i, added up row by row as a loop would (not BLAS)."""
+    return sum(coef[:, None] * rows, np.zeros(rows.shape[-1]))
+
+
+def _event_direction(P: Dist, event: Sequence[int]) -> np.ndarray:
+    """The indicator of a proper-subset ``event``, centered under P."""
+    idx = _event_array(P.space, event, allow_full=False)
+    g = np.zeros(P.space.size)
+    g[idx] = 1.0
+    return g - P.p[idx].sum()
 
 
 def centered_profiles(decomp: Decomposition) -> list[LogProfile]:
@@ -129,11 +143,8 @@ def centered_profiles(decomp: Decomposition) -> list[LogProfile]:
     if decomp.pool_kind != "log":
         raise PreconditionViolation("profiles are defined for log-pool decompositions")
     parent = decomp.parent
-    out = []
-    for child in decomp.children:
-        v = child.log_p - expect(parent, child.log_p)
-        out.append(LogProfile(parent, v))
-    return out
+    logs = np.log(np.stack([child.p for child in decomp.children]))
+    return [LogProfile(parent, v) for v in logs - (parent.p * logs).sum(axis=-1, keepdims=True)]
 
 
 def first_order_delta_l(
@@ -141,31 +152,29 @@ def first_order_delta_l(
 ) -> tuple[ScoreFn, Callable[[float], float]]:
     """Predicted log-deviation for a weight change, plus its residual probe.
 
-    ``predicted = sum_i dbeta_i * v_i``.  The returned ``residual_norm_fn(t)``
-    is ``‖ΔL(t) − t·predicted‖`` in the base-weighted norm for the re-pool at
-    the scaled change ``t * dbeta``.  Shifting the pool weights by ``t·dbeta``
-    tilts the pooled log-vector by exactly ``t·predicted`` up to the
-    normalization constant, so ``ΔL(t) − t·predicted`` is the constant
-    ``−log E_P[exp(t·predicted)]`` and its norm is that constant's absolute
-    value.  It is evaluated as ``|log1p(E_P[expm1(t·predicted)])|``, which
-    stays accurate when the residual is far below the rounding of ``log P``.
+    ``predicted = sum_i dbeta_i * v_i``; ``dbeta`` must sum to zero.  The
+    returned ``residual_norm_fn(t)`` is ``‖ΔL(t) − t·predicted‖`` in the
+    base-weighted norm for the re-pool at the scaled change ``t * dbeta``.
+    Shifting the pool weights by ``t·dbeta`` tilts the pooled log-vector by
+    exactly ``t·predicted`` up to the normalization constant, so
+    ``ΔL(t) − t·predicted`` is the constant ``−log E_P[exp(t·predicted)]``
+    and its norm is that constant's absolute value.  It is evaluated as
+    ``|log1p(E_P[expm1(t·predicted)])|``, which stays accurate when the
+    residual is far below the rounding of ``log P``.
     """
-    base = _require_shared_base(profiles)
+    base, V = _stack(profiles)
     d = np.asarray(dbeta, dtype=float).reshape(-1)
-    if d.shape[0] != len(profiles):
-        raise LengthMismatch(f"{d.shape[0]} weight changes for {len(profiles)} profiles")
+    if d.shape[0] != len(V):
+        raise LengthMismatch(f"{d.shape[0]} weight changes for {len(V)} profiles")
     total = float(d.sum())
     if abs(total) > 1e-12:
         raise DbetaNotZeroSum(f"weight changes sum to {total!r}, expected 0")
-    predicted_vec = np.zeros(base.space.size)
-    for di, prof in zip(d, profiles):
-        predicted_vec += di * prof.v
-    predicted = ScoreFn(base.space, predicted_vec)
+    predicted = _combine(d, V)
 
     def residual_norm_fn(t: float) -> float:
-        return abs(float(np.log1p((base.p * np.expm1(t * predicted_vec)).sum())))
+        return abs(float(np.log1p((base.p * np.expm1(t * predicted)).sum())))
 
-    return predicted, residual_norm_fn
+    return ScoreFn(base.space, predicted), residual_norm_fn
 
 
 @dataclass(frozen=True, slots=True)
@@ -210,7 +219,6 @@ def compensation_bound(
     delta: float,
     epsilon: float,
     dbeta: Sequence[float],
-    dead_zone: float = ALIGNMENT_DEAD_ZONE,
 ) -> CompensationReport:
     """Evaluate the compensation inequality for an actual weight change.
 
@@ -218,13 +226,13 @@ def compensation_bound(
     while the realized log-deviation stays within ``epsilon`` in the
     parent-weighted norm.  The residual is computed exactly (re-pooled
     deviation minus the linear prediction), so both sides of the inequality
-    are finite-precision numbers, not asymptotic bounds.
+    are finite-precision numbers, not asymptotic bounds.  Inner products
+    within :data:`ALIGNMENT_DEAD_ZONE` of zero classify as aligned.
     """
     profiles = centered_profiles(decomp)
-    n = len(profiles)
+    predicted = first_order_delta_l(profiles, dbeta)[0].f
     d = np.asarray(dbeta, dtype=float).reshape(-1)
-    if d.shape[0] != n:
-        raise LengthMismatch(f"{d.shape[0]} weight changes for {n} children")
+    n = len(profiles)
     if not (0 <= h_index < n):
         raise DbetaInconsistent(f"amplified index {h_index} outside [0, {n})")
     if not delta > 0.0:
@@ -233,11 +241,8 @@ def compensation_bound(
         raise DbetaInconsistent(
             f"dbeta[{h_index}] = {d[h_index]!r} does not equal delta = {delta!r}"
         )
-    total = float(d.sum())
-    if abs(total) > 1e-12:
-        raise DbetaNotZeroSum(f"weight changes sum to {total!r}, expected 0")
 
-    base = decomp.parent
+    base, V = _stack(profiles)
     shifted = log_pool(decomp.children, Weights(decomp.weights.beta + d))
     delta_l = shifted.log_p - base.log_p
     delta_l_norm = norm_p(base, delta_l)
@@ -246,32 +251,23 @@ def compensation_bound(
             f"realized deviation {delta_l_norm!r} exceeds the budget {epsilon!r}"
         )
 
-    target = profiles[h_index]
-    target_norm = norm_p(base, target.v)
-    inner = np.array([inner_p(base, prof.v, target.v) for prof in profiles])
-    anti = tuple(int(i) for i in range(n) if inner[i] < -dead_zone)
-    aligned = tuple(int(i) for i in range(n) if inner[i] >= -dead_zone)
-
-    predicted = np.zeros(base.space.size)
-    for di, prof in zip(d, profiles):
-        predicted += di * prof.v
+    target = V[h_index]
+    target_norm = norm_p(base, target)
+    inner = (base.p * V * target).sum(axis=-1)
+    anti = tuple(int(i) for i in range(n) if inner[i] < -ALIGNMENT_DEAD_ZONE)
+    aligned = tuple(int(i) for i in range(n) if inner[i] >= -ALIGNMENT_DEAD_ZONE)
     residual_norm = norm_p(base, delta_l - predicted)
 
     lhs = float(sum(max(d[i], 0.0) * abs(inner[i]) for i in anti))
     downgrade_term = float(sum(max(-d[j], 0.0) * inner[j] for j in aligned))
-    rhs = (
-        delta * target_norm**2
-        - (epsilon + residual_norm) * target_norm
-        - downgrade_term
-    )
+    forced = delta * target_norm**2 - (epsilon + residual_norm) * target_norm
+    rhs = forced - downgrade_term
 
     single = len(anti) == 1
     counter_index = anti[0] if single else None
     counter_lower_bound = None
     if single and abs(inner[counter_index]) > 0.0:
-        counter_lower_bound = (
-            delta * target_norm**2 - (epsilon + residual_norm) * target_norm
-        ) / abs(inner[counter_index])
+        counter_lower_bound = forced / abs(inner[counter_index])
     return CompensationReport(
         h_index=h_index,
         delta=float(delta),
@@ -288,7 +284,7 @@ def compensation_bound(
         single_anti_aligned=single,
         counter_index=counter_index,
         counter_lower_bound=counter_lower_bound,
-        aligned_not_downgraded=bool(downgrade_term <= dead_zone),
+        aligned_not_downgraded=bool(downgrade_term <= ALIGNMENT_DEAD_ZONE),
     )
 
 
@@ -329,36 +325,30 @@ def event_first_order(
     indicator of the event.  Their difference shrinks quadratically as
     delta_l is scaled down.
     """
-    idx = event_indices(P.space, event)
+    g = _event_direction(P, event)
     if delta_l.space != P.space:
         raise SpaceMismatch("log-deviation must live on the distribution's space")
     shifted = dist_from_log_weights(P.space, P.log_p + delta_l.f)
-    exact = shifted.prob_of(idx) - P.prob_of(idx)
-    g = np.zeros(P.space.size)
-    g[list(idx)] = 1.0
-    g -= P.prob_of(idx)
-    linear = inner_p(P, delta_l.f, g)
-    return float(exact), float(linear)
+    exact = shifted.prob_of(event) - P.prob_of(event)
+    return float(exact), float(inner_p(P, delta_l.f, g))
 
 
-def _p_orthonormal_basis(
-    base: Dist, vectors: Sequence[np.ndarray], rel_tol: float = PIVOT_REL_TOL
-) -> list[np.ndarray]:
-    """Orthonormal basis of span{vectors} in the base-weighted inner product.
+def _p_orthonormal_basis(base: Dist, vectors: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (rows) of span{rows of vectors} in the base-weighted
+    inner product.
 
     Pivoted elimination on the Gram system: at each step the vector with the
     largest remaining squared norm is normalized and swept out of the rest;
-    remainders whose pivot falls below ``rel_tol`` times the largest original
-    pivot are dependent and get dropped.  An absolute floor of
-    :data:`ZERO_PIVOT_ABS` keeps pure arithmetic noise (children identical up
-    to rounding) from masquerading as a one-dimensional span.
+    remainders whose pivot falls below :data:`PIVOT_REL_TOL` times the
+    largest original pivot are dependent and get dropped.  An absolute floor
+    of :data:`ZERO_PIVOT_ABS` keeps pure arithmetic noise (children identical
+    up to rounding) from masquerading as a one-dimensional span.
     """
-    work = [np.array(v, dtype=float) for v in vectors]
-    norms2 = [inner_p(base, v, v) for v in work]
-    if not norms2:
-        return []
-    pivot_floor = max(rel_tol * max(norms2), ZERO_PIVOT_ABS)
-    basis: list[np.ndarray] = []
+    p = base.p
+    work = np.array(vectors, dtype=float)
+    norms2 = (p * work * work).sum(axis=-1)
+    pivot_floor = max(PIVOT_REL_TOL * norms2.max(initial=0.0), ZERO_PIVOT_ABS)
+    basis = []
     remaining = list(range(len(work)))
     while remaining:
         j = max(remaining, key=lambda i: norms2[i])
@@ -367,17 +357,15 @@ def _p_orthonormal_basis(
         e = work[j] / np.sqrt(norms2[j])
         basis.append(e)
         remaining.remove(j)
-        for i in remaining:
-            work[i] = work[i] - inner_p(base, work[i], e) * e
-            norms2[i] = inner_p(base, work[i], work[i])
-    return basis
+        rest = work[remaining] - (p * work[remaining] * e).sum(axis=-1)[:, None] * e
+        work[remaining] = rest
+        norms2[remaining] = (p * rest * rest).sum(axis=-1)
+    return np.reshape(basis, (len(basis), work.shape[-1]))
 
 
-def _project(base: Dist, basis: Sequence[np.ndarray], vec: np.ndarray) -> np.ndarray:
-    proj = np.zeros_like(vec)
-    for e in basis:
-        proj += inner_p(base, vec, e) * e
-    return proj
+def _project(base: Dist, basis: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """Base-weighted projection of ``vec`` onto the orthonormal rows of ``basis``."""
+    return _combine((base.p * vec * basis).sum(axis=-1), basis)
 
 
 @dataclass(frozen=True, slots=True)
@@ -411,10 +399,7 @@ class SuppressionPlan:
 
 
 def optimal_suppression(
-    profiles: Sequence[LogProfile],
-    event: Sequence[int],
-    epsilon: float,
-    rel_tol: float = PIVOT_REL_TOL,
+    profiles: Sequence[LogProfile], event: Sequence[int], epsilon: float
 ) -> SuppressionPlan:
     """Best first-order reduction of P(event) within the profile span.
 
@@ -423,36 +408,27 @@ def optimal_suppression(
     opposite the span-projection of the event's centered indicator; the
     optimum equals epsilon times that projection's norm.
     """
-    if not epsilon > 0.0:
-        raise ParamOutOfRange("the budget must be positive")
-    base = _require_shared_base(profiles)
-    idx = event_indices(base.space, event)
-    basis = _p_orthonormal_basis(base, [prof.v for prof in profiles], rel_tol)
-    if not basis:
+    if not 0.0 < epsilon < np.inf:
+        raise ParamOutOfRange("the budget must be positive and finite")
+    base, V = _stack(profiles)
+    g = _event_direction(base, event)
+    basis = _p_orthonormal_basis(base, V)
+    if not len(basis):
         raise DegenerateSpan("every profile is numerically zero")
-    g = np.zeros(base.space.size)
-    g[list(idx)] = 1.0
-    g -= base.prob_of(idx)
     proj = _project(base, basis, g)
     proj_norm = norm_p(base, proj)
     if proj_norm <= _ZERO_PROJECTION_REL * norm_p(base, g):
-        return SuppressionPlan(
-            base=base,
-            delta_l=ScoreFn.zero(base.space),
-            budget=float(epsilon),
-            achieved=0.0,
-            projection_norm=0.0,
-            span_dim=len(basis),
-            zero_projection=True,
-        )
+        delta_l, achieved, proj_norm = np.zeros_like(g), 0.0, 0.0
+    else:
+        delta_l, achieved = -epsilon * proj / proj_norm, float(epsilon * proj_norm)
     return SuppressionPlan(
         base=base,
-        delta_l=ScoreFn(base.space, -epsilon * proj / proj_norm),
+        delta_l=ScoreFn(base.space, delta_l),
         budget=float(epsilon),
-        achieved=float(epsilon * proj_norm),
+        achieved=achieved,
         projection_norm=float(proj_norm),
         span_dim=len(basis),
-        zero_projection=False,
+        zero_projection=proj_norm == 0.0,
     )
 
 
@@ -496,46 +472,27 @@ def projection_gain(
 
     ``u = w − Proj_span(w)`` is the genuinely new direction; when its norm
     falls below :data:`SPAN_MEMBERSHIP_TOL` the report is flagged
-    ``w_in_span`` and the gain is zero.
+    ``w_in_span``, the enlarged span is the old one and the gain is zero.
     """
-    if not epsilon > 0.0:
-        raise ParamOutOfRange("the budget must be positive")
-    base = _require_shared_base(list(profiles) + [w])
-    idx = event_indices(base.space, event)
-    vectors = [prof.v for prof in profiles]
-    basis0 = _p_orthonormal_basis(base, vectors)
-    g = np.zeros(base.space.size)
-    g[list(idx)] = 1.0
-    g -= base.prob_of(idx)
-
+    if not 0.0 < epsilon < np.inf:
+        raise ParamOutOfRange("the budget must be positive and finite")
+    base, V = _stack([*profiles, w])
+    g = _event_direction(base, event)
+    basis0 = _p_orthonormal_basis(base, V[:-1])
     proj0 = _project(base, basis0, g)
     sq_base = inner_p(base, proj0, proj0)
     base_value = epsilon * float(np.sqrt(max(sq_base, 0.0)))
 
-    u = w.v - _project(base, basis0, w.v)
+    u = V[-1] - _project(base, basis0, V[-1])
     u_norm = norm_p(base, u)
-    if u_norm < SPAN_MEMBERSHIP_TOL:
-        return ProjectionGainReport(
-            budget=float(epsilon),
-            gain=0.0,
-            u_norm=float(u_norm),
-            correlation=0.0,
-            base_value=base_value,
-            enlarged_value=base_value,
-            sq_base=float(sq_base),
-            sq_enlarged_direct=float(sq_base),
-            sq_enlarged_pythagoras=float(sq_base),
-            closed_form_gain=0.0,
-            w_in_span=True,
-            base_dim=len(basis0),
-            enlarged_dim=len(basis0),
-        )
-
-    basis1 = _p_orthonormal_basis(base, vectors + [w.v])
-    proj1 = _project(base, basis1, g)
-    sq_direct = inner_p(base, proj1, proj1)
-    correlation = inner_p(base, g, u) / u_norm
-    sq_pythagoras = sq_base + correlation**2
+    in_span = u_norm < SPAN_MEMBERSHIP_TOL
+    if in_span:
+        basis1, sq_direct, correlation = basis0, sq_base, 0.0
+    else:
+        basis1 = _p_orthonormal_basis(base, V)
+        proj1 = _project(base, basis1, g)
+        sq_direct = inner_p(base, proj1, proj1)
+        correlation = inner_p(base, g, u) / u_norm
     enlarged_value = epsilon * float(np.sqrt(max(sq_direct, 0.0)))
     return ProjectionGainReport(
         budget=float(epsilon),
@@ -546,9 +503,9 @@ def projection_gain(
         enlarged_value=enlarged_value,
         sq_base=float(sq_base),
         sq_enlarged_direct=float(sq_direct),
-        sq_enlarged_pythagoras=float(sq_pythagoras),
+        sq_enlarged_pythagoras=float(sq_base + correlation**2),
         closed_form_gain=float(epsilon * abs(correlation)),
-        w_in_span=False,
+        w_in_span=in_span,
         base_dim=len(basis0),
         enlarged_dim=len(basis1),
     )

@@ -18,8 +18,9 @@ from .core import (
     OutcomeSpace,
     ScoreFn,
     Weights,
+    first_row,
+    require_prob_rows,
     softmax,
-    tv,
 )
 from .errors import LengthMismatch, NotAPoolWitness, ParamOutOfRange, SpaceMismatch
 
@@ -104,6 +105,30 @@ def linear_pool_arrays(probs: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return mixed / mixed.sum(axis=-1, keepdims=True)
 
 
+def require_pool_witness(
+    children: np.ndarray, beta: np.ndarray, parents: np.ndarray, tol: float, kind: str = "log"
+) -> np.ndarray | None:
+    """Re-pool stacked children (..., n, m) with weights (..., n) and require
+    each pool to be a valid distribution within tv ``tol`` of its parent
+    (..., m), or raise :class:`NotAPoolWitness` naming the first row that is
+    not.  Returns each log pool's log Z (...), or None for ``kind="linear"``.
+    """
+    if kind == "log":
+        pooled, log_z = log_pool_arrays(np.log(children), beta)
+    else:
+        pooled, log_z = linear_pool_arrays(children, beta), None
+    require_prob_rows(pooled)
+    err = 0.5 * np.abs(pooled - parents).sum(axis=-1)
+    bad = err > tol
+    if bad.any():
+        row, where = first_row(bad)
+        raise NotAPoolWitness(
+            f"children{where} pool to tv distance {float(err[row]):.3e} from the "
+            f"claimed parent (tolerance {tol:.1e})"
+        )
+    return log_z
+
+
 def pool(agents: Sequence[Dist], weights: Weights, kind: str) -> Dist:
     if kind == "log":
         return log_pool(agents, weights)
@@ -140,13 +165,8 @@ class Decomposition:
         for c in self.children:
             if c.space != self.parent.space:
                 raise SpaceMismatch("children must share the parent's outcome space")
-        repooled = pool(self.children, self.weights, self.pool_kind)
-        err = tv(repooled, self.parent)
-        if err > self.tol:
-            raise NotAPoolWitness(
-                f"children pool to tv distance {err:.3e} from the claimed parent "
-                f"(tolerance {self.tol:.1e})"
-            )
+        children = np.stack([c.p for c in self.children])
+        require_pool_witness(children, self.weights.beta, self.parent.p, self.tol, self.pool_kind)
 
     @property
     def n(self) -> int:
@@ -165,12 +185,7 @@ def make_decomposition(
     return Decomposition(parent, tuple(children), weights, pool_kind)
 
 
-def tilt_representation(
-    parent: Dist,
-    children: Sequence[Dist],
-    weights: Weights,
-    tol: float = POOL_REVALIDATION_TOL,
-) -> list[ScoreFn]:
+def tilt_representation(parent: Dist, children: Sequence[Dist], weights: Weights) -> list[ScoreFn]:
     """Write each child as an exponential tilt of the parent.
 
     Returns score functions ``h_i`` with ``P_i ∝ P · exp(h_i)`` and
@@ -179,18 +194,15 @@ def tilt_representation(
     constant; that constant is removed from a single designated index
     k = argmax beta (lowest index on ties), which rescales P_k's
     normalizer and changes nothing else.  The deterministic choice of k
-    keeps golden outputs stable.
+    keeps golden outputs stable.  The children must pool to ``parent``
+    within :data:`POOL_REVALIDATION_TOL`.
     """
     space = _check_family(children, weights)
     if space != parent.space:
         raise SpaceMismatch("parent and children must share an outcome space")
-    repooled, log_z = log_pool_with_log_z(children, weights)
-    err = tv(repooled, parent)
-    if err > tol:
-        raise NotAPoolWitness(
-            f"children pool to tv distance {err:.3e} from the claimed parent "
-            f"(tolerance {tol:.1e})"
-        )
+    log_z = require_pool_witness(
+        np.stack([c.p for c in children]), weights.beta, parent.p, POOL_REVALIDATION_TOL
+    )
     k = int(np.argmax(weights.beta))
     tilts = []
     for i, child in enumerate(children):

@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
+    VALUE_TOL,
     Dist,
     ScoreFn,
     Weights,
@@ -30,9 +31,9 @@ from .core import (
     uniform,
 )
 from .errors import (
-    NotAPoolWitness, NotFound, NotStrictlyUnanimous, SpaceMismatch, TiltsNotCentered,
+    NotFound, NotStrictlyUnanimous, ParamOutOfRange, SpaceMismatch, TiltsNotCentered,
 )
-from .pooling import Decomposition, POOL_REVALIDATION_TOL, log_pool_arrays
+from .pooling import Decomposition, POOL_REVALIDATION_TOL, require_pool_witness
 from .welfare import UNANIMITY_TOL, gap_terms, unanimity_report, welfare_gap
 
 __all__ = [
@@ -51,6 +52,12 @@ __all__ = [
 #: Probe coordinates must stay inside (POSITIVITY_FLOOR, 1) when sampling
 #: targets near a distribution; keeps every probe strictly positive.
 POSITIVITY_FLOOR = 1e-9
+
+#: Centered directions drawn per probe stream; the first that fits is used.
+PROBE_TRIES = 64
+
+#: Bisection steps of :func:`certify_openness` on the tv radius in (0, 1/2).
+BISECTION_STEPS = 18
 
 
 def transport_rows(children: np.ndarray, base: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -90,10 +97,10 @@ def transport_decomposition(decomp: Decomposition, target: Dist) -> Decompositio
     )
 
 
-def _tv_directions(rng: np.random.Generator, m: int, max_tries: int):
-    """``max_tries`` centered directions (max_tries, m), drawn in order, and
-    their L1 norms: what a probe at any radius scales."""
-    d = rng.standard_normal((max_tries, m))
+def _tv_directions(rng: np.random.Generator, m: int):
+    """:data:`PROBE_TRIES` centered directions (PROBE_TRIES, m), drawn in
+    order, and their L1 norms: what a probe at any radius scales."""
+    d = rng.standard_normal((PROBE_TRIES, m))
     d = d - d.mean(axis=-1, keepdims=True)
     return d, np.abs(d).sum(axis=-1)
 
@@ -108,21 +115,16 @@ def _at_radius(base: np.ndarray, d: np.ndarray, l1: np.ndarray, radius: float):
     return p / p.sum(axis=-1, keepdims=True), fits.any(axis=-1)
 
 
-def sample_at_tv_radius(
-    base: Dist,
-    radius: float,
-    rng: np.random.Generator,
-    max_tries: int = 64,
-) -> Dist | None:
+def sample_at_tv_radius(base: Dist, radius: float, rng: np.random.Generator) -> Dist | None:
     """A seeded random distribution at tv-distance ``radius`` from ``base``.
 
-    Draws ``max_tries`` centered directions in the simplex tangent space up
-    front, scales them to the requested tv, and takes the first that keeps
-    every coordinate inside (POSITIVITY_FLOOR, 1).  Returns None when none
-    fits — the radius is simply too large around this base point.
+    Draws :data:`PROBE_TRIES` centered directions in the simplex tangent
+    space up front, scales them to the requested tv, and takes the first
+    that keeps every coordinate inside (POSITIVITY_FLOOR, 1).  Returns None
+    when none fits — the radius is simply too large around this base point.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        p, found = _at_radius(base.p, *_tv_directions(rng, base.space.size, max_tries), radius)
+        p, found = _at_radius(base.p, *_tv_directions(rng, base.space.size), radius)
     return Dist(base.space, p) if found else None
 
 
@@ -150,15 +152,12 @@ class OpennessCertificate:
 
 
 def certify_openness(
-    decomp: Decomposition,
-    samples: int = 64,
-    seed: int = 0,
-    tol: float = UNANIMITY_TOL,
-    iterations: int = 18,
+    decomp: Decomposition, samples: int = 64, seed: int = 0
 ) -> OpennessCertificate:
     """Bisect for the largest empirically clean tv radius around the parent.
 
-    The input must be strictly unanimous.  Probe directions are keyed by
+    The input must be strictly unanimous and ``samples`` at least 1: a
+    certificate rests on at least one probe.  Probe directions are keyed by
     (seed, sample index) only, so a run with more samples extends — never
     replaces — the probe set of a run with fewer; certified radii can
     therefore only shrink or hold as ``samples`` grows.  Each step scores
@@ -171,7 +170,9 @@ def certify_openness(
     guarantee that *some* positive radius exists is the theorem's job; the
     certificate records how far probing got.
     """
-    base_report = unanimity_report(decomp, tol=tol)
+    if samples < 1:
+        raise ParamOutOfRange(f"openness needs at least one probe sample, got {samples!r}")
+    base_report = unanimity_report(decomp)
     if not base_report.strictly_unanimous:
         raise NotStrictlyUnanimous(
             "openness certification needs every gap strictly positive; "
@@ -181,9 +182,9 @@ def certify_openness(
     # a probe direction does not depend on the radius, only its rejection
     # does: each sample's stream is drawn once and scaled at every step
     m = decomp.space.size
-    d, l1 = np.empty((samples, 64, m)), np.empty((samples, 64))
+    d, l1 = np.empty((samples, PROBE_TRIES, m)), np.empty((samples, PROBE_TRIES))
     for s in range(samples):
-        d[s], l1[s] = _tv_directions(rng_from(seed, s), m, 64)
+        d[s], l1[s] = _tv_directions(rng_from(seed, s), m)
     children = np.stack([c.p for c in decomp.children])
 
     def probe(radius: float) -> tuple[bool, float]:
@@ -194,16 +195,13 @@ def certify_openness(
         require_prob_rows(targets)
         moved = transport_rows(children, decomp.parent.p, targets[:, None, :])
         require_prob_rows(moved)
-        repooled = log_pool_arrays(np.log(moved), decomp.weights.beta)[0]
-        require_prob_rows(repooled)
-        if (0.5 * np.abs(repooled - targets).sum(axis=-1) > POOL_REVALIDATION_TOL).any():
-            raise NotAPoolWitness("a transported probe no longer pools to its target")
+        require_pool_witness(moved, decomp.weights.beta, targets, POOL_REVALIDATION_TOL)
         gaps = gap_terms(moved, targets[:, None, :])[0]
-        return bool((gaps > tol).all()), float(gaps.min(initial=np.inf))
+        return bool((gaps > UNANIMITY_TOL).all()), float(gaps.min(initial=np.inf))
 
     lo, lo_gap = 0.0, 0.0
     hi = 0.5
-    for _ in range(iterations):
+    for _ in range(BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
         ok, gap = probe(mid)
         if ok:
@@ -232,9 +230,11 @@ def tilt_gap_derivative(P: Dist, h: ScoreFn) -> float:
     return -cov(P, h.f, P.log_p)
 
 
-def tilt_gap_fd(P: Dist, h: ScoreFn, step: float = 1e-5) -> float:
-    """Central finite difference companion to :func:`tilt_gap_derivative`:
-    both tilted agents are scored against P in one stacked gap call."""
+def tilt_gap_fd(P: Dist, h: ScoreFn) -> float:
+    """Central finite difference (step 1e-5) companion to
+    :func:`tilt_gap_derivative`: both tilted agents are scored against P in
+    one stacked gap call."""
+    step = 1e-5
     tilted = softmax(P.log_p + np.array([[step], [-step]]) * h.f)[0]
     require_prob_rows(tilted)
     up, down = gap_terms(tilted, P.p)[0]
@@ -242,14 +242,14 @@ def tilt_gap_fd(P: Dist, h: ScoreFn, step: float = 1e-5) -> float:
 
 
 def local_unanimity_audit(
-    P: Dist, tilts: Sequence[ScoreFn], weights: Weights, tol: float = 1e-9
+    P: Dist, tilts: Sequence[ScoreFn], weights: Weights
 ) -> tuple[np.ndarray, float]:
     """Per-tilt gap derivatives and their weight-averaged sum.
 
-    The tilts must satisfy sum_i beta_i h_i = 0 at every outcome (the
-    balanced form any pool witness family can be put into); then the
-    weighted derivative sum vanishes identically, so the gaps cannot all
-    rise to first order.  Returns (derivatives, weighted_sum).
+    The tilts must satisfy sum_i beta_i h_i = 0 at every outcome, within
+    ``VALUE_TOL`` (the balanced form any pool witness family can be put
+    into); then the weighted derivative sum vanishes identically, so the
+    gaps cannot all rise to first order.  Returns (derivatives, weighted_sum).
     """
     if len(tilts) != weights.n:
         raise TiltsNotCentered(
@@ -261,9 +261,9 @@ def local_unanimity_audit(
             raise SpaceMismatch("tilts must live on the distribution's space")
         combined += beta_i * h.f
     worst = float(np.max(np.abs(combined)))
-    if worst > tol:
+    if worst > VALUE_TOL:
         raise TiltsNotCentered(
-            f"weighted tilt sum deviates from zero by {worst:.3e} (tol {tol:.1e})"
+            f"weighted tilt sum deviates from zero by {worst:.3e} (tol {VALUE_TOL:.1e})"
         )
     derivatives = np.array([tilt_gap_derivative(P, h) for h in tilts])
     return derivatives, float(weights.beta @ derivatives)

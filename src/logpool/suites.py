@@ -385,7 +385,7 @@ def _cyclic(run: _Run):
             for agent, w in zip(inst.agents, inst.welfares):
                 gain = expect(pooled, w) - expect(agent, w)
                 worst = max(worst, abs(gain - margin))
-                c, verdict = covariance_condition(agent, w, pooled, tol=1e-9)
+                c, verdict = covariance_condition(agent, w, pooled)
                 if not verdict:
                     worst = max(worst, 1.0)
             cases += 1

@@ -39,7 +39,7 @@ UNANIMITY_TOL = 1e-9
 
 
 def gap_terms(
-    agents: np.ndarray, pools: np.ndarray, tol: float = VALUE_TOL
+    agents: np.ndarray, pools: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Stacked welfare gaps of agents R (..., m) against pools P (..., m).
 
@@ -47,7 +47,7 @@ def gap_terms(
     entropy is computed once over its own input's leading axes, the gaps and
     KL terms over the broadcast ones.  The gap is the direct form
     E_P[log R] − E_R[log R]; the identity form H(R) − H(P) − KL(P‖R) must
-    agree within ``tol`` on every row, checked once per batch, or
+    agree within ``VALUE_TOL`` on every row, checked once per batch, or
     :class:`IdentityMismatch` names the first row that disagrees.
     """
     log_r = np.log(agents)
@@ -58,7 +58,7 @@ def gap_terms(
     h_p = -(pools * log_p).sum(axis=-1)
     kl_pr = (pools * (log_p - log_r)).sum(axis=-1)
     identity = h_r - h_p - kl_pr
-    bad = np.abs(gaps - identity) > tol
+    bad = np.abs(gaps - identity) > VALUE_TOL
     if bad.any():
         row, where = first_row(bad)
         raise IdentityMismatch(
@@ -68,24 +68,22 @@ def gap_terms(
     return gaps, h_r, h_p, kl_pr
 
 
-def welfare_gap(agent: Dist, pool: Dist, tol: float = VALUE_TOL) -> float:
+def welfare_gap(agent: Dist, pool: Dist) -> float:
     """E_pool[log agent] − E_agent[log agent], cross-checked two ways.
 
     The direct expectation form is returned; the entropy/KL identity form
-    must agree within ``tol`` or :class:`IdentityMismatch` is raised.
+    must agree within ``VALUE_TOL`` or :class:`IdentityMismatch` is raised.
     """
     if agent.space != pool.space:
         raise SpaceMismatch("agent and pool must share an outcome space")
-    return float(gap_terms(agent.p, pool.p, tol)[0])
+    return float(gap_terms(agent.p, pool.p)[0])
 
 
-def covariance_condition(
-    agent: Dist, welfare: ScoreFn, pool: Dist, tol: float = VALUE_TOL
-) -> tuple[float, bool]:
+def covariance_condition(agent: Dist, welfare: ScoreFn, pool: Dist) -> tuple[float, bool]:
     """Covariance test for whether joining the pool helps this agent.
 
     Returns ``(c, verdict)`` where ``c = Cov_agent(welfare, ratio)`` with
-    ``ratio(o) = pool(o)/agent(o)`` and ``verdict = (c >= -tol)``.  The
+    ``ratio(o) = pool(o)/agent(o)`` and ``verdict = (c >= -VALUE_TOL)``.  The
     covariance equals E_pool[welfare] − E_agent[welfare] exactly, so the
     verdict is the same as asking whether the agent's expected welfare
     weakly improves under the pool.
@@ -96,7 +94,7 @@ def covariance_condition(
     if agent.space != pool.space or welfare.space != pool.space:
         raise SpaceMismatch("agent, welfare, and pool must share an outcome space")
     c = float(covariance_terms(agent.p, welfare.f, pool.p))
-    return c, bool(c >= -tol)
+    return c, bool(c >= -VALUE_TOL)
 
 
 def covariance_terms(agents: np.ndarray, welfare: np.ndarray, pools: np.ndarray) -> np.ndarray:
@@ -144,7 +142,7 @@ class WelfareReport:
         return float(self.gaps.min())
 
 
-def unanimity_report(decomp: Decomposition, tol: float = UNANIMITY_TOL) -> WelfareReport:
+def unanimity_report(decomp: Decomposition) -> WelfareReport:
     """Welfare gaps of every child against the parent, with verdicts.
 
     Epistemic welfare is hard-coded here: each child's welfare function is
@@ -160,13 +158,13 @@ def unanimity_report(decomp: Decomposition, tol: float = UNANIMITY_TOL) -> Welfa
         entropy_children=h_children,
         entropy_parent=float(h_parent),
         kl_parent_children=kl_terms,
-        unanimous=bool(np.all(gaps >= -tol)),
-        strictly_unanimous=bool(np.all(gaps > tol)),
-        tolerance=tol,
+        unanimous=bool(np.all(gaps >= -UNANIMITY_TOL)),
+        strictly_unanimous=bool(np.all(gaps > UNANIMITY_TOL)),
+        tolerance=UNANIMITY_TOL,
     )
 
 
-def weighted_gap_sum(decomp: Decomposition, tol: float = VALUE_TOL) -> float:
+def weighted_gap_sum(decomp: Decomposition) -> float:
     """sum_i beta_i * gap_i — the group's weight-averaged welfare change."""
-    gaps = gap_terms(np.stack([c.p for c in decomp.children]), decomp.parent.p, tol)[0]
+    gaps = gap_terms(np.stack([c.p for c in decomp.children]), decomp.parent.p)[0]
     return float(decomp.weights.beta @ gaps)

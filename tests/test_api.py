@@ -1,7 +1,9 @@
 """The public surface: every name ``logpool`` exports is documented in the
-README or used by the package itself."""
+README or used by the package itself, and every default a public function
+offers is set by some caller."""
 
 import ast
+import inspect
 import re
 from pathlib import Path
 
@@ -30,3 +32,51 @@ def test_every_public_name_is_documented_or_used_in_src():
     used = _names_used_in_src()
     orphans = [name for name in logpool.__all__ if name not in readme | used]
     assert orphans == []
+
+
+def _public_functions() -> dict[str, inspect.Signature]:
+    return {
+        name: inspect.signature(obj)
+        for name in logpool.__all__
+        if inspect.isfunction(obj := getattr(logpool, name))
+    }
+
+
+def _passed_arguments(names) -> dict[str, tuple[int, set[str]]]:
+    """For each function name, the most positional arguments any call in
+    ``src/`` or ``tests/`` passes, and every keyword some call passes.  A call
+    with ``*args`` or ``**kwargs`` counts as passing every argument."""
+    passed = {name: (0, set()) for name in names}
+    for path in sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name not in passed:
+                continue
+            most, keywords = passed[name]
+            if any(isinstance(a, ast.Starred) for a in node.args):
+                most = max(most, 10**6)
+            most = max(most, len(node.args))
+            for kw in node.keywords:
+                keywords.add("**" if kw.arg is None else kw.arg)
+            passed[name] = (most, keywords)
+    return passed
+
+
+def test_every_public_default_is_set_by_some_caller():
+    """A default-valued parameter that no call site in ``src/`` or ``tests/``
+    passes is a dead knob: it belongs in a module constant."""
+    signatures = _public_functions()
+    passed = _passed_arguments(signatures)
+    dead = []
+    for name, sig in signatures.items():
+        most, keywords = passed[name]
+        for i, param in enumerate(sig.parameters.values()):
+            if param.default is inspect.Parameter.empty:
+                continue
+            by_position = param.kind is not param.KEYWORD_ONLY and i < most
+            if not (by_position or param.name in keywords or "**" in keywords):
+                dead.append(f"{name}({param.name})")
+    assert dead == [], "never-set defaults: " + ", ".join(dead)

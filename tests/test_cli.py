@@ -411,3 +411,11 @@ def test_negative_counts_are_usage_errors(tmp_path, capsys, change):
     cfg.write_text(json.dumps({**CONFIG, **change}))
     assert_usage_error(capsys, ["experiment", str(cfg), "--out", str(tmp_path / "x")])
     assert not list(tmp_path.glob("x.*"))
+
+
+def test_an_openness_run_without_samples_is_a_usage_error(tmp_path, capsys):
+    """``samples: 0`` used to certify radius 0.49999809 from no probe at all."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**CONFIG, "analyses": ["openness"], "openness": {"samples": 0}}))
+    assert_usage_error(capsys, ["experiment", str(cfg), "--out", str(tmp_path / "x")])
+    assert not list(tmp_path.glob("x.*"))

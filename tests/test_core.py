@@ -313,6 +313,12 @@ def test_rng_from_is_deterministic_and_path_split():
     assert not np.array_equal(a, d)
 
 
+@pytest.mark.parametrize("seed,path", [(-1, ()), (3, (0, -2)), (-5, (1,))])
+def test_rng_from_rejects_negative_keys_as_a_logpool_error(seed, path):
+    with pytest.raises(ParamOutOfRange, match="non-negative"):
+        rng_from(seed, *path)
+
+
 # ---------------------------------------------------------------------------
 # Property-based invariants
 # ---------------------------------------------------------------------------

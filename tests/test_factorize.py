@@ -66,6 +66,12 @@ def test_factor_pairwise_distinct_is_seed_deterministic():
     assert any(not np.array_equal(c1.p, c3.p) for c1, c3 in zip(d1.children, d3.children))
 
 
+def test_a_negative_factor_seed_is_a_logpool_error():
+    parent = random_dist(rng_from(504), OutcomeSpace(4))
+    with pytest.raises(ParamOutOfRange, match="non-negative"):
+        factor_pairwise_distinct(parent, Weights.uniform(3), seed=-2)
+
+
 def test_factor_needs_two_positive_weights():
     rng = rng_from(503)
     parent = random_dist(rng, OutcomeSpace(4))

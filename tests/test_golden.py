@@ -4,10 +4,11 @@
 wrote before the pool and gap computations moved onto stacked-array kernels.
 The ``verify_<suite>_seed<s>[_samples3].json`` reports were written by
 ``logpool verify <suite> --seed s [--samples 3]`` before the suites' instance
-loops were batched; ``--samples 3`` leaves most shape groups with a single
-instance.  Check names, verdicts and sample counts must match exactly.  Each
-value may drift by at most min(1e-12, |tolerance|), so a check with tolerance
-0 must reproduce its value bit for bit.  A wider drift is a golden update,
+loops were batched (``persona``'s before that module moved onto one profile
+matrix); ``--samples 3`` leaves most shape groups with a single instance.
+Check names, verdicts and sample counts must match exactly.  Each value may
+drift by at most min(1e-12, |tolerance|), so a check with tolerance 0 must
+reproduce its value bit for bit.  A wider drift is a golden update,
 made on purpose and recorded in CHANGES.md, never a silent re-generation.
 """
 
@@ -21,11 +22,11 @@ from logpool.suites import run_suite
 
 GOLDEN = Path(__file__).parent / "golden"
 
-BATCHED_SUITES = ("pools", "welfare", "constructions", "factorize", "stability")
+SUITES = ("pools", "welfare", "constructions", "factorize", "stability", "persona")
 
 CASES = [("all", 42, None)] + [
     (suite, seed, samples)
-    for suite in BATCHED_SUITES
+    for suite in SUITES
     for seed, samples in ((0, None), (7, None), (42, 3))
 ]
 

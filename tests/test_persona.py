@@ -384,6 +384,19 @@ def test_optimal_suppression_validation():
         optimal_suppression(profiles, (1,), 0.0)
 
 
+@pytest.mark.parametrize("budget", [np.inf, np.nan])
+def test_a_budget_that_is_not_finite_is_rejected(budget):
+    """An infinite budget used to give a NonFinite plan from
+    optimal_suppression and a NaN (or, with w in the span, a zero) gain from
+    projection_gain."""
+    profiles = centered_profiles(random_decomposition(rng_from(719), 5, 3))
+    with pytest.raises(ParamOutOfRange, match="finite"):
+        optimal_suppression(profiles, (1,), budget)
+    for w in (profiles[1], LogProfile(profiles[0].base, -profiles[0].v)):
+        with pytest.raises(ParamOutOfRange, match="finite"):
+            projection_gain(profiles[:1], w, (1,), budget)
+
+
 # ---------------------------------------------------------------------------
 # Projection gain
 # ---------------------------------------------------------------------------

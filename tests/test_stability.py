@@ -11,6 +11,7 @@ from logpool import (
     NotFound,
     NotStrictlyUnanimous,
     OutcomeSpace,
+    ParamOutOfRange,
     ScoreFn,
     TiltsNotCentered,
     Weights,
@@ -126,6 +127,16 @@ def test_certify_openness_is_deterministic():
     b = certify_openness(decomp, samples=8, seed=3)
     assert a.radius == b.radius
     assert a.min_gap_at_boundary == b.min_gap_at_boundary
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_certify_openness_needs_at_least_one_probe(samples):
+    """With no probe every bisection step used to pass vacuously (radius
+    0.49999809, boundary gap inf); a negative count raised numpy's bare
+    ValueError."""
+    decomp = analytic_unanimity_instance(2, find_epsilon_for_unanimity(2))
+    with pytest.raises(ParamOutOfRange, match="at least one probe"):
+        certify_openness(decomp, samples=samples, seed=0)
 
 
 def test_certify_openness_requires_strict_unanimity():
