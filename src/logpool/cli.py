@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from . import __version__, constructions, factorize, persona, stability
-from .core import Weights, entropy, kl, rng_from
+from .core import Weights, rng_from
 from .errors import (
     ConfigParse,
     IoError,
@@ -46,7 +46,7 @@ from .jsonio import (
 )
 from .pooling import linear_pool, log_pool_with_log_z, make_decomposition
 from .suites import SUITE_NAMES, run_suite
-from .welfare import UNANIMITY_TOL, unanimity_report, weighted_gap_sum, welfare_gap
+from .welfare import UNANIMITY_TOL, gap_terms, unanimity_report
 
 __all__ = ["main", "build_report"]
 
@@ -188,17 +188,8 @@ def _analysis_gaps(config: dict, seed: int) -> tuple[list[str], list[list], dict
                 raise ConfigParse(f"unknown family kind {kind!r}")
             for label, decomp in decomps:
                 rep = unanimity_report(decomp)
-                rows.append(
-                    [
-                        kind,
-                        n,
-                        eps,
-                        label,
-                        rep.min_gap,
-                        weighted_gap_sum(decomp),
-                        rep.strictly_unanimous,
-                    ]
-                )
+                weighted = float(decomp.weights.beta @ rep.gaps)  # weighted_gap_sum
+                rows.append([kind, n, eps, label, rep.min_gap, weighted, rep.strictly_unanimous])
     columns = [
         "family",
         "n",
@@ -244,8 +235,7 @@ def _analysis_suppression(config: dict, seed: int) -> tuple[list[str], list[list
         rng = rng_from(seed, 20, i)
         decomp = constructions.random_decomposition(rng, m, n)
         profiles = persona.centered_profiles(decomp)
-        k = int(rng.integers(1, m - 1))
-        event = rng.choice(m, size=k, replace=False)
+        event = constructions.random_event(rng, m)
         for eps in budgets:
             plan = persona.optimal_suppression(profiles, event, eps)
             rows.append(
@@ -375,12 +365,12 @@ def _cmd_gap(args: argparse.Namespace) -> int:
         raise ParseError('input must be {"agent": {...}, "pool": {...}}')
     agent = dist_from_json(obj["agent"])
     pooled = dist_from_json(obj["pool"], space=agent.space)
-    gap = welfare_gap(agent, pooled)
+    gap, entropy_agent, entropy_pool, kl_pool_agent = map(float, gap_terms(agent.p, pooled.p))
     out = {
         "gap": gap,
-        "entropy_agent": entropy(agent),
-        "entropy_pool": entropy(pooled),
-        "kl_pool_agent": kl(pooled, agent),
+        "entropy_agent": entropy_agent,
+        "entropy_pool": entropy_pool,
+        "kl_pool_agent": kl_pool_agent,
         "strictly_positive": bool(gap > 0.0),
     }
     _write_text(args.out, dumps(out) + "\n")

@@ -240,6 +240,12 @@ def random_beta(rng: np.random.Generator, n: int) -> np.ndarray:
     return raw / raw.sum()
 
 
+def random_event(rng: np.random.Generator, m: int) -> np.ndarray:
+    """A random event of 1 to m - 2 distinct outcomes of ``m`` (size first,
+    then the outcomes; an event of size m - 1 is never drawn)."""
+    return rng.choice(m, size=int(rng.integers(1, m - 1)), replace=False)
+
+
 def random_dist(rng: np.random.Generator, space: OutcomeSpace) -> Dist:
     """:func:`random_probs` on ``space``."""
     return Dist(space, random_probs(rng, space.size))

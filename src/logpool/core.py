@@ -23,8 +23,11 @@ Conventions
 * Scalar comparisons default to absolute tolerance ``VALUE_TOL`` (1e-9);
   probability-vector sums must hit 1 within ``NORM_TOL`` (1e-12).  Both are
   overridable per call.
-* Outcome subsets ("events") are canonicalized to sorted, duplicate-free
-  index tuples so every iteration order in reports is deterministic.
+* Outcome subsets ("events") hold integral indices (``2.0`` is 2, ``1.7``
+  raises) and are canonicalized to sorted, duplicate-free index tuples so
+  every iteration order in reports is deterministic.
+* Vector arguments of the scalar functionals are a :class:`ScoreFn` on the
+  distribution's space or a bare vector of shape ``(m,)``.
 
 Everything here is immutable after construction and every operation is a pure
 function: values are safe to share across threads, and there is no global
@@ -269,11 +272,16 @@ class ScoreFn:
         return ScoreFn(space, np.zeros(space.size))
 
 
-def _values(f) -> np.ndarray:
-    """Accept either a ScoreFn or a bare array for the scalar helpers below."""
+def _values(P: Dist, f) -> np.ndarray:
+    """The values of ``f`` on P's space: a ScoreFn on that space, or a bare
+    vector of shape (m,); anything else raises."""
     if isinstance(f, ScoreFn):
+        _require_same_space(P, f)
         return f.f
-    return np.asarray(f, dtype=float)
+    arr = np.asarray(f, dtype=float)
+    if arr.shape != (P.space.size,):
+        raise DimensionMismatch(f"score vector has shape {arr.shape}, expected ({P.space.size},)")
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +342,14 @@ def uniform(space: OutcomeSpace) -> Dist:
 # ---------------------------------------------------------------------------
 
 def log_sum_exp(values: Iterable[float]) -> float:
-    return float(softmax(np.asarray(values, dtype=float).reshape(-1))[1])
+    """log sum_i exp(values_i), max-shifted; -inf entries (zero weights) are
+    allowed, an empty input or a NaN or +inf entry raises."""
+    arr = np.asarray(values, dtype=float).reshape(-1)
+    if arr.size == 0:
+        raise ParamOutOfRange("log_sum_exp needs at least one value")
+    if not (arr < np.inf).all():  # NaN compares false too
+        raise NonFinite("log_sum_exp values must be finite or -inf")
+    return float(softmax(arr)[1])
 
 
 def entropy(P: Dist) -> float:
@@ -355,30 +370,19 @@ def tv(P: Dist, Q: Dist) -> float:
 
 
 def expect(P: Dist, f) -> float:
-    vals = _values(f)
-    if isinstance(f, ScoreFn):
-        _require_same_space(P, f)
-    else:
-        _require_length(vals, P.space.size, "score vector")
-    return float((P.p * vals).sum())
+    return float((P.p * _values(P, f)).sum())
 
 
 def cov(P: Dist, f, g) -> float:
     """Covariance under P, computed from centered values for stability."""
-    fv = _values(f) - expect(P, f)
-    gv = _values(g) - expect(P, g)
-    return float((P.p * fv * gv).sum())
+    fv, gv = _values(P, f), _values(P, g)
+    fc, gc = fv - (P.p * fv).sum(), gv - (P.p * gv).sum()
+    return float((P.p * fc * gc).sum())
 
 
 def inner_p(P: Dist, f, g) -> float:
     """The P-weighted inner product sum_o P(o) f(o) g(o)."""
-    fv = _values(f)
-    gv = _values(g)
-    if isinstance(f, ScoreFn):
-        _require_same_space(P, f)
-    if isinstance(g, ScoreFn):
-        _require_same_space(P, g)
-    return float((P.p * fv * gv).sum())
+    return float((P.p * _values(P, f) * _values(P, g)).sum())
 
 
 def norm_p(P: Dist, f) -> float:
@@ -395,8 +399,9 @@ def event_indices(
 ) -> tuple[int, ...]:
     """Canonicalize an outcome subset to a sorted duplicate-free index tuple.
 
-    Rejects empty events always, and full events unless ``allow_full``; an
-    out-of-range event names its smallest out-of-range index.
+    Rejects empty events always, and full events unless ``allow_full``; a
+    non-integral entry is named, else an out-of-range event names its
+    smallest out-of-range index.
     """
     return tuple(_event_array(space, event, allow_full).tolist())
 
@@ -404,6 +409,11 @@ def event_indices(
 def _event_array(space: OutcomeSpace, event, allow_full: bool) -> np.ndarray:
     """:func:`event_indices` as a sorted duplicate-free int64 array."""
     values = event if isinstance(event, (np.ndarray, list, tuple)) else list(event)
+    raw = np.asarray(values)
+    if raw.dtype.kind not in "iub":  # floats, beyond-int64 ints: no truncation
+        for v in raw.ravel().tolist():
+            if not _is_integral(v):
+                raise IndexOutOfRange(f"outcome index {v!r} is not an integer")
     try:
         idx = np.sort(np.asarray(values, dtype=np.int64), axis=None)
         bad = idx[(idx < 0) | (idx >= space.size)].tolist()
@@ -417,6 +427,13 @@ def _event_array(space: OutcomeSpace, event, allow_full: bool) -> np.ndarray:
     if not allow_full and idx.size == space.size:
         raise EmptyOrFullEvent("event must be a proper subset of the outcomes")
     return idx
+
+
+def _is_integral(v) -> bool:
+    try:
+        return bool(v == int(v))
+    except (TypeError, ValueError, OverflowError):
+        return False
 
 
 def indicator(space: OutcomeSpace, event: Sequence[int]) -> ScoreFn:

@@ -98,10 +98,6 @@ class LogProfile:
         arr = np.asarray(self.v, dtype=float).copy().reshape(-1)
         arr.flags.writeable = False
         object.__setattr__(self, "v", arr)
-        if arr.shape[0] != self.base.space.size:
-            raise LengthMismatch(
-                f"profile has length {arr.shape[0]}, space has {self.base.space.size}"
-            )
         mean = expect(self.base, arr)
         if abs(mean) > PROFILE_CENTERING_TOL:
             raise TiltsNotCentered(
@@ -229,6 +225,12 @@ def compensation_bound(
     are finite-precision numbers, not asymptotic bounds.  Inner products
     within :data:`ALIGNMENT_DEAD_ZONE` of zero classify as aligned.
     """
+    return _compensation(decomp, h_index, delta, epsilon, dbeta)
+
+
+def _compensation(decomp, h_index, delta, epsilon, dbeta) -> CompensationReport:
+    """:func:`compensation_bound` from one re-pool of ``beta + dbeta``; an
+    ``epsilon`` of None budgets 1.25 times the realized deviation plus 1e-9."""
     profiles = centered_profiles(decomp)
     predicted = first_order_delta_l(profiles, dbeta)[0].f
     d = np.asarray(dbeta, dtype=float).reshape(-1)
@@ -246,6 +248,8 @@ def compensation_bound(
     shifted = log_pool(decomp.children, Weights(decomp.weights.beta + d))
     delta_l = shifted.log_p - base.log_p
     delta_l_norm = norm_p(base, delta_l)
+    if epsilon is None:
+        epsilon = delta_l_norm * 1.25 + 1e-9
     if delta_l_norm > epsilon * (1.0 + 1e-12):
         raise BudgetViolated(
             f"realized deviation {delta_l_norm!r} exceeds the budget {epsilon!r}"
@@ -310,9 +314,7 @@ def random_compensation_report(
         h_index = int(d.argmax())
         if d[h_index] > 0 and bool((decomp.weights.beta + d > 0).all()):
             break
-    shifted = log_pool(list(decomp.children), Weights(decomp.weights.beta + d))
-    realized = norm_p(decomp.parent, shifted.log_p - decomp.parent.log_p)
-    return compensation_bound(decomp, h_index, float(d[h_index]), realized * 1.25 + 1e-9, d)
+    return _compensation(decomp, h_index, float(d[h_index]), None, d)
 
 
 def event_first_order(

@@ -42,7 +42,6 @@ __all__ = [
     "transport_decomposition",
     "OpennessCertificate",
     "certify_openness",
-    "sample_at_tv_radius",
     "tilt_gap_derivative",
     "tilt_gap_fd",
     "local_unanimity_audit",
@@ -115,19 +114,6 @@ def _at_radius(base: np.ndarray, d: np.ndarray, l1: np.ndarray, radius: float):
     return p / p.sum(axis=-1, keepdims=True), fits.any(axis=-1)
 
 
-def sample_at_tv_radius(base: Dist, radius: float, rng: np.random.Generator) -> Dist | None:
-    """A seeded random distribution at tv-distance ``radius`` from ``base``.
-
-    Draws :data:`PROBE_TRIES` centered directions in the simplex tangent
-    space up front, scales them to the requested tv, and takes the first
-    that keeps every coordinate inside (POSITIVITY_FLOOR, 1).  Returns None
-    when none fits — the radius is simply too large around this base point.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p, found = _at_radius(base.p, *_tv_directions(rng, base.space.size), radius)
-    return Dist(base.space, p) if found else None
-
-
 @dataclass(frozen=True, slots=True)
 class OpennessCertificate:
     """Empirical evidence that strict unanimity survives in a tv-ball.
@@ -156,11 +142,11 @@ def certify_openness(
 ) -> OpennessCertificate:
     """Bisect for the largest empirically clean tv radius around the parent.
 
-    The input must be strictly unanimous and ``samples`` at least 1: a
-    certificate rests on at least one probe.  Probe directions are keyed by
-    (seed, sample index) only, so a run with more samples extends — never
-    replaces — the probe set of a run with fewer; certified radii can
-    therefore only shrink or hold as ``samples`` grows.  Each step scores
+    The input must be strictly unanimous and ``samples`` an integer of at
+    least 1: a certificate rests on at least one probe.  Probe directions
+    are keyed by (seed, sample index) only, so a run with more samples
+    extends — never replaces — the probe set of a run with fewer; certified
+    radii can therefore only shrink or hold as ``samples`` grows.  Each step scores
     its probes as one batch: one transport over (samples, n, m), one
     re-pool check at ``POOL_REVALIDATION_TOL`` and one gap computation.  A
     step fails when some sample has no feasible target at its radius or
@@ -170,8 +156,10 @@ def certify_openness(
     guarantee that *some* positive radius exists is the theorem's job; the
     certificate records how far probing got.
     """
-    if samples < 1:
-        raise ParamOutOfRange(f"openness needs at least one probe sample, got {samples!r}")
+    if not isinstance(samples, (int, np.integer)) or samples < 1:
+        raise ParamOutOfRange(
+            f"openness needs an integer count of at least one probe sample, got {samples!r}"
+        )
     base_report = unanimity_report(decomp)
     if not base_report.strictly_unanimous:
         raise NotStrictlyUnanimous(
@@ -225,9 +213,7 @@ def certify_openness(
 def tilt_gap_derivative(P: Dist, h: ScoreFn) -> float:
     """d/de at e=0 of the welfare gap of the tilted agent P_e ∝ P·exp(e·h)
     against the fixed pool P.  Equals −Cov_P(h, log P)."""
-    if h.space != P.space:
-        raise SpaceMismatch("tilt and distribution must share an outcome space")
-    return -cov(P, h.f, P.log_p)
+    return -cov(P, h, P.log_p)
 
 
 def tilt_gap_fd(P: Dist, h: ScoreFn) -> float:

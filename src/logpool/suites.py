@@ -703,8 +703,7 @@ def _suppression_optimal(run: _Run):
         decomp = random_decomposition(rng, *_sizes(rng, m_lo=3, n_hi=6))
         profiles = persona.centered_profiles(decomp)
         m = decomp.space.size
-        k = int(rng.integers(1, m - 1))
-        event = tuple(rng.choice(m, size=k, replace=False))
+        event = tuple(constructions.random_event(rng, m))
         plan = persona.optimal_suppression(profiles, event, budget)
         exact, linear = persona.event_first_order(decomp.parent, event, plan.delta_l)
         worst = max(worst, abs(linear + plan.achieved))
@@ -735,8 +734,7 @@ def _projection_gain(run: _Run):
         m = decomp.space.size
         raw = rng.standard_normal(m)
         w = persona.LogProfile(decomp.parent, raw - expect(decomp.parent, raw))
-        k = int(rng.integers(1, m - 1))
-        event = tuple(rng.choice(m, size=k, replace=False))
+        event = tuple(constructions.random_event(rng, m))
         rep = persona.projection_gain(profiles, w, event, epsilon=0.05)
         worst = max(worst, abs(rep.sq_enlarged_direct - rep.sq_enlarged_pythagoras))
         if rep.gain < -1e-12:

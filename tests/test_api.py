@@ -1,8 +1,10 @@
 """The public surface: every name ``logpool`` exports is documented in the
-README or used by the package itself, and every default a public function
-offers is set by some caller."""
+README or used by the package itself, every name a module lists in its
+``__all__`` exists, and every default a public function offers is set by some
+caller."""
 
 import ast
+import importlib
 import inspect
 import re
 from pathlib import Path
@@ -32,6 +34,18 @@ def test_every_public_name_is_documented_or_used_in_src():
     used = _names_used_in_src()
     orphans = [name for name in logpool.__all__ if name not in readme | used]
     assert orphans == []
+
+
+def test_every_module_all_entry_resolves():
+    """A stale ``__all__`` entry breaks ``from logpool.<module> import *`` and
+    any tool that looks the listed names up with ``getattr``."""
+    missing = []
+    for path in sorted((ROOT / "src" / "logpool").glob("*.py")):
+        name = "logpool" if path.stem == "__init__" else f"logpool.{path.stem}"
+        module = importlib.import_module(name)
+        listed = getattr(module, "__all__", ())
+        missing += [f"{name}.{attr}" for attr in listed if not hasattr(module, attr)]
+    assert missing == []
 
 
 def _public_functions() -> dict[str, inspect.Signature]:

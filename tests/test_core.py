@@ -11,6 +11,7 @@ from logpool import (
     Dist,
     EmptyOrFullEvent,
     IndexOutOfRange,
+    LogProfile,
     NonFinite,
     NonPositiveEntry,
     NotNormalized,
@@ -151,6 +152,17 @@ def test_log_sum_exp_is_stable_and_correct():
     assert np.isfinite(log_sum_exp(vals))
 
 
+def test_log_sum_exp_rejects_empty_and_non_finite_input():
+    """An empty input used to raise numpy's bare ValueError, and a NaN or
+    +inf entry to return nan with a RuntimeWarning."""
+    with pytest.raises(ParamOutOfRange):
+        log_sum_exp([])
+    for bad in ([float("nan")], [0.0, np.inf], [np.inf, -np.inf]):
+        with pytest.raises(NonFinite):
+            log_sum_exp(bad)
+    assert log_sum_exp([0.0, -np.inf]) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # Inner products: the geometry all perturbation analysis uses
 # ---------------------------------------------------------------------------
@@ -189,6 +201,31 @@ def test_score_fn_wrappers_accepted_everywhere():
     assert norm_p(p, ScoreFn.zero(space)) == 0.0
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: expect(p, np.ones((4, 4))),
+        lambda p: expect(p, np.ones(5)),
+        lambda p: cov(p, np.ones(4), np.ones((1, 4))),
+        lambda p: cov(p, [1.0], np.ones(4)),
+        lambda p: inner_p(p, np.ones(4), np.ones(3)),
+        lambda p: inner_p(p, np.ones((4, 1)), np.ones(4)),
+        lambda p: norm_p(p, [1.0]),
+        lambda p: norm_p(p, np.ones((2, 4))),
+        lambda p: LogProfile(p, np.zeros(5)),  # its own length check raised LengthMismatch
+    ],
+)
+def test_scalar_functionals_reject_vectors_of_the_wrong_shape(call):
+    """A bare vector must have shape (m,): ``norm_p(P4, [1.0])`` used to
+    broadcast to 1.0 and ``expect(P4, ones((4, 4)))`` to 4.0.  A profile's
+    length is checked by the same validator."""
+    from logpool import DimensionMismatch
+
+    p = make_dist(SPACE4, [1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(DimensionMismatch, match=r"expected \(4,\)$"):
+        call(p)
+
+
 # ---------------------------------------------------------------------------
 # Events and coarse graining
 # ---------------------------------------------------------------------------
@@ -210,6 +247,9 @@ def test_event_indices_canonicalization_and_rejection():
 def _event_indices_loop(space, event, allow_full=False):
     """The element-by-element canonicalization ``event_indices`` replaced:
     the reference its array version must agree with."""
+    for i in event:
+        if isinstance(i, float) and not i.is_integer():
+            raise IndexOutOfRange(f"outcome index {float(i)!r} is not an integer")
     idx = sorted({int(i) for i in event})
     for i in idx:
         if i < 0 or i >= space.size:
@@ -246,6 +286,13 @@ def _outcome(fn, *args, **kwargs):
         [6, 5, 4, 3, 2, 1, 0, 3],
         range(2, 5),
         {4, 2},
+        [1.7],  # non-integral entries used to be truncated: (1,)
+        [-0.5],  # (0,)
+        [4, float("nan")],  # numpy's bare ValueError
+        [9, float("inf"), 2.5],  # named before the out-of-range 9
+        [2.0, 0, np.int64(5)],  # integral floats and numpy ints are indices
+        np.array([6.0, 2.0, 6.0]),
+        np.array([3.0, 0.25]),
     ],
 )
 @pytest.mark.parametrize("allow_full", [False, True])

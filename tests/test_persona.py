@@ -44,6 +44,7 @@ from logpool import (
     tv,
     uniform,
 )
+from logpool.persona import random_compensation_report
 from logpool.suites import run_suite
 
 
@@ -231,6 +232,36 @@ def test_compensation_bound_error_paths():
         compensation_bound(decomp, h, float(bad[h]), eps, bad)
     with pytest.raises(BudgetViolated):
         compensation_bound(decomp, h, float(d[h]), 1e-15, d)
+
+
+def test_random_compensation_report_re_pools_once(monkeypatch):
+    """One log_pool builds the decomposition and one re-pools ``beta + d``
+    for both the budget and the bound (a third re-pool used to repeat it);
+    the report is the one ``compensation_bound`` gives at that budget."""
+    from logpool import persona, pooling
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return log_pool(*args)
+
+    monkeypatch.setattr(pooling, "log_pool", counted)
+    monkeypatch.setattr(persona, "log_pool", counted)
+    rep = random_compensation_report(lambda k: rng_from(711, k), lambda rng: (5, 3), 1e-3)
+    assert len(calls) == 2
+    monkeypatch.undo()
+
+    rng = rng_from(711, 0)
+    decomp = random_decomposition(rng, 5, 3)
+    d = rng.standard_normal(3)
+    d -= d.mean()
+    d *= 1e-3 / float(np.abs(d).max())
+    h = int(d.argmax())
+    again = compensation_bound(decomp, h, float(d[h]), rep.budget, d)
+    assert (rep.h_index, rep.lhs, rep.rhs, rep.slack, rep.delta_l_norm) == (
+        again.h_index, again.lhs, again.rhs, again.slack, again.delta_l_norm
+    )
 
 
 def test_engineered_counteragent_forces_the_weight_up():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from _gen import random_decomposition, random_dist, random_strict_weights
 from logpool import (
+    Dist,
     NotFound,
     NotStrictlyUnanimous,
     OutcomeSpace,
@@ -24,7 +25,6 @@ from logpool import (
     make_decomposition,
     make_dist,
     rng_from,
-    sample_at_tv_radius,
     tilt_gap_derivative,
     tilt_gap_fd,
     tilt_representation,
@@ -36,7 +36,7 @@ from logpool import (
     kl,
     welfare_gap,
 )
-from logpool.stability import transport_rows
+from logpool.stability import _at_radius, _tv_directions, transport_rows
 
 
 # ---------------------------------------------------------------------------
@@ -84,18 +84,26 @@ def test_transport_composes_along_a_path():
 # ---------------------------------------------------------------------------
 
 
-def test_sample_at_tv_radius_hits_the_radius():
+def _probe(base, radius, rng):
+    """One seeded probe target at tv ``radius`` from ``base``, as
+    ``certify_openness`` draws each sample's, or None when no draw fits."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p, found = _at_radius(base.p, *_tv_directions(rng, base.space.size), radius)
+    return Dist(base.space, p) if found else None
+
+
+def test_probe_at_tv_radius_hits_the_radius():
     rng = rng_from(604)
     base = random_dist(rng, OutcomeSpace(6))
     for radius in (1e-4, 1e-3, 1e-2):
-        probe = sample_at_tv_radius(base, radius, rng_from(604, 1))
+        probe = _probe(base, radius, rng_from(604, 1))
         assert probe is not None
         assert tv(base, probe) == pytest.approx(radius, rel=1e-9)
 
 
-def test_sample_at_tv_radius_gives_up_when_radius_is_impossible():
+def test_probe_at_tv_radius_gives_up_when_radius_is_impossible():
     base = make_dist(OutcomeSpace(2), [0.5, 0.5])
-    assert sample_at_tv_radius(base, 0.75, rng_from(605)) is None
+    assert _probe(base, 0.75, rng_from(605)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -129,11 +137,11 @@ def test_certify_openness_is_deterministic():
     assert a.min_gap_at_boundary == b.min_gap_at_boundary
 
 
-@pytest.mark.parametrize("samples", [0, -1])
+@pytest.mark.parametrize("samples", [0, -1, 2.5])
 def test_certify_openness_needs_at_least_one_probe(samples):
     """With no probe every bisection step used to pass vacuously (radius
     0.49999809, boundary gap inf); a negative count raised numpy's bare
-    ValueError."""
+    ValueError and a fractional one a bare TypeError from ``range``."""
     decomp = analytic_unanimity_instance(2, find_epsilon_for_unanimity(2))
     with pytest.raises(ParamOutOfRange, match="at least one probe"):
         certify_openness(decomp, samples=samples, seed=0)
