@@ -349,6 +349,8 @@ def log_sum_exp(values: Iterable[float]) -> float:
         raise ParamOutOfRange("log_sum_exp needs at least one value")
     if not (arr < np.inf).all():  # NaN compares false too
         raise NonFinite("log_sum_exp values must be finite or -inf")
+    if arr.max() == -np.inf:  # all weights zero; the max shift would make nan
+        return -np.inf
     return float(softmax(arr)[1])
 
 
@@ -409,13 +411,19 @@ def event_indices(
 def _event_array(space: OutcomeSpace, event, allow_full: bool) -> np.ndarray:
     """:func:`event_indices` as a sorted duplicate-free int64 array."""
     values = event if isinstance(event, (np.ndarray, list, tuple)) else list(event)
-    raw = np.asarray(values)
+    try:
+        raw = np.asarray(values)
+    except ValueError:  # ragged nesting
+        raise IndexOutOfRange(
+            f"event {event!r} is not a flat sequence of outcome indices"
+        ) from None
     if raw.dtype.kind not in "iub":  # floats, beyond-int64 ints: no truncation
         for v in raw.ravel().tolist():
             if not _is_integral(v):
                 raise IndexOutOfRange(f"outcome index {v!r} is not an integer")
+    dtype = np.uint64 if raw.dtype.kind == "u" else np.int64  # no unsigned index wraps
     try:
-        idx = np.sort(np.asarray(values, dtype=np.int64), axis=None)
+        idx = np.sort(np.asarray(values, dtype=dtype), axis=None)
         bad = idx[(idx < 0) | (idx >= space.size)].tolist()
     except OverflowError:  # an index beyond int64 is out of range
         bad = sorted(i for i in map(int, values) if not 0 <= i < space.size)
@@ -423,7 +431,7 @@ def _event_array(space: OutcomeSpace, event, allow_full: bool) -> np.ndarray:
         raise IndexOutOfRange(f"outcome index {bad[0]} outside [0, {space.size})")
     if idx.size == 0:
         raise EmptyOrFullEvent("event must be nonempty")
-    idx = idx[np.concatenate(([True], idx[1:] != idx[:-1]))]
+    idx = idx[np.concatenate(([True], idx[1:] != idx[:-1]))].astype(np.int64, copy=False)
     if not allow_full and idx.size == space.size:
         raise EmptyOrFullEvent("event must be a proper subset of the outcomes")
     return idx
@@ -474,7 +482,67 @@ def rng_from(seed: int, *path: int) -> np.random.Generator:
     Distinct paths give independent streams.  A negative seed or path entry
     raises :class:`ParamOutOfRange`.
     """
+    key = _key(seed, path)
+    return np.random.default_rng(np.random.SeedSequence(entropy=key[0], spawn_key=key[1:]))
+
+
+def _key(seed: int, path: tuple[int, ...]) -> tuple[int, ...]:
     key = tuple(int(x) for x in (seed, *path))
     if min(key) < 0:
         raise ParamOutOfRange(f"seed and path must be non-negative, got {seed!r}, {path!r}")
-    return np.random.default_rng(np.random.SeedSequence(entropy=key[0], spawn_key=key[1:]))
+    return key
+
+
+# NumPy's SeedSequence hashing constants (numpy/random/bit_generator.pyx)
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _rng_streams(seed: int, *path: int, count: int) -> list[np.random.Generator]:
+    """``[rng_from(seed, *path, i) for i in range(count)]``, bit for bit.
+
+    Replays NumPy's ``SeedSequence`` with a pool of 4 words.  The words every
+    stream shares (the seed zero-padded to the pool, then the path) are mixed
+    once; the last word, the index, is mixed into a (4, count) pool, and
+    ``generate_state(4, uint64)`` is one (8, count) pass.  Seeding each
+    generator from its ready words skips the per-stream ``SeedSequence``; this
+    pays from about 8 streams up.
+    """
+    key = _key(seed, path)
+    words = _words(key[0], 4) + [w for x in key[1:] for w in _words(x)]
+    # mixing len(words) >= 4 words makes 4 * len(words) hashmix calls
+    shared = np.random.SeedSequence(words).pool.astype(np.uint64)[:, None]
+    index = _hashmix(np.arange(count, dtype=np.uint64), _INIT_A, _MULT_A, 4 * len(words), 4)
+    pool = (_MIX_L * shared - _MIX_R * index) & _M32  # SeedSequence's mix
+    pool ^= pool >> 16
+    # 8 uint32 words drawn round-robin from the pool, paired little-endian
+    state = _hashmix(np.concatenate([pool, pool]), _INIT_B, _MULT_B, 0, 8)
+    seeds = (state[0::2] | state[1::2] << 32).T.copy()
+    return [np.random.Generator(np.random.PCG64(_Seeded(row))) for row in seeds]
+
+
+def _words(x: int, size: int = 1) -> list[int]:
+    """``x`` as SeedSequence reads it: little-endian 32-bit words, zero-padded
+    to at least ``size`` words."""
+    return [(x >> s) & _M32 for s in range(0, max(x.bit_length(), 32 * size), 32)]
+
+
+def _hashmix(value: np.ndarray, init: int, mult: int, start: int, k: int) -> np.ndarray:
+    """SeedSequence's ``hashmix`` of ``value`` (32-bit words in uint64) by its
+    running hash constants ``start`` to ``start + k - 1``, one per output row."""
+    steps = range(start, start + k + 1)
+    hc = np.array([init * pow(mult, j, 1 << 32) & _M32 for j in steps], np.uint64)
+    value = (value ^ hc[:-1, None]) * hc[1:, None] & _M32
+    return value ^ value >> 16
+
+
+class _Seeded(np.random.bit_generator.ISeedSequence):
+    """A seed sequence whose four uint64 PCG64 seed words are already made."""
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.words

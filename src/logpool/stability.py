@@ -26,9 +26,9 @@ from .core import (
     Weights,
     cov,
     require_prob_rows,
-    rng_from,
     softmax,
     uniform,
+    _rng_streams,
 )
 from .errors import (
     NotFound, NotStrictlyUnanimous, ParamOutOfRange, SpaceMismatch, TiltsNotCentered,
@@ -171,8 +171,8 @@ def certify_openness(
     # does: each sample's stream is drawn once and scaled at every step
     m = decomp.space.size
     d, l1 = np.empty((samples, PROBE_TRIES, m)), np.empty((samples, PROBE_TRIES))
-    for s in range(samples):
-        d[s], l1[s] = _tv_directions(rng_from(seed, s), m)
+    for s, rng in enumerate(_rng_streams(seed, count=samples)):
+        d[s], l1[s] = _tv_directions(rng, m)
     children = np.stack([c.p for c in decomp.children])
 
     def probe(radius: float) -> tuple[bool, float]:

@@ -12,9 +12,10 @@ tolerance in the registered direction and ``ok`` holds.
 A check draws its instances through ``run.rng(*path)``, which is
 :func:`~logpool.core.rng_from` at ``(seed, suite_id, check_id, *path)``: the
 suite's place in :data:`SUITE_NAMES` and the check's place in registration
-order.  So a seed pins every number in the run.  Checks compare library
-results against independent re-computations (extended-precision pooling,
-closed forms, brute-force searches).
+order; ``run.rngs()`` builds the streams ``run.rng(i)`` of all its instances
+in one batch, bit for bit the same.  So a seed pins every number in the run.
+Checks compare library results against independent re-computations
+(extended-precision pooling, closed forms, brute-force searches).
 
 These are runtime smoke batteries sized for seconds, not the exhaustive
 test-suite versions; the comparisons are the same, the instance counts are
@@ -37,6 +38,7 @@ from .constructions import (
 from .core import (
     Dist, OutcomeSpace, ScoreFn, Weights, event_indices, expect, make_dist, norm_p,
     normalize_rows, require_prob_rows, require_weight_rows, rng_from, tv, uniform,
+    _rng_streams,
 )
 from .errors import ParamOutOfRange, UnknownSuite
 from .pooling import linear_pool_arrays, log_pool, log_pool_arrays, make_decomposition
@@ -71,7 +73,7 @@ class CheckResult:
 
 class _Run(NamedTuple):
     """What a check body is handed: the seed, its instance count and
-    tolerance, and ``rng(*path)`` on the check's own stream."""
+    tolerance, and ``rng(*path)`` and ``rngs()`` on the check's own streams."""
 
     seed: int
     samples: int
@@ -80,6 +82,11 @@ class _Run(NamedTuple):
 
     def rng(self, *path: int) -> np.random.Generator:
         return rng_from(self.seed, *self.ids, *path)
+
+    def rngs(self, *path: int, count: int | None = None) -> list[np.random.Generator]:
+        """``rng(*path, i)`` for i below ``count`` (the instance count)."""
+        count = self.samples if count is None else count
+        return _rng_streams(self.seed, *self.ids, *path, count=count)
 
 
 class _Check(NamedTuple):
@@ -161,9 +168,9 @@ def _stacked(instances) -> list[tuple[np.ndarray, ...]]:
 
 
 def _groups(run: _Run, draw) -> list[tuple[np.ndarray, ...]]:
-    """Instance i drawn by ``draw(run.rng(i))`` from its own stream, in
+    """Instance i drawn by ``draw(rng)`` from its own stream ``run.rng(i)``, in
     instance order, then grouped by :func:`_stacked`."""
-    return _stacked(draw(run.rng(i)) for i in range(run.samples))
+    return _stacked(map(draw, run.rngs()))
 
 
 def _families(run: _Run, extra=lambda rng, m, n: (), **sizes) -> list[tuple[np.ndarray, ...]]:
@@ -446,7 +453,8 @@ def _peaked_negative(run: _Run):
     # grid (1e-6 down to 1e-10)
     tail = grid <= 1e-6
     for n in (2, 4):
-        beta = np.stack([random_beta(run.rng(n, i), n) for i in range(max(10, run.samples // 8))])
+        rngs = run.rngs(n, count=max(10, run.samples // 8))
+        beta = np.stack([random_beta(rng, n) for rng in rngs])
         require_weight_rows(beta)
         agents = normalize_rows(constructions.peaked_incompatible_rows(n, grid))
         require_prob_rows(agents)
@@ -476,8 +484,7 @@ def _children(decomp) -> np.ndarray:
         "children re-pool to the parent exactly; all pairwise tv "
         "distances exceed the distinctness floor")
 def _factor_distinct(run: _Run):
-    def factored(i):
-        rng = run.rng(i)
+    def factored(i, rng):
         m = int(rng.integers(3, 9))
         n = int(rng.integers(2, 6))
         parent = random_dist(rng, OutcomeSpace(m))
@@ -485,7 +492,7 @@ def _factor_distinct(run: _Run):
         return (m, n), parent.p, _children(decomp), decomp.weights.beta
 
     worst_tv, worst_dist = 0.0, np.inf
-    for parent, children, beta in _stacked(map(factored, range(run.samples))):
+    for parent, children, beta in _stacked(map(factored, range(run.samples), run.rngs())):
         worst_tv = _worst(worst_tv, _tv(_log_pool(np.log(children), beta)[0], parent))
         family = np.concatenate([parent[:, None], children], axis=1)
         a, b = np.triu_indices(family.shape[1], 1)
@@ -497,8 +504,7 @@ def _factor_distinct(run: _Run):
         "prescribed children pass through bit-identical and the "
         "family still re-pools to the parent")
 def _factor_fixed(run: _Run):
-    def factored(i):
-        rng = run.rng(i)
+    def factored(i, rng):
         k = int(rng.integers(1, 3))
         n = k + 2 + int(rng.integers(0, 3))
         m = int(rng.integers(3, 9))
@@ -511,7 +517,7 @@ def _factor_fixed(run: _Run):
         return (m, n, k), parent.p, fixed, _children(decomp), weights.beta
 
     worst = 0.0
-    for parent, fixed, children, beta in _stacked(map(factored, range(run.samples))):
+    for parent, fixed, children, beta in _stacked(map(factored, range(run.samples), run.rngs())):
         if not np.array_equal(fixed, children[:, : fixed.shape[1]]):
             worst = 1.0
         worst = _worst(worst, _tv(_log_pool(np.log(children), beta)[0], parent))
@@ -622,8 +628,7 @@ def _tilt_fd(run: _Run):
         "weighted sum vanishes pointwise")
 def _local_audit(run: _Run):
     worst = 0.0
-    for i in range(run.samples):
-        rng = run.rng(i)
+    for rng in run.rngs():
         m = int(rng.integers(2, 9))
         n = int(rng.integers(2, 6))
         p = random_dist(rng, OutcomeSpace(m))
@@ -698,8 +703,7 @@ def _suppression_optimal(run: _Run):
     worst = -np.inf
     budget = 0.05
     directions = 2000
-    for i in range(run.samples):
-        rng = run.rng(i)
+    for rng in run.rngs():
         decomp = random_decomposition(rng, *_sizes(rng, m_lo=3, n_hi=6))
         profiles = persona.centered_profiles(decomp)
         m = decomp.space.size
@@ -727,8 +731,7 @@ def _suppression_optimal(run: _Run):
         "projection norms; re-adding a spanned profile gains nothing")
 def _projection_gain(run: _Run):
     worst = 0.0
-    for i in range(run.samples):
-        rng = run.rng(i)
+    for rng in run.rngs():
         decomp = random_decomposition(rng, *_sizes(rng, m_lo=3, n_hi=6))
         profiles = persona.centered_profiles(decomp)
         m = decomp.space.size
@@ -750,8 +753,7 @@ def _projection_gain(run: _Run):
         "at most 0.01")
 def _kl_budget(run: _Run):
     worst = 0.0
-    for i in range(run.samples):
-        rng = run.rng(i)
+    for rng in run.rngs():
         m = int(rng.integers(2, 13))
         p = random_dist(rng, OutcomeSpace(m))
         raw = rng.standard_normal(m)

@@ -36,7 +36,7 @@ from logpool import (
     uniform,
 )
 from _gen import random_dist
-from logpool.core import normalize_rows, require_weight_rows
+from logpool.core import _rng_streams, normalize_rows, require_weight_rows
 
 SPACE3 = OutcomeSpace(3)
 SPACE4 = OutcomeSpace(4, ("a", "b", "c", "d"))
@@ -161,6 +161,13 @@ def test_log_sum_exp_rejects_empty_and_non_finite_input():
         with pytest.raises(NonFinite):
             log_sum_exp(bad)
     assert log_sum_exp([0.0, -np.inf]) == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_log_sum_exp_of_all_zero_weights_is_minus_inf():
+    """Every entry -inf used to give nan with a RuntimeWarning from the shift."""
+    assert log_sum_exp([-np.inf]) == -np.inf
+    assert log_sum_exp(np.full(5, -np.inf)) == -np.inf
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +321,15 @@ def test_event_indices_error_messages():
         event_indices(space, np.array([], dtype=int))
     with pytest.raises(EmptyOrFullEvent, match="^event must be a proper subset of the outcomes$"):
         event_indices(space, np.arange(5)[::-1])
+    # a uint64 index past int64 used to be named wrapped, as -2**63
+    with pytest.raises(IndexOutOfRange, match=r"^outcome index 9223372036854775808 outside \[0, 5\)$"):
+        event_indices(space, np.array([2**63], dtype=np.uint64))
+    assert event_indices(space, np.array([3, 1, 3], dtype=np.uint64)) == (1, 3)
+    # a ragged event used to end in numpy's bare ValueError
+    with pytest.raises(
+        IndexOutOfRange, match=r"^event \[\[1\], \[2, 3\]\] is not a flat sequence of outcome indices$"
+    ):
+        event_indices(space, [[1], [2, 3]])
 
 
 @settings(max_examples=200, deadline=None)
@@ -364,6 +380,34 @@ def test_rng_from_is_deterministic_and_path_split():
 def test_rng_from_rejects_negative_keys_as_a_logpool_error(seed, path):
     with pytest.raises(ParamOutOfRange, match="non-negative"):
         rng_from(seed, *path)
+    with pytest.raises(ParamOutOfRange, match="non-negative"):
+        _rng_streams(seed, *path, count=3)
+
+
+def _assert_streams_are_rng_from(seed, path, count):
+    streams = _rng_streams(seed, *path, count=count)
+    assert len(streams) == count
+    for i, rng in enumerate(streams):
+        want = rng_from(seed, *path, i)
+        assert rng.bit_generator.state == want.bit_generator.state, (seed, path, i)
+        assert np.array_equal(rng.random(8), want.random(8))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 10**30])
+@pytest.mark.parametrize("path", [(), (3,), (2**32, 0), (5, 2**40 + 7, 1), (0, 0, 0, 2**33)])
+@pytest.mark.parametrize("count", [0, 1, 500])
+def test_batched_streams_are_the_rng_from_streams(seed, path, count):
+    _assert_streams_are_rng_from(seed, path, count)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**130),
+    st.lists(st.integers(0, 2**70), max_size=4),
+    st.integers(0, 40),
+)
+def test_batched_streams_match_rng_from_on_random_keys(seed, path, count):
+    _assert_streams_are_rng_from(seed, tuple(path), count)
 
 
 # ---------------------------------------------------------------------------

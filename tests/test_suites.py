@@ -66,12 +66,18 @@ def test_run_suite_rejects_an_unknown_suite():
 #: and scores a whole (m, n) shape group at once, so kernel calls scale with
 #: the shape groups (up to 42 per check), not the instances; the calls left
 #: in ``stability`` are the per-instance ``tilt_gap_fd`` (one each) and one
-#: per bisection step of each openness certificate.
+#: per bisection step of each openness certificate.  ``rng_from`` counts the
+#: scalar stream constructions: a check builds its instances' streams in one
+#: batch, so the calls left are the per-instance retry loops (``tilt_gap_fd``,
+#: the persona checks) and the factorization retries.
 BATCHING_BOUNDS = {
     # suite: {counter: (count before batching, bound now)}
-    "pools": {"Dist": (3503, 350), "log_pool_arrays": (640, 192)},
-    "welfare": {"Dist": (2021, 202), "gap_terms": (801, 80)},
-    "stability": {"Dist": (3328, 333), "gap_terms": (534, 160)},
+    "pools": {"Dist": (3503, 350), "log_pool_arrays": (640, 192), "rng_from": (660, 0)},
+    "welfare": {"Dist": (2021, 202), "gap_terms": (801, 80), "rng_from": (800, 0)},
+    "constructions": {"rng_from": (80, 0)},
+    "factorize": {"rng_from": (360, 150)},
+    "stability": {"Dist": (3328, 333), "gap_terms": (534, 160), "rng_from": (373, 130)},
+    "persona": {"rng_from": (480, 170)},
 }
 
 
@@ -88,10 +94,14 @@ def test_batched_suites_build_few_objects_and_call_each_kernel_per_group(suite, 
             return fn(*args, **kwargs)
         return wrapper
 
-    post_init = core.Dist.__post_init__
-    monkeypatch.setattr(core.Dist, "__post_init__", counted("Dist", post_init))
+    if "Dist" in counts:
+        monkeypatch.setattr(core.Dist, "__post_init__", counted("Dist", core.Dist.__post_init__))
     modules = [logpool, *(m for k, m in sys.modules.items() if k.startswith("logpool."))]
-    kernels = {"log_pool_arrays": pooling.log_pool_arrays, "gap_terms": welfare.gap_terms}
+    kernels = {
+        "log_pool_arrays": pooling.log_pool_arrays,
+        "gap_terms": welfare.gap_terms,
+        "rng_from": core.rng_from,
+    }
     for name, fn in kernels.items():
         if name in counts:
             # rebind every module-level reference, wherever it was imported
