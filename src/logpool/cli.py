@@ -135,11 +135,15 @@ def _as_list(value: Any) -> list:
 
 def _number(value: Any, kind: type, name: str, minimum: int | None = None) -> Any:
     """Config value ``name`` converted by ``kind`` (int or float) and at least
-    ``minimum`` if given, or a :class:`ConfigParse` naming it."""
+    ``minimum`` if given, or a :class:`ConfigParse` naming it.  A bool is not a
+    number, and an int is never truncated from a float (``2.0`` is 2)."""
     try:
         number = kind(value)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigParse(f'"{name}" is not a valid {kind.__name__}: {value!r}') from None
+        number = None
+    truncated = kind is int and isinstance(value, float) and number != value
+    if number is None or truncated or isinstance(value, bool):
+        raise ConfigParse(f'"{name}" is not a valid {kind.__name__}: {value!r}')
     if minimum is not None and number < minimum:
         raise ConfigParse(f'"{name}" must be at least {minimum}, got {number}')
     return number

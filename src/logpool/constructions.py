@@ -35,6 +35,7 @@ from .core import (
     dist_from_log_weights,
     make_dist,
     normalize_rows,
+    _integer,
 )
 from .errors import DegenerateWeights, NotFound, ParamOutOfRange
 from .pooling import Decomposition, make_decomposition
@@ -109,6 +110,7 @@ def analytic_unanimity_instance(
     an exponent strictly above 1 whenever beta_i < 1.  For small epsilon all
     welfare gaps are strictly positive.
     """
+    n = _integer(n, "agent count")
     if n < 2:
         raise ParamOutOfRange("need n >= 2 agents")
     if not (0.0 < epsilon < 0.25):

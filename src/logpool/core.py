@@ -165,8 +165,10 @@ class OutcomeSpace:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.size, int) or self.size < 2:
-            raise ParamOutOfRange(f"outcome space needs size >= 2, got {self.size!r}")
+        size = _integer(self.size, "outcome space size")
+        object.__setattr__(self, "size", size)
+        if size < 2:
+            raise ParamOutOfRange(f"outcome space needs size >= 2, got {size!r}")
         if self.labels is not None:
             labels = tuple(self.labels)
             object.__setattr__(self, "labels", labels)
@@ -249,6 +251,7 @@ class Weights:
 
     @staticmethod
     def uniform(n: int) -> "Weights":
+        n = _integer(n, "weight count")
         if n < 1:
             raise ParamOutOfRange("need at least one weight")
         return Weights(np.full(n, 1.0 / n))
@@ -442,6 +445,17 @@ def _is_integral(v) -> bool:
         return bool(v == int(v))
     except (TypeError, ValueError, OverflowError):
         return False
+
+
+def _integer(value, what: str, error: type[Exception] = ParamOutOfRange) -> int:
+    """``value`` as an int if it is integral (``2.0`` and ``np.int64(2)`` are
+    2, a bool is not), else ``error`` saying that ``what`` must be an integer.
+    Counts raise :class:`ParamOutOfRange`, indices :class:`IndexOutOfRange`."""
+    if type(value) is int:
+        return value
+    if isinstance(value, (bool, np.bool_)) or not _is_integral(value):
+        raise error(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def indicator(space: OutcomeSpace, event: Sequence[int]) -> ScoreFn:

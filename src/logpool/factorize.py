@@ -27,6 +27,7 @@ from .core import (
     rng_from,
     tv,
     uniform,
+    _integer,
 )
 from .errors import (
     IndexOutOfRange,
@@ -195,6 +196,7 @@ def split_invariance_check(
     """
     if decomp.pool_kind != "log":
         raise PreconditionViolation("splitting is defined for log-pool decompositions")
+    child_index = _integer(child_index, "child index", IndexOutOfRange)
     if not (0 <= child_index < decomp.n):
         raise IndexOutOfRange(
             f"child index {child_index} outside [0, {decomp.n})"
@@ -241,6 +243,7 @@ def parent_benefit_counterexample(
         raise ParamOutOfRange("alpha must lie strictly between 0 and 1")
     if not lam > 0.0:
         raise ParamOutOfRange("depression strength must be positive")
+    o_star = _integer(o_star, "outcome index", IndexOutOfRange)
     if not (0 <= o_star < P1.space.size):
         raise IndexOutOfRange(f"outcome index {o_star} outside the space")
     if tv(P1, uniform(P1.space)) <= 1e-12:

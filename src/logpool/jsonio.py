@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import fields
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _str_text
 from typing import Any
@@ -29,7 +28,6 @@ import numpy as np
 
 from .core import Dist, OutcomeSpace, Weights, default_labels
 from .errors import ParseError
-from .persona import CompensationReport, SuppressionPlan
 from .pooling import Decomposition
 
 __all__ = [
@@ -39,12 +37,9 @@ __all__ = [
     "config_hash",
     "dist_to_json",
     "dist_from_json",
-    "weights_to_json",
     "weights_from_json",
     "decomposition_to_json",
     "decomposition_from_json",
-    "suppression_plan_to_json",
-    "compensation_report_to_json",
 ]
 
 #: How the stdlib writes the floats that have no ``%.17g`` number form.
@@ -94,7 +89,7 @@ def _serialize(obj: Any, indent: int | None, sep: str, colon: str, sort_keys: bo
                 body = (sep + inner).join(encode(x, inner) for x in o)
             return "[" + inner + body + pad + "]" if o else "[]"
         if isinstance(o, (np.ndarray, np.generic)):
-            return encode(_plain(o), pad)
+            return encode(o.tolist(), pad)
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
     return encode(obj, "" if indent is None else "\n")
@@ -120,13 +115,6 @@ def loads(text: str) -> Any:
 def config_hash(config: Any) -> str:
     """SHA-256 of the canonical serialization of a configuration object."""
     return hashlib.sha256(dumps_canonical(config).encode("utf-8")).hexdigest()
-
-
-def _plain(value: Any) -> Any:
-    """A numpy value or a tuple as a plain Python value or list."""
-    if isinstance(value, (np.ndarray, np.generic)):
-        return value.tolist()
-    return list(value) if isinstance(value, tuple) else value
 
 
 def _array_of(values: Any, *kinds: type) -> bool:
@@ -166,10 +154,6 @@ def dist_from_json(obj: Any, space: OutcomeSpace | None = None) -> Dist:
     return Dist(space, np.asarray(p, dtype=float))
 
 
-def weights_to_json(weights: Weights) -> dict:
-    return {"beta": weights.beta.tolist()}
-
-
 def weights_from_json(obj: Any) -> Weights:
     """Parse ``{"beta": [...]}`` or a bare array of numbers."""
     if isinstance(obj, dict):
@@ -206,16 +190,3 @@ def decomposition_from_json(obj: Any) -> Decomposition:
     return Decomposition(
         parent=parent, children=tuple(children), weights=weights, pool_kind=kind
     )
-
-
-def suppression_plan_to_json(plan: SuppressionPlan) -> dict[str, Any]:
-    """Serialize a suppression plan, one key per field, including the
-    realized log-deviation."""
-    doc = {f.name: _plain(getattr(plan, f.name)) for f in fields(plan)}
-    return doc | {"base": dist_to_json(plan.base), "delta_l": plan.delta_l.f.tolist()}
-
-
-def compensation_report_to_json(report: CompensationReport) -> dict[str, Any]:
-    """Serialize a compensation report, one key per field: inner products,
-    classes, and slack."""
-    return {f.name: _plain(getattr(report, f.name)) for f in fields(report)}

@@ -29,6 +29,7 @@ from .core import (
     Weights,
     cov,
     _event_array,
+    _integer,
     dist_from_log_weights,
     expect,
     inner_p,
@@ -40,6 +41,7 @@ from .errors import (
     DbetaInconsistent,
     DbetaNotZeroSum,
     DegenerateSpan,
+    IndexOutOfRange,
     LengthMismatch,
     ParamOutOfRange,
     PreconditionViolation,
@@ -213,24 +215,21 @@ def compensation_bound(
     decomp: Decomposition,
     h_index: int,
     delta: float,
-    epsilon: float,
+    epsilon: float | None,
     dbeta: Sequence[float],
 ) -> CompensationReport:
     """Evaluate the compensation inequality for an actual weight change.
 
     Amplify child ``h_index`` by ``delta`` via the zero-sum change ``dbeta``
     while the realized log-deviation stays within ``epsilon`` in the
-    parent-weighted norm.  The residual is computed exactly (re-pooled
-    deviation minus the linear prediction), so both sides of the inequality
-    are finite-precision numbers, not asymptotic bounds.  Inner products
-    within :data:`ALIGNMENT_DEAD_ZONE` of zero classify as aligned.
+    parent-weighted norm; an ``epsilon`` of None budgets 1.25 times the
+    realized deviation plus 1e-9.  The residual is computed exactly from one
+    re-pool of ``beta + dbeta`` (re-pooled deviation minus the linear
+    prediction), so both sides of the inequality are finite-precision
+    numbers, not asymptotic bounds.  Inner products within
+    :data:`ALIGNMENT_DEAD_ZONE` of zero classify as aligned.
     """
-    return _compensation(decomp, h_index, delta, epsilon, dbeta)
-
-
-def _compensation(decomp, h_index, delta, epsilon, dbeta) -> CompensationReport:
-    """:func:`compensation_bound` from one re-pool of ``beta + dbeta``; an
-    ``epsilon`` of None budgets 1.25 times the realized deviation plus 1e-9."""
+    h_index = _integer(h_index, "amplified index", IndexOutOfRange)
     profiles = centered_profiles(decomp)
     predicted = first_order_delta_l(profiles, dbeta)[0].f
     d = np.asarray(dbeta, dtype=float).reshape(-1)
@@ -314,7 +313,7 @@ def random_compensation_report(
         h_index = int(d.argmax())
         if d[h_index] > 0 and bool((decomp.weights.beta + d > 0).all()):
             break
-    return _compensation(decomp, h_index, float(d[h_index]), None, d)
+    return compensation_bound(decomp, h_index, float(d[h_index]), None, d)
 
 
 def event_first_order(

@@ -32,17 +32,17 @@ __all__ = [
     "log_pool_with_log_z",
     "linear_pool_arrays",
     "linear_pool",
-    "pool",
     "Decomposition",
     "make_decomposition",
     "tilt_representation",
 ]
 
-#: tv tolerance for certifying a freshly constructed Decomposition.
+#: tv tolerance for certifying every Decomposition.
 POOL_WITNESS_TOL = 1e-12
 
-#: looser tv tolerance for re-validating transported/perturbed decompositions,
-#: which accumulate one extra normalization.
+#: looser tv tolerance for re-pooling a family that is not a Decomposition and
+#: carries one extra normalization: the input of :func:`tilt_representation`
+#: and the transported probes of :func:`~logpool.stability.certify_openness`.
 POOL_REVALIDATION_TOL = 1e-9
 
 
@@ -129,28 +129,15 @@ def require_pool_witness(
     return log_z
 
 
-def pool(agents: Sequence[Dist], weights: Weights, kind: str) -> Dist:
-    if kind == "log":
-        return log_pool(agents, weights)
-    if kind == "linear":
-        return linear_pool(agents, weights)
-    raise ParamOutOfRange(f"unknown pool kind {kind!r}")
-
-
 @dataclass(frozen=True, slots=True)
 class Decomposition:
-    """A parent distribution with children and weights that pool back to it.
-
-    ``tol`` is the tv tolerance the witness was validated at: freshly built
-    decompositions use :data:`POOL_WITNESS_TOL`; transported or otherwise
-    re-derived ones may pass :data:`POOL_REVALIDATION_TOL`.
-    """
+    """A parent distribution with children and weights that pool back to it
+    within tv :data:`POOL_WITNESS_TOL`."""
 
     parent: Dist
     children: tuple[Dist, ...]
     weights: Weights
     pool_kind: str = "log"
-    tol: float = POOL_WITNESS_TOL
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "children", tuple(self.children))
@@ -166,7 +153,9 @@ class Decomposition:
             if c.space != self.parent.space:
                 raise SpaceMismatch("children must share the parent's outcome space")
         children = np.stack([c.p for c in self.children])
-        require_pool_witness(children, self.weights.beta, self.parent.p, self.tol, self.pool_kind)
+        require_pool_witness(
+            children, self.weights.beta, self.parent.p, POOL_WITNESS_TOL, self.pool_kind
+        )
 
     @property
     def n(self) -> int:
@@ -180,8 +169,9 @@ class Decomposition:
 def make_decomposition(
     children: Sequence[Dist], weights: Weights, pool_kind: str = "log"
 ) -> Decomposition:
-    """Pool the children and package the result as a certified Decomposition."""
-    parent = pool(children, weights, pool_kind)
+    """Pool the children and package the result as a certified Decomposition;
+    a ``pool_kind`` other than "log" or "linear" raises ParamOutOfRange."""
+    parent = (log_pool if pool_kind == "log" else linear_pool)(children, weights)
     return Decomposition(parent, tuple(children), weights, pool_kind)
 
 

@@ -27,25 +27,23 @@ from .core import (
     cov,
     require_prob_rows,
     softmax,
-    uniform,
+    _integer,
     _rng_streams,
 )
 from .errors import (
     NotFound, NotStrictlyUnanimous, ParamOutOfRange, SpaceMismatch, TiltsNotCentered,
 )
 from .pooling import Decomposition, POOL_REVALIDATION_TOL, require_pool_witness
-from .welfare import UNANIMITY_TOL, gap_terms, unanimity_report, welfare_gap
+from .welfare import UNANIMITY_TOL, gap_terms, unanimity_report
 
 __all__ = [
     "transport_rows",
     "transport",
-    "transport_decomposition",
     "OpennessCertificate",
     "certify_openness",
     "tilt_gap_derivative",
     "tilt_gap_fd",
     "local_unanimity_audit",
-    "uniform_no_gain",
 ]
 
 #: Probe coordinates must stay inside (POSITIVITY_FLOOR, 1) when sampling
@@ -77,23 +75,6 @@ def transport(child: Dist, base: Dist, target: Dist) -> Dist:
     if np.array_equal(base.p, target.p):
         return child
     return Dist(child.space, transport_rows(child.p, base.p, target.p))
-
-
-def transport_decomposition(decomp: Decomposition, target: Dist) -> Decomposition:
-    """Move a log-pool decomposition onto ``target`` exactly.
-
-    Every child is transported with base = the current parent; the result
-    re-validates as a decomposition of ``target`` with the same weights.
-    """
-    if target.space != decomp.space:
-        raise SpaceMismatch("target must live on the decomposition's space")
-    moved = decomp.children
-    if not np.array_equal(decomp.parent.p, target.p):
-        rows = transport_rows(np.stack([c.p for c in moved]), decomp.parent.p, target.p)
-        moved = tuple(Dist(decomp.space, row) for row in rows)
-    return Decomposition(
-        target, moved, decomp.weights, decomp.pool_kind, tol=POOL_REVALIDATION_TOL
-    )
 
 
 def _tv_directions(rng: np.random.Generator, m: int):
@@ -156,10 +137,9 @@ def certify_openness(
     guarantee that *some* positive radius exists is the theorem's job; the
     certificate records how far probing got.
     """
-    if not isinstance(samples, (int, np.integer)) or samples < 1:
-        raise ParamOutOfRange(
-            f"openness needs an integer count of at least one probe sample, got {samples!r}"
-        )
+    samples = _integer(samples, "openness needs at least one probe sample; the count")
+    if samples < 1:
+        raise ParamOutOfRange(f"openness needs at least one probe sample, got {samples!r}")
     base_report = unanimity_report(decomp)
     if not base_report.strictly_unanimous:
         raise NotStrictlyUnanimous(
@@ -253,12 +233,3 @@ def local_unanimity_audit(
         )
     derivatives = np.array([tilt_gap_derivative(P, h) for h in tilts])
     return derivatives, float(weights.beta @ derivatives)
-
-
-def uniform_no_gain(R: Dist) -> float:
-    """The welfare gap of R against the uniform pool; always <= 0.
-
-    Equals −(KL(R‖U) + KL(U‖R)), so it vanishes exactly when R is uniform:
-    no agent strictly gains from pooling into indifference.
-    """
-    return welfare_gap(R, uniform(R.space))

@@ -365,7 +365,7 @@ def _uniform_no_gain(run: _Run):
     for (r,) in _groups(run, lambda rng: (m := int(rng.integers(2, 13)), random_probs(rng, m))):
         require_prob_rows(r)
         u = np.full_like(r, 1.0 / r.shape[-1])
-        gap = gap_terms(r, u)[0]  # stability.uniform_no_gain, stacked
+        gap = gap_terms(r, u)[0]  # each r's welfare gap against the uniform pool
         log_r, log_u = np.log(r), np.log(u)
         kl_ru, kl_ur = (r * (log_r - log_u)).sum(axis=-1), (u * (log_u - log_r)).sum(axis=-1)
         worst_err = _worst(worst_err, np.abs(gap + kl_ru + kl_ur))

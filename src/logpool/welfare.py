@@ -29,7 +29,6 @@ __all__ = [
     "covariance_terms",
     "covariance_condition",
     "unanimity_report",
-    "weighted_gap_sum",
 ]
 
 #: Verdict tolerance: "unanimous" admits gaps >= -UNANIMITY_TOL, "strict"
@@ -162,9 +161,3 @@ def unanimity_report(decomp: Decomposition) -> WelfareReport:
         strictly_unanimous=bool(np.all(gaps > UNANIMITY_TOL)),
         tolerance=UNANIMITY_TOL,
     )
-
-
-def weighted_gap_sum(decomp: Decomposition) -> float:
-    """sum_i beta_i * gap_i — the group's weight-averaged welfare change."""
-    gaps = gap_terms(np.stack([c.p for c in decomp.children]), decomp.parent.p)[0]
-    return float(decomp.weights.beta @ gaps)

@@ -39,12 +39,10 @@ from logpool import (
     single_counteragent_instance,
     split_invariance_check,
     tilt_gap_fd,
-    transport_decomposition,
+    transport,
     tv,
     unanimity_report,
     uniform,
-    uniform_no_gain,
-    weighted_gap_sum,
     welfare_gap,
 )
 
@@ -54,6 +52,7 @@ from _gen import (
     random_family,
     random_strict_weights,
     seeded,
+    transported,
 )
 from _oracles import loglog_slope, mp_linear_pool, mp_log_pool, tv_against
 from _subproc import run_logpool
@@ -160,7 +159,7 @@ def test_05_linear_pools_lose_on_weighted_average():
         decomp = random_decomposition(rng, m, n, kind="linear")
         spread = max(tv(decomp.children[0], c) for c in decomp.children[1:])
         assert spread > 1e-9  # children really are non-identical
-        assert weighted_gap_sum(decomp) < -1e-12
+        assert decomp.weights.beta @ unanimity_report(decomp).gaps < -1e-12
 
 
 def test_06_split_invariance_and_clone_gap_preservation():
@@ -204,19 +203,20 @@ def test_07_parent_benefit_does_not_pass_to_subagents():
 
 
 def test_08_transport_is_exact_and_identity_at_base():
-    """500 (decomposition, target) pairs: the transported decomposition pools
-    to the target within 1e-10, and target = base returns children bit-equal."""
+    """500 (decomposition, target) pairs: the transported children pool to
+    the target within 1e-12 (a certified decomposition of it) and within 1e-10
+    by an independent re-pool, and target = base returns children bit-equal."""
     rng = seeded(108)
     for _ in range(500):
         m = int(rng.integers(2, 13))
         n = int(rng.integers(2, 6))
         decomp = random_decomposition(rng, m, n)
         target = random_dist(rng, decomp.parent.space)
-        moved = transport_decomposition(decomp, target)
-        assert tv(moved.parent, target) <= 1e-10
-        same = transport_decomposition(decomp, decomp.parent)
-        for child, original in zip(same.children, decomp.children):
-            assert np.array_equal(child.p, original.p)
+        moved = transported(decomp, target)
+        assert tv(log_pool(list(moved.children), moved.weights), target) <= 1e-10
+        for child in decomp.children:
+            same = transport(child, decomp.parent, decomp.parent)
+            assert np.array_equal(same.p, child.p)
 
 
 def test_09_openness_certifies_positive_radius():
@@ -259,8 +259,8 @@ def test_11_uniform_pool_offers_no_gain():
     for _ in range(500):
         m = int(rng.integers(2, 16))
         agent = random_dist(rng, OutcomeSpace(m))
-        gap = uniform_no_gain(agent)
         flat = uniform(agent.space)
+        gap = welfare_gap(agent, flat)
         assert gap <= 0.0
         assert abs(gap + kl(agent, flat) + kl(flat, agent)) <= 1e-10
 
@@ -276,7 +276,8 @@ def test_12_no_weight_vector_survives_peaked_sharpening():
         for _ in range(100):
             weights = random_strict_weights(rng, n)
             sums = [
-                weighted_gap_sum(make_decomposition(families[eps], weights, "log"))
+                weights.beta
+                @ unanimity_report(make_decomposition(families[eps], weights, "log")).gaps
                 for eps in grid
             ]
             first_negative = next(i for i, s in enumerate(sums) if s < 0.0)

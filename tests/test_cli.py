@@ -419,3 +419,36 @@ def test_an_openness_run_without_samples_is_a_usage_error(tmp_path, capsys):
     cfg.write_text(json.dumps({**CONFIG, "analyses": ["openness"], "openness": {"samples": 0}}))
     assert_usage_error(capsys, ["experiment", str(cfg), "--out", str(tmp_path / "x")])
     assert not list(tmp_path.glob("x.*"))
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"family": {"kind": "analytic_unanimity", "n": [2.9]}},
+        {"seed": 1.5},
+        {"seed": True},
+        {"openness": {"samples": 1.5}},
+        {"openness": {"samples": True}},
+    ],
+    ids=["family.n", "seed", "seed-bool", "openness.samples", "openness.samples-bool"],
+)
+def test_a_fractional_or_bool_integer_setting_is_a_usage_error(tmp_path, capsys, change):
+    """``"n": [2.9]`` used to run n = 2 and ``"seed": 1.5`` seed 1, and a bool
+    counted as 1."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**CONFIG, "analyses": ["openness"], **change}))
+    assert_usage_error(capsys, ["experiment", str(cfg), "--out", str(tmp_path / "x")])
+    assert not list(tmp_path.glob("x.*"))
+
+
+def test_an_integral_float_setting_is_its_integer(tmp_path):
+    cfg = tmp_path / "config.json"
+    family = {"kind": "analytic_unanimity", "n": [2.0], "epsilon": [0.05]}
+    for name, seed in (("int", 11), ("float", 11.0)):
+        cfg.write_text(json.dumps({**CONFIG, "seed": seed, "family": family, "analyses": ["gaps"]}))
+        assert main(["experiment", str(cfg), "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "float.gaps.csv").read_text() == (tmp_path / "int.gaps.csv").read_text()
+    manifest = json.loads((tmp_path / "float.manifest.json").read_text())
+    assert manifest["seed"] == 11 and isinstance(manifest["seed"], int)
+    rows = (tmp_path / "int.gaps.csv").read_text().splitlines()
+    assert rows[1].split(",")[1] == "2"

@@ -19,19 +19,26 @@ from logpool import (
     ParamOutOfRange,
     ScoreFn,
     Weights,
+    analytic_unanimity_instance,
+    certify_openness,
     coarse_grain_bound,
+    compensation_bound,
     cov,
     dist_from_log_weights,
     entropy,
     event_indices,
     expect,
+    find_epsilon_for_unanimity,
     indicator,
     inner_p,
     kl,
     log_sum_exp,
     make_dist,
     norm_p,
+    parent_benefit_counterexample,
     rng_from,
+    single_counteragent_instance,
+    split_invariance_check,
     tv,
     uniform,
 )
@@ -52,6 +59,60 @@ def test_outcome_space_rejects_degenerate_sizes():
         OutcomeSpace(1)
     with pytest.raises(ParamOutOfRange):
         OutcomeSpace(0)
+
+
+def test_outcome_space_size_is_an_integer():
+    """A NumPy or integral float size is stored as an int; a bool or a
+    non-integral size names the integer it needs, not a size bound."""
+    space = OutcomeSpace(np.int64(3))
+    assert type(space.size) is int and space == SPACE3
+    assert OutcomeSpace(3.0) == SPACE3
+    for size in (True, 2.5, "3"):
+        with pytest.raises(ParamOutOfRange, match="must be an integer"):
+            OutcomeSpace(size)
+
+
+def _compensation_slack(h_index):
+    decomp, _, dbeta = single_counteragent_instance(0.02)
+    return compensation_bound(decomp, h_index, 0.02, 0.005, dbeta).slack
+
+
+def _split_drift(child_index):
+    decomp = analytic_unanimity_instance(2, 0.1)
+    return split_invariance_check(decomp, child_index, 0.5, ScoreFn.zero(decomp.space))[2]
+
+
+def _subagent_gap(o_star):
+    p1 = make_dist(SPACE3, [0.5, 0.3, 0.2])
+    return parent_benefit_counterexample(p1, 2.0, 0.5, o_star, 1.0).subagent_gap
+
+
+def _openness_radius(samples):
+    decomp = analytic_unanimity_instance(2, find_epsilon_for_unanimity(2))
+    return certify_openness(decomp, samples=samples).radius
+
+
+@pytest.mark.parametrize(
+    "call, valid, bad, error",
+    [
+        (_compensation_slack, 0, 1.5, IndexOutOfRange),
+        (_split_drift, 1, 1.5, IndexOutOfRange),
+        (_subagent_gap, 2, 1.5, IndexOutOfRange),
+        (lambda n: analytic_unanimity_instance(n, 0.1).parent.p, 2, 2.5, ParamOutOfRange),
+        (lambda n: Weights.uniform(n).beta, 2, 2.5, ParamOutOfRange),
+        (_openness_radius, 1, True, ParamOutOfRange),
+    ],
+    ids=["h_index", "child_index", "o_star", "agent_count", "weight_count", "samples"],
+)
+def test_a_non_integer_index_or_count_is_a_logpool_error(call, valid, bad, error):
+    """A fractional index or count, or a bool count, used to end in a bare
+    IndexError or TypeError; an integral value of another type gives what
+    the int gives."""
+    with pytest.raises(error, match="must be an integer"):
+        call(bad)
+    want = call(valid)
+    for same in (np.int64(valid), float(valid)):
+        assert np.array_equal(call(same), want)
 
 
 def test_outcome_space_labels_must_fit_and_be_distinct():

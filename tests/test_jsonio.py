@@ -16,10 +16,6 @@ from logpool import (
     NotAPoolWitness,
     OutcomeSpace,
     ParseError,
-    Weights,
-    centered_profiles,
-    compensation_bound,
-    compensation_report_to_json,
     config_hash,
     decomposition_from_json,
     decomposition_to_json,
@@ -28,15 +24,8 @@ from logpool import (
     dumps,
     dumps_canonical,
     loads,
-    log_pool,
-    make_dist,
-    norm_p,
-    optimal_suppression,
     rng_from,
-    single_counteragent_instance,
-    suppression_plan_to_json,
     weights_from_json,
-    weights_to_json,
 )
 
 LAYOUT_GOLDEN = Path(__file__).parent / "golden" / "jsonio_layout.json"
@@ -197,7 +186,7 @@ def test_dist_from_json_does_not_renormalize():
 def test_weights_round_trip_and_bare_arrays():
     rng = rng_from(803)
     w = random_strict_weights(rng, 4)
-    back = weights_from_json(loads(dumps(weights_to_json(w))))
+    back = weights_from_json(loads(dumps({"beta": w.beta.tolist()})))
     assert np.array_equal(back.beta, w.beta)
     bare = weights_from_json([0.5, 0.5])
     assert np.array_equal(bare.beta, [0.5, 0.5])
@@ -220,53 +209,3 @@ def test_decomposition_round_trip_revalidates_the_witness():
     bad["parent"]["p"] = list(np.roll(bad["parent"]["p"], 1))
     with pytest.raises(NotAPoolWitness):
         decomposition_from_json(bad)
-
-
-def test_suppression_plan_serialization_is_complete_and_json_safe():
-    rng = rng_from(805)
-    decomp = random_decomposition(rng, 6, 3)
-    plan = optimal_suppression(centered_profiles(decomp), (1, 4), 0.02)
-    doc = suppression_plan_to_json(plan)
-    text = dumps(doc)  # must not raise
-    back = loads(text)
-    assert set(back) == {
-        "base",
-        "delta_l",
-        "budget",
-        "achieved",
-        "projection_norm",
-        "span_dim",
-        "zero_projection",
-    }
-    assert back["achieved"] == plan.achieved
-    assert back["budget"] == 0.02
-    assert isinstance(back["zero_projection"], bool)
-
-
-def test_compensation_report_serialization_is_complete_and_json_safe():
-    delta, eps = 0.02, 0.005
-    decomp, h, dbeta = single_counteragent_instance(delta)
-    rep = compensation_bound(decomp, h, delta, eps, dbeta)
-    back = loads(dumps(compensation_report_to_json(rep)))
-    assert set(back) == {
-        "h_index",
-        "delta",
-        "budget",
-        "inner_products",
-        "anti_indices",
-        "aligned_indices",
-        "target_norm",
-        "residual_norm",
-        "delta_l_norm",
-        "lhs",
-        "rhs",
-        "slack",
-        "single_anti_aligned",
-        "counter_index",
-        "counter_lower_bound",
-        "aligned_not_downgraded",
-    }
-    assert back["counter_index"] == 1
-    assert back["counter_lower_bound"] > 0.0
-    assert back["slack"] == rep.slack
-    assert len(back["inner_products"]) == 3

@@ -26,7 +26,6 @@ from logpool import (
     log_pool_with_log_z,
     make_decomposition,
     make_dist,
-    pool,
     rng_from,
     tilt_representation,
     tv,
@@ -119,10 +118,10 @@ def test_pool_dispatcher_and_validation():
     space = OutcomeSpace(4)
     agents = [random_dist(rng, space) for _ in range(2)]
     w = Weights.uniform(2)
-    assert tv(pool(agents, w, "log"), log_pool(agents, w)) == 0.0
-    assert tv(pool(agents, w, "linear"), linear_pool(agents, w)) == 0.0
+    assert tv(make_decomposition(agents, w, "log").parent, log_pool(agents, w)) == 0.0
+    assert tv(make_decomposition(agents, w, "linear").parent, linear_pool(agents, w)) == 0.0
     with pytest.raises(ParamOutOfRange):
-        pool(agents, w, "geometric")
+        make_decomposition(agents, w, "geometric")
     other = random_dist(rng, OutcomeSpace(5))
     with pytest.raises(SpaceMismatch):
         log_pool([agents[0], other], w)
@@ -143,7 +142,7 @@ def test_decomposition_validates_its_witness():
     agents = [random_dist(rng, space) for _ in range(3)]
     w = random_strict_weights(rng, 3)
     decomp = make_decomposition(agents, w, "log")
-    assert tv(pool(list(decomp.children), decomp.weights, "log"), decomp.parent) <= 1e-12
+    assert tv(log_pool(list(decomp.children), decomp.weights), decomp.parent) <= 1e-12
     assert decomp.n == 3 and decomp.space == space
     imposter = random_dist(rng, space)
     with pytest.raises(NotAPoolWitness):

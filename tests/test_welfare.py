@@ -27,7 +27,6 @@ from logpool import (
     rng_from,
     unanimity_report,
     uniform,
-    weighted_gap_sum,
     welfare_gap,
 )
 from logpool.welfare import covariance_terms
@@ -128,7 +127,8 @@ def test_weighted_gap_sum_log_pool_entropy_identity():
             + sum(b * entropy(a) for a, b in zip(agents, weights.beta))
             - entropy(pooled)
         )
-        assert weighted_gap_sum(decomp) == pytest.approx(expected, abs=1e-10)
+        weighted = decomp.weights.beta @ unanimity_report(decomp).gaps
+        assert weighted == pytest.approx(expected, abs=1e-10)
 
 
 def test_weighted_gap_sum_negative_for_linear_pools_of_distinct_agents():
@@ -138,7 +138,7 @@ def test_weighted_gap_sum_negative_for_linear_pools_of_distinct_agents():
         n = int(rng.integers(2, 5))
         agents, weights = random_family(rng, m, n)
         decomp = make_decomposition(agents, weights, "linear")
-        assert weighted_gap_sum(decomp) < -1e-12
+        assert decomp.weights.beta @ unanimity_report(decomp).gaps < -1e-12
 
 
 def test_binary_closed_form_matches_direct_gap():
@@ -208,7 +208,7 @@ def test_gap_is_linear_in_the_pool_argument(seed):
 
 
 # ---------------------------------------------------------------------------
-# the stacked kernel behind welfare_gap / unanimity_report / weighted_gap_sum
+# the stacked kernel behind welfare_gap / unanimity_report
 # ---------------------------------------------------------------------------
 
 
@@ -229,7 +229,7 @@ def test_stacked_gap_rows_match_per_instance_reports(m, n):
         assert np.abs(h_children[row] - rep.entropy_children).max() <= 1e-15
         assert abs(h_parents[row, 0] - rep.entropy_parent) <= 1e-15
         assert np.abs(kl_terms[row] - rep.kl_parent_children).max() <= 1e-15
-        assert abs(beta[row] @ gaps[row] - weighted_gap_sum(d)) <= 1e-15
+        assert abs(beta[row] @ gaps[row] - d.weights.beta @ rep.gaps) <= 1e-15
         for i, child in enumerate(d.children):
             assert abs(gaps[row, i] - welfare_gap(child, d.parent)) <= 1e-15
 
