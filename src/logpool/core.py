@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -380,9 +381,14 @@ def expect(P: Dist, f) -> float:
 
 def cov(P: Dist, f, g) -> float:
     """Covariance under P, computed from centered values for stability."""
-    fv, gv = _values(P, f), _values(P, g)
-    fc, gc = fv - (P.p * fv).sum(), gv - (P.p * gv).sum()
-    return float((P.p * fc * gc).sum())
+    return float(_cov(P.p, _values(P, f), _values(P, g)))
+
+
+def _cov(p: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """:func:`cov` of rows f and g under rows p, over the last axis (..., m)."""
+    fc = f - (p * f).sum(axis=-1, keepdims=True)
+    gc = g - (p * g).sum(axis=-1, keepdims=True)
+    return (p * fc * gc).sum(axis=-1)
 
 
 def inner_p(P: Dist, f, g) -> float:
@@ -493,7 +499,8 @@ def rng_from(seed: int, *path: int) -> np.random.Generator:
 
     All randomness in the package flows through this helper so a single
     CLI-level seed reproduces every draw; no wall clock, no OS entropy.
-    Distinct paths give independent streams.  A negative seed or path entry
+    Distinct paths give independent streams.  A seed or path entry that is
+    negative or not an integer (``2.0`` is 2; ``1.7`` and ``True`` are not)
     raises :class:`ParamOutOfRange`.
     """
     key = _key(seed, path)
@@ -501,7 +508,7 @@ def rng_from(seed: int, *path: int) -> np.random.Generator:
 
 
 def _key(seed: int, path: tuple[int, ...]) -> tuple[int, ...]:
-    key = tuple(int(x) for x in (seed, *path))
+    key = tuple(_integer(x, "a seed or path entry") for x in (seed, *path))
     if min(key) < 0:
         raise ParamOutOfRange(f"seed and path must be non-negative, got {seed!r}, {path!r}")
     return key
@@ -514,42 +521,60 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
-def _rng_streams(seed: int, *path: int, count: int) -> list[np.random.Generator]:
-    """``[rng_from(seed, *path, i) for i in range(count)]``, bit for bit.
+def _rng_streams(
+    seed: int, *path: int, count: int, at: int | None = None
+) -> list[np.random.Generator]:
+    """``[rng_from(*key[:at], i, *key[at:]) for i in range(count)]`` for the
+    key ``(seed, *path)``, bit for bit; ``at`` defaults to the key's end.
 
-    Replays NumPy's ``SeedSequence`` with a pool of 4 words.  The words every
-    stream shares (the seed zero-padded to the pool, then the path) are mixed
-    once; the last word, the index, is mixed into a (4, count) pool, and
-    ``generate_state(4, uint64)`` is one (8, count) pass.  Seeding each
-    generator from its ready words skips the per-stream ``SeedSequence``; this
-    pays from about 8 streams up.
+    Replays NumPy's ``SeedSequence`` (a pool of 4 words) for all the keys at
+    once: a shared 32-bit word is a Python int, hashed once, and the index a
+    (count,) array, so each step from it on is one NumPy pass.  Each generator
+    is seeded from its ready words, without a per-stream ``SeedSequence``.
     """
-    key = _key(seed, path)
-    words = _words(key[0], 4) + [w for x in key[1:] for w in _words(x)]
-    # mixing len(words) >= 4 words makes 4 * len(words) hashmix calls
-    shared = np.random.SeedSequence(words).pool.astype(np.uint64)[:, None]
-    index = _hashmix(np.arange(count, dtype=np.uint64), _INIT_A, _MULT_A, 4 * len(words), 4)
-    pool = (_MIX_L * shared - _MIX_R * index) & _M32  # SeedSequence's mix
-    pool ^= pool >> 16
-    # 8 uint32 words drawn round-robin from the pool, paired little-endian
-    state = _hashmix(np.concatenate([pool, pool]), _INIT_B, _MULT_B, 0, 8)
+    key: list = list(_key(seed, path))
+    key.insert(len(key) if at is None else at, np.arange(count, dtype=np.uint64))
+    # the seed is zero-padded to the pool, as NumPy pads it before a spawn key
+    words = [w for j, x in enumerate(key) for w in _words(x, 4 if j == 0 else 1)]
+    hc = _hash_constants(_INIT_A, _MULT_A, 4 * len(words))
+    steps = iter(zip(hc, hc[1:]))
+
+    def hashmix(value):
+        before, after = next(steps)
+        value = (value ^ before) * after & _M32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = (_MIX_L * x - _MIX_R * hashmix(y)) & _M32
+        return value ^ value >> 16
+
+    pool = [hashmix(w) for w in words[:4]]
+    for src, dst in permutations(range(4), 2):
+        pool[dst] = mix(pool[dst], pool[src])
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], w)
+    # generate_state(4, uint64): 8 uint32 words drawn round-robin from the
+    # pool, paired little-endian
+    hc = np.array(_hash_constants(_INIT_B, _MULT_B, 8), np.uint64)[:, None]
+    state = (np.stack(pool * 2) ^ hc[:-1]) * hc[1:] & _M32
+    state ^= state >> 16
     seeds = (state[0::2] | state[1::2] << 32).T.copy()
     return [np.random.Generator(np.random.PCG64(_Seeded(row))) for row in seeds]
 
 
-def _words(x: int, size: int = 1) -> list[int]:
+def _words(x, size: int = 1) -> list:
     """``x`` as SeedSequence reads it: little-endian 32-bit words, zero-padded
-    to at least ``size`` words."""
+    to at least ``size`` words; the index array (below 2**32) is one word."""
+    if isinstance(x, np.ndarray):
+        return [x] + [0] * (size - 1)
     return [(x >> s) & _M32 for s in range(0, max(x.bit_length(), 32 * size), 32)]
 
 
-def _hashmix(value: np.ndarray, init: int, mult: int, start: int, k: int) -> np.ndarray:
-    """SeedSequence's ``hashmix`` of ``value`` (32-bit words in uint64) by its
-    running hash constants ``start`` to ``start + k - 1``, one per output row."""
-    steps = range(start, start + k + 1)
-    hc = np.array([init * pow(mult, j, 1 << 32) & _M32 for j in steps], np.uint64)
-    value = (value ^ hc[:-1, None]) * hc[1:, None] & _M32
-    return value ^ value >> 16
+@lru_cache(maxsize=None)
+def _hash_constants(init: int, mult: int, k: int) -> tuple[int, ...]:
+    """SeedSequence's running hash constants ``init * mult**j``, j = 0..k."""
+    return tuple(init * pow(mult, j, 1 << 32) & _M32 for j in range(k + 1))
 
 
 class _Seeded(np.random.bit_generator.ISeedSequence):

@@ -14,7 +14,6 @@ a subagent produced by such a split.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -24,10 +23,14 @@ from .core import (
     ScoreFn,
     Weights,
     dist_from_log_weights,
+    require_prob_rows,
+    require_weight_rows,
     rng_from,
+    softmax,
     tv,
     uniform,
     _integer,
+    _require_finite,
 )
 from .errors import (
     IndexOutOfRange,
@@ -39,7 +42,7 @@ from .errors import (
     UniformParent,
     WeightTooConcentrated,
 )
-from .pooling import Decomposition, log_pool
+from .pooling import Decomposition, log_pool, log_pool_arrays
 from .welfare import welfare_gap
 
 __all__ = [
@@ -72,44 +75,68 @@ TILT_MAGNITUDE_BASE = 0.05
 LAMBDA_SWEEP: tuple[float, ...] = tuple(float(2**k) for k in range(13))
 
 
-def _seeded_tilt_direction(rng: np.random.Generator, m: int) -> np.ndarray:
-    """A centered direction (mean zero = centered under the uniform
-    reference) scaled to unit sup-norm."""
-    g = rng.standard_normal(m)
-    g = g - g.mean()
-    scale = np.max(np.abs(g))
-    if scale == 0.0:  # astronomically unlikely; resample deterministically
-        g = np.linspace(-1.0, 1.0, m)
-        g = g - g.mean()
-        scale = np.max(np.abs(g))
-    return g / scale
-
-
 def _balanced_children(
-    parent: Dist, weights: Weights, fixed: Sequence[Dist], solved: int, rng: np.random.Generator
-) -> list[Dist]:
-    """``fixed``, then a seeded free tilt of the uniform reference at every
-    later index but ``solved`` (drawn in index order, child i with magnitude
-    TILT_MAGNITUDE_BASE * (1 + (i+1)/n)), then the child at ``solved`` that
-    makes the weighted log-pool equal ``parent`` exactly."""
-    n, m = weights.n, parent.space.size
-    children: list[Dist | None] = list(fixed) + [None] * (n - len(fixed))
-    for i in range(len(fixed), n):
-        if i != solved:
-            magnitude = TILT_MAGNITUDE_BASE * (1.0 + (i + 1) / n)
-            children[i] = dist_from_log_weights(
-                parent.space, magnitude * _seeded_tilt_direction(rng, m)
-            )
-    gamma = 1.0 - float(weights.beta[solved])
-    mixed = np.zeros(m)
+    parent: np.ndarray, beta: np.ndarray, fixed: np.ndarray, solved: int, draws: np.ndarray
+) -> np.ndarray:
+    """Stacked children (..., n, m) of parents (..., m) with weights (..., n):
+    the ``fixed`` rows (..., k, m), then at each later index i but ``solved``
+    the uniform reference tilted along its row of ``draws`` (..., n - k - 1,
+    m), centered and scaled to magnitude TILT_MAGNITUDE_BASE * (1 + (i+1)/n)
+    in sup-norm, then at ``solved`` the child that makes the weighted log-pool
+    equal the parent exactly.  Rows are validated as ``Dist`` does."""
+    n, k, m = beta.shape[-1], fixed.shape[-2], parent.shape[-1]
+    free = [i for i in range(k, n) if i != solved]
+    g = draws - draws.mean(axis=-1, keepdims=True)
+    scale = np.abs(g).max(axis=-1, keepdims=True)
+    if (scale == 0.0).any():  # astronomically unlikely; resample deterministically
+        line = np.linspace(-1.0, 1.0, m)
+        line = line - line.mean()
+        g = np.where(scale == 0.0, line, g)
+        scale = np.where(scale == 0.0, np.abs(line).max(), scale)
+    magnitude = TILT_MAGNITUDE_BASE * (1.0 + (np.array(free) + 1) / n)
+    # ones: the solved row, filled last, has a finite (unused) log until then
+    children = np.ones(beta.shape + (m,))
+    children[..., :k, :] = fixed
+    children[..., free, :] = softmax(magnitude[:, None] * (g / scale))[0]
+    require_prob_rows(children[..., free, :])
+    logs = np.log(children)
+    mixed = np.zeros(parent.shape)
     for i in range(n):
         if i != solved:
-            mixed += weights.beta[i] * children[i].log_p
-    log_q_star = mixed / gamma
-    children[solved] = dist_from_log_weights(
-        parent.space, (parent.log_p - gamma * log_q_star) / weights.beta[solved]
-    )
+            mixed += beta[..., i, None] * logs[..., i, :]
+    b = beta[..., solved, None]
+    gamma = 1.0 - b
+    log_w = (np.log(parent) - gamma * (mixed / gamma)) / b
+    _require_finite(log_w, "log-weight vector")
+    children[..., solved, :] = softmax(log_w)[0]
+    require_prob_rows(children[..., solved, :])
     return children
+
+
+def _distinct_children(
+    parent: np.ndarray, beta: np.ndarray, solved: int, seeds: Sequence[int], draws: np.ndarray
+) -> np.ndarray:
+    """Stacked :func:`factor_pairwise_distinct` children: ``draws`` (...,
+    n - 1, m) come from each instance's stream ``rng_from(seed, 0)`` (seeds
+    flat); an instance whose family is not separated redraws from
+    ``rng_from(seed, attempt)``."""
+    fixed = np.empty(parent.shape[:-1] + (0, parent.shape[-1]))
+    draws = np.array(draws)  # a copy; redraws land in it through its flat view
+    rows, retry = draws.reshape(-1, *draws.shape[-2:]), ()
+    for attempt in range(RETRY_BUDGET):
+        for r in retry:
+            rows[r] = rng_from(seeds[r], attempt).standard_normal(rows.shape[1:])
+        children = _balanced_children(parent, beta, fixed, solved, draws)
+        family = np.concatenate([parent[..., None, :], children], axis=-2)
+        a, b = np.triu_indices(family.shape[-2], 1)
+        tvs = 0.5 * np.abs(family[..., a, :] - family[..., b, :]).sum(axis=-1)
+        retry = np.flatnonzero(~(tvs.min(axis=-1) > DISTINCTNESS_TV))
+        if retry.size == 0:
+            return children
+    raise DistinctnessFailure(
+        f"could not separate children after {RETRY_BUDGET} seeds; "
+        "the outcome space is too small for distinct factors"
+    )
 
 
 def factor_pairwise_distinct(parent: Dist, weights: Weights, seed: int) -> Decomposition:
@@ -128,15 +155,9 @@ def factor_pairwise_distinct(parent: Dist, weights: Weights, seed: int) -> Decom
             "need at least two strictly positive weights to factor"
         )
     absorber = int(np.argmax(weights.beta > 0.0))
-    for attempt in range(RETRY_BUDGET):
-        children = _balanced_children(parent, weights, (), absorber, rng_from(seed, attempt))
-        pairs = combinations([parent] + children, 2)
-        if min(tv(a, b) for a, b in pairs) > DISTINCTNESS_TV:
-            return Decomposition(parent, tuple(children), weights, "log")
-    raise DistinctnessFailure(
-        f"could not separate children after {RETRY_BUDGET} seeds; "
-        "the outcome space is too small for distinct factors"
-    )
+    draws = rng_from(seed, 0).standard_normal((weights.n - 1, parent.space.size))
+    children = _distinct_children(parent.p, weights.beta, absorber, [seed], draws)
+    return Decomposition(parent, tuple(Dist(parent.space, c) for c in children), weights, "log")
 
 
 def factor_with_fixed(
@@ -164,8 +185,10 @@ def factor_with_fixed(
     for f in fixed:
         if f.space != parent.space:
             raise SpaceMismatch("fixed children must share the parent's space")
-    children = _balanced_children(parent, weights, fixed, k, rng_from(seed, 0))
-    return Decomposition(parent, tuple(children), weights, "log")
+    draws = rng_from(seed, 0).standard_normal((n - k - 1, parent.space.size))
+    rows = _balanced_children(parent.p, weights.beta, np.stack([f.p for f in fixed]), k, draws)
+    children = (*fixed, *(Dist(parent.space, c) for c in rows[k:]))
+    return Decomposition(parent, children, weights, "log")
 
 
 def compatible_split(child: Dist, alpha: float, g: ScoreFn) -> tuple[Dist, Dist]:
@@ -179,9 +202,38 @@ def compatible_split(child: Dist, alpha: float, g: ScoreFn) -> tuple[Dist, Dist]
         raise ParamOutOfRange("alpha must lie strictly between 0 and 1")
     if g.space != child.space:
         raise SpaceMismatch("tilt and child must share an outcome space")
-    first = dist_from_log_weights(child.space, child.log_p + (1.0 - alpha) * g.f)
-    second = dist_from_log_weights(child.space, child.log_p - alpha * g.f)
+    first, second = (Dist(child.space, q) for q in _split_pieces(child.log_p, alpha, g.f))
     return first, second
+
+
+def _split_pieces(log_child: np.ndarray, alpha, g: np.ndarray) -> np.ndarray:
+    """Stacked :func:`compatible_split` of log-probabilities (..., m) along g
+    (..., m) at alpha (...): the pieces (..., 2, m), validated as ``Dist``."""
+    alpha = np.asarray(alpha)[..., None, None]
+    coefficients = np.concatenate([1.0 - alpha, -alpha], axis=-2)
+    log_w = log_child[..., None, :] + coefficients * g[..., None, :]
+    _require_finite(log_w, "log-weight vector")
+    pieces = softmax(log_w)[0]
+    require_prob_rows(pieces[..., 0, :])
+    require_prob_rows(pieces[..., 1, :])
+    return pieces
+
+
+def _split_repool(parent, children, beta, idx, alpha, pieces) -> np.ndarray:
+    """Stacked re-pool of :func:`split_invariance_check`: child ``idx`` (...)
+    of each family (..., n, m) replaced by its ``pieces`` (..., 2, m) with
+    weights (alpha*beta_i, (1-alpha)*beta_i); the tv (...) from the parent."""
+    idx, alpha = np.asarray(idx)[..., None], np.asarray(alpha)[..., None]
+    j = np.arange(beta.shape[-1] + 1)
+    source = j - (j > idx)  # the old child at each position of the split family
+    family = np.take_along_axis(children, source[..., None], axis=-2)
+    refined, b = np.take_along_axis(beta, source, -1), np.take_along_axis(beta, idx, -1)
+    np.put_along_axis(family, (idx + [0, 1])[..., None], pieces, axis=-2)
+    np.put_along_axis(refined, idx + [0, 1], np.concatenate([alpha * b, (1.0 - alpha) * b], -1), -1)
+    require_weight_rows(refined)
+    repooled = log_pool_arrays(np.log(family), refined)[0]
+    require_prob_rows(repooled)
+    return 0.5 * np.abs(repooled - parent).sum(axis=-1)
 
 
 def split_invariance_check(
@@ -202,13 +254,10 @@ def split_invariance_check(
             f"child index {child_index} outside [0, {decomp.n})"
         )
     first, second = compatible_split(decomp.children[child_index], alpha, g)
-    children = list(decomp.children)
-    beta = list(decomp.weights.beta)
-    b = beta[child_index]
-    children[child_index : child_index + 1] = [first, second]
-    beta[child_index : child_index + 1] = [alpha * b, (1.0 - alpha) * b]
-    repooled = log_pool(children, Weights(np.array(beta)))
-    return first, second, tv(repooled, decomp.parent)
+    children, pieces = np.stack([c.p for c in decomp.children]), np.stack([first.p, second.p])
+    beta = decomp.weights.beta
+    delta = _split_repool(decomp.parent.p, children, beta, child_index, alpha, pieces)
+    return first, second, float(delta)
 
 
 @dataclass(frozen=True, slots=True)

@@ -24,11 +24,13 @@ from .core import (
     Dist,
     ScoreFn,
     Weights,
-    cov,
+    first_row,
     require_prob_rows,
     softmax,
+    _cov,
     _integer,
     _rng_streams,
+    _values,
 )
 from .errors import (
     NotFound, NotStrictlyUnanimous, ParamOutOfRange, SpaceMismatch, TiltsNotCentered,
@@ -193,18 +195,29 @@ def certify_openness(
 def tilt_gap_derivative(P: Dist, h: ScoreFn) -> float:
     """d/de at e=0 of the welfare gap of the tilted agent P_e ∝ P·exp(e·h)
     against the fixed pool P.  Equals −Cov_P(h, log P)."""
-    return -cov(P, h, P.log_p)
+    return float(_gap_derivatives(P.p, _values(P, h)))
+
+
+def _gap_derivatives(p: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Stacked :func:`tilt_gap_derivative` of rows p along tilts h (..., m)."""
+    return -_cov(p, h, np.log(p))
 
 
 def tilt_gap_fd(P: Dist, h: ScoreFn) -> float:
     """Central finite difference (step 1e-5) companion to
     :func:`tilt_gap_derivative`: both tilted agents are scored against P in
     one stacked gap call."""
+    return float(_gap_fd(P.p, _values(P, h)))
+
+
+def _gap_fd(p: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Stacked :func:`tilt_gap_fd` of rows p along tilts h (..., m): one
+    softmax of the up and down tilts (..., 2, m) and one gap call."""
     step = 1e-5
-    tilted = softmax(P.log_p + np.array([[step], [-step]]) * h.f)[0]
+    tilted = softmax(np.log(p)[..., None, :] + np.array([[step], [-step]]) * h[..., None, :])[0]
     require_prob_rows(tilted)
-    up, down = gap_terms(tilted, P.p)[0]
-    return float((up - down) / (2.0 * step))
+    gaps = gap_terms(tilted, p[..., None, :])[0]
+    return (gaps[..., 0] - gaps[..., 1]) / (2.0 * step)
 
 
 def local_unanimity_audit(
@@ -221,15 +234,25 @@ def local_unanimity_audit(
         raise TiltsNotCentered(
             f"{len(tilts)} tilts but {weights.n} weights"
         )
-    combined = np.zeros(P.space.size)
-    for beta_i, h in zip(weights.beta, tilts):
-        if h.space != P.space:
-            raise SpaceMismatch("tilts must live on the distribution's space")
-        combined += beta_i * h.f
-    worst = float(np.max(np.abs(combined)))
-    if worst > VALUE_TOL:
+    if any(h.space != P.space for h in tilts):
+        raise SpaceMismatch("tilts must live on the distribution's space")
+    derivatives, weighted = _audit(P.p, np.stack([h.f for h in tilts]), weights.beta)
+    return derivatives, float(weighted)
+
+
+def _audit(p: np.ndarray, tilts: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked :func:`local_unanimity_audit` of rows p (..., m) with tilts
+    (..., n, m) and weights (..., n): the derivatives (..., n) and their
+    weighted sums (...); a batch error names the first unbalanced row."""
+    combined = np.zeros(p.shape)
+    for i in range(beta.shape[-1]):
+        combined += beta[..., i, None] * tilts[..., i, :]
+    worst = np.abs(combined).max(axis=-1)
+    if (worst > VALUE_TOL).any():
+        row, where = first_row(worst > VALUE_TOL)
         raise TiltsNotCentered(
-            f"weighted tilt sum deviates from zero by {worst:.3e} (tol {VALUE_TOL:.1e})"
+            f"weighted tilt sum{where} deviates from zero by {float(worst[row]):.3e} "
+            f"(tol {VALUE_TOL:.1e})"
         )
-    derivatives = np.array([tilt_gap_derivative(P, h) for h in tilts])
-    return derivatives, float(weights.beta @ derivatives)
+    derivatives = _gap_derivatives(p[..., None, :], tilts)
+    return derivatives, np.matmul(beta[..., None, :], derivatives[..., None])[..., 0, 0]

@@ -31,17 +31,14 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import constructions, factorize, persona, stability
-from .constructions import (
-    random_beta, random_decomposition, random_dist, random_family, random_probs,
-    random_strict_weights,
-)
+from .constructions import random_beta, random_decomposition, random_dist, random_probs
 from .core import (
     Dist, OutcomeSpace, ScoreFn, Weights, event_indices, expect, make_dist, norm_p,
     normalize_rows, require_prob_rows, require_weight_rows, rng_from, tv, uniform,
     _rng_streams,
 )
 from .errors import ParamOutOfRange, UnknownSuite
-from .pooling import linear_pool_arrays, log_pool, log_pool_arrays, make_decomposition
+from .pooling import linear_pool_arrays, log_pool, log_pool_arrays
 from .welfare import covariance_condition, covariance_terms, gap_terms, unanimity_report
 
 __all__ = ["CheckResult", "SUITE_NAMES", "run_suite"]
@@ -476,23 +473,24 @@ def _peaked_negative(run: _Run):
 # factorize
 # ---------------------------------------------------------------------------
 
-def _children(decomp) -> np.ndarray:
-    return np.stack([c.p for c in decomp.children])
-
-
 @_check("factorize.pairwise_distinct_reconstructs", 80, 1e-12, "<=",
         "children re-pool to the parent exactly; all pairwise tv "
         "distances exceed the distinctness floor")
 def _factor_distinct(run: _Run):
-    def factored(i, rng):
+    def draw(i, rng, tilt):
         m = int(rng.integers(3, 9))
         n = int(rng.integers(2, 6))
-        parent = random_dist(rng, OutcomeSpace(m))
-        decomp = factorize.factor_pairwise_distinct(parent, random_strict_weights(rng, n), seed=i)
-        return (m, n), parent.p, _children(decomp), decomp.weights.beta
+        parent, beta = random_probs(rng, m), random_beta(rng, n)
+        return (m, n), np.array(i), parent, beta, tilt.standard_normal((n - 1, m))
 
     worst_tv, worst_dist = 0.0, np.inf
-    for parent, children, beta in _stacked(map(factored, range(run.samples), run.rngs())):
+    # instance i is factored with seed=i: its tilts come from rng_from(i, attempt)
+    tilts = _rng_streams(0, count=run.samples, at=0)
+    for seeds, parent, beta, draws in _stacked(map(draw, range(run.samples), run.rngs(), tilts)):
+        require_prob_rows(parent)
+        require_weight_rows(beta)
+        # strict weights: child 0 is the absorber
+        children = factorize._distinct_children(parent, beta, 0, seeds, draws)
         worst_tv = _worst(worst_tv, _tv(_log_pool(np.log(children), beta)[0], parent))
         family = np.concatenate([parent[:, None], children], axis=1)
         a, b = np.triu_indices(family.shape[1], 1)
@@ -504,21 +502,22 @@ def _factor_distinct(run: _Run):
         "prescribed children pass through bit-identical and the "
         "family still re-pools to the parent")
 def _factor_fixed(run: _Run):
-    def factored(i, rng):
+    def draw(rng, tilt):
         k = int(rng.integers(1, 3))
         n = k + 2 + int(rng.integers(0, 3))
         m = int(rng.integers(3, 9))
-        space = OutcomeSpace(m)
-        parent = random_dist(rng, space)
-        fixed = random_probs(rng, m, k)
-        weights = random_strict_weights(rng, n)
-        fixed_dists = [Dist(space, f) for f in fixed]
-        decomp = factorize.factor_with_fixed(parent, fixed_dists, weights, seed=i)
-        return (m, n, k), parent.p, fixed, _children(decomp), weights.beta
+        parent, fixed, beta = random_probs(rng, m), random_probs(rng, m, k), random_beta(rng, n)
+        return (m, n, k), parent, fixed, beta, tilt.standard_normal((n - k - 1, m))
 
     worst = 0.0
-    for parent, fixed, children, beta in _stacked(map(factored, range(run.samples), run.rngs())):
-        if not np.array_equal(fixed, children[:, : fixed.shape[1]]):
+    tilts = _rng_streams(0, count=run.samples, at=0)  # rng_from(i, 0): seed=i
+    for parent, fixed, beta, draws in _stacked(map(draw, run.rngs(), tilts)):
+        require_prob_rows(parent)
+        require_prob_rows(fixed)
+        require_weight_rows(beta)
+        k = fixed.shape[1]
+        children = factorize._balanced_children(parent, beta, fixed, k, draws)
+        if not np.array_equal(fixed, children[:, :k]):
             worst = 1.0
         worst = _worst(worst, _tv(_log_pool(np.log(children), beta)[0], parent))
     return worst
@@ -528,24 +527,26 @@ def _factor_fixed(run: _Run):
         "max pool drift under compatible splits, plus clone-gap "
         "agreement for zero tilts")
 def _split_invariance(run: _Run):
-    def split(rng):
-        agents, weights = random_family(rng, *_sizes(rng, m_lo=3, n_hi=5))
-        decomp = make_decomposition(agents, weights, "log")
-        idx = int(rng.integers(0, weights.n))
-        alpha = float(rng.uniform(0.1, 0.9))
-        g = ScoreFn(decomp.space, 0.7 * rng.standard_normal(decomp.space.size))
-        delta = factorize.split_invariance_check(decomp, idx, alpha, g)[2]
-        # a zero-tilt split produces two clones with the original's welfare gap
-        zero = ScoreFn(decomp.space, np.zeros(decomp.space.size))
-        first, second, delta0 = factorize.split_invariance_check(decomp, idx, alpha, zero)
-        clones = np.stack([first.p, second.p])
-        return decomp.space.size, np.array([delta, delta0]), clones, agents[idx].p, decomp.parent.p
+    def draw(rng):
+        m, n = _sizes(rng, m_lo=3, n_hi=5)
+        agents, beta = random_probs(rng, m, n), random_beta(rng, n)
+        idx, alpha = int(rng.integers(0, n)), float(rng.uniform(0.1, 0.9))
+        return (m, n), agents, beta, np.array(idx), np.array(alpha), 0.7 * rng.standard_normal(m)
 
     worst = 0.0
-    for deltas, clones, agent, parent in _groups(run, split):
-        base_gap = gap_terms(agent, parent)[0]
+    for agents, beta, idx, alpha, g in _groups(run, draw):
+        require_prob_rows(agents)
+        require_weight_rows(beta)
+        parent = _log_pool(np.log(agents), beta)[0]
+        agent = np.take_along_axis(agents, idx[:, None, None], axis=1)[:, 0]
+        pieces = factorize._split_pieces(np.log(agent), alpha, g)
+        # a zero-tilt split produces two clones with the original's welfare gap
+        clones = factorize._split_pieces(np.log(agent), alpha, np.zeros_like(g))
+        deltas = [
+            factorize._split_repool(parent, agents, beta, idx, alpha, q) for q in (pieces, clones)
+        ]
         clone_gaps = gap_terms(clones, parent[:, None, :])[0]
-        worst = _worst(worst, deltas, np.abs(clone_gaps - base_gap[:, None]))
+        worst = _worst(worst, *deltas, np.abs(clone_gaps - gap_terms(agent, parent)[0][:, None]))
     return worst
 
 
@@ -608,18 +609,22 @@ def _openness(run: _Run):
         "max relative error between -Cov(h, log p) and a central "
         "finite difference of the tilted gap")
 def _tilt_fd(run: _Run):
-    worst = 0.0
-    for i in range(run.samples):
+    def draw(i, rng):
+        # attempt k draws from run.rng(i, k) (k = 0 comes batched), until the
+        # derivative reaches 1e-3 or the 50th attempt
         for attempt in range(50):
-            rng = run.rng(i, attempt)
+            rng = run.rng(i, attempt) if attempt else rng
             m = int(rng.integers(2, 9))
-            p = random_dist(rng, OutcomeSpace(m))
-            h = ScoreFn(p.space, rng.standard_normal(m))
-            analytic = stability.tilt_gap_derivative(p, h)
-            if abs(analytic) >= 1e-3:
-                break
-        fd = stability.tilt_gap_fd(p, h)
-        worst = max(worst, abs(fd - analytic) / abs(analytic))
+            p, h = random_probs(rng, m), rng.standard_normal(m)
+            if attempt == 49 or abs(stability._gap_derivatives(p, h)) >= 1e-3:
+                return m, p, h
+
+    worst = 0.0
+    first = _rng_streams(run.seed, *run.ids, 0, count=run.samples, at=3)  # run.rng(i, 0)
+    for p, h in _stacked(map(draw, range(run.samples), first)):
+        require_prob_rows(p)
+        analytic = stability._gap_derivatives(p, h)
+        worst = _worst(worst, np.abs(stability._gap_fd(p, h) - analytic) / np.abs(analytic))
     return worst
 
 
@@ -627,18 +632,19 @@ def _tilt_fd(run: _Run):
         "max |sum_i beta_i d(gap_i)| over families of tilts whose "
         "weighted sum vanishes pointwise")
 def _local_audit(run: _Run):
-    worst = 0.0
-    for rng in run.rngs():
+    def draw(rng):
         m = int(rng.integers(2, 9))
         n = int(rng.integers(2, 6))
-        p = random_dist(rng, OutcomeSpace(m))
-        weights = random_strict_weights(rng, n)
-        hs = [rng.standard_normal(m) for _ in range(n - 1)]
-        closing = -sum(b * h for b, h in zip(weights.beta[:-1], hs))
-        hs.append(closing / weights.beta[-1])
-        tilts = [ScoreFn(p.space, h) for h in hs]
-        _, weighted = stability.local_unanimity_audit(p, tilts, weights)
-        worst = max(worst, abs(weighted))
+        p, beta = random_probs(rng, m), random_beta(rng, n)
+        hs = list(rng.standard_normal((n - 1, m)))
+        closing = -sum(b * h for b, h in zip(beta[:-1], hs))
+        return (m, n), p, beta, np.stack([*hs, closing / beta[-1]])
+
+    worst = 0.0
+    for p, beta, tilts in _groups(run, draw):
+        require_prob_rows(p)
+        require_weight_rows(beta)
+        worst = _worst(worst, np.abs(stability._audit(p, tilts, beta)[1]))
     return worst
 
 

@@ -28,6 +28,7 @@ from logpool import (
     entropy,
     event_indices,
     expect,
+    factor_pairwise_distinct,
     find_epsilon_for_unanimity,
     indicator,
     inner_p,
@@ -87,9 +88,15 @@ def _subagent_gap(o_star):
     return parent_benefit_counterexample(p1, 2.0, 0.5, o_star, 1.0).subagent_gap
 
 
-def _openness_radius(samples):
+def _openness_radius(samples, seed=0):
     decomp = analytic_unanimity_instance(2, find_epsilon_for_unanimity(2))
-    return certify_openness(decomp, samples=samples).radius
+    return certify_openness(decomp, samples=samples, seed=seed).radius
+
+
+def _factor_children(seed):
+    parent = make_dist(SPACE3, [0.5, 0.3, 0.2])
+    decomp = factor_pairwise_distinct(parent, Weights.uniform(3), seed=seed)
+    return np.stack([c.p for c in decomp.children])
 
 
 @pytest.mark.parametrize(
@@ -101,8 +108,13 @@ def _openness_radius(samples):
         (lambda n: analytic_unanimity_instance(n, 0.1).parent.p, 2, 2.5, ParamOutOfRange),
         (lambda n: Weights.uniform(n).beta, 2, 2.5, ParamOutOfRange),
         (_openness_radius, 1, True, ParamOutOfRange),
+        (_factor_children, 2, 2.9, ParamOutOfRange),
+        (lambda seed: _openness_radius(2, seed), 3, 3.5, ParamOutOfRange),
     ],
-    ids=["h_index", "child_index", "o_star", "agent_count", "weight_count", "samples"],
+    ids=[
+        "h_index", "child_index", "o_star", "agent_count", "weight_count", "samples",
+        "factor_seed", "openness_seed",
+    ],
 )
 def test_a_non_integer_index_or_count_is_a_logpool_error(call, valid, bad, error):
     """A fractional index or count, or a bool count, used to end in a bare
@@ -469,6 +481,28 @@ def test_batched_streams_are_the_rng_from_streams(seed, path, count):
 )
 def test_batched_streams_match_rng_from_on_random_keys(seed, path, count):
     _assert_streams_are_rng_from(seed, tuple(path), count)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32, 2**40 + 3])
+@pytest.mark.parametrize("path, at", [((0,), 0), ((3, 1, 0), 3), ((3, 1, 0), 1), ((5,), 2)])
+@pytest.mark.parametrize("count", [0, 1, 100])
+def test_batched_streams_vary_the_word_at_any_key_position(seed, path, at, count):
+    """``at`` places the index anywhere in the key: first (``rng_from(i,
+    ...)``), in the middle, or last."""
+    key = (seed, *path)
+    streams = _rng_streams(seed, *path, count=count, at=at)
+    assert [s.bit_generator.state for s in streams] == [
+        rng_from(*key[:at], i, *key[at:]).bit_generator.state for i in range(count)
+    ]
+
+
+@pytest.mark.parametrize("seed, path", [(1.7, ()), (True, ()), (3, (0.5,)), (3, (np.True_, 1))])
+def test_rng_from_rejects_a_non_integer_seed_or_path_entry(seed, path):
+    """``int(x)`` used to make 1.7, True and 1 the same stream."""
+    with pytest.raises(ParamOutOfRange, match="must be an integer"):
+        rng_from(seed, *path)
+    with pytest.raises(ParamOutOfRange, match="must be an integer"):
+        _rng_streams(seed, *path, count=3)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from logpool import (
     OutcomeSpace,
     ParamOutOfRange,
     ScoreFn,
+    SpaceMismatch,
     TiltsNotCentered,
     Weights,
     analytic_unanimity_instance,
@@ -174,6 +175,17 @@ def test_tilt_gap_derivative_is_minus_covariance_and_matches_fd():
         assert analytic == pytest.approx(-cov(p, h.f, p.log_p), abs=1e-12)
         fd = tilt_gap_fd(p, h)
         assert fd == pytest.approx(analytic, abs=1e-6 + 1e-6 * abs(analytic))
+
+
+@pytest.mark.parametrize("space", [OutcomeSpace(5), OutcomeSpace(4, ("a", "b", "c", "d"))])
+def test_tilt_derivatives_reject_a_tilt_on_another_space(space):
+    """A tilt of another size used to fail in NumPy broadcasting, one of the
+    same size with other labels to compute silently."""
+    p = random_dist(rng_from(611), OutcomeSpace(4))
+    h = ScoreFn(space, np.linspace(-1.0, 1.0, space.size))
+    for derivative in (tilt_gap_fd, tilt_gap_derivative):
+        with pytest.raises(SpaceMismatch):
+            derivative(p, h)
 
 
 def test_local_unanimity_audit_weighted_derivatives_cancel():
