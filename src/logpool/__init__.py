@@ -12,244 +12,28 @@ Everything is exact finite arithmetic on small outcome spaces: no sampling,
 no asymptotics, every identity checked at explicit tolerances.
 """
 
-from .core import (
-    Dist,
-    OutcomeSpace,
-    ScoreFn,
-    Weights,
-    coarse_grain_bound,
-    cov,
-    dist_from_log_weights,
-    entropy,
-    event_indices,
-    expect,
-    indicator,
-    inner_p,
-    kl,
-    log_sum_exp,
-    make_dist,
-    norm_p,
-    rng_from,
-    tv,
-    uniform,
-)
-from .errors import (
-    BudgetViolated,
-    ConfigParse,
-    DbetaInconsistent,
-    DbetaNotZeroSum,
-    DegenerateSpan,
-    DegenerateWeights,
-    DimensionMismatch,
-    DistinctnessFailure,
-    EmptyOrFullEvent,
-    IdentityMismatch,
-    IndexOutOfRange,
-    InputError,
-    IoError,
-    LengthMismatch,
-    LogPoolError,
-    NonFinite,
-    NonPositiveEntry,
-    NotAPoolWitness,
-    NotFound,
-    NotNormalized,
-    NotStrictlyUnanimous,
-    ParamOutOfRange,
-    ParseError,
-    PreconditionViolation,
-    SpaceMismatch,
-    TiltsNotCentered,
-    UniformParent,
-    UnknownSuite,
-    WeightTooConcentrated,
-)
-from .pooling import (
-    Decomposition,
-    linear_pool,
-    log_pool,
-    log_pool_arrays,
-    log_pool_with_log_z,
-    make_decomposition,
-    tilt_representation,
-)
-from .welfare import (
-    WelfareReport,
-    covariance_condition,
-    gap_terms,
-    unanimity_report,
-    welfare_gap,
-)
-from .constructions import (
-    EPSILON_GRID,
-    CyclicInstance,
-    analytic_unanimity_instance,
-    binary_gap_closed_form,
-    cyclic_welfare_instance,
-    find_epsilon_for_unanimity,
-    peaked_incompatible_family,
-    single_counteragent_instance,
-)
-from .factorize import (
-    DISTINCTNESS_TV,
-    LAMBDA_SWEEP,
-    ParentBenefitReport,
-    ParentBenefitSweep,
-    compatible_split,
-    factor_pairwise_distinct,
-    factor_with_fixed,
-    parent_benefit_counterexample,
-    parent_benefit_sweep,
-    split_invariance_check,
-)
-from .stability import (
-    OpennessCertificate,
-    certify_openness,
-    local_unanimity_audit,
-    tilt_gap_derivative,
-    tilt_gap_fd,
-    transport,
-)
-from .persona import (
-    CompensationReport,
-    LogProfile,
-    ProjectionGainReport,
-    SuppressionPlan,
-    centered_profiles,
-    compensation_bound,
-    event_first_order,
-    first_order_delta_l,
-    kl_budget,
-    optimal_suppression,
-    projection_gain,
-)
-from .jsonio import (
-    config_hash,
-    decomposition_from_json,
-    decomposition_to_json,
-    dist_from_json,
-    dist_to_json,
-    dumps,
-    dumps_canonical,
-    loads,
-    weights_from_json,
-)
-
 __version__ = "0.1.0"
+
+from . import core, errors, pooling, welfare, constructions, factorize, stability, persona, jsonio
+from .core import *
+from .errors import *
+from .pooling import *
+from .welfare import *
+from .constructions import *
+from .factorize import *
+from .stability import *
+from .persona import *
+from .jsonio import *
 
 __all__ = [
     "__version__",
-    # core
-    "OutcomeSpace",
-    "Dist",
-    "Weights",
-    "ScoreFn",
-    "make_dist",
-    "dist_from_log_weights",
-    "uniform",
-    "entropy",
-    "kl",
-    "tv",
-    "expect",
-    "cov",
-    "inner_p",
-    "norm_p",
-    "log_sum_exp",
-    "event_indices",
-    "indicator",
-    "coarse_grain_bound",
-    "rng_from",
-    # errors
-    "LogPoolError",
-    "InputError",
-    "NonPositiveEntry",
-    "DimensionMismatch",
-    "NonFinite",
-    "NotNormalized",
-    "SpaceMismatch",
-    "LengthMismatch",
-    "EmptyOrFullEvent",
-    "IndexOutOfRange",
-    "NotAPoolWitness",
-    "IdentityMismatch",
-    "ParamOutOfRange",
-    "DegenerateWeights",
-    "NotFound",
-    "WeightTooConcentrated",
-    "DistinctnessFailure",
-    "PreconditionViolation",
-    "UniformParent",
-    "NotStrictlyUnanimous",
-    "DbetaNotZeroSum",
-    "DbetaInconsistent",
-    "TiltsNotCentered",
-    "BudgetViolated",
-    "DegenerateSpan",
-    "UnknownSuite",
-    "ParseError",
-    "ConfigParse",
-    "IoError",
-    # pooling
-    "log_pool",
-    "log_pool_arrays",
-    "log_pool_with_log_z",
-    "linear_pool",
-    "Decomposition",
-    "make_decomposition",
-    "tilt_representation",
-    # welfare
-    "welfare_gap",
-    "gap_terms",
-    "covariance_condition",
-    "WelfareReport",
-    "unanimity_report",
-    # constructions
-    "EPSILON_GRID",
-    "CyclicInstance",
-    "cyclic_welfare_instance",
-    "analytic_unanimity_instance",
-    "find_epsilon_for_unanimity",
-    "peaked_incompatible_family",
-    "binary_gap_closed_form",
-    "single_counteragent_instance",
-    # factorize
-    "DISTINCTNESS_TV",
-    "LAMBDA_SWEEP",
-    "factor_pairwise_distinct",
-    "factor_with_fixed",
-    "compatible_split",
-    "split_invariance_check",
-    "ParentBenefitReport",
-    "parent_benefit_counterexample",
-    "ParentBenefitSweep",
-    "parent_benefit_sweep",
-    # stability
-    "transport",
-    "OpennessCertificate",
-    "certify_openness",
-    "tilt_gap_derivative",
-    "tilt_gap_fd",
-    "local_unanimity_audit",
-    # persona
-    "LogProfile",
-    "centered_profiles",
-    "first_order_delta_l",
-    "CompensationReport",
-    "compensation_bound",
-    "event_first_order",
-    "SuppressionPlan",
-    "optimal_suppression",
-    "ProjectionGainReport",
-    "projection_gain",
-    "kl_budget",
-    # jsonio
-    "dumps",
-    "dumps_canonical",
-    "loads",
-    "config_hash",
-    "dist_to_json",
-    "dist_from_json",
-    "weights_from_json",
-    "decomposition_to_json",
-    "decomposition_from_json",
+    *core.__all__,
+    *errors.__all__,
+    *pooling.__all__,
+    *welfare.__all__,
+    *constructions.__all__,
+    *factorize.__all__,
+    *stability.__all__,
+    *persona.__all__,
+    *jsonio.__all__,
 ]

@@ -47,17 +47,9 @@ __all__ = [
     "cyclic_welfare_instance",
     "analytic_unanimity_instance",
     "find_epsilon_for_unanimity",
-    "analytic_unanimity_rows",
     "peaked_incompatible_family",
-    "peaked_incompatible_rows",
     "binary_gap_closed_form",
     "single_counteragent_instance",
-    "random_probs",
-    "random_beta",
-    "random_dist",
-    "random_strict_weights",
-    "random_family",
-    "random_decomposition",
 ]
 
 #: The search grid for peakedness thresholds: 10^(-k/4), k = 1..40.
@@ -79,6 +71,7 @@ def cyclic_welfare_instance(n: int, epsilon: float, C: float) -> CyclicInstance:
     each agent's expected welfare rises from -C(1-epsilon) to -C(n-1)/n,
     a strict improvement of C(1/n - epsilon) > 0.
     """
+    n = _integer(n, "agent count")
     if n < 2:
         raise ParamOutOfRange("need n >= 2 agents")
     if not (0.0 < epsilon < 1.0 / n):
@@ -161,6 +154,7 @@ def find_epsilon_for_unanimity(n: int, weights: Weights | None = None) -> float:
 
 def peaked_incompatible_family(n: int, epsilon: float) -> list[Dist]:
     """n near-point-mass agents on n outcomes: P_i(i)=1-eps, else eps/(n-1)."""
+    n = _integer(n, "agent count")
     if n < 2:
         raise ParamOutOfRange("need n >= 2 agents")
     if not (0.0 < epsilon < 0.5):

@@ -17,7 +17,8 @@ Conventions
 * All entropies and divergences are in nats.
 * Wherever products of probabilities appear, work happens in log-space and
   normalization uses the max-shifted log-sum-exp pattern, so peaked inputs
-  neither overflow nor underflow.
+  do not overflow; a log-weight span above about 745 nats still underflows
+  (see :func:`dist_from_log_weights`).
 * Strict positivity is enforced at construction with a hard error — never a
   silent floor.  Flooring would corrupt every KL value downstream.
 * Scalar comparisons default to absolute tolerance ``VALUE_TOL`` (1e-9);
@@ -55,18 +56,12 @@ from .errors import (
 )
 
 __all__ = [
-    "VALUE_TOL",
-    "NORM_TOL",
     "OutcomeSpace",
     "Dist",
     "Weights",
     "ScoreFn",
     "make_dist",
     "dist_from_log_weights",
-    "normalize_rows",
-    "softmax",
-    "require_prob_rows",
-    "require_weight_rows",
     "uniform",
     "entropy",
     "kl",
@@ -317,7 +312,9 @@ def dist_from_log_weights(space: OutcomeSpace, log_w: Iterable[float]) -> Dist:
     """Exponentiate-and-normalize with a max shift (softmax).
 
     The entry form every pooled/tilted distribution in the package goes
-    through; finite log-weights of any magnitude are safe.
+    through.  The max shift keeps any finite log-weights from overflowing,
+    but a span (max - min) above about 745 nats underflows the smallest
+    entry to 0 and raises :class:`NonPositiveEntry`.
     """
     lw = np.asarray(log_w, dtype=float).reshape(-1)
     _require_length(lw, space.size, "log-weight vector")
@@ -372,7 +369,13 @@ def kl(P: Dist, Q: Dist) -> float:
 def tv(P: Dist, Q: Dist) -> float:
     """Total variation distance (half the L1 distance)."""
     _require_same_space(P, Q)
-    return float(0.5 * np.abs(P.p - Q.p).sum())
+    return float(_tv_rows(P.p, Q.p))
+
+
+def _tv_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`tv` of rows a and b over the last axis (..., m), in long double
+    when either side is."""
+    return 0.5 * np.abs(a - b).sum(axis=-1)
 
 
 def expect(P: Dist, f) -> float:
@@ -419,20 +422,20 @@ def event_indices(
 
 def _event_array(space: OutcomeSpace, event, allow_full: bool) -> np.ndarray:
     """:func:`event_indices` as a sorted duplicate-free int64 array."""
-    values = event if isinstance(event, (np.ndarray, list, tuple)) else list(event)
     try:
+        values = event if isinstance(event, (np.ndarray, list, tuple)) else list(event)
         raw = np.asarray(values)
-    except ValueError:  # ragged nesting
-        raise IndexOutOfRange(
-            f"event {event!r} is not a flat sequence of outcome indices"
-        ) from None
+    except (TypeError, ValueError):  # a scalar or None; ragged nesting
+        raw = None
+    if raw is None or raw.ndim != 1:
+        raise IndexOutOfRange(f"event {event!r} is not a flat sequence of outcome indices")
     if raw.dtype.kind not in "iub":  # floats, beyond-int64 ints: no truncation
-        for v in raw.ravel().tolist():
+        for v in raw.tolist():
             if not _is_integral(v):
                 raise IndexOutOfRange(f"outcome index {v!r} is not an integer")
     dtype = np.uint64 if raw.dtype.kind == "u" else np.int64  # no unsigned index wraps
     try:
-        idx = np.sort(np.asarray(values, dtype=dtype), axis=None)
+        idx = np.sort(np.asarray(values, dtype=dtype))
         bad = idx[(idx < 0) | (idx >= space.size)].tolist()
     except OverflowError:  # an index beyond int64 is out of range
         bad = sorted(i for i in map(int, values) if not 0 <= i < space.size)

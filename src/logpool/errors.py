@@ -163,3 +163,9 @@ class ConfigParse(ParseError):
 
 class IoError(LogPoolError):
     """Reading or writing a report/CSV/manifest failed."""
+
+
+__all__ = [
+    name for name, obj in list(globals().items())
+    if isinstance(obj, type) and issubclass(obj, LogPoolError)
+]

@@ -31,6 +31,7 @@ from .core import (
     uniform,
     _integer,
     _require_finite,
+    _tv_rows,
 )
 from .errors import (
     IndexOutOfRange,
@@ -47,8 +48,6 @@ from .welfare import welfare_gap
 
 __all__ = [
     "DISTINCTNESS_TV",
-    "RETRY_BUDGET",
-    "TILT_MAGNITUDE_BASE",
     "LAMBDA_SWEEP",
     "factor_pairwise_distinct",
     "factor_with_fixed",
@@ -129,7 +128,7 @@ def _distinct_children(
         children = _balanced_children(parent, beta, fixed, solved, draws)
         family = np.concatenate([parent[..., None, :], children], axis=-2)
         a, b = np.triu_indices(family.shape[-2], 1)
-        tvs = 0.5 * np.abs(family[..., a, :] - family[..., b, :]).sum(axis=-1)
+        tvs = _tv_rows(family[..., a, :], family[..., b, :])
         retry = np.flatnonzero(~(tvs.min(axis=-1) > DISTINCTNESS_TV))
         if retry.size == 0:
             return children
@@ -233,7 +232,7 @@ def _split_repool(parent, children, beta, idx, alpha, pieces) -> np.ndarray:
     require_weight_rows(refined)
     repooled = log_pool_arrays(np.log(family), refined)[0]
     require_prob_rows(repooled)
-    return 0.5 * np.abs(repooled - parent).sum(axis=-1)
+    return _tv_rows(repooled, parent)
 
 
 def split_invariance_check(

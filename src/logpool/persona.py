@@ -52,16 +52,11 @@ from .constructions import random_decomposition
 from .pooling import Decomposition, log_pool
 
 __all__ = [
-    "PROFILE_CENTERING_TOL",
-    "ALIGNMENT_DEAD_ZONE",
-    "PIVOT_REL_TOL",
-    "SPAN_MEMBERSHIP_TOL",
     "LogProfile",
     "centered_profiles",
     "first_order_delta_l",
     "CompensationReport",
     "compensation_bound",
-    "random_compensation_report",
     "event_first_order",
     "SuppressionPlan",
     "optimal_suppression",

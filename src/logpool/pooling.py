@@ -21,16 +21,14 @@ from .core import (
     first_row,
     require_prob_rows,
     softmax,
+    _tv_rows,
 )
 from .errors import LengthMismatch, NotAPoolWitness, ParamOutOfRange, SpaceMismatch
 
 __all__ = [
-    "POOL_WITNESS_TOL",
-    "POOL_REVALIDATION_TOL",
     "log_pool_arrays",
     "log_pool",
     "log_pool_with_log_z",
-    "linear_pool_arrays",
     "linear_pool",
     "Decomposition",
     "make_decomposition",
@@ -118,7 +116,7 @@ def require_pool_witness(
     else:
         pooled, log_z = linear_pool_arrays(children, beta), None
     require_prob_rows(pooled)
-    err = 0.5 * np.abs(pooled - parents).sum(axis=-1)
+    err = _tv_rows(pooled, parents)
     bad = err > tol
     if bad.any():
         row, where = first_row(bad)

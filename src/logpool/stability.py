@@ -39,7 +39,6 @@ from .pooling import Decomposition, POOL_REVALIDATION_TOL, require_pool_witness
 from .welfare import UNANIMITY_TOL, gap_terms, unanimity_report
 
 __all__ = [
-    "transport_rows",
     "transport",
     "OpennessCertificate",
     "certify_openness",

@@ -35,7 +35,7 @@ from .constructions import random_beta, random_decomposition, random_dist, rando
 from .core import (
     Dist, OutcomeSpace, ScoreFn, Weights, event_indices, expect, make_dist, norm_p,
     normalize_rows, require_prob_rows, require_weight_rows, rng_from, tv, uniform,
-    _rng_streams,
+    _integer, _rng_streams, _tv_rows,
 )
 from .errors import ParamOutOfRange, UnknownSuite
 from .pooling import linear_pool_arrays, log_pool, log_pool_arrays
@@ -125,8 +125,10 @@ def run_suite(
     check's default threshold — a blunt instrument, mostly useful for exploring
     how much numerical headroom the implementation has.
     """
-    if samples is not None and samples < 1:
-        raise ParamOutOfRange(f"samples must be at least 1, got {samples}")
+    if samples is not None:
+        samples = _integer(samples, "samples")
+        if samples < 1:
+            raise ParamOutOfRange(f"samples must be at least 1, got {samples}")
     if name != "all" and name not in _CHECKS:
         known = ", ".join((*SUITE_NAMES, "all"))
         raise UnknownSuite(f"unknown suite {name!r}; expected one of: {known}")
@@ -193,11 +195,6 @@ def _log_pool(logs: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return pooled, log_z
 
 
-def _tv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise tv distance, in long double when either side is."""
-    return 0.5 * np.abs(a - b).sum(axis=-1)
-
-
 def _worst(worst: float, *values: np.ndarray) -> float:
     return max(worst, *(float(v.max()) for v in values))
 
@@ -222,7 +219,7 @@ def _log_pool_extended(run: _Run):
     worst = 0.0
     for agents, beta in _families(run):
         pooled = _log_pool(np.log(agents), beta)[0]
-        worst = _worst(worst, _tv(pooled, _longdouble_log_pool(agents, beta)[0]))
+        worst = _worst(worst, _tv_rows(pooled, _longdouble_log_pool(agents, beta)[0]))
     return worst
 
 
@@ -234,7 +231,7 @@ def _linear_pool_extended(run: _Run):
         pooled = linear_pool_arrays(agents, beta)
         require_prob_rows(pooled)
         oracle = (beta.astype(np.longdouble)[..., None] * agents.astype(np.longdouble)).sum(axis=-2)
-        worst = _worst(worst, _tv(pooled, oracle / oracle.sum(axis=-1, keepdims=True)))
+        worst = _worst(worst, _tv_rows(pooled, oracle / oracle.sum(axis=-1, keepdims=True)))
     return worst
 
 
@@ -246,16 +243,16 @@ def _pool_weight_edges(run: _Run):
     for agents, beta, j in _families(run, one_agent, n_lo=3):
         (count, n), rows, logs = beta.shape, np.arange(len(j)), np.log(agents)
         # a one-hot weight vector must return that agent
-        onehot = _tv(_log_pool(logs, np.eye(n)[j])[0], agents[rows, j])
+        onehot = _tv_rows(_log_pool(logs, np.eye(n)[j])[0], agents[rows, j])
         # zero-weight agents must not matter
         zeroed = beta.copy()
         zeroed[rows, j] = 0.0
         zeroed = zeroed / zeroed.sum(axis=-1, keepdims=True)
         keep = np.arange(n) != j[:, None]
         reduced = logs[keep].reshape(count, n - 1, -1), zeroed[keep].reshape(count, n - 1)
-        dropped = _tv(_log_pool(logs, zeroed)[0], _log_pool(*reduced)[0])
+        dropped = _tv_rows(_log_pool(logs, zeroed)[0], _log_pool(*reduced)[0])
         # pooling identical copies returns the copy
-        copies = _tv(_log_pool(logs[:, [0] * n], beta)[0], agents[:, 0])
+        copies = _tv_rows(_log_pool(logs[:, [0] * n], beta)[0], agents[:, 0])
         worst = _worst(worst, onehot, dropped, copies)
     return worst
 
@@ -434,7 +431,7 @@ def _unanimity_pool_formula(run: _Run):
         e = eps.astype(np.longdouble)[:, None]
         shared = (1.0 - e - (n - 1) * e ** (n + 1)) ** np.longdouble(1.0)
         raw = np.concatenate([shared, e ** ((n + 1) - n * beta.astype(np.longdouble))], axis=-1)
-        worst = _worst(worst, _tv(pooled, raw / raw.sum(axis=-1, keepdims=True)))
+        worst = _worst(worst, _tv_rows(pooled, raw / raw.sum(axis=-1, keepdims=True)))
     return worst
 
 
@@ -491,10 +488,10 @@ def _factor_distinct(run: _Run):
         require_weight_rows(beta)
         # strict weights: child 0 is the absorber
         children = factorize._distinct_children(parent, beta, 0, seeds, draws)
-        worst_tv = _worst(worst_tv, _tv(_log_pool(np.log(children), beta)[0], parent))
+        worst_tv = _worst(worst_tv, _tv_rows(_log_pool(np.log(children), beta)[0], parent))
         family = np.concatenate([parent[:, None], children], axis=1)
         a, b = np.triu_indices(family.shape[1], 1)
-        worst_dist = min(worst_dist, float(_tv(family[:, a], family[:, b]).min()))
+        worst_dist = min(worst_dist, float(_tv_rows(family[:, a], family[:, b]).min()))
     return worst_tv, worst_dist > factorize.DISTINCTNESS_TV
 
 
@@ -519,7 +516,7 @@ def _factor_fixed(run: _Run):
         children = factorize._balanced_children(parent, beta, fixed, k, draws)
         if not np.array_equal(fixed, children[:, :k]):
             worst = 1.0
-        worst = _worst(worst, _tv(_log_pool(np.log(children), beta)[0], parent))
+        worst = _worst(worst, _tv_rows(_log_pool(np.log(children), beta)[0], parent))
     return worst
 
 
@@ -583,7 +580,7 @@ def _transport(run: _Run):
         parent = _log_pool(np.log(agents), beta)[0]
         moved = stability.transport_rows(agents, parent[:, None, :], target[:, None, :])
         require_prob_rows(moved)
-        worst = _worst(worst, _tv(_log_pool(np.log(moved), beta)[0], target))
+        worst = _worst(worst, _tv_rows(_log_pool(np.log(moved), beta)[0], target))
         space = OutcomeSpace(agents.shape[-1])
         child, base = Dist(space, agents[0, 0]), Dist(space, parent[0])
         identity_ok = identity_ok and stability.transport(child, base, base) is child

@@ -22,11 +22,9 @@ from .errors import IdentityMismatch, SpaceMismatch
 from .pooling import Decomposition
 
 __all__ = [
-    "UNANIMITY_TOL",
     "WelfareReport",
     "gap_terms",
     "welfare_gap",
-    "covariance_terms",
     "covariance_condition",
     "unanimity_report",
 ]

@@ -1,7 +1,8 @@
-"""The public surface: every name ``logpool`` exports is used by the package
-itself or listed in the README's "Public helpers" table, every name a module
-lists in its ``__all__`` exists, and every default a public function offers is
-set by some caller."""
+"""The public surface: ``logpool`` exports exactly what its modules list in
+their ``__all__``, each listed function or class is defined where it is
+listed, every export is used by the package itself or listed in the README's
+"Public helpers" table, every listed name exists, every default a public
+function offers is set by some caller, and the version has one value."""
 
 import ast
 import importlib
@@ -12,6 +13,43 @@ from pathlib import Path
 import logpool
 
 ROOT = Path(__file__).resolve().parents[1]
+
+#: The modules whose ``__all__`` the package re-exports, in export order.
+REEXPORTED = (
+    "core", "errors", "pooling", "welfare", "constructions", "factorize", "stability", "persona",
+    "jsonio",
+)
+
+
+def test_the_package_exports_what_its_modules_list():
+    """A public name is declared once, in its module's ``__all__``."""
+    listed = [
+        name for module in REEXPORTED
+        for name in importlib.import_module(f"logpool.{module}").__all__
+    ]
+    assert logpool.__all__ == ["__version__", *listed]
+    assert len(set(logpool.__all__)) == len(logpool.__all__)
+
+
+def test_every_listed_function_or_class_is_defined_where_it_is_listed():
+    """A name a module imports cannot be re-exported from it by accident."""
+    paths = sorted((ROOT / "src" / "logpool").glob("*.py"))
+    modules = [importlib.import_module(f"logpool.{p.stem}") for p in paths if p.stem != "__init__"]
+    strays = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in module.__all__
+        if (inspect.isfunction(obj := getattr(module, name)) or inspect.isclass(obj))
+        and obj.__module__ != module.__name__
+    ]
+    assert strays == []
+
+
+def test_the_version_in_pyproject_is_the_package_version():
+    """``pyproject.toml`` holds the one other copy of ``__version__``; read
+    with a regex, as Python 3.10 has no ``tomllib``."""
+    project = (ROOT / "pyproject.toml").read_text().split("[project]\n", 1)[1].split("\n[", 1)[0]
+    assert re.search(r'^version = "([^"]*)"$', project, re.MULTILINE)[1] == logpool.__version__
 
 
 def _names_used_in_src() -> set[str]:

@@ -24,6 +24,7 @@ from logpool import (
     coarse_grain_bound,
     compensation_bound,
     cov,
+    cyclic_welfare_instance,
     dist_from_log_weights,
     entropy,
     event_indices,
@@ -37,6 +38,7 @@ from logpool import (
     make_dist,
     norm_p,
     parent_benefit_counterexample,
+    peaked_incompatible_family,
     rng_from,
     single_counteragent_instance,
     split_invariance_check,
@@ -45,6 +47,7 @@ from logpool import (
 )
 from _gen import random_dist
 from logpool.core import _rng_streams, normalize_rows, require_weight_rows
+from logpool.suites import run_suite
 
 SPACE3 = OutcomeSpace(3)
 SPACE4 = OutcomeSpace(4, ("a", "b", "c", "d"))
@@ -110,10 +113,16 @@ def _factor_children(seed):
         (_openness_radius, 1, True, ParamOutOfRange),
         (_factor_children, 2, 2.9, ParamOutOfRange),
         (lambda seed: _openness_radius(2, seed), 3, 3.5, ParamOutOfRange),
+        (lambda n: [a.p for a in cyclic_welfare_instance(n, 0.1, 1.0).agents], 3, 2.5,
+         ParamOutOfRange),
+        (lambda n: [a.p for a in peaked_incompatible_family(n, 0.1)], 3, 2.5, ParamOutOfRange),
+        (lambda samples: run_suite("welfare", 0, samples=samples), 2, 2.5, ParamOutOfRange),
+        (lambda samples: run_suite("welfare", 0, samples=samples), 1, True, ParamOutOfRange),
     ],
     ids=[
         "h_index", "child_index", "o_star", "agent_count", "weight_count", "samples",
-        "factor_seed", "openness_seed",
+        "factor_seed", "openness_seed", "cyclic_count", "peaked_count", "suite_samples",
+        "suite_samples_bool",
     ],
 )
 def test_a_non_integer_index_or_count_is_a_logpool_error(call, valid, bad, error):
@@ -163,6 +172,14 @@ def test_dist_from_log_weights_matches_softmax_shift_invariance():
     b = dist_from_log_weights(SPACE3, logs + 123.0)
     assert np.allclose(a.p, b.p, atol=1e-15)
     assert np.allclose(a.p, np.exp(logs) / np.exp(logs).sum())
+
+
+def test_dist_from_log_weights_rejects_a_span_that_underflows():
+    """The max shift stops overflow, not underflow: past a span of about 745
+    nats the smallest entry is 0 in float64 and the result is not a Dist."""
+    assert dist_from_log_weights(SPACE3, [0.0, -700.0, -1.0]).p[1] > 0.0
+    with pytest.raises(NonPositiveEntry):
+        dist_from_log_weights(SPACE3, [0.0, -800.0, -1.0])
 
 
 def test_weights_validation():
@@ -403,6 +420,14 @@ def test_event_indices_error_messages():
         IndexOutOfRange, match=r"^event \[\[1\], \[2, 3\]\] is not a flat sequence of outcome indices$"
     ):
         event_indices(space, [[1], [2, 3]])
+    # a scalar or None used to end in a bare TypeError, a nested event was flattened
+    for event in (5, None, 1.0, np.array(3), [[1, 2]]):
+        with pytest.raises(
+            IndexOutOfRange, match=r"^event .* is not a flat sequence of outcome indices$"
+        ):
+            event_indices(space, event)
+    with pytest.raises(IndexOutOfRange, match="is not a flat sequence"):
+        indicator(space, 1.0)
 
 
 @settings(max_examples=200, deadline=None)
