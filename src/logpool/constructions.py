@@ -18,7 +18,11 @@ The seeded random instances are one array-level draw each,
 :func:`random_probs` and :func:`random_beta`; :func:`random_dist`,
 :func:`random_strict_weights`, :func:`random_family` and
 :func:`random_decomposition` wrap them in objects.  The ``verify`` suites, the
-``experiment`` analyses and the tests all draw from this one copy.
+``experiment`` analyses and the tests all draw from this one copy.  Given a
+list of per-instance streams in place of one ``Generator``, the two array
+draws stack: each stream makes its own raw draw, in list order and with the
+same bits as a call on it alone, and the shift and normalization run once
+over the stacked (B, ...) array.
 """
 
 from __future__ import annotations
@@ -223,17 +227,29 @@ def single_counteragent_instance(
     return decomp, 0, dbeta
 
 
-def random_probs(rng: np.random.Generator, m: int, n: int | None = None) -> np.ndarray:
+_Streams = np.random.Generator | list[np.random.Generator]
+
+
+def _draws(rng: _Streams, draw) -> np.ndarray:
+    """``draw(rng)``; for a list of streams, each stream's ``draw`` in list
+    order, stacked (B, ...)."""
+    return draw(rng) if isinstance(rng, np.random.Generator) else np.array([draw(r) for r in rng])
+
+
+def random_probs(rng: _Streams, m: int, n: int | None = None) -> np.ndarray:
     """A strictly positive random probability vector of length ``m`` (or
     ``n`` of them, (n, m), drawn in order), bounded away from zero:
-    gamma(1.5, 1) + 0.02, normalized as :func:`~logpool.core.make_dist` does."""
-    return normalize_rows(rng.gamma(1.5, 1.0, m if n is None else (n, m)) + 0.02)
+    gamma(1.5, 1) + 0.02, normalized as :func:`~logpool.core.make_dist` does.
+    A list of B streams gives each stream's draw, (B, m) or (B, n, m)."""
+    raw = _draws(rng, lambda r: r.gamma(1.5, 1.0, m if n is None else (n, m)))
+    return normalize_rows(raw + 0.02)
 
 
-def random_beta(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n strictly positive weights: 0.15 + U[0, 1), normalized."""
-    raw = 0.15 + rng.random(n)
-    return raw / raw.sum()
+def random_beta(rng: _Streams, n: int) -> np.ndarray:
+    """n strictly positive weights: 0.15 + U[0, 1), normalized ((B, n) for a
+    list of B streams)."""
+    raw = 0.15 + _draws(rng, lambda r: r.random(n))
+    return raw / raw.sum(axis=-1, keepdims=True)
 
 
 def random_event(rng: np.random.Generator, m: int) -> np.ndarray:

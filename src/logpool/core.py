@@ -107,6 +107,10 @@ def require_prob_rows(p: np.ndarray) -> None:
     order: ``NonFinite``, ``NonPositiveEntry``, then ``NotNormalized`` (sum
     off 1 by more than ``NORM_TOL``).  A batch error names the first bad row.
     """
+    # accepts exactly what the checks below accept: NaN fails the min, and
+    # an infinite entry the min or the sum
+    if p.size and p.min() > 0.0 and np.abs(p.sum(axis=-1) - 1.0).max() <= NORM_TOL:
+        return
     finite = np.isfinite(p)
     if not finite.all():
         where = first_row(~finite.all(axis=-1))[1]
@@ -132,6 +136,8 @@ def require_weight_rows(beta: np.ndarray) -> None:
     ``NonFinite``, negative weights (``ParamOutOfRange``), then a sum off 1 by
     more than ``NORM_TOL`` (``NotNormalized``).  A batch error names the first
     bad row."""
+    if beta.size and beta.min() >= 0.0 and np.abs(beta.sum(axis=-1) - 1.0).max() <= NORM_TOL:
+        return  # the accept set of the checks below, as in require_prob_rows
     finite = np.isfinite(beta)
     if not finite.all():
         raise NonFinite(f"weights{first_row(~finite.all(axis=-1))[1]} must be finite everywhere")
@@ -430,7 +436,8 @@ def _event_array(space: OutcomeSpace, event, allow_full: bool) -> np.ndarray:
     if raw is None or raw.ndim != 1:
         raise IndexOutOfRange(f"event {event!r} is not a flat sequence of outcome indices")
     if raw.dtype.kind not in "iub":  # floats, beyond-int64 ints: no truncation
-        for v in raw.tolist():
+        # a mixed sequence may have become strings: name the entry as given
+        for v in raw.tolist() if isinstance(values, np.ndarray) else values:
             if not _is_integral(v):
                 raise IndexOutOfRange(f"outcome index {v!r} is not an integer")
     dtype = np.uint64 if raw.dtype.kind == "u" else np.int64  # no unsigned index wraps

@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import constructions, factorize, persona, stability
-from .constructions import random_beta, random_decomposition, random_dist, random_probs
+from .constructions import _draws, random_beta, random_decomposition, random_dist, random_probs
 from .core import (
     Dist, OutcomeSpace, ScoreFn, Weights, event_indices, expect, make_dist, norm_p,
     normalize_rows, require_prob_rows, require_weight_rows, rng_from, tv, uniform,
@@ -157,35 +157,27 @@ def _sizes(
     return int(rng.integers(m_lo, m_hi)), int(rng.integers(n_lo, n_hi))
 
 
-def _stacked(instances) -> list[tuple[np.ndarray, ...]]:
-    """Instances ``(key, *arrays)`` grouped by key (their shapes), in
-    first-seen order, each array field stacked over the group's instances."""
+def _by_shape(shape, rngs, *aligned) -> list[tuple]:
+    """Each instance's stream (of ``rngs``) first draws its shape key
+    ``shape(rng)``; the instances grouped by key in first-seen order, as
+    ``(key, rngs, *aligned)`` lists (``aligned``: more per-instance
+    sequences).  A group's later draws, one generator call each, then leave
+    every stream's draw order as one instance at a time would draw it."""
     groups: dict = {}
-    for key, *arrays in instances:
-        groups.setdefault(key, []).append(arrays)
-    return [tuple(map(np.stack, zip(*rows))) for rows in groups.values()]
+    for instance in zip(rngs, *aligned):
+        groups.setdefault(shape(instance[0]), []).append(instance)
+    return [(key, *map(list, zip(*rows))) for key, rows in groups.items()]
 
 
-def _groups(run: _Run, draw) -> list[tuple[np.ndarray, ...]]:
-    """Instance i drawn by ``draw(rng)`` from its own stream ``run.rng(i)``, in
-    instance order, then grouped by :func:`_stacked`."""
-    return _stacked(map(draw, run.rngs()))
-
-
-def _families(run: _Run, extra=lambda rng, m, n: (), **sizes) -> list[tuple[np.ndarray, ...]]:
+def _families(run: _Run, extra=lambda rngs, m, n: (), **sizes):
     """Each instance's sizes, n random agents and their strict weights (then
-    ``extra(rng, m, n)``), grouped by (m, n) and validated as ``Dist`` and
+    ``extra(rngs, m, n)``), grouped by (m, n) and validated as ``Dist`` and
     ``Weights`` validate: ``(agents (B, n, m), beta (B, n), *extras)``."""
-
-    def draw(rng):
-        m, n = _sizes(rng, **sizes)
-        return (m, n), random_probs(rng, m, n), random_beta(rng, n), *extra(rng, m, n)
-
-    groups = _groups(run, draw)
-    for agents, beta, *_ in groups:
+    for (m, n), rngs in _by_shape(lambda rng: _sizes(rng, **sizes), run.rngs()):
+        agents, beta = random_probs(rngs, m, n), random_beta(rngs, n)
         require_prob_rows(agents)
         require_weight_rows(beta)
-    return groups
+        yield agents, beta, *extra(rngs, m, n)
 
 
 def _log_pool(logs: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -239,7 +231,7 @@ def _linear_pool_extended(run: _Run):
         "max tv over one-hot weights, dropped zero weights, identical agents")
 def _pool_weight_edges(run: _Run):
     worst = 0.0
-    one_agent = lambda rng, m, n: (rng.integers(0, n),)  # noqa: E731
+    one_agent = lambda rngs, m, n: (_draws(rngs, lambda r: r.integers(0, n)),)  # noqa: E731
     for agents, beta, j in _families(run, one_agent, n_lo=3):
         (count, n), rows, logs = beta.shape, np.arange(len(j)), np.log(agents)
         # a one-hot weight vector must return that agent
@@ -284,12 +276,10 @@ def _agent_pool_pairs(run: _Run, with_welfare: bool = False):
     """Per instance an m in [2, 9), an agent and a pool (then welfare values
     when asked), grouped by m: ``(agents (B, m), pools (B, m)[, welfare])``."""
 
-    def draw(rng):
-        m = int(rng.integers(2, 9))
-        return m, random_probs(rng, m, 2), *((rng.standard_normal(m),) if with_welfare else ())
-
-    for pair, *welfare in _groups(run, draw):
+    for m, rngs in _by_shape(lambda rng: int(rng.integers(2, 9)), run.rngs()):
+        pair = random_probs(rngs, m, 2)
         require_prob_rows(pair)
+        welfare = (_draws(rngs, lambda r: r.standard_normal(m)),) if with_welfare else ()
         yield pair[:, 0], pair[:, 1], *welfare
 
 
@@ -322,8 +312,9 @@ def _cov_condition(run: _Run):
 @_check("welfare.binary_closed_form", 200, 1e-10, "<=",
         "max |welfare_gap - (x - x_i) log(x_i/(1-x_i))| on two outcomes")
 def _binary_closed_form(run: _Run):
-    draw = lambda rng: (2, rng.uniform(0.02, 0.98, 2), float(rng.uniform(0.1, 0.9)))  # noqa: E731
-    ((x, b),) = _groups(run, draw)
+    rngs = run.rngs()
+    x = _draws(rngs, lambda r: r.uniform(0.02, 0.98, 2))
+    b = _draws(rngs, lambda r: r.uniform(0.1, 0.9))
     agents = normalize_rows(np.stack([x, 1.0 - x], axis=-1))
     require_prob_rows(agents)
     pooled = _log_pool(np.log(agents), np.stack([b, 1.0 - b], axis=-1))[0]
@@ -356,7 +347,8 @@ def _binary_census(run: _Run):
         "-(KL(r,u)+KL(u,r)); value is the max identity error")
 def _uniform_no_gain(run: _Run):
     worst_err, worst_gap = 0.0, -np.inf
-    for (r,) in _groups(run, lambda rng: (m := int(rng.integers(2, 13)), random_probs(rng, m))):
+    for m, rngs in _by_shape(lambda rng: int(rng.integers(2, 13)), run.rngs()):
+        r = random_probs(rngs, m)
         require_prob_rows(r)
         u = np.full_like(r, 1.0 / r.shape[-1])
         gap = gap_terms(r, u)[0]  # each r's welfare gap against the uniform pool
@@ -417,13 +409,9 @@ def _unanimity_threshold(run: _Run):
         "max tv between the pooled distribution and its closed form "
         "eps^((n+1) - n*beta_i) on private outcomes")
 def _unanimity_pool_formula(run: _Run):
-    def draw(rng):
-        n = int(rng.integers(2, 6))
-        return n, float(rng.uniform(0.01, 0.24)), random_beta(rng, n)
-
     worst = 0.0
-    for eps, beta in _groups(run, draw):
-        n = beta.shape[-1]
+    for n, rngs in _by_shape(lambda rng: int(rng.integers(2, 6)), run.rngs()):
+        eps, beta = _draws(rngs, lambda r: r.uniform(0.01, 0.24)), random_beta(rngs, n)
         require_weight_rows(beta)
         agents = normalize_rows(constructions.analytic_unanimity_rows(n, eps))
         require_prob_rows(agents)
@@ -447,8 +435,7 @@ def _peaked_negative(run: _Run):
     # grid (1e-6 down to 1e-10)
     tail = grid <= 1e-6
     for n in (2, 4):
-        rngs = run.rngs(n, count=max(10, run.samples // 8))
-        beta = np.stack([random_beta(rng, n) for rng in rngs])
+        beta = random_beta(run.rngs(n, count=max(10, run.samples // 8)), n)
         require_weight_rows(beta)
         agents = normalize_rows(constructions.peaked_incompatible_rows(n, grid))
         require_prob_rows(agents)
@@ -474,20 +461,17 @@ def _peaked_negative(run: _Run):
         "children re-pool to the parent exactly; all pairwise tv "
         "distances exceed the distinctness floor")
 def _factor_distinct(run: _Run):
-    def draw(i, rng, tilt):
-        m = int(rng.integers(3, 9))
-        n = int(rng.integers(2, 6))
-        parent, beta = random_probs(rng, m), random_beta(rng, n)
-        return (m, n), np.array(i), parent, beta, tilt.standard_normal((n - 1, m))
-
     worst_tv, worst_dist = 0.0, np.inf
     # instance i is factored with seed=i: its tilts come from rng_from(i, attempt)
     tilts = _rng_streams(0, count=run.samples, at=0)
-    for seeds, parent, beta, draws in _stacked(map(draw, range(run.samples), run.rngs(), tilts)):
+    sizes = lambda rng: _sizes(rng, m_lo=3, n_hi=6)  # noqa: E731
+    for (m, n), rngs, seeds, tilt in _by_shape(sizes, run.rngs(), range(run.samples), tilts):
+        parent, beta = random_probs(rngs, m), random_beta(rngs, n)
         require_prob_rows(parent)
         require_weight_rows(beta)
+        draws = _draws(tilt, lambda r: r.standard_normal((n - 1, m)))
         # strict weights: child 0 is the absorber
-        children = factorize._distinct_children(parent, beta, 0, seeds, draws)
+        children = factorize._distinct_children(parent, beta, 0, np.array(seeds), draws)
         worst_tv = _worst(worst_tv, _tv_rows(_log_pool(np.log(children), beta)[0], parent))
         family = np.concatenate([parent[:, None], children], axis=1)
         a, b = np.triu_indices(family.shape[1], 1)
@@ -499,20 +483,19 @@ def _factor_distinct(run: _Run):
         "prescribed children pass through bit-identical and the "
         "family still re-pools to the parent")
 def _factor_fixed(run: _Run):
-    def draw(rng, tilt):
+    def sizes(rng):
         k = int(rng.integers(1, 3))
         n = k + 2 + int(rng.integers(0, 3))
-        m = int(rng.integers(3, 9))
-        parent, fixed, beta = random_probs(rng, m), random_probs(rng, m, k), random_beta(rng, n)
-        return (m, n, k), parent, fixed, beta, tilt.standard_normal((n - k - 1, m))
+        return int(rng.integers(3, 9)), n, k
 
     worst = 0.0
     tilts = _rng_streams(0, count=run.samples, at=0)  # rng_from(i, 0): seed=i
-    for parent, fixed, beta, draws in _stacked(map(draw, run.rngs(), tilts)):
+    for (m, n, k), rngs, tilt in _by_shape(sizes, run.rngs(), tilts):
+        parent, fixed, beta = random_probs(rngs, m), random_probs(rngs, m, k), random_beta(rngs, n)
         require_prob_rows(parent)
         require_prob_rows(fixed)
         require_weight_rows(beta)
-        k = fixed.shape[1]
+        draws = _draws(tilt, lambda r: r.standard_normal((n - k - 1, m)))
         children = factorize._balanced_children(parent, beta, fixed, k, draws)
         if not np.array_equal(fixed, children[:, :k]):
             worst = 1.0
@@ -524,16 +507,14 @@ def _factor_fixed(run: _Run):
         "max pool drift under compatible splits, plus clone-gap "
         "agreement for zero tilts")
 def _split_invariance(run: _Run):
-    def draw(rng):
-        m, n = _sizes(rng, m_lo=3, n_hi=5)
-        agents, beta = random_probs(rng, m, n), random_beta(rng, n)
-        idx, alpha = int(rng.integers(0, n)), float(rng.uniform(0.1, 0.9))
-        return (m, n), agents, beta, np.array(idx), np.array(alpha), 0.7 * rng.standard_normal(m)
-
     worst = 0.0
-    for agents, beta, idx, alpha, g in _groups(run, draw):
+    for (m, n), rngs in _by_shape(lambda rng: _sizes(rng, m_lo=3, n_hi=5), run.rngs()):
+        agents, beta = random_probs(rngs, m, n), random_beta(rngs, n)
         require_prob_rows(agents)
         require_weight_rows(beta)
+        idx = _draws(rngs, lambda r: r.integers(0, n))
+        alpha = _draws(rngs, lambda r: r.uniform(0.1, 0.9))
+        g = 0.7 * _draws(rngs, lambda r: r.standard_normal(m))
         parent = _log_pool(np.log(agents), beta)[0]
         agent = np.take_along_axis(agents, idx[:, None, None], axis=1)[:, 0]
         pieces = factorize._split_pieces(np.log(agent), alpha, g)
@@ -575,7 +556,7 @@ def _parent_benefit(run: _Run):
 def _transport(run: _Run):
     worst = 0.0
     identity_ok = True
-    with_target = lambda rng, m, n: (random_probs(rng, m),)  # noqa: E731
+    with_target = lambda rngs, m, n: (random_probs(rngs, m),)  # noqa: E731
     for agents, beta, target in _families(run, with_target, m_lo=3):
         parent = _log_pool(np.log(agents), beta)[0]
         moved = stability.transport_rows(agents, parent[:, None, :], target[:, None, :])
@@ -606,22 +587,29 @@ def _openness(run: _Run):
         "max relative error between -Cov(h, log p) and a central "
         "finite difference of the tilted gap")
 def _tilt_fd(run: _Run):
-    def draw(i, rng):
-        # attempt k draws from run.rng(i, k) (k = 0 comes batched), until the
-        # derivative reaches 1e-3 or the 50th attempt
-        for attempt in range(50):
-            rng = run.rng(i, attempt) if attempt else rng
-            m = int(rng.integers(2, 9))
-            p, h = random_probs(rng, m), rng.standard_normal(m)
-            if attempt == 49 or abs(stability._gap_derivatives(p, h)) >= 1e-3:
-                return m, p, h
-
-    worst = 0.0
-    first = _rng_streams(run.seed, *run.ids, 0, count=run.samples, at=3)  # run.rng(i, 0)
-    for p, h in _stacked(map(draw, range(run.samples), first)):
+    def score(rngs, m):
+        """Each stream's p and h: their derivatives and relative fd errors."""
+        p, h = random_probs(rngs, m), _draws(rngs, lambda r: r.standard_normal(m))
         require_prob_rows(p)
         analytic = stability._gap_derivatives(p, h)
-        worst = _worst(worst, np.abs(stability._gap_fd(p, h) - analytic) / np.abs(analytic))
+        return analytic, np.abs(stability._gap_fd(p, h) - analytic) / np.abs(analytic)
+
+    worst = 0.0
+    outcomes = lambda rng: int(rng.integers(2, 9))  # noqa: E731
+    first = _rng_streams(run.seed, *run.ids, 0, count=run.samples, at=3)  # run.rng(i, 0)
+    for m, rngs, index in _by_shape(outcomes, first, range(run.samples)):
+        analytic, err = score(rngs, m)
+        # a derivative below 1e-3 redraws from run.rng(i, k), k = 1, 2, ...,
+        # until it reaches 1e-3 or the 50th attempt
+        retry = np.abs(analytic) < 1e-3
+        for i in np.asarray(index)[retry].tolist():
+            for attempt in range(1, 50):
+                rng = run.rng(i, attempt)
+                derivative, retried = score([rng], outcomes(rng))
+                if attempt == 49 or abs(derivative[0]) >= 1e-3:
+                    break
+            worst = _worst(worst, retried)
+        worst = float(err.max(initial=worst, where=~retry))
     return worst
 
 
@@ -629,18 +617,15 @@ def _tilt_fd(run: _Run):
         "max |sum_i beta_i d(gap_i)| over families of tilts whose "
         "weighted sum vanishes pointwise")
 def _local_audit(run: _Run):
-    def draw(rng):
-        m = int(rng.integers(2, 9))
-        n = int(rng.integers(2, 6))
-        p, beta = random_probs(rng, m), random_beta(rng, n)
-        hs = list(rng.standard_normal((n - 1, m)))
-        closing = -sum(b * h for b, h in zip(beta[:-1], hs))
-        return (m, n), p, beta, np.stack([*hs, closing / beta[-1]])
-
     worst = 0.0
-    for p, beta, tilts in _groups(run, draw):
+    for (m, n), rngs in _by_shape(lambda rng: _sizes(rng, n_hi=6), run.rngs()):
+        p, beta = random_probs(rngs, m), random_beta(rngs, n)
         require_prob_rows(p)
         require_weight_rows(beta)
+        hs = _draws(rngs, lambda r: r.standard_normal((n - 1, m)))
+        # the closing tilt cancels the others pointwise, summed in j order
+        closing = -sum(beta[:, j, None] * hs[:, j] for j in range(n - 1))
+        tilts = np.concatenate([hs, (closing / beta[:, -1:])[:, None]], axis=1)
         worst = _worst(worst, np.abs(stability._audit(p, tilts, beta)[1]))
     return worst
 

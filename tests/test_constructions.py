@@ -226,6 +226,23 @@ def test_array_draws_match_the_object_draws_bit_for_bit():
         assert np.array_equal(random_dist(a, OutcomeSpace(m)).p, random_probs(b, m))
 
 
+@pytest.mark.parametrize("count", [1, 100])
+@pytest.mark.parametrize("m,n", [(2, None), (13, None), (2, 2), (7, 5)])
+def test_stacked_draws_are_each_streams_own_draw(count, m, n):
+    """A list of streams gives, row by row, the one-stream call on a fresh
+    copy of that stream, bit for bit, and leaves each stream where that call
+    leaves it."""
+    streams = [rng_from(140, m, i) for i in range(count)]
+    copies = [rng_from(140, m, i) for i in range(count)]
+    probs, beta = random_probs(streams, m, n), random_beta(streams, 4)
+    assert probs.shape == ((count, m) if n is None else (count, n, m))
+    assert beta.shape == (count, 4)
+    for stream, copy, row, weights in zip(streams, copies, probs, beta):
+        assert np.array_equal(row, random_probs(copy, m, n))
+        assert np.array_equal(weights, random_beta(copy, 4))
+        assert stream.random() == copy.random()
+
+
 def test_instance_rows_stack_the_object_constructions():
     eps = np.array([0.2, 0.03, 1e-4])
     for n in (2, 3, 5):

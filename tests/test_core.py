@@ -46,7 +46,9 @@ from logpool import (
     uniform,
 )
 from _gen import random_dist
-from logpool.core import _rng_streams, normalize_rows, require_weight_rows
+from logpool.core import (
+    NORM_TOL, _rng_streams, normalize_rows, require_prob_rows, require_weight_rows,
+)
 from logpool.suites import run_suite
 
 SPACE3 = OutcomeSpace(3)
@@ -428,6 +430,9 @@ def test_event_indices_error_messages():
             event_indices(space, event)
     with pytest.raises(IndexOutOfRange, match="is not a flat sequence"):
         indicator(space, 1.0)
+    # a mixed event used to name its valid 1, which numpy had made the string '1'
+    with pytest.raises(IndexOutOfRange, match=r"^outcome index 'a' is not an integer$"):
+        event_indices(space, [1, "a"])
 
 
 @settings(max_examples=200, deadline=None)
@@ -576,6 +581,57 @@ def test_weight_rows_fail_as_their_weights_would():
         with pytest.raises(error, match="in row 23"):
             require_weight_rows(bad)
         require_weight_rows(np.delete(bad, 23, axis=0))
+
+
+def _first_rejection(rows: np.ndarray, weights: bool):
+    """The error type the batch validators raise for ``rows``, found entry by
+    entry in their order (non-finite, then sign, then sums), or None."""
+    entries = rows.reshape(-1).tolist()
+    if not all(np.isfinite(x) for x in entries):
+        return NonFinite
+    if any(x < 0.0 if weights else x <= 0.0 for x in entries):
+        return ParamOutOfRange if weights else NonPositiveEntry
+    sums = np.atleast_1d(rows.sum(axis=-1)).tolist()
+    return NotNormalized if any(abs(s - 1.0) > NORM_TOL for s in sums) else None
+
+
+_SPOILERS = (np.nan, np.inf, -np.inf, 0.0, -1e-3, 2e-12, -2e-12, 5e-13)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 5),
+    st.integers(2, 9),
+    st.lists(st.tuples(st.sampled_from(_SPOILERS), st.integers(0, 10**6)), max_size=3),
+)
+def test_validators_accept_exactly_what_their_full_checks_accept(seed, count, m, spoils):
+    """The cheap accept path (min and sums) of require_prob_rows and
+    require_weight_rows lets through exactly the rows every check passes:
+    NaN, infinities, zeros, negatives and sums off by 2e-12 are caught with
+    the error type of the first failing check; a 5e-13 shift is accepted.
+    ``count`` 0 is one unbatched row."""
+    rng = rng_from(seed)
+    shape = (m,) if count == 0 else (count, m)
+    for rows, validate, weights in (
+        (normalize_rows(rng.gamma(1.5, 1.0, shape) + 0.02), require_prob_rows, False),
+        (normalize_rows(rng.random(shape)), require_weight_rows, True),
+    ):
+        view = rows.reshape(-1, m)
+        for spoil, where in spoils:
+            row, col = divmod(where % rows.size, m)
+            if 0.0 < abs(spoil) < 1e-11:  # a shift of the row's sum
+                view[row, col] += spoil
+            else:
+                if np.isfinite(spoil):  # a zero or negative entry: the sum stays 1
+                    view[row, (col + 1) % m] += view[row, col] - spoil
+                view[row, col] = spoil
+        try:
+            validate(rows)
+            got = None
+        except (NonFinite, NonPositiveEntry, ParamOutOfRange, NotNormalized) as exc:
+            got = type(exc)
+        assert got is _first_rejection(rows, weights)
 
 
 def test_normalize_rows_is_make_dist_row_by_row():

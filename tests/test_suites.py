@@ -71,14 +71,24 @@ def test_run_suite_rejects_an_unknown_suite():
 #: instances' streams in one batch, attempt-0 streams of retry loops
 #: included, so the calls left are the retries themselves (the persona
 #: checks, the tilt check's redraws below a derivative of 1e-3, and the
-#: factorization retries, none at seed 42).
+#: factorization retries, none at seed 42).  ``normalize_rows`` counts
+#: normalizations: a shape group's generator call normalizes its draws once.
 BATCHING_BOUNDS = {
     # suite: {counter: (count before batching, bound now)}
-    "pools": {"Dist": (3503, 350), "log_pool_arrays": (640, 192), "rng_from": (660, 0)},
-    "welfare": {"Dist": (2021, 202), "gap_terms": (801, 80), "rng_from": (800, 0)},
+    "pools": {
+        "Dist": (3503, 350), "log_pool_arrays": (640, 192), "rng_from": (660, 0),
+        "normalize_rows": (660, 140),
+    },
+    "welfare": {
+        "Dist": (2021, 202), "gap_terms": (801, 80), "rng_from": (800, 0),
+        "normalize_rows": (602, 40),
+    },
     "constructions": {"rng_from": (80, 0)},
-    "factorize": {"Dist": (1562, 100), "rng_from": (360, 10)},
-    "stability": {"Dist": (3328, 100), "gap_terms": (534, 60), "rng_from": (373, 10)},
+    "factorize": {"Dist": (1562, 100), "rng_from": (360, 10), "normalize_rows": (281, 110)},
+    "stability": {
+        "Dist": (3328, 100), "gap_terms": (534, 60), "rng_from": (373, 10),
+        "normalize_rows": (471, 120),
+    },
     "persona": {"rng_from": (480, 170)},
 }
 
@@ -103,6 +113,7 @@ def test_batched_suites_build_few_objects_and_call_each_kernel_per_group(suite, 
         "log_pool_arrays": pooling.log_pool_arrays,
         "gap_terms": welfare.gap_terms,
         "rng_from": core.rng_from,
+        "normalize_rows": core.normalize_rows,
     }
     for name, fn in kernels.items():
         if name in counts:
