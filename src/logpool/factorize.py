@@ -14,7 +14,7 @@ a subagent produced by such a split.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -87,11 +87,6 @@ def _balanced_children(
     free = [i for i in range(k, n) if i != solved]
     g = draws - draws.mean(axis=-1, keepdims=True)
     scale = np.abs(g).max(axis=-1, keepdims=True)
-    if (scale == 0.0).any():  # astronomically unlikely; resample deterministically
-        line = np.linspace(-1.0, 1.0, m)
-        line = line - line.mean()
-        g = np.where(scale == 0.0, line, g)
-        scale = np.where(scale == 0.0, np.abs(line).max(), scale)
     magnitude = TILT_MAGNITUDE_BASE * (1.0 + (np.array(free) + 1) / n)
     # ones: the solved row, filled last, has a finite (unused) log until then
     children = np.ones(beta.shape + (m,))
@@ -113,18 +108,17 @@ def _balanced_children(
 
 
 def _distinct_children(
-    parent: np.ndarray, beta: np.ndarray, solved: int, seeds: Sequence[int], draws: np.ndarray
+    parent: np.ndarray, beta: np.ndarray, solved: int, redraw: Callable, draws: np.ndarray
 ) -> np.ndarray:
-    """Stacked :func:`factor_pairwise_distinct` children: ``draws`` (...,
-    n - 1, m) come from each instance's stream ``rng_from(seed, 0)`` (seeds
-    flat); an instance whose family is not separated redraws from
-    ``rng_from(seed, attempt)``."""
+    """Stacked :func:`factor_pairwise_distinct` children from each instance's
+    normal ``draws`` (..., n - 1, m); instance r (flat index) whose family is
+    not separated redraws from the stream ``redraw(r, attempt)``."""
     fixed = np.empty(parent.shape[:-1] + (0, parent.shape[-1]))
     draws = np.array(draws)  # a copy; redraws land in it through its flat view
     rows, retry = draws.reshape(-1, *draws.shape[-2:]), ()
     for attempt in range(RETRY_BUDGET):
         for r in retry:
-            rows[r] = rng_from(seeds[r], attempt).standard_normal(rows.shape[1:])
+            rows[r] = redraw(r, attempt).standard_normal(rows.shape[1:])
         children = _balanced_children(parent, beta, fixed, solved, draws)
         family = np.concatenate([parent[..., None, :], children], axis=-2)
         a, b = np.triu_indices(family.shape[-2], 1)
@@ -155,7 +149,8 @@ def factor_pairwise_distinct(parent: Dist, weights: Weights, seed: int) -> Decom
         )
     absorber = int(np.argmax(weights.beta > 0.0))
     draws = rng_from(seed, 0).standard_normal((weights.n - 1, parent.space.size))
-    children = _distinct_children(parent.p, weights.beta, absorber, [seed], draws)
+    redraw = lambda r, attempt: rng_from(seed, attempt)  # noqa: E731
+    children = _distinct_children(parent.p, weights.beta, absorber, redraw, draws)
     return Decomposition(parent, tuple(Dist(parent.space, c) for c in children), weights, "log")
 
 

@@ -30,6 +30,7 @@ from .core import (
     cov,
     _event_array,
     _integer,
+    _require_finite,
     dist_from_log_weights,
     expect,
     inner_p,
@@ -71,10 +72,10 @@ PROFILE_CENTERING_TOL = 1e-10
 #: Inner products within this dead zone of zero classify as aligned.
 ALIGNMENT_DEAD_ZONE = 1e-12
 
-#: Relative pivot threshold for dropping dependent vectors from a span.
+#: Drop a span direction whose squared singular value is at most this times the largest.
 PIVOT_REL_TOL = 1e-10
 
-#: Absolute squared-norm floor below which a pivot is arithmetic noise.
+#: A squared singular value at most this is arithmetic noise, never a span direction.
 ZERO_PIVOT_ABS = 1e-24
 
 #: Below this norm, the candidate new direction counts as already in the span.
@@ -93,6 +94,7 @@ class LogProfile:
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.v, dtype=float).copy().reshape(-1)
+        _require_finite(arr, "log profile")
         arr.flags.writeable = False
         object.__setattr__(self, "v", arr)
         mean = expect(self.base, arr)
@@ -101,10 +103,6 @@ class LogProfile:
                 f"profile mean under base is {mean!r}, expected 0 within "
                 f"{PROFILE_CENTERING_TOL}"
             )
-
-    @property
-    def space(self):
-        return self.base.space
 
 
 def _stack(profiles: Sequence[LogProfile]) -> tuple[Dist, np.ndarray]:
@@ -333,30 +331,16 @@ def _p_orthonormal_basis(base: Dist, vectors: np.ndarray) -> np.ndarray:
     """Orthonormal basis (rows) of span{rows of vectors} in the base-weighted
     inner product.
 
-    Pivoted elimination on the Gram system: at each step the vector with the
-    largest remaining squared norm is normalized and swept out of the rest;
-    remainders whose pivot falls below :data:`PIVOT_REL_TOL` times the
-    largest original pivot are dependent and get dropped.  An absolute floor
-    of :data:`ZERO_PIVOT_ABS` keeps pure arithmetic noise (children identical
-    up to rounding) from masquerading as a one-dimensional span.
+    One SVD of the √p-scaled rows, taken on their tall transpose: a left
+    singular vector whose squared singular value falls to
+    :data:`PIVOT_REL_TOL` times the largest, or to :data:`ZERO_PIVOT_ABS`,
+    spans a dependent (or noise) direction and is dropped; the kept ones,
+    divided by √p, are orthonormal under p.
     """
-    p = base.p
-    work = np.array(vectors, dtype=float)
-    norms2 = (p * work * work).sum(axis=-1)
-    pivot_floor = max(PIVOT_REL_TOL * norms2.max(initial=0.0), ZERO_PIVOT_ABS)
-    basis = []
-    remaining = list(range(len(work)))
-    while remaining:
-        j = max(remaining, key=lambda i: norms2[i])
-        if norms2[j] <= pivot_floor:
-            break
-        e = work[j] / np.sqrt(norms2[j])
-        basis.append(e)
-        remaining.remove(j)
-        rest = work[remaining] - (p * work[remaining] * e).sum(axis=-1)[:, None] * e
-        work[remaining] = rest
-        norms2[remaining] = (p * rest * rest).sum(axis=-1)
-    return np.reshape(basis, (len(basis), work.shape[-1]))
+    root = np.sqrt(base.p)
+    u, s, _ = np.linalg.svd((vectors * root).T, full_matrices=False)
+    keep = s * s > max(PIVOT_REL_TOL * s.max(initial=0.0) ** 2, ZERO_PIVOT_ABS)
+    return u[:, keep].T / root
 
 
 def _project(base: Dist, basis: np.ndarray, vec: np.ndarray) -> np.ndarray:

@@ -169,15 +169,15 @@ def _by_shape(shape, rngs, *aligned) -> list[tuple]:
     return [(key, *map(list, zip(*rows))) for key, rows in groups.items()]
 
 
-def _families(run: _Run, extra=lambda rngs, m, n: (), **sizes):
-    """Each instance's sizes, n random agents and their strict weights (then
-    ``extra(rngs, m, n)``), grouped by (m, n) and validated as ``Dist`` and
-    ``Weights`` validate: ``(agents (B, n, m), beta (B, n), *extras)``."""
+def _families(run: _Run, **sizes):
+    """Each instance's sizes, n random agents and their strict weights,
+    grouped by (m, n) and validated as ``Dist`` and ``Weights`` validate:
+    ``(agents (B, n, m), beta (B, n), rngs)``, the group's streams drawing on."""
     for (m, n), rngs in _by_shape(lambda rng: _sizes(rng, **sizes), run.rngs()):
         agents, beta = random_probs(rngs, m, n), random_beta(rngs, n)
         require_prob_rows(agents)
         require_weight_rows(beta)
-        yield agents, beta, *extra(rngs, m, n)
+        yield agents, beta, rngs
 
 
 def _log_pool(logs: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -209,7 +209,7 @@ def _longdouble_log_pool(agents: np.ndarray, beta: np.ndarray) -> tuple[np.ndarr
         "max tv between log_pool and an extended-precision recomputation")
 def _log_pool_extended(run: _Run):
     worst = 0.0
-    for agents, beta in _families(run):
+    for agents, beta, _ in _families(run):
         pooled = _log_pool(np.log(agents), beta)[0]
         worst = _worst(worst, _tv_rows(pooled, _longdouble_log_pool(agents, beta)[0]))
     return worst
@@ -219,7 +219,7 @@ def _log_pool_extended(run: _Run):
         "max tv between linear_pool and an extended-precision recomputation")
 def _linear_pool_extended(run: _Run):
     worst = 0.0
-    for agents, beta in _families(run):
+    for agents, beta, _ in _families(run):
         pooled = linear_pool_arrays(agents, beta)
         require_prob_rows(pooled)
         oracle = (beta.astype(np.longdouble)[..., None] * agents.astype(np.longdouble)).sum(axis=-2)
@@ -231,9 +231,9 @@ def _linear_pool_extended(run: _Run):
         "max tv over one-hot weights, dropped zero weights, identical agents")
 def _pool_weight_edges(run: _Run):
     worst = 0.0
-    one_agent = lambda rngs, m, n: (_draws(rngs, lambda r: r.integers(0, n)),)  # noqa: E731
-    for agents, beta, j in _families(run, one_agent, n_lo=3):
-        (count, n), rows, logs = beta.shape, np.arange(len(j)), np.log(agents)
+    for agents, beta, rngs in _families(run, n_lo=3):
+        (count, n), logs = beta.shape, np.log(agents)
+        j, rows = _draws(rngs, lambda r: r.integers(0, n)), np.arange(count)
         # a one-hot weight vector must return that agent
         onehot = _tv_rows(_log_pool(logs, np.eye(n)[j])[0], agents[rows, j])
         # zero-weight agents must not matter
@@ -254,7 +254,7 @@ def _pool_weight_edges(run: _Run):
         "its sign bound, and exact renormalization")
 def _log_z(run: _Run):
     worst = 0.0
-    for agents, beta in _families(run):
+    for agents, beta, _ in _families(run):
         logs = np.log(agents)
         log_z = _log_pool(logs, beta)[1]
         combo = (beta[..., None] * logs).sum(axis=-2)
@@ -272,22 +272,20 @@ def _log_z(run: _Run):
 # welfare
 # ---------------------------------------------------------------------------
 
-def _agent_pool_pairs(run: _Run, with_welfare: bool = False):
-    """Per instance an m in [2, 9), an agent and a pool (then welfare values
-    when asked), grouped by m: ``(agents (B, m), pools (B, m)[, welfare])``."""
-
+def _agent_pool_pairs(run: _Run):
+    """Per instance an m in [2, 9), an agent and a pool, grouped by m:
+    ``(agents (B, m), pools (B, m), rngs)``, the group's streams drawing on."""
     for m, rngs in _by_shape(lambda rng: int(rng.integers(2, 9)), run.rngs()):
         pair = random_probs(rngs, m, 2)
         require_prob_rows(pair)
-        welfare = (_draws(rngs, lambda r: r.standard_normal(m)),) if with_welfare else ()
-        yield pair[:, 0], pair[:, 1], *welfare
+        yield pair[:, 0], pair[:, 1], rngs
 
 
 @_check("welfare.gap_extended_precision", 200, 1e-12, "<=",
         "max |welfare_gap - extended-precision recomputation|")
 def _gap_extended(run: _Run):
     worst = 0.0
-    for agent, pool in _agent_pool_pairs(run):
+    for agent, pool, _ in _agent_pool_pairs(run):
         gaps = gap_terms(agent, pool)[0]  # raises if its two forms disagree
         pa, pr = agent.astype(np.longdouble), pool.astype(np.longdouble)
         la = np.log(pa)
@@ -300,7 +298,8 @@ def _gap_extended(run: _Run):
         "max |covariance criterion - (E_pool[w] - E_agent[w])|")
 def _cov_condition(run: _Run):
     worst = 0.0
-    for agent, pool, w in _agent_pool_pairs(run, with_welfare=True):
+    for agent, pool, rngs in _agent_pool_pairs(run):
+        w = _draws(rngs, lambda r: r.standard_normal(agent.shape[-1]))
         c = covariance_terms(agent, w, pool)
         shift = (pool * w).sum(axis=-1) - (agent * w).sum(axis=-1)
         worst = _worst(worst, np.abs(c - shift))
@@ -462,16 +461,16 @@ def _peaked_negative(run: _Run):
         "distances exceed the distinctness floor")
 def _factor_distinct(run: _Run):
     worst_tv, worst_dist = 0.0, np.inf
-    # instance i is factored with seed=i: its tilts come from rng_from(i, attempt)
-    tilts = _rng_streams(0, count=run.samples, at=0)
     sizes = lambda rng: _sizes(rng, m_lo=3, n_hi=6)  # noqa: E731
-    for (m, n), rngs, seeds, tilt in _by_shape(sizes, run.rngs(), range(run.samples), tilts):
+    for (m, n), rngs, index in _by_shape(sizes, run.rngs(), range(run.samples)):
         parent, beta = random_probs(rngs, m), random_beta(rngs, n)
         require_prob_rows(parent)
         require_weight_rows(beta)
-        draws = _draws(tilt, lambda r: r.standard_normal((n - 1, m)))
-        # strict weights: child 0 is the absorber
-        children = factorize._distinct_children(parent, beta, 0, np.array(seeds), draws)
+        draws = _draws(rngs, lambda r: r.standard_normal((n - 1, m)))
+        # strict weights: child 0 is the absorber; a retry of instance i draws
+        # from run.rng(i, attempt)
+        redraw = lambda r, attempt: run.rng(index[r], attempt)  # noqa: E731
+        children = factorize._distinct_children(parent, beta, 0, redraw, draws)
         worst_tv = _worst(worst_tv, _tv_rows(_log_pool(np.log(children), beta)[0], parent))
         family = np.concatenate([parent[:, None], children], axis=1)
         a, b = np.triu_indices(family.shape[1], 1)
@@ -489,13 +488,12 @@ def _factor_fixed(run: _Run):
         return int(rng.integers(3, 9)), n, k
 
     worst = 0.0
-    tilts = _rng_streams(0, count=run.samples, at=0)  # rng_from(i, 0): seed=i
-    for (m, n, k), rngs, tilt in _by_shape(sizes, run.rngs(), tilts):
+    for (m, n, k), rngs in _by_shape(sizes, run.rngs()):
         parent, fixed, beta = random_probs(rngs, m), random_probs(rngs, m, k), random_beta(rngs, n)
         require_prob_rows(parent)
         require_prob_rows(fixed)
         require_weight_rows(beta)
-        draws = _draws(tilt, lambda r: r.standard_normal((n - k - 1, m)))
+        draws = _draws(rngs, lambda r: r.standard_normal((n - k - 1, m)))
         children = factorize._balanced_children(parent, beta, fixed, k, draws)
         if not np.array_equal(fixed, children[:, :k]):
             worst = 1.0
@@ -556,8 +554,8 @@ def _parent_benefit(run: _Run):
 def _transport(run: _Run):
     worst = 0.0
     identity_ok = True
-    with_target = lambda rngs, m, n: (random_probs(rngs, m),)  # noqa: E731
-    for agents, beta, target in _families(run, with_target, m_lo=3):
+    for agents, beta, rngs in _families(run, m_lo=3):
+        target = random_probs(rngs, agents.shape[-1])
         parent = _log_pool(np.log(agents), beta)[0]
         moved = stability.transport_rows(agents, parent[:, None, :], target[:, None, :])
         require_prob_rows(moved)

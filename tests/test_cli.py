@@ -297,6 +297,56 @@ def test_experiment_gap_table_contents(tmp_path):
     assert float(row["min_gap"]) > 1e-9
 
 
+def _gap_rows(tmp_path, kind: str) -> list[dict]:
+    """The gaps table of a seed-5 run of ``kind`` over n 2, 3 at the default
+    epsilon grid (0.1, 0.03, 0.01), two weight samples per peaked point."""
+    cfg = tmp_path / "config.json"
+    family = {"kind": kind, "n": [2, 3], "beta_samples": 2}
+    cfg.write_text(json.dumps({"seed": 5, "family": family, "analyses": ["gaps"]}))
+    assert main(["experiment", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    with open(tmp_path / "run.gaps.csv") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_experiment_gaps_on_the_peaked_family_are_negative(tmp_path):
+    """Peaked incompatible agents lose in weighted sum at every grid point
+    and every weight sample."""
+    rows = _gap_rows(tmp_path, "peaked_incompatible")
+    assert len(rows) == 2 * 3 * 2
+    assert [r["weights"] for r in rows[:2]] == ["sample0", "sample1"]
+    for row in rows:
+        assert row["family"] == "peaked_incompatible"
+        assert float(row["weighted_gap_sum"]) < 0.0, row
+        assert row["strictly_unanimous"] == "false"
+
+
+def test_experiment_gaps_on_the_cyclic_family_are_symmetric(tmp_path):
+    """Cyclic agents under uniform weights are symmetric: every gap equals
+    the weighted sum, and it is negative."""
+    rows = _gap_rows(tmp_path, "cyclic_welfare")
+    assert len(rows) == 2 * 3
+    for row in rows:
+        assert row["weights"] == "uniform"
+        min_gap, weighted = float(row["min_gap"]), float(row["weighted_gap_sum"])
+        assert abs(min_gap - weighted) <= 1e-12, row
+        assert weighted < 0.0, row
+
+
+def test_unknown_family_kind_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"family": {"kind": "spiral"}, "analyses": ["gaps"]}))
+    assert_usage_error(capsys, ["experiment", str(cfg), "--out", str(tmp_path / "x")])
+    assert not list(tmp_path.glob("x.*"))
+
+
+def test_openness_on_a_non_analytic_family_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    family = {"kind": "cyclic_welfare", "n": [2]}
+    cfg.write_text(json.dumps({**CONFIG, "family": family, "analyses": ["openness"]}))
+    assert_usage_error(capsys, ["experiment", str(cfg), "--out", str(tmp_path / "x")])
+    assert not list(tmp_path.glob("x.*"))
+
+
 def test_experiment_is_deterministic(tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(CONFIG))

@@ -44,16 +44,15 @@ def test_distinct_children_rows_are_the_public_factorizations(monkeypatch, floor
     1) and others keep their attempt-0 draws."""
     monkeypatch.setattr(factorize, "DISTINCTNESS_TV", floor)
     calls = []
-
-    def counted(seed, attempt):
-        calls.append((seed, attempt))
-        return rng_from(seed, attempt)
-
-    monkeypatch.setattr(factorize, "rng_from", counted)
     parents, betas = _group(701)
     seeds = list(range(100, 100 + B))
+
+    def redraw(r, attempt):
+        calls.append((seeds[r], attempt))
+        return rng_from(seeds[r], attempt)
+
     draws = np.stack([rng_from(s, 0).standard_normal((N - 1, M)) for s in seeds])
-    children = factorize._distinct_children(parents, betas, 0, seeds, draws)
+    children = factorize._distinct_children(parents, betas, 0, redraw, draws)
     retried = {seed for seed, _ in calls}
     if retries:
         assert 0 < len(retried) < B and max(a for _, a in calls) > 1
@@ -69,7 +68,7 @@ def test_a_row_that_never_separates_fails_as_the_public_call(monkeypatch):
     parents, betas = _group(702)
     draws = np.stack([rng_from(s, 0).standard_normal((N - 1, M)) for s in range(B)])
     with pytest.raises(DistinctnessFailure) as batched:
-        factorize._distinct_children(parents, betas, 0, list(range(B)), draws)
+        factorize._distinct_children(parents, betas, 0, lambda r, a: rng_from(r, a), draws)
     with pytest.raises(DistinctnessFailure) as single:
         factor_pairwise_distinct(Dist(SPACE, parents[0]), Weights(betas[0]), 0)
     assert str(batched.value) == str(single.value)

@@ -17,6 +17,7 @@ from logpool import (
     DegenerateSpan,
     LengthMismatch,
     LogProfile,
+    NonFinite,
     OutcomeSpace,
     ParamOutOfRange,
     PreconditionViolation,
@@ -44,7 +45,7 @@ from logpool import (
     tv,
     uniform,
 )
-from logpool.persona import random_compensation_report
+from logpool.persona import _p_orthonormal_basis, _project, random_compensation_report
 from logpool.suites import run_suite
 
 
@@ -86,6 +87,18 @@ def test_log_profile_rejects_uncentered_vectors():
     base = random_dist(rng, OutcomeSpace(4))
     with pytest.raises(TiltsNotCentered):
         LogProfile(base, np.ones(4))
+
+
+@pytest.mark.parametrize("v", [[np.nan, 0.0, 0.0, 0.0], [np.inf, -np.inf, 0.0, 0.0]])
+def test_log_profile_rejects_non_finite_vectors(v):
+    """A NaN mean fails no comparison, so both vectors used to be accepted,
+    and optimal_suppression then called [inf, -inf, 0, 0] a zero span."""
+    base = uniform(OutcomeSpace(4))
+    with pytest.raises(NonFinite):
+        LogProfile(base, v)
+    profiles = [LogProfile(base, [1.0, -1.0, 0.0, 0.0])]
+    with pytest.raises(NonFinite):
+        projection_gain(profiles, LogProfile(base, v), (2,), 0.05)
 
 
 def test_profiles_require_log_pool_decompositions():
@@ -426,6 +439,43 @@ def test_a_budget_that_is_not_finite_is_rejected(budget):
     for w in (profiles[1], LogProfile(profiles[0].base, -profiles[0].v)):
         with pytest.raises(ParamOutOfRange, match="finite"):
             projection_gain(profiles[:1], w, (1,), budget)
+
+
+# ---------------------------------------------------------------------------
+# Span basis
+# ---------------------------------------------------------------------------
+
+
+def _centered(base, rows: np.ndarray) -> np.ndarray:
+    return rows - (base.p * rows).sum(axis=-1, keepdims=True)
+
+
+def _span_cases():
+    """(base, rows, dimension): centered stacks of known rank r (A @ B),
+    one row repeated, and rows scaled down to 1e-13."""
+    rng = rng_from(731)
+    for _ in range(40):
+        m = int(rng.integers(3, 10))
+        r = int(rng.integers(1, m))
+        n = int(rng.integers(r, r + 4))
+        base = random_dist(rng, OutcomeSpace(m))
+        rows = rng.standard_normal((n, r)) @ rng.standard_normal((r, m))
+        yield base, _centered(base, rows), r
+        yield base, np.repeat(_centered(base, rng.standard_normal((1, m))), n, axis=0), 1
+        tiny = _centered(base, rng.standard_normal((n, m)))
+        yield base, 1e-13 * tiny / np.abs(tiny).max(), 0
+
+
+def test_span_basis_is_orthonormal_spans_its_rows_and_has_their_rank():
+    for base, rows, dim in _span_cases():
+        basis = _p_orthonormal_basis(base, rows)
+        assert basis.shape == (dim, rows.shape[-1])
+        gram = (base.p * basis) @ basis.T
+        assert np.abs(gram - np.eye(dim)).max(initial=0.0) <= 1e-12
+        if dim:
+            for row in rows:
+                residual = row - _project(base, basis, row)
+                assert norm_p(base, residual) <= 1e-10 * norm_p(base, row)
 
 
 # ---------------------------------------------------------------------------
