@@ -192,7 +192,7 @@ def _analysis_gaps(config: dict, seed: int) -> tuple[list[str], list[list], dict
                 raise ConfigParse(f"unknown family kind {kind!r}")
             for label, decomp in decomps:
                 rep = unanimity_report(decomp)
-                weighted = float(decomp.weights.beta @ rep.gaps)  # weighted_gap_sum
+                weighted = float(decomp.weights.beta @ rep.gaps)  # the weighted_gap_sum column
                 rows.append([kind, n, eps, label, rep.min_gap, weighted, rep.strictly_unanimous])
     columns = [
         "family",
@@ -234,17 +234,17 @@ def _analysis_suppression(config: dict, seed: int) -> tuple[list[str], list[list
     instances = _number(params.get("instances", 4), int, "suppression.instances", 0)
     budgets = _as_list(params.get("budgets", [0.01, 0.02, 0.04, 0.08]))
     budgets = [_number(b, float, "suppression.budgets") for b in budgets]
+    for eps in budgets:
+        persona._require_budget(eps)
     rows = []
     for i in range(instances):
         rng = rng_from(seed, 20, i)
         decomp = constructions.random_decomposition(rng, m, n)
         profiles = persona.centered_profiles(decomp)
         event = constructions.random_event(rng, m)
-        for eps in budgets:
-            plan = persona.optimal_suppression(profiles, event, eps)
-            rows.append(
-                [i, eps, plan.achieved, plan.projection_norm, plan.achieved / eps]
-            )
+        # the plan scales with the budget: one solve gives every budget's row
+        norm = persona.optimal_suppression(profiles, event, 1.0).projection_norm
+        rows += [[i, eps, eps * norm, norm, eps * norm / eps] for eps in budgets]
     columns = ["instance", "epsilon", "achieved", "projection_norm", "achieved_over_budget"]
     return columns, rows, {"pivot_rel_tol": persona.PIVOT_REL_TOL}
 

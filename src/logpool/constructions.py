@@ -39,11 +39,13 @@ from .core import (
     dist_from_log_weights,
     make_dist,
     normalize_rows,
+    require_prob_rows,
+    require_weight_rows,
     _integer,
 )
 from .errors import DegenerateWeights, NotFound, ParamOutOfRange
-from .pooling import Decomposition, make_decomposition
-from .welfare import unanimity_report
+from .pooling import Decomposition, log_pool_arrays, make_decomposition
+from .welfare import UNANIMITY_TOL, gap_terms
 
 __all__ = [
     "EPSILON_GRID",
@@ -82,17 +84,21 @@ def cyclic_welfare_instance(n: int, epsilon: float, C: float) -> CyclicInstance:
         raise ParamOutOfRange(f"epsilon must lie in (0, 1/{n})")
     if not C > 0.0:
         raise ParamOutOfRange("C must be positive")
+    raw, welfare = cyclic_welfare_rows(n, epsilon, C)
     space = OutcomeSpace(n)
-    agents = []
-    welfares = []
-    for i in range(n):
-        raw = np.full(n, epsilon)
-        raw[i] = 1.0 - (n - 1) * epsilon
-        agents.append(make_dist(space, raw))
-        w = np.full(n, -float(C))
-        w[(i + 1) % n] = 0.0
-        welfares.append(ScoreFn(space, w))
-    return CyclicInstance(tuple(agents), Weights.uniform(n), tuple(welfares))
+    agents = tuple(make_dist(space, row) for row in raw)
+    return CyclicInstance(agents, Weights.uniform(n), tuple(ScoreFn(space, w) for w in welfare))
+
+
+def cyclic_welfare_rows(n: int, epsilon, C: float) -> tuple[np.ndarray, np.ndarray]:
+    """The raw agents of :func:`cyclic_welfare_instance`, (..., n, n) for
+    ``epsilon`` of shape (...), and its welfare values (n, n); not validated."""
+    eps = np.asarray(epsilon, dtype=float)[..., None, None]
+    raw = np.repeat(np.repeat(eps, n, axis=-2), n, axis=-1)
+    raw[..., np.arange(n), np.arange(n)] = (1.0 - (n - 1) * eps)[..., 0]
+    welfare = np.full((n, n), -float(C))
+    welfare[np.arange(n), (np.arange(n) + 1) % n] = 0.0
+    return raw, welfare
 
 
 def analytic_unanimity_instance(
@@ -107,6 +113,14 @@ def analytic_unanimity_instance(
     an exponent strictly above 1 whenever beta_i < 1.  For small epsilon all
     welfare gaps are strictly positive.
     """
+    agents, weights = _analytic_agents(n, epsilon, weights)
+    space = OutcomeSpace(agents.shape[-1])
+    return make_decomposition([Dist(space, p) for p in agents], weights, "log")
+
+
+def _analytic_agents(n: int, epsilon: float, weights: Weights | None) -> tuple[np.ndarray, Weights]:
+    """The normalized, validated agents (n, n+1) of an analytic instance and
+    its weights (uniform for None), its arguments checked."""
     n = _integer(n, "agent count")
     if n < 2:
         raise ParamOutOfRange("need n >= 2 agents")
@@ -120,9 +134,9 @@ def analytic_unanimity_instance(
         raise DegenerateWeights(
             "a weight equal to 1 collapses the pool onto a single agent"
         )
-    space = OutcomeSpace(n + 1)
-    agents = [make_dist(space, raw) for raw in analytic_unanimity_rows(n, epsilon)]
-    return make_decomposition(agents, weights, "log")
+    agents = normalize_rows(analytic_unanimity_rows(n, epsilon))
+    require_prob_rows(agents)
+    return agents, weights
 
 
 def analytic_unanimity_rows(n: int, epsilon) -> np.ndarray:
@@ -141,14 +155,15 @@ def find_epsilon_for_unanimity(n: int, weights: Weights | None = None) -> float:
 
     Walks :data:`EPSILON_GRID` from large to small and returns the first
     (hence largest) epsilon whose instance has every gap strictly positive.
+    Each step scores the instance's rows, with no objects built.
     Existence is guaranteed for small enough epsilon, so exhausting the grid
     raises :class:`NotFound` — which indicates a bug, not an unlucky input.
     """
-    for eps in EPSILON_GRID:
-        if eps >= 0.25:
-            continue
-        decomp = analytic_unanimity_instance(n, eps, weights)
-        if unanimity_report(decomp).strictly_unanimous:
+    for eps in (e for e in EPSILON_GRID if e < 0.25):
+        agents, weights = _analytic_agents(n, eps, weights)
+        pooled = log_pool_arrays(np.log(agents), weights.beta)[0]
+        require_prob_rows(pooled)
+        if (gap_terms(agents, pooled)[0] > UNANIMITY_TOL).all():
             return eps
     raise NotFound(
         f"no strictly unanimous epsilon on the grid for n={n}; "
@@ -239,17 +254,22 @@ def _draws(rng: _Streams, draw) -> np.ndarray:
 def random_probs(rng: _Streams, m: int, n: int | None = None) -> np.ndarray:
     """A strictly positive random probability vector of length ``m`` (or
     ``n`` of them, (n, m), drawn in order), bounded away from zero:
-    gamma(1.5, 1) + 0.02, normalized as :func:`~logpool.core.make_dist` does.
-    A list of B streams gives each stream's draw, (B, m) or (B, n, m)."""
+    gamma(1.5, 1) + 0.02, normalized and validated as :func:`~logpool.core.make_dist`
+    does.  A list of B streams gives each stream's draw, (B, m) or (B, n, m)."""
     raw = _draws(rng, lambda r: r.gamma(1.5, 1.0, m if n is None else (n, m)))
-    return normalize_rows(raw + 0.02)
+    p = normalize_rows(raw + 0.02)
+    require_prob_rows(p)
+    return p
 
 
 def random_beta(rng: _Streams, n: int) -> np.ndarray:
-    """n strictly positive weights: 0.15 + U[0, 1), normalized ((B, n) for a
-    list of B streams)."""
+    """n strictly positive weights: 0.15 + U[0, 1), normalized and validated
+    as :class:`~logpool.core.Weights` validates ((B, n) for a list of B
+    streams)."""
     raw = 0.15 + _draws(rng, lambda r: r.random(n))
-    return raw / raw.sum(axis=-1, keepdims=True)
+    beta = raw / raw.sum(axis=-1, keepdims=True)
+    require_weight_rows(beta)
+    return beta
 
 
 def random_event(rng: np.random.Generator, m: int) -> np.ndarray:

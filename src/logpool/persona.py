@@ -121,6 +121,11 @@ def _combine(coef: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return sum(coef[:, None] * rows, np.zeros(rows.shape[-1]))
 
 
+def _require_budget(epsilon: float) -> None:
+    if not 0.0 < epsilon < np.inf:
+        raise ParamOutOfRange("the budget must be positive and finite")
+
+
 def _event_direction(P: Dist, event: Sequence[int]) -> np.ndarray:
     """The indicator of a proper-subset ``event``, centered under P."""
     idx = _event_array(P.space, event, allow_full=False)
@@ -388,8 +393,7 @@ def optimal_suppression(
     opposite the span-projection of the event's centered indicator; the
     optimum equals epsilon times that projection's norm.
     """
-    if not 0.0 < epsilon < np.inf:
-        raise ParamOutOfRange("the budget must be positive and finite")
+    _require_budget(epsilon)
     base, V = _stack(profiles)
     g = _event_direction(base, event)
     basis = _p_orthonormal_basis(base, V)
@@ -454,8 +458,7 @@ def projection_gain(
     falls below :data:`SPAN_MEMBERSHIP_TOL` the report is flagged
     ``w_in_span``, the enlarged span is the old one and the gain is zero.
     """
-    if not 0.0 < epsilon < np.inf:
-        raise ParamOutOfRange("the budget must be positive and finite")
+    _require_budget(epsilon)
     base, V = _stack([*profiles, w])
     g = _event_direction(base, event)
     basis0 = _p_orthonormal_basis(base, V[:-1])

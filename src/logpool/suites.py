@@ -2,20 +2,23 @@
 
 Each check is one function registered with :func:`_check`, which records its
 name (prefixed by its suite), default instance count, tolerance, pass
-direction and detail text.  The function only computes: it returns its
-extremal statistic (a max error, a min margin, a found threshold) as
-``value``, ``(value, ok)`` or ``(value, ok, count)``, where ``ok`` is an extra
-verdict and ``count`` the instances a fixed catalog checked.  One runner
-builds every :class:`CheckResult`: a check passes when ``value`` meets its
-tolerance in the registered direction and ``ok`` holds.
+direction, detail text and the ``[lo, hi)`` ranges its instance sizes are
+drawn from.  The function only computes: it returns its extremal statistic (a
+max error, a min margin, a found threshold) as ``value``, ``(value, ok)`` or
+``(value, ok, count)``, where ``ok`` is an extra verdict and ``count`` the
+instances a fixed catalog checked.  One runner builds every
+:class:`CheckResult`: a check passes when ``value`` meets its tolerance in the
+registered direction and ``ok`` holds.
 
 A check draws its instances through ``run.rng(*path)``, which is
 :func:`~logpool.core.rng_from` at ``(seed, suite_id, check_id, *path)``: the
 suite's place in :data:`SUITE_NAMES` and the check's place in registration
 order; ``run.rngs()`` builds the streams ``run.rng(i)`` of all its instances
-in one batch, bit for bit the same.  So a seed pins every number in the run.
-Checks compare library results against independent re-computations
-(extended-precision pooling, closed forms, brute-force searches).
+in one batch, bit for bit the same.  ``run.size(rng)`` draws one instance's
+sizes from the registered ranges, and ``run.groups()`` groups the instances
+by them.  So a seed pins every number in the run.  Checks compare library
+results against independent re-computations (extended-precision pooling,
+closed forms, brute-force searches).
 
 These are runtime smoke batteries sized for seconds, not the exhaustive
 test-suite versions; the comparisons are the same, the instance counts are
@@ -33,13 +36,12 @@ import numpy as np
 from . import constructions, factorize, persona, stability
 from .constructions import _draws, random_beta, random_decomposition, random_dist, random_probs
 from .core import (
-    Dist, OutcomeSpace, ScoreFn, Weights, event_indices, expect, make_dist, norm_p,
-    normalize_rows, require_prob_rows, require_weight_rows, rng_from, tv, uniform,
-    _integer, _rng_streams, _tv_rows,
+    VALUE_TOL, Dist, OutcomeSpace, ScoreFn, Weights, event_indices, expect, make_dist, norm_p,
+    normalize_rows, require_prob_rows, rng_from, _integer, _rng_streams, _tv_rows,
 )
 from .errors import ParamOutOfRange, UnknownSuite
-from .pooling import linear_pool_arrays, log_pool, log_pool_arrays
-from .welfare import covariance_condition, covariance_terms, gap_terms, unanimity_report
+from .pooling import linear_pool_arrays, log_pool_arrays
+from .welfare import covariance_terms, gap_terms, unanimity_report
 
 __all__ = ["CheckResult", "SUITE_NAMES", "run_suite"]
 
@@ -69,13 +71,15 @@ class CheckResult:
 # ---------------------------------------------------------------------------
 
 class _Run(NamedTuple):
-    """What a check body is handed: the seed, its instance count and
-    tolerance, and ``rng(*path)`` and ``rngs()`` on the check's own streams."""
+    """What a check body is handed: the seed, its instance count, tolerance
+    and size ranges, and ``rng(*path)``, ``rngs()``, ``size(rng)`` and
+    ``groups()`` on the check's own streams."""
 
     seed: int
     samples: int
     tol: float
     ids: tuple[int, int]
+    sizes: tuple[tuple[int, int], ...]
 
     def rng(self, *path: int) -> np.random.Generator:
         return rng_from(self.seed, *self.ids, *path)
@@ -85,6 +89,21 @@ class _Run(NamedTuple):
         count = self.samples if count is None else count
         return _rng_streams(self.seed, *self.ids, *path, count=count)
 
+    def size(self, rng: np.random.Generator) -> tuple[int, ...]:
+        """One instance's sizes: a draw from each registered [lo, hi), in order."""
+        return tuple([int(rng.integers(lo, hi)) for lo, hi in self.sizes])
+
+    def groups(self, rngs: list[np.random.Generator] | None = None) -> list[tuple]:
+        """Instance i's stream (``rngs[i]``, by default ``rng(i)``) first draws
+        its sizes; the instances grouped by sizes in first-seen order, as
+        ``(sizes, rngs, index)`` lists, ``index`` holding their numbers.  A
+        group's later draws, one generator call each, then leave every
+        stream's draw order as one instance at a time would draw it."""
+        groups: dict = {}
+        for i, rng in enumerate(self.rngs() if rngs is None else rngs):
+            groups.setdefault(self.size(rng), []).append((rng, i))
+        return [(key, *map(list, zip(*rows))) for key, rows in groups.items()]
+
 
 class _Check(NamedTuple):
     name: str
@@ -92,6 +111,7 @@ class _Check(NamedTuple):
     tol: float
     passes: Callable[[float, float], bool]
     detail: str
+    sizes: tuple[tuple[int, int], ...]
     body: Callable[[_Run], object]
 
 
@@ -100,12 +120,14 @@ _PASSES = {"<=": operator.le, ">": operator.gt, ">=": operator.ge}
 _CHECKS: dict[str, list[_Check]] = {suite: [] for suite in SUITE_NAMES}
 
 
-def _check(name: str, samples: int, tol: float, passes: str, detail: str):
+def _check(name: str, samples: int, tol: float, passes: str, detail: str, *sizes):
     """Register the decorated body as check ``name``, in the suite its prefix
-    names.  ``samples`` 0 marks a fixed catalog that no override resizes."""
+    names.  ``samples`` 0 marks a fixed catalog that no override resizes;
+    each of ``sizes`` is a ``[lo, hi)`` range an instance draws a size from,
+    in order (``run.size``)."""
 
     def register(body: Callable[[_Run], object]) -> Callable[[_Run], object]:
-        check = _Check(name, samples, tol, _PASSES[passes], detail, body)
+        check = _Check(name, samples, tol, _PASSES[passes], detail, sizes, body)
         _CHECKS[name.split(".")[0]].append(check)
         return body
 
@@ -139,7 +161,7 @@ def run_suite(
         for check_id, check in enumerate(_CHECKS[suite]):
             n = check.samples if samples is None or check.samples == 0 else samples
             tol = check.tol if tolerance is None else tolerance
-            out = check.body(_Run(seed, n, tol, (suite_id, check_id)))
+            out = check.body(_Run(seed, n, tol, (suite_id, check_id), check.sizes))
             value, ok, count = (*out, n)[:3] if isinstance(out, tuple) else (out, True, n)
             passed = check.passes(value, tol) and ok
             results.append(CheckResult(check.name, passed, value, tol, count, check.detail))
@@ -149,36 +171,6 @@ def run_suite(
 # ---------------------------------------------------------------------------
 # Shared helpers
 # ---------------------------------------------------------------------------
-
-def _sizes(
-    rng: np.random.Generator, m_lo: int = 2, m_hi: int = 9, n_lo: int = 2, n_hi: int = 7
-) -> tuple[int, int]:
-    """An outcome count in [m_lo, m_hi), then an agent count in [n_lo, n_hi)."""
-    return int(rng.integers(m_lo, m_hi)), int(rng.integers(n_lo, n_hi))
-
-
-def _by_shape(shape, rngs, *aligned) -> list[tuple]:
-    """Each instance's stream (of ``rngs``) first draws its shape key
-    ``shape(rng)``; the instances grouped by key in first-seen order, as
-    ``(key, rngs, *aligned)`` lists (``aligned``: more per-instance
-    sequences).  A group's later draws, one generator call each, then leave
-    every stream's draw order as one instance at a time would draw it."""
-    groups: dict = {}
-    for instance in zip(rngs, *aligned):
-        groups.setdefault(shape(instance[0]), []).append(instance)
-    return [(key, *map(list, zip(*rows))) for key, rows in groups.items()]
-
-
-def _families(run: _Run, **sizes):
-    """Each instance's sizes, n random agents and their strict weights,
-    grouped by (m, n) and validated as ``Dist`` and ``Weights`` validate:
-    ``(agents (B, n, m), beta (B, n), rngs)``, the group's streams drawing on."""
-    for (m, n), rngs in _by_shape(lambda rng: _sizes(rng, **sizes), run.rngs()):
-        agents, beta = random_probs(rngs, m, n), random_beta(rngs, n)
-        require_prob_rows(agents)
-        require_weight_rows(beta)
-        yield agents, beta, rngs
-
 
 def _log_pool(logs: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stacked log pools and log Z, each pooled row validated as a ``Dist``."""
@@ -206,20 +198,22 @@ def _longdouble_log_pool(agents: np.ndarray, beta: np.ndarray) -> tuple[np.ndarr
 # ---------------------------------------------------------------------------
 
 @_check("pools.log_pool_extended_precision", 200, 1e-12, "<=",
-        "max tv between log_pool and an extended-precision recomputation")
+        "max tv between log_pool and an extended-precision recomputation", (2, 9), (2, 7))
 def _log_pool_extended(run: _Run):
     worst = 0.0
-    for agents, beta, _ in _families(run):
+    for (m, n), rngs, _ in run.groups():
+        agents, beta = random_probs(rngs, m, n), random_beta(rngs, n)
         pooled = _log_pool(np.log(agents), beta)[0]
         worst = _worst(worst, _tv_rows(pooled, _longdouble_log_pool(agents, beta)[0]))
     return worst
 
 
 @_check("pools.linear_pool_extended_precision", 200, 1e-12, "<=",
-        "max tv between linear_pool and an extended-precision recomputation")
+        "max tv between linear_pool and an extended-precision recomputation", (2, 9), (2, 7))
 def _linear_pool_extended(run: _Run):
     worst = 0.0
-    for agents, beta, _ in _families(run):
+    for (m, n), rngs, _ in run.groups():
+        agents, beta = random_probs(rngs, m, n), random_beta(rngs, n)
         pooled = linear_pool_arrays(agents, beta)
         require_prob_rows(pooled)
         oracle = (beta.astype(np.longdouble)[..., None] * agents.astype(np.longdouble)).sum(axis=-2)
@@ -228,11 +222,12 @@ def _linear_pool_extended(run: _Run):
 
 
 @_check("pools.weight_edge_cases", 60, 1e-12, "<=",
-        "max tv over one-hot weights, dropped zero weights, identical agents")
+        "max tv over one-hot weights, dropped zero weights, identical agents", (2, 9), (3, 7))
 def _pool_weight_edges(run: _Run):
     worst = 0.0
-    for agents, beta, rngs in _families(run, n_lo=3):
-        (count, n), logs = beta.shape, np.log(agents)
+    for (m, n), rngs, _ in run.groups():
+        agents, beta = random_probs(rngs, m, n), random_beta(rngs, n)
+        count, logs = len(rngs), np.log(agents)
         j, rows = _draws(rngs, lambda r: r.integers(0, n)), np.arange(count)
         # a one-hot weight vector must return that agent
         onehot = _tv_rows(_log_pool(logs, np.eye(n)[j])[0], agents[rows, j])
@@ -251,10 +246,11 @@ def _pool_weight_edges(run: _Run):
 
 @_check("pools.log_normalizer", 200, 1e-12, "<=",
         "max error of the log-normalizer against extended precision, "
-        "its sign bound, and exact renormalization")
+        "its sign bound, and exact renormalization", (2, 9), (2, 7))
 def _log_z(run: _Run):
     worst = 0.0
-    for agents, beta, _ in _families(run):
+    for (m, n), rngs, _ in run.groups():
+        agents, beta = random_probs(rngs, m, n), random_beta(rngs, n)
         logs = np.log(agents)
         log_z = _log_pool(logs, beta)[1]
         combo = (beta[..., None] * logs).sum(axis=-2)
@@ -272,20 +268,12 @@ def _log_z(run: _Run):
 # welfare
 # ---------------------------------------------------------------------------
 
-def _agent_pool_pairs(run: _Run):
-    """Per instance an m in [2, 9), an agent and a pool, grouped by m:
-    ``(agents (B, m), pools (B, m), rngs)``, the group's streams drawing on."""
-    for m, rngs in _by_shape(lambda rng: int(rng.integers(2, 9)), run.rngs()):
-        pair = random_probs(rngs, m, 2)
-        require_prob_rows(pair)
-        yield pair[:, 0], pair[:, 1], rngs
-
-
 @_check("welfare.gap_extended_precision", 200, 1e-12, "<=",
-        "max |welfare_gap - extended-precision recomputation|")
+        "max |welfare_gap - extended-precision recomputation|", (2, 9))
 def _gap_extended(run: _Run):
     worst = 0.0
-    for agent, pool, _ in _agent_pool_pairs(run):
+    for (m,), rngs, _ in run.groups():
+        agent, pool = random_probs(rngs, m, 2).swapaxes(0, 1)
         gaps = gap_terms(agent, pool)[0]  # raises if its two forms disagree
         pa, pr = agent.astype(np.longdouble), pool.astype(np.longdouble)
         la = np.log(pa)
@@ -295,11 +283,12 @@ def _gap_extended(run: _Run):
 
 
 @_check("welfare.covariance_equals_mean_shift", 200, 1e-10, "<=",
-        "max |covariance criterion - (E_pool[w] - E_agent[w])|")
+        "max |covariance criterion - (E_pool[w] - E_agent[w])|", (2, 9))
 def _cov_condition(run: _Run):
     worst = 0.0
-    for agent, pool, rngs in _agent_pool_pairs(run):
-        w = _draws(rngs, lambda r: r.standard_normal(agent.shape[-1]))
+    for (m,), rngs, _ in run.groups():
+        agent, pool = random_probs(rngs, m, 2).swapaxes(0, 1)
+        w = _draws(rngs, lambda r: r.standard_normal(m))
         c = covariance_terms(agent, w, pool)
         shift = (pool * w).sum(axis=-1) - (agent * w).sum(axis=-1)
         worst = _worst(worst, np.abs(c - shift))
@@ -343,12 +332,11 @@ def _binary_census(run: _Run):
 
 @_check("welfare.uniform_reference_no_gain", 200, 1e-10, "<=",
         "uniform's gap against any reference is <= 0 and equals "
-        "-(KL(r,u)+KL(u,r)); value is the max identity error")
+        "-(KL(r,u)+KL(u,r)); value is the max identity error", (2, 13))
 def _uniform_no_gain(run: _Run):
     worst_err, worst_gap = 0.0, -np.inf
-    for m, rngs in _by_shape(lambda rng: int(rng.integers(2, 13)), run.rngs()):
+    for (m,), rngs, _ in run.groups():
         r = random_probs(rngs, m)
-        require_prob_rows(r)
         u = np.full_like(r, 1.0 / r.shape[-1])
         gap = gap_terms(r, u)[0]  # each r's welfare gap against the uniform pool
         log_r, log_u = np.log(r), np.log(u)
@@ -366,22 +354,20 @@ def _uniform_no_gain(run: _Run):
         "pool exactly uniform; every agent's welfare rises by C(1/n - eps)")
 def _cyclic(run: _Run):
     worst = 0.0
-    cases = 0
-    for n in (2, 3, 5, 8):
-        for eps_frac in (0.3, 0.08, 0.01):
-            eps = eps_frac / n
-            inst = constructions.cyclic_welfare_instance(n, eps, C=2.0)
-            pooled = log_pool(list(inst.agents), inst.weights)
-            worst = max(worst, tv(pooled, uniform(pooled.space)))
-            margin = 2.0 * (1.0 / n - eps)
-            for agent, w in zip(inst.agents, inst.welfares):
-                gain = expect(pooled, w) - expect(agent, w)
-                worst = max(worst, abs(gain - margin))
-                c, verdict = covariance_condition(agent, w, pooled)
-                if not verdict:
-                    worst = max(worst, 1.0)
-            cases += 1
-    return worst, True, cases
+    ns, fractions = (2, 3, 5, 8), np.array([0.3, 0.08, 0.01])
+    for n in ns:
+        eps, uniform = fractions / n, np.full(n, 1.0 / n)
+        raw, welfare = constructions.cyclic_welfare_rows(n, eps, C=2.0)
+        agents = normalize_rows(raw)
+        require_prob_rows(agents)
+        pooled = _log_pool(np.log(agents), uniform)[0]
+        gains = (pooled[:, None] * welfare).sum(axis=-1) - (agents * welfare).sum(axis=-1)
+        margins = 2.0 * (1.0 / n - eps)
+        worst = _worst(worst, _tv_rows(pooled, uniform), np.abs(gains - margins[:, None]))
+        # the covariance criterion must call every agent's gain
+        if not (covariance_terms(agents, welfare, pooled[:, None]) >= -VALUE_TOL).all():
+            worst = max(worst, 1.0)
+    return worst, True, len(ns) * len(fractions)
 
 
 @_check("constructions.unanimity_threshold_exists", 0, 1e-9, ">",
@@ -406,12 +392,11 @@ def _unanimity_threshold(run: _Run):
 
 @_check("constructions.unanimity_pool_closed_form", 60, 1e-12, "<=",
         "max tv between the pooled distribution and its closed form "
-        "eps^((n+1) - n*beta_i) on private outcomes")
+        "eps^((n+1) - n*beta_i) on private outcomes", (2, 6))
 def _unanimity_pool_formula(run: _Run):
     worst = 0.0
-    for n, rngs in _by_shape(lambda rng: int(rng.integers(2, 6)), run.rngs()):
+    for (n,), rngs, _ in run.groups():
         eps, beta = _draws(rngs, lambda r: r.uniform(0.01, 0.24)), random_beta(rngs, n)
-        require_weight_rows(beta)
         agents = normalize_rows(constructions.analytic_unanimity_rows(n, eps))
         require_prob_rows(agents)
         pooled = _log_pool(np.log(agents), beta)[0]
@@ -435,7 +420,6 @@ def _peaked_negative(run: _Run):
     tail = grid <= 1e-6
     for n in (2, 4):
         beta = random_beta(run.rngs(n, count=max(10, run.samples // 8)), n)
-        require_weight_rows(beta)
         agents = normalize_rows(constructions.peaked_incompatible_rows(n, grid))
         require_prob_rows(agents)
         # every weight vector (W) against every grid family (E) at once
@@ -458,14 +442,11 @@ def _peaked_negative(run: _Run):
 
 @_check("factorize.pairwise_distinct_reconstructs", 80, 1e-12, "<=",
         "children re-pool to the parent exactly; all pairwise tv "
-        "distances exceed the distinctness floor")
+        "distances exceed the distinctness floor", (3, 9), (2, 6))
 def _factor_distinct(run: _Run):
     worst_tv, worst_dist = 0.0, np.inf
-    sizes = lambda rng: _sizes(rng, m_lo=3, n_hi=6)  # noqa: E731
-    for (m, n), rngs, index in _by_shape(sizes, run.rngs(), range(run.samples)):
+    for (m, n), rngs, index in run.groups():
         parent, beta = random_probs(rngs, m), random_beta(rngs, n)
-        require_prob_rows(parent)
-        require_weight_rows(beta)
         draws = _draws(rngs, lambda r: r.standard_normal((n - 1, m)))
         # strict weights: child 0 is the absorber; a retry of instance i draws
         # from run.rng(i, attempt)
@@ -480,19 +461,12 @@ def _factor_distinct(run: _Run):
 
 @_check("factorize.fixed_children_reconstructs", 60, 1e-12, "<=",
         "prescribed children pass through bit-identical and the "
-        "family still re-pools to the parent")
+        "family still re-pools to the parent", (1, 3), (0, 3), (3, 9))
 def _factor_fixed(run: _Run):
-    def sizes(rng):
-        k = int(rng.integers(1, 3))
-        n = k + 2 + int(rng.integers(0, 3))
-        return int(rng.integers(3, 9)), n, k
-
     worst = 0.0
-    for (m, n, k), rngs in _by_shape(sizes, run.rngs()):
+    for (k, extra, m), rngs, _ in run.groups():
+        n = k + 2 + extra  # k fixed children, one solved for, at least one tilted
         parent, fixed, beta = random_probs(rngs, m), random_probs(rngs, m, k), random_beta(rngs, n)
-        require_prob_rows(parent)
-        require_prob_rows(fixed)
-        require_weight_rows(beta)
         draws = _draws(rngs, lambda r: r.standard_normal((n - k - 1, m)))
         children = factorize._balanced_children(parent, beta, fixed, k, draws)
         if not np.array_equal(fixed, children[:, :k]):
@@ -503,13 +477,11 @@ def _factor_fixed(run: _Run):
 
 @_check("factorize.split_leaves_pool_unchanged", 80, 1e-10, "<=",
         "max pool drift under compatible splits, plus clone-gap "
-        "agreement for zero tilts")
+        "agreement for zero tilts", (3, 9), (2, 5))
 def _split_invariance(run: _Run):
     worst = 0.0
-    for (m, n), rngs in _by_shape(lambda rng: _sizes(rng, m_lo=3, n_hi=5), run.rngs()):
+    for (m, n), rngs, _ in run.groups():
         agents, beta = random_probs(rngs, m, n), random_beta(rngs, n)
-        require_prob_rows(agents)
-        require_weight_rows(beta)
         idx = _draws(rngs, lambda r: r.integers(0, n))
         alpha = _draws(rngs, lambda r: r.uniform(0.1, 0.9))
         g = 0.7 * _draws(rngs, lambda r: r.standard_normal(m))
@@ -550,17 +522,18 @@ def _parent_benefit(run: _Run):
 
 @_check("stability.transport_pools_to_target", 120, 1e-10, "<=",
         "transported children re-pool to the target; transporting "
-        "to the same base is bit-exact identity")
+        "to the same base is bit-exact identity", (3, 9), (2, 7))
 def _transport(run: _Run):
     worst = 0.0
     identity_ok = True
-    for agents, beta, rngs in _families(run, m_lo=3):
-        target = random_probs(rngs, agents.shape[-1])
+    for (m, n), rngs, _ in run.groups():
+        agents, beta = random_probs(rngs, m, n), random_beta(rngs, n)
+        target = random_probs(rngs, m)
         parent = _log_pool(np.log(agents), beta)[0]
         moved = stability.transport_rows(agents, parent[:, None, :], target[:, None, :])
         require_prob_rows(moved)
         worst = _worst(worst, _tv_rows(_log_pool(np.log(moved), beta)[0], target))
-        space = OutcomeSpace(agents.shape[-1])
+        space = OutcomeSpace(m)
         child, base = Dist(space, agents[0, 0]), Dist(space, parent[0])
         identity_ok = identity_ok and stability.transport(child, base, base) is child
     return worst, identity_ok
@@ -583,19 +556,17 @@ def _openness(run: _Run):
 
 @_check("stability.tilt_derivative_matches_finite_difference", 120, 1e-6, "<=",
         "max relative error between -Cov(h, log p) and a central "
-        "finite difference of the tilted gap")
+        "finite difference of the tilted gap", (2, 9))
 def _tilt_fd(run: _Run):
     def score(rngs, m):
         """Each stream's p and h: their derivatives and relative fd errors."""
         p, h = random_probs(rngs, m), _draws(rngs, lambda r: r.standard_normal(m))
-        require_prob_rows(p)
         analytic = stability._gap_derivatives(p, h)
         return analytic, np.abs(stability._gap_fd(p, h) - analytic) / np.abs(analytic)
 
     worst = 0.0
-    outcomes = lambda rng: int(rng.integers(2, 9))  # noqa: E731
     first = _rng_streams(run.seed, *run.ids, 0, count=run.samples, at=3)  # run.rng(i, 0)
-    for m, rngs, index in _by_shape(outcomes, first, range(run.samples)):
+    for (m,), rngs, index in run.groups(first):
         analytic, err = score(rngs, m)
         # a derivative below 1e-3 redraws from run.rng(i, k), k = 1, 2, ...,
         # until it reaches 1e-3 or the 50th attempt
@@ -603,7 +574,7 @@ def _tilt_fd(run: _Run):
         for i in np.asarray(index)[retry].tolist():
             for attempt in range(1, 50):
                 rng = run.rng(i, attempt)
-                derivative, retried = score([rng], outcomes(rng))
+                derivative, retried = score([rng], *run.size(rng))
                 if attempt == 49 or abs(derivative[0]) >= 1e-3:
                     break
             worst = _worst(worst, retried)
@@ -613,13 +584,11 @@ def _tilt_fd(run: _Run):
 
 @_check("stability.weighted_tilt_derivatives_cancel", 100, 1e-8, "<=",
         "max |sum_i beta_i d(gap_i)| over families of tilts whose "
-        "weighted sum vanishes pointwise")
+        "weighted sum vanishes pointwise", (2, 9), (2, 6))
 def _local_audit(run: _Run):
     worst = 0.0
-    for (m, n), rngs in _by_shape(lambda rng: _sizes(rng, n_hi=6), run.rngs()):
+    for (m, n), rngs, _ in run.groups():
         p, beta = random_probs(rngs, m), random_beta(rngs, n)
-        require_prob_rows(p)
-        require_weight_rows(beta)
         hs = _draws(rngs, lambda r: r.standard_normal((n - 1, m)))
         # the closing tilt cancels the others pointwise, summed in j order
         closing = -sum(beta[:, j, None] * hs[:, j] for j in range(n - 1))
@@ -634,13 +603,13 @@ def _local_audit(run: _Run):
 
 @_check("persona.linearization_residual_is_second_order", 80, 1.9, ">=",
         "min log-log slope of the linearization residual (quadratic "
-        "decay means slope about 2)")
+        "decay means slope about 2)", (3, 9), (2, 6))
 def _residual_slope(run: _Run):
     worst = np.inf
     for i in range(run.samples):
         for attempt in range(50):
             rng = run.rng(i, attempt)
-            decomp = random_decomposition(rng, *_sizes(rng, m_lo=3, n_hi=6))
+            decomp = random_decomposition(rng, *run.size(rng))
             d = rng.standard_normal(decomp.n)
             d -= d.mean()
             predicted, residual_norm_fn = persona.first_order_delta_l(
@@ -657,11 +626,10 @@ def _residual_slope(run: _Run):
 
 @_check("persona.compensation_inequality_slack", 80, -1e-9, ">=",
         "min slack of the compensation inequality over random "
-        "small zero-sum weight changes")
+        "small zero-sum weight changes", (3, 9), (2, 6))
 def _compensation_slack(run: _Run):
-    sizes = lambda rng: _sizes(rng, m_lo=3, n_hi=6)  # noqa: E731
     return min(
-        persona.random_compensation_report(lambda k: run.rng(i, k), sizes, 1e-3).slack
+        persona.random_compensation_report(lambda k: run.rng(i, k), run.size, 1e-3).slack
         for i in range(run.samples)
     )
 
@@ -684,13 +652,13 @@ def _counteragent_bound(run: _Run):
 
 @_check("persona.suppression_never_beaten", 40, 1e-9, "<=",
         "max excess of any brute-force in-span direction over the "
-        "claimed optimum (also checks the plan's own first-order effect)")
+        "claimed optimum (also checks the plan's own first-order effect)", (3, 9), (2, 6))
 def _suppression_optimal(run: _Run):
     worst = -np.inf
     budget = 0.05
     directions = 2000
     for rng in run.rngs():
-        decomp = random_decomposition(rng, *_sizes(rng, m_lo=3, n_hi=6))
+        decomp = random_decomposition(rng, *run.size(rng))
         profiles = persona.centered_profiles(decomp)
         m = decomp.space.size
         event = tuple(constructions.random_event(rng, m))
@@ -714,11 +682,11 @@ def _suppression_optimal(run: _Run):
 
 @_check("persona.projection_gain_pythagoras", 80, 1e-10, "<=",
         "max disagreement between the direct and incremental squared "
-        "projection norms; re-adding a spanned profile gains nothing")
+        "projection norms; re-adding a spanned profile gains nothing", (3, 9), (2, 6))
 def _projection_gain(run: _Run):
     worst = 0.0
     for rng in run.rngs():
-        decomp = random_decomposition(rng, *_sizes(rng, m_lo=3, n_hi=6))
+        decomp = random_decomposition(rng, *run.size(rng))
         profiles = persona.centered_profiles(decomp)
         m = decomp.space.size
         raw = rng.standard_normal(m)
@@ -736,13 +704,12 @@ def _projection_gain(run: _Run):
 
 @_check("persona.kl_matches_half_variance", 200, 0.1, "<=",
         "max |KL / (Var/2) - 1| for log-deviations of weighted norm "
-        "at most 0.01")
+        "at most 0.01", (2, 13))
 def _kl_budget(run: _Run):
     worst = 0.0
     for rng in run.rngs():
-        m = int(rng.integers(2, 13))
-        p = random_dist(rng, OutcomeSpace(m))
-        raw = rng.standard_normal(m)
+        p = random_dist(rng, OutcomeSpace(*run.size(rng)))
+        raw = rng.standard_normal(p.space.size)
         scale = float(rng.uniform(0.1, 1.0)) * 0.01
         current = norm_p(p, raw - expect(p, raw))
         delta_l = ScoreFn(p.space, raw * (scale / max(current, 1e-12)))

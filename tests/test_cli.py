@@ -441,6 +441,42 @@ def test_non_numeric_config_values_are_usage_errors(tmp_path, capsys, change):
     assert not (tmp_path / "x.manifest.json").exists()
 
 
+def test_suppression_solves_one_span_basis_per_instance(tmp_path, monkeypatch):
+    """The plan scales with the budget, so each instance's basis is solved
+    once however many budgets the table has."""
+    from logpool import persona
+
+    calls = []
+    basis = persona._p_orthonormal_basis
+    monkeypatch.setattr(
+        persona, "_p_orthonormal_basis", lambda *args: calls.append(1) or basis(*args)
+    )
+    cfg = tmp_path / "config.json"
+    suppression = {"instances": 3, "budgets": [0.01, 0.02, 0.04, 0.08]}
+    cfg.write_text(json.dumps({**CONFIG, "analyses": ["suppression"], "suppression": suppression}))
+    assert main(["experiment", str(cfg), "--out", str(tmp_path / "x")]) == 0
+    assert len(calls) == 3
+    with open(tmp_path / "x.suppression.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 12
+    for row in rows:
+        eps, norm = float(row["epsilon"]), float(row["projection_norm"])
+        assert float(row["achieved"]) == eps * norm
+
+
+@pytest.mark.parametrize("budget", [0.0, -0.01, float("inf")])
+def test_a_budget_that_is_not_positive_and_finite_fails_without_instances(
+    tmp_path, capsys, budget
+):
+    """With no instance to plan for, such a budget used to pass silently."""
+    cfg = tmp_path / "config.json"
+    suppression = {"instances": 0, "budgets": [0.01, budget]}
+    cfg.write_text(json.dumps({**CONFIG, "analyses": ["suppression"], "suppression": suppression}))
+    assert main(["experiment", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    assert "budget must be positive and finite" in capsys.readouterr().err
+    assert not list(tmp_path.glob("x.*"))
+
+
 @pytest.mark.parametrize(
     "change",
     [

@@ -10,6 +10,7 @@ import _oracles
 from logpool import (
     DegenerateWeights,
     EPSILON_GRID,
+    NonPositiveEntry,
     NotFound,
     OutcomeSpace,
     ParamOutOfRange,
@@ -30,9 +31,10 @@ from logpool import (
     unanimity_report,
     uniform,
 )
+from logpool import constructions
 from logpool.constructions import (
-    analytic_unanimity_rows, peaked_incompatible_rows, random_beta, random_dist, random_family,
-    random_probs,
+    analytic_unanimity_rows, cyclic_welfare_rows, peaked_incompatible_rows, random_beta,
+    random_dist, random_family, random_probs,
 )
 from logpool.core import normalize_rows
 
@@ -248,8 +250,49 @@ def test_instance_rows_stack_the_object_constructions():
     for n in (2, 3, 5):
         analytic = normalize_rows(analytic_unanimity_rows(n, eps))
         peaked = normalize_rows(peaked_incompatible_rows(n, eps))
+        # the cyclic family needs eps < 1/n
+        cyclic, welfare = cyclic_welfare_rows(n, eps / n, 2.5)
+        cyclic = normalize_rows(cyclic)
         for k, e in enumerate(eps):
             decomp = analytic_unanimity_instance(n, float(e))
             assert np.array_equal(analytic[k], np.stack([c.p for c in decomp.children]))
             family = peaked_incompatible_family(n, float(e))
             assert np.array_equal(peaked[k], np.stack([a.p for a in family]))
+            inst = cyclic_welfare_instance(n, float(e) / n, 2.5)
+            assert np.array_equal(cyclic[k], np.stack([a.p for a in inst.agents]))
+            assert np.array_equal(welfare, np.stack([w.f for w in inst.welfares]))
+
+
+def test_random_draws_are_validated_as_dist_and_weights_validate(monkeypatch):
+    monkeypatch.setattr(constructions, "normalize_rows", lambda raw: np.zeros_like(raw))
+    with pytest.raises(NonPositiveEntry):
+        random_probs(rng_from(150), 4)
+    with pytest.raises(NonPositiveEntry):
+        random_probs([rng_from(150), rng_from(151)], 4, 3)
+    # a raw weight below zero survives normalization as a negative weight
+    monkeypatch.setattr(constructions, "_draws", lambda rng, draw: np.array([-1.0, 0.5, 0.5]))
+    with pytest.raises(ParamOutOfRange):
+        random_beta(rng_from(150), 3)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_the_threshold_walk_agrees_with_the_object_instances(n):
+    """The walk scores rows; each grid step it passes must fail as an
+    instance, and the one it returns must be strictly unanimous."""
+    up = np.arange(1, n + 1, dtype=float)
+    for weights in (None, Weights(up / up.sum()), Weights(up[::-1] / up.sum())):
+        eps = find_epsilon_for_unanimity(n, weights)
+        verdicts = [
+            unanimity_report(analytic_unanimity_instance(n, e, weights)).strictly_unanimous
+            for e in EPSILON_GRID if eps <= e < 0.25
+        ]
+        assert verdicts == [False] * (len(verdicts) - 1) + [True]
+
+
+def test_the_threshold_walk_validates_as_the_instance_does():
+    with pytest.raises(ParamOutOfRange):
+        find_epsilon_for_unanimity(1)
+    with pytest.raises(ParamOutOfRange):
+        find_epsilon_for_unanimity(3, Weights.uniform(2))
+    with pytest.raises(DegenerateWeights):
+        find_epsilon_for_unanimity(2, Weights(np.array([1.0, 0.0])))

@@ -37,6 +37,29 @@ def test_each_suite_registers_its_checks_once_under_its_prefix():
     assert catalogs == set(CATALOG_SIZES)
 
 
+#: Resizable checks whose instances all have one shape (two outcomes, the
+#: binary census grid, the peaked grid), so they draw no sizes.
+FIXED_SHAPES = {
+    "welfare.binary_closed_form",
+    "welfare.binary_census",
+    "constructions.peaked_sum_negative_with_slope",
+}
+
+
+def test_randomized_checks_declare_their_size_ranges_and_catalogs_none():
+    """A check's size ranges are part of its registration: each a ``[lo,
+    hi)`` pair of integers with lo < hi, and absent exactly on the fixed
+    catalogs and the fixed-shape checks."""
+    for check in (c for suite in SUITE_NAMES for c in _CHECKS[suite]):
+        if check.samples == 0 or check.name in FIXED_SHAPES:
+            assert check.sizes == (), check.name
+        else:
+            assert check.sizes, check.name
+            assert all(
+                isinstance(lo, int) and isinstance(hi, int) and lo < hi for lo, hi in check.sizes
+            ), check.name
+
+
 def test_overrides_reach_every_check_but_leave_catalog_sizes_fixed():
     results = run_suite("all", 5, samples=2, tolerance=0.5)
     names = [check.name for suite in SUITE_NAMES for check in _CHECKS[suite]]
@@ -66,7 +89,9 @@ def test_run_suite_rejects_an_unknown_suite():
 #: and scores a whole (m, n) shape group at once, so kernel calls scale with
 #: the shape groups (up to 42 per check), not the instances; most calls left
 #: in ``stability`` are one per bisection step of each openness certificate.
-#: The ``Dist``s left in ``factorize`` are the fixed parent-benefit catalog's.
+#: The ``Dist``s left in ``factorize`` are the fixed parent-benefit catalog's,
+#: and in ``constructions`` the instances the threshold catalog re-checks at
+#: each threshold it finds (the cyclic catalog and the grid walk build none).
 #: ``rng_from`` counts the scalar stream constructions: a check builds its
 #: instances' streams in one batch, attempt-0 streams of retry loops
 #: included, so the calls left are the retries themselves (the persona
@@ -83,7 +108,7 @@ BATCHING_BOUNDS = {
         "Dist": (2021, 202), "gap_terms": (801, 80), "rng_from": (800, 0),
         "normalize_rows": (602, 40),
     },
-    "constructions": {"rng_from": (80, 0)},
+    "constructions": {"Dist": (162, 40), "rng_from": (80, 0)},
     "factorize": {"Dist": (1562, 100), "rng_from": (360, 10), "normalize_rows": (281, 110)},
     "stability": {
         "Dist": (3328, 100), "gap_terms": (534, 60), "rng_from": (373, 10),
