@@ -22,6 +22,7 @@ import argparse
 import csv
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Sequence
@@ -36,11 +37,11 @@ from .errors import (
     UnknownSuite,
 )
 from .jsonio import (
+    _serialize,
     config_hash,
     decomposition_to_json,
     dist_from_json,
     dist_to_json,
-    dumps,
     loads,
     weights_from_json,
 )
@@ -94,14 +95,14 @@ def _read_text(path: str) -> str:
         raise IoError(f"cannot read {path}: {exc}") from exc
 
 
-def _write_text(path: str | None, text: str) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-        return
+def _write_json(path: str | None, obj: Any) -> None:
+    """``dumps(obj)`` and a newline, streamed to ``path`` (stdout for none or ``-``)."""
     try:
-        Path(path).write_text(text)
+        with nullcontext(sys.stdout) if path in (None, "-") else open(path, "w") as fh:
+            _serialize(obj, fh.write)
+            fh.write("\n")
     except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+        raise IoError(f"cannot write {path or '-'}: {exc}") from exc
 
 
 def _require_seed(seed: int) -> int:
@@ -119,7 +120,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     checks = run_suite(args.suite, args.seed, args.samples, args.tolerance)
     elapsed = time.perf_counter() - started
     report = build_report(args.suite, args.seed, args.samples, args.tolerance, checks)
-    _write_text(args.out, dumps(report) + "\n")
+    _write_json(args.out, report)
     if args.out not in (None, "-"):
         print(f"report written to {args.out}", file=sys.stderr)
     for row in report["checks"]:
@@ -256,6 +257,8 @@ def _analysis_compensation(config: dict, seed: int) -> tuple[list[str], list[lis
     n = _number(params.get("agents", 4), int, "compensation.agents")
     instances = _number(params.get("instances", 25), int, "compensation.instances", 0)
     scale = _number(params.get("scale", 1e-3), float, "compensation.scale")
+    if not 0.0 < scale < 1.0:  # a scale of 1 or more cannot keep every weight positive
+        raise ConfigParse(f'"compensation.scale" must lie in (0, 1), got {scale}')
     rows = []
     for i in range(instances):
         rng_for = lambda attempt: rng_from(seed, 21, i, attempt)  # noqa: E731
@@ -334,7 +337,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         "tables": tables,
     }
     manifest_path = Path(f"{prefix}.manifest.json")
-    _write_text(str(manifest_path), dumps(manifest) + "\n")
+    _write_json(str(manifest_path), manifest)
     print(f"experiment ({', '.join(analyses)}): {elapsed:.3f}s", file=sys.stderr)
     print(f"wrote {len(tables)} table(s) and {manifest_path}", file=sys.stderr)
     return 0
@@ -359,7 +362,7 @@ def _cmd_pool(args: argparse.Namespace) -> int:
     else:
         pooled = linear_pool(agents, weights)
         out = {"kind": "linear", "pool": dist_to_json(pooled)}
-    _write_text(args.out, dumps(out) + "\n")
+    _write_json(args.out, out)
     return 0
 
 
@@ -377,7 +380,7 @@ def _cmd_gap(args: argparse.Namespace) -> int:
         "kl_pool_agent": kl_pool_agent,
         "strictly_positive": bool(gap > 0.0),
     }
-    _write_text(args.out, dumps(out) + "\n")
+    _write_json(args.out, out)
     return 0
 
 
@@ -398,7 +401,7 @@ def _cmd_factor(args: argparse.Namespace) -> int:
             "retry_budget": factorize.RETRY_BUDGET,
         },
     }
-    _write_text(args.out, dumps(out) + "\n")
+    _write_json(args.out, out)
     return 0
 
 

@@ -1,14 +1,13 @@
 """JSON round-tripping with full float precision.
 
-Serialization here is deliberately boring and deterministic: floats are
-written with ``%.17g``, enough digits to round-trip IEEE doubles exactly,
-with one exception: ``-0.0`` is written as ``-0`` and reads back as the
-integer 0, losing the sign of zero.  Keys keep insertion order unless a
-canonical form is requested, and nothing machine-generated carries
-wall-clock or filesystem state.  Two calls with equal inputs produce
-byte-identical text.  The encoder is built on public APIs only and writes
-the stdlib's layout; a list of plain floats or strings is written in one
-``join``.
+Serialization is deliberately boring and deterministic: floats are written
+with ``%.17g``, enough digits to round-trip IEEE doubles exactly, except
+``-0.0``, written ``-0`` and read back as the integer 0.  Keys keep insertion
+order unless a canonical form is requested, nothing carries wall-clock or
+filesystem state, and equal inputs give byte-identical text.  The encoder
+uses public APIs only, writes the stdlib's layout, and streams the text in
+document order without ever holding the whole document: a list of plain
+floats is one ``%.17g`` pass and a list of strings one ``join``.
 
 Deserialization never repairs data.  A distribution parsed from JSON goes
 straight through the :class:`~logpool.core.Dist` constructor, so an entry
@@ -20,9 +19,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from itertools import repeat
 from json.encoder import encode_basestring_ascii as _str_text
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -55,54 +53,63 @@ def _scalar_text(o: None | bool | int | float) -> str:
     return _SPECIAL.get(text, text)
 
 
-def _serialize(obj: Any, indent: int | None, sep: str, colon: str, sort_keys: bool) -> str:
-    """JSON text in the stdlib's layout and key rules, floats as ``%.17g`` and
-    numpy values as the Python values they hold.  A list of plain floats or
-    plain strings is written in one ``join``; anything else recurses."""
+def _serialize(obj: Any, write: Callable[[str], object], indent: int | None = 2,
+               sep: str = ",", colon: str = ": ", sort_keys: bool = False) -> None:
+    """Pass JSON text to ``write`` in document order: the stdlib's layout and
+    key rules, floats as ``%.17g``, numpy values as the Python values they hold
+    and the defaults :func:`dumps`'s.  No container's text is built whole; a
+    list of plain floats or strings is one ``%`` pass or ``join``, one ``write``."""
     step = "" if indent is None else " " * indent
 
-    def key_text(key: Any) -> str:
-        if not (key is None or isinstance(key, (str, int, float))):
-            raise TypeError(f"keys must be str, int, float, bool or None, not {key!r}")
-        return _str_text(key if isinstance(key, str) else _scalar_text(key))
-
-    def encode(o: Any, pad: str) -> str:
-        if isinstance(o, str):
-            return _str_text(o)
-        if o is None or isinstance(o, (int, float)):
-            return _scalar_text(o)
+    def encode(o: Any, pad: str) -> None:
+        if isinstance(o, (np.ndarray, np.generic)):
+            o = o.tolist()
         inner = pad + step
-        if isinstance(o, dict):
-            items = sorted(o.items()) if sort_keys else o.items()
-            pairs = (key_text(k) + colon + encode(v, inner) for k, v in items)
-            body = (sep + inner).join(pairs)
-            return "{" + inner + body + pad + "}" if o else "{}"
-        if isinstance(o, (list, tuple)):
+        glue = sep + inner
+        if o is None or isinstance(o, (str, int, float)):
+            write(_str_text(o) if isinstance(o, str) else _scalar_text(o))
+        elif not isinstance(o, (dict, list, tuple)):
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        elif not o:
+            write("{}" if isinstance(o, dict) else "[]")
+        elif isinstance(o, dict):
+            for i, (k, v) in enumerate(sorted(o.items()) if sort_keys else o.items()):
+                if not (k is None or isinstance(k, (str, int, float))):
+                    raise TypeError(f"keys must be str, int, float, bool or None, not {k!r}")
+                key = _str_text(k if isinstance(k, str) else _scalar_text(k))
+                write((glue if i else "{" + inner) + key + colon)
+                encode(v, inner)
+            write(pad + "}")
+        else:
+            write("[" + inner)
             kinds = set(map(type, o))
             if kinds == {float}:
-                body = (sep + inner).join(map(format, o, repeat(".17g")))
-                if "n" in body:  # nan or inf: no finite %.17g text has an "n"
-                    body = (sep + inner).join(map(_scalar_text, o))
+                body = glue.join(["%.17g"] * len(o)) % tuple(o)  # only nan/inf have an "n"
+                write(glue.join(map(_scalar_text, o)) if "n" in body else body)
             elif kinds == {str}:
-                body = (sep + inner).join(map(_str_text, o))
+                write(glue.join(map(_str_text, o)))
             else:
-                body = (sep + inner).join(encode(x, inner) for x in o)
-            return "[" + inner + body + pad + "]" if o else "[]"
-        if isinstance(o, (np.ndarray, np.generic)):
-            return encode(o.tolist(), pad)
-        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+                for i, x in enumerate(o):
+                    if i:
+                        write(glue)
+                    encode(x, inner)
+            write(pad + "]")
 
-    return encode(obj, "" if indent is None else "\n")
+    encode(obj, "" if indent is None else "\n")
 
 
 def dumps(obj: Any, indent: int | None = 2) -> str:
     """Serialize with full float precision, stable across equal inputs."""
-    return _serialize(obj, indent, ", " if indent is None else ",", ": ", sort_keys=False)
+    chunks: list[str] = []
+    _serialize(obj, chunks.append, indent, ", " if indent is None else ",")
+    return "".join(chunks)
 
 
 def dumps_canonical(obj: Any) -> str:
     """Compact, key-sorted form used for hashing configurations."""
-    return _serialize(obj, None, ",", ":", sort_keys=True)
+    chunks: list[str] = []
+    _serialize(obj, chunks.append, None, ",", ":", sort_keys=True)
+    return "".join(chunks)
 
 
 def loads(text: str) -> Any:

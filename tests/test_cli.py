@@ -3,6 +3,9 @@ experiment harness's CSV/manifest artifacts."""
 
 import csv
 import json
+import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -233,6 +236,74 @@ def test_version_flag():
 
 
 # ---------------------------------------------------------------------------
+# output files
+# ---------------------------------------------------------------------------
+
+
+def _factor_input(tmp_path, m: int):
+    """A factor input over ``m`` outcomes with small, persona-like masses."""
+    p = np.random.default_rng(3).exponential(size=m)
+    path = tmp_path / "factor.json"
+    path.write_text(json.dumps({"parent": {"p": (p / p.sum()).tolist()}, "weights": [0.5, 0.3, 0.2]}))
+    return path
+
+
+def _output_argv(tmp_path, command):
+    if command == "pool":
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(FAMILY))
+        return ["pool", str(path)]
+    if command == "factor":
+        return ["factor", str(_factor_input(tmp_path, 5)), "--seed", "4"]
+    return ["verify", "constructions", "--samples", "1"]
+
+
+@pytest.mark.parametrize("command", ["pool", "factor", "verify"])
+def test_a_write_that_fails_midway_is_an_io_error(tmp_path, capsys, command):
+    """``/dev/full`` opens for writing and fails the write with ENOSPC."""
+    assert main([*_output_argv(tmp_path, command), "--out", "/dev/full"]) == 2
+    assert "error: cannot write /dev/full" in capsys.readouterr().err
+
+
+class _ClosedPipe:
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_a_stdout_that_fails_is_an_io_error(tmp_path, capsys, monkeypatch):
+    """A reader that went away used to end the run in a traceback."""
+    argv = _output_argv(tmp_path, "pool")
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(argv) == 2
+    assert "error: cannot write -: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["pool", "factor", "verify"])
+def test_out_dash_writes_the_file_bytes_to_stdout(tmp_path, capsys, command):
+    argv = _output_argv(tmp_path, command)
+    out = tmp_path / "out.json"
+    main([*argv, "--out", str(out)])
+    capsys.readouterr()
+    main([*argv, "--out", "-"])
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
+def test_factor_peaks_below_twice_its_artifact(tmp_path):
+    """The artifact is streamed to its file, so the run never holds the whole
+    document as one string (which took over 4x the artifact's size)."""
+    argv = ["factor", str(_factor_input(tmp_path, 8192)), "--out", str(tmp_path / "out.json")]
+    assert main(argv) == 0  # first run: imports and the label cache
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "out.json").stat().st_size
+    assert peak < 2 * size, (peak, size)
+
+
+# ---------------------------------------------------------------------------
 # experiment
 # ---------------------------------------------------------------------------
 
@@ -439,6 +510,20 @@ def test_non_numeric_config_values_are_usage_errors(tmp_path, capsys, change):
     cfg.write_text(json.dumps({**CONFIG, **change}))
     assert_usage_error(capsys, ["experiment", str(cfg), "--out", str(tmp_path / "x")])
     assert not (tmp_path / "x.manifest.json").exists()
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, 1.0, 1.5, 1e300, math.nan, math.inf, -math.inf])
+def test_a_compensation_scale_outside_the_unit_interval_is_a_usage_error(
+    tmp_path, capsys, scale
+):
+    """A scale of 1 or more can never keep every weight positive, and 0, a
+    negative or a non-finite scale is no valid change; each used to fail
+    inside ``persona`` with exit 1."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**CONFIG, "analyses": ["compensation"], "compensation": {"scale": scale}}))
+    assert main(["experiment", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert '"compensation.scale"' in capsys.readouterr().err
+    assert not list(tmp_path.glob("x.*"))
 
 
 def test_suppression_solves_one_span_basis_per_instance(tmp_path, monkeypatch):

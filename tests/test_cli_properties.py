@@ -143,3 +143,22 @@ def test_any_json_payload_exits_cleanly(data, command):
     argv = {"pool": ["pool", "-"], "gap": ["gap", "-"], "factor": ["factor", "-"],
             "experiment": ["experiment", "-", "--out", "run"]}[command]
     _require_clean_exit(*_run(argv, text))
+
+
+@_SETTINGS
+@given(
+    scale=NUMBER,
+    sizes=st.fixed_dictionaries(
+        {"outcomes": SMALL_INT, "agents": SMALL_INT, "instances": st.integers(0, 2)}
+    ),
+)
+def test_a_compensation_scale_outside_the_unit_interval_exits_2(scale, sizes):
+    """Only a scale in the open interval (0, 1) can keep every weight
+    positive; any other number, NaN and infinity included, is a usage error
+    naming the setting, whatever the other counts are."""
+    config = {"analyses": ["compensation"], "compensation": {**sizes, "scale": scale}}
+    rc, err = _run(["experiment", "-", "--out", "run"], json.dumps(config, allow_nan=True))
+    _require_clean_exit(rc, err)
+    if not 0.0 < scale < 1.0:
+        assert rc == 2, err
+        assert '"compensation.scale"' in err, err

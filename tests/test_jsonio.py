@@ -4,6 +4,7 @@ hashing, and validated round-trips for every exchanged structure."""
 import json
 import math
 import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from logpool import (
     rng_from,
     weights_from_json,
 )
+from logpool.cli import _write_json
 
 LAYOUT_GOLDEN = Path(__file__).parent / "golden" / "jsonio_layout.json"
 
@@ -76,6 +78,19 @@ def test_dumps_layout_matches_the_golden_bytes():
     assert dumps(layout_object(), indent=None) == golden["dumps_no_indent"]
 
 
+def _streamed(obj, tmp_dir) -> str:
+    """The CLI's file writer: ``dumps`` text handed to ``fh.write`` piece by
+    piece in document order, then a newline."""
+    path = Path(tmp_dir) / "streamed.json"
+    _write_json(str(path), obj)
+    return path.read_text()
+
+
+def test_streamed_layout_matches_the_golden_bytes(tmp_path):
+    golden = json.loads(LAYOUT_GOLDEN.read_text())
+    assert _streamed(layout_object(), tmp_path) == golden["dumps"] + "\n"
+
+
 def canonical_object():
     """``layout_object`` with its non-str keys replaced by a dict of int
     keys, since ``sort_keys`` cannot order mixed key types."""
@@ -107,6 +122,74 @@ def test_float_lists_round_trip_bit_for_bit(values):
     for got, want in zip(back, values):
         assert isinstance(got, (int, float))
         assert _bits.pack(float(got)) == _bits.pack(want)
+
+
+_FLOAT_EDGES = [5e-324, 2.2250738585072014e-308, 1e-5, 1e16, 1e17, 1.7976931348623157e308, -0.0]
+
+
+def test_the_float_list_pass_writes_each_float_as_format_17g():
+    """A list of plain floats is formatted in one ``%`` pass; each entry
+    must read as ``format(x, ".17g")`` would write it."""
+    rng = rng_from(805)
+    bits = rng.integers(0, 2**64, size=20_000, dtype=np.uint64, endpoint=False)
+    drawn = [x for x in bits.view(np.float64).tolist() if math.isfinite(x)]
+    for values in (_FLOAT_EDGES, [-x for x in _FLOAT_EDGES], drawn):
+        assert dumps(values, indent=None) == "[" + ", ".join(format(x, ".17g") for x in values) + "]"
+
+
+def reference_dumps(o, pad="\n"):
+    """The per-element encoder the streamed one replaced: every value's text
+    built whole and joined, floats one ``format`` call each."""
+    if isinstance(o, (np.ndarray, np.generic)):
+        o = o.tolist()
+    if isinstance(o, str) or o is None or isinstance(o, bool):
+        return json.dumps(o)
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        text = format(o, ".17g")
+        return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text)
+    inner = pad + "  "
+    if isinstance(o, dict):
+        body = ("," + inner).join(json.dumps(k) + ": " + reference_dumps(v, inner) for k, v in o.items())
+        return "{" + inner + body + pad + "}" if o else "{}"
+    body = ("," + inner).join(reference_dumps(x, inner) for x in o)
+    return "[" + inner + body + pad + "]" if o else "[]"
+
+
+_SPECIAL_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324])
+_FLOATS = st.floats() | _SPECIAL_FLOATS
+_NUMPY = st.one_of(
+    _FLOATS.map(np.float64),
+    st.integers(-(2**62), 2**62).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.lists(_FLOATS, max_size=5).map(np.array),
+    st.lists(st.integers(-9, 9), max_size=5).map(np.array),
+)
+_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), _FLOATS, st.text(max_size=4), _NUMPY)
+_DOCUMENTS = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.lists(_FLOATS, max_size=6),
+        st.lists(st.text(max_size=3), max_size=4),
+        st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    ),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_DOCUMENTS)
+def test_streamed_text_equals_dumps_and_the_per_element_encoder(obj):
+    """NaN, infinities, -0.0, empty containers, tuples and numpy values, in
+    any nesting: the file the CLI streams holds ``dumps`` text, which is the
+    per-element encoder's text."""
+    with tempfile.TemporaryDirectory() as tmp:
+        streamed = _streamed(obj, tmp)
+    assert streamed == dumps(obj) + "\n"
+    assert dumps(obj) == reference_dumps(obj)
 
 
 def test_float_round_trip_through_dumps():
