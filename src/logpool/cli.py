@@ -231,7 +231,7 @@ def _analysis_suppression(config: dict, seed: int) -> tuple[list[str], list[list
     params = _section(config, "suppression")
     # the suppressed event needs 1 <= size < m - 1 outcomes
     m = _number(params.get("outcomes", 5), int, "suppression.outcomes", 3)
-    n = _number(params.get("agents", 3), int, "suppression.agents")
+    n = _number(params.get("agents", 3), int, "suppression.agents", 2)
     instances = _number(params.get("instances", 4), int, "suppression.instances", 0)
     budgets = _as_list(params.get("budgets", [0.01, 0.02, 0.04, 0.08]))
     budgets = [_number(b, float, "suppression.budgets") for b in budgets]
@@ -253,12 +253,12 @@ def _analysis_suppression(config: dict, seed: int) -> tuple[list[str], list[list
 def _analysis_compensation(config: dict, seed: int) -> tuple[list[str], list[list], dict]:
     """Compensation-inequality slack over seeded random weight changes."""
     params = _section(config, "compensation")
-    m = _number(params.get("outcomes", 5), int, "compensation.outcomes")
-    n = _number(params.get("agents", 4), int, "compensation.agents")
-    instances = _number(params.get("instances", 25), int, "compensation.instances", 0)
     scale = _number(params.get("scale", 1e-3), float, "compensation.scale")
     if not 0.0 < scale < 1.0:  # a scale of 1 or more cannot keep every weight positive
         raise ConfigParse(f'"compensation.scale" must lie in (0, 1), got {scale}')
+    m = _number(params.get("outcomes", 5), int, "compensation.outcomes")
+    n = _number(params.get("agents", 4), int, "compensation.agents", 2)
+    instances = _number(params.get("instances", 25), int, "compensation.instances", 0)
     rows = []
     for i in range(instances):
         rng_for = lambda attempt: rng_from(seed, 21, i, attempt)  # noqa: E731

@@ -6,8 +6,10 @@ with ``%.17g``, enough digits to round-trip IEEE doubles exactly, except
 order unless a canonical form is requested, nothing carries wall-clock or
 filesystem state, and equal inputs give byte-identical text.  The encoder
 uses public APIs only, writes the stdlib's layout, and streams the text in
-document order without ever holding the whole document: a list of plain
-floats is one ``%.17g`` pass and a list of strings one ``join``.
+document order without ever holding the whole document.  Float lists and
+float64 arrays are formatted in NumPy with long-double rounding; the few
+floats it cannot certify (all of them where long double is a plain double)
+go through ``format(x, ".17g")``, so the bytes are the same either way.
 
 Deserialization never repairs data.  A distribution parsed from JSON goes
 straight through the :class:`~logpool.core.Dist` constructor, so an entry
@@ -53,24 +55,119 @@ def _scalar_text(o: None | bool | int | float) -> str:
     return _SPECIAL.get(text, text)
 
 
+def _words(texts: list[bytes], size: int) -> np.ndarray:
+    """``texts`` zero-padded to ``size`` bytes each, as unsigned words."""
+    return np.frombuffer(b"".join(t.ljust(size, b"\0") for t in texts), f"u{size}")
+
+
+#: Floats per ``write`` of :func:`_float_text`: keeps its temporaries near 0.2 MB.
+_CHUNK = 4096
+#: ``10**q`` for q in [-292, 340], correctly rounded: ``|x| * 10**(16 - k)`` is
+#: in [1e16, 1e17) for every finite nonzero double with decimal exponent k.
+_POW10 = np.array([np.longdouble(f"1e{q}") for q in range(-292, 341)])
+#: Two roundings (the power, the product) move a scaled value by less than
+#: this, so a fraction at least this far from 1/2 rounds the right way.
+_TIE_MARGIN = 1e17 * float(np.finfo(np.longdouble).eps)
+_GROUPS = [b"%03d" % v for v in range(1000)]
+#: Three digits ``v`` at ``v``; with the point after ``c`` of them at ``1000 c + v``.
+_DIGITS = _words(_GROUPS + [g[:c] + b"." + g[c:] for c in (1, 2, 3) for g in _GROUPS], 4)
+_TRAILING_ZEROS = np.array([len(g) - len(g.rstrip(b"0")) for g in _GROUPS], np.uint8)
+#: Masks over the 24 digit bytes keeping bytes 1 to c (byte 0 is the zero pad).
+_CUT = np.frombuffer(b"".join((b"\0" + b"\xff" * c).ljust(24, b"\0") for c in range(24)),
+                     np.uint64).reshape(24, 3)
+_HEAD = _words([s + b"0.000"[:c] for s in (b"", b"-") for c in range(6)], 8)
+_EXPONENT = _words([b""] + [b"e%c%02d" % (b"-+"[k >= 0], abs(k)) for k in range(-324, 309)], 8)
+
+
+def _digit_groups(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 17 digits n = round(|x| * 10**(16 - k)) of each ``x`` as six groups
+    of three (a zero pad first), its decimal exponent k, and the rows whose
+    long-double n is not certain: zeros, NaN, infinities and near ties."""
+    a = np.abs(x)
+    uncertain = ~np.isfinite(a) | (a == 0.0)
+    a[uncertain] = 1.0
+    k = np.floor(np.log10(a)).astype(np.intp)
+    a = a.astype(np.longdouble)
+    y = a * _POW10[np.clip(308 - k, 0, 632)]
+    off = np.flatnonzero((y < 1e16) | (y >= 1e17))  # log10 rounded across a power
+    if off.size:
+        k[off] += np.where(y[off] < 1e16, -1, 1)
+        y[off] = a[off] * _POW10[np.clip(308 - k[off], 0, 632)]
+        out = (y < 1e16) | (y >= 1e17)
+        y[out] = 1e16
+        uncertain |= out
+    n = y.astype(np.uint64)
+    frac = y - n - 0.5
+    n += frac > 0
+    uncertain |= (np.abs(frac) < _TIE_MARGIN) | (n >= 10**17)
+    high = n // 10**9
+    low = np.stack([high, n - high * 10**9], axis=1).astype(np.uint32)
+    top = low // 10**6
+    low -= top * 10**6
+    mid = low // 1000
+    return np.stack([top, mid, low - mid * 1000], axis=2).reshape(len(x), 6), k, uncertain
+
+
+def _chunk_text(x: np.ndarray, glue_words: np.ndarray, glued: bool) -> str:
+    """``%.17g`` text of ``x``, each value after the glue (but the first,
+    unless ``glued``).  Each row is uint64 words: the glue, the sign and
+    ``0.000`` prefix, the six digit groups with the point inside its group,
+    and the exponent; a zero byte stands wherever ``%.17g`` writes nothing,
+    and the zero bytes are deleted at the end."""
+    groups, k, uncertain = _digit_groups(x)
+    zeros = _TRAILING_ZEROS[groups.T]
+    tz = zeros[0]
+    for z in zeros[1:]:
+        tz = z + (z == 3) * tz
+    # fixed notation for -4 <= k < 17, the point after digit k (k >= 0) or in
+    # the "0.000" prefix (-9: in no group); otherwise d.ddde±XX, after digit 0
+    sci = (k < -4) | (k >= 17)
+    point = ~sci & (k >= 0)
+    dot_g, dot_c = np.divmod(np.where(point, k, np.where(sci, 0, -9)) + 1, 3)
+    groups += (np.arange(6) == dot_g[:, None]) * (1000 * dot_c + 1000).astype(np.uint32)[:, None]
+    kept_g, kept_c = np.divmod(np.where(point, np.maximum(17 - tz, k + 1), 17 - tz), 3)
+    gw = len(glue_words)
+    m = np.empty((len(x), gw + 5), np.uint64)
+    m[:, :gw] = glue_words
+    m[:, gw] = _HEAD[6 * np.signbit(x) + np.where(sci | point, 0, 1 - k)]
+    m[:, gw + 1:gw + 4].view(np.uint32)[:] = _DIGITS[groups]
+    m[:, gw + 1:gw + 4] &= _CUT[4 * kept_g + kept_c + ((kept_g == dot_g) & (dot_c < kept_c))]
+    m[:, gw + 4] = _EXPONENT[np.where(sci, k + 325, 0)]
+    rows = np.flatnonzero(uncertain)
+    if rows.size:
+        text = np.array([_scalar_text(v) for v in x[rows].tolist()], "S40")
+        m[rows, gw:] = text.view(np.uint64).reshape(-1, 5)
+    m[0, :gw] *= glued
+    return m.tobytes().translate(None, b"\0").decode()
+
+
+def _float_text(values: np.ndarray, glue: str, write: Callable[[str], object]) -> None:
+    """Write the 1-D float64 ``values`` as exactly ``glue.join(map(_scalar_text,
+    values))``, one ``write`` per chunk of :data:`_CHUNK`."""
+    glue_words = np.frombuffer(glue.encode().ljust(-(-len(glue) // 8) * 8, b"\0"), np.uint64)
+    for start in range(0, len(values), _CHUNK):
+        write(_chunk_text(values[start:start + _CHUNK], glue_words, start > 0))
+
+
 def _serialize(obj: Any, write: Callable[[str], object], indent: int | None = 2,
                sep: str = ",", colon: str = ": ", sort_keys: bool = False) -> None:
     """Pass JSON text to ``write`` in document order: the stdlib's layout and
     key rules, floats as ``%.17g``, numpy values as the Python values they hold
-    and the defaults :func:`dumps`'s.  No container's text is built whole; a
-    list of plain floats or strings is one ``%`` pass or ``join``, one ``write``."""
+    and the defaults :func:`dumps`'s.  No container's text is built whole; a list
+    of strings is one ``join``, and plain floats go through :func:`_float_text`."""
     step = "" if indent is None else " " * indent
 
     def encode(o: Any, pad: str) -> None:
-        if isinstance(o, (np.ndarray, np.generic)):
+        floats = isinstance(o, np.ndarray) and o.ndim == 1 and o.dtype == np.float64
+        if isinstance(o, (np.ndarray, np.generic)) and not floats:
             o = o.tolist()
         inner = pad + step
         glue = sep + inner
         if o is None or isinstance(o, (str, int, float)):
             write(_str_text(o) if isinstance(o, str) else _scalar_text(o))
-        elif not isinstance(o, (dict, list, tuple)):
+        elif not isinstance(o, (dict, list, tuple, np.ndarray)):
             raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-        elif not o:
+        elif not len(o):
             write("{}" if isinstance(o, dict) else "[]")
         elif isinstance(o, dict):
             for i, (k, v) in enumerate(sorted(o.items()) if sort_keys else o.items()):
@@ -82,10 +179,9 @@ def _serialize(obj: Any, write: Callable[[str], object], indent: int | None = 2,
             write(pad + "}")
         else:
             write("[" + inner)
-            kinds = set(map(type, o))
+            kinds = {float} if floats else set(map(type, o))
             if kinds == {float}:
-                body = glue.join(["%.17g"] * len(o)) % tuple(o)  # only nan/inf have an "n"
-                write(glue.join(map(_scalar_text, o)) if "n" in body else body)
+                _float_text(np.asarray(o, dtype=np.float64), glue, write)
             elif kinds == {str}:
                 write(glue.join(map(_str_text, o)))
             else:

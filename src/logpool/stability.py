@@ -156,31 +156,35 @@ def certify_openness(
         d[s], l1[s] = _tv_directions(rng, m)
     children = np.stack([c.p for c in decomp.children])
 
-    def probe(radius: float) -> tuple[bool, float]:
+    def probe(radius: float) -> tuple[str, float]:
+        """Why some sample fails at ``radius`` ("" if none does), and the min gap."""
         with np.errstate(divide="ignore", invalid="ignore"):
             targets, found = _at_radius(decomp.parent.p, d, l1, radius)
         if not found.all():
-            return False, np.inf
+            return "found no feasible target", np.inf
         require_prob_rows(targets)
         moved = transport_rows(children, decomp.parent.p, targets[:, None, :])
         require_prob_rows(moved)
         require_pool_witness(moved, decomp.weights.beta, targets, POOL_REVALIDATION_TOL)
         gaps = gap_terms(moved, targets[:, None, :])[0]
-        return bool((gaps > UNANIMITY_TOL).all()), float(gaps.min(initial=np.inf))
+        failed = "" if (gaps > UNANIMITY_TOL).all() else "lost strict unanimity"
+        return failed, float(gaps.min(initial=np.inf))
 
-    lo, lo_gap = 0.0, 0.0
-    hi = 0.5
+    lo, hi, lo_gap, why = 0.0, 0.5, 0.0, ""
     for _ in range(BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
-        ok, gap = probe(mid)
-        if ok:
-            lo, lo_gap = mid, gap
+        failed, gap = probe(mid)
+        if failed:
+            hi, why = mid, failed
         else:
-            hi = mid
+            lo, lo_gap = mid, gap
     if lo == 0.0:
+        least = float(decomp.parent.p.min())
         raise NotFound(
-            "no positive radius survived probing; this contradicts strict "
-            "unanimity of the input and indicates a bug"
+            f"no tv radius survived probing down to {hi!r} (1/2 over 2^{BISECTION_STEPS}), "
+            f"where the last probe {why}; the parent's smallest mass is {least!r}, "
+            f"{'below' if least < POSITIVITY_FLOOR else 'above'} the positivity floor "
+            f"{POSITIVITY_FLOOR!r}"
         )
     return OpennessCertificate(
         center=decomp,

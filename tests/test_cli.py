@@ -526,6 +526,38 @@ def test_a_compensation_scale_outside_the_unit_interval_is_a_usage_error(
     assert not list(tmp_path.glob("x.*"))
 
 
+@pytest.mark.parametrize("agents", [-1, 0, 1])
+@pytest.mark.parametrize("analysis", ["suppression", "compensation"])
+def test_fewer_than_two_agents_is_a_usage_error(tmp_path, capsys, analysis, agents):
+    """A decomposition needs two children; a negative count used to end in a
+    NumPy ValueError traceback."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**CONFIG, "analyses": [analysis], analysis: {"agents": agents}}))
+    assert main(["experiment", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert f'"{analysis}.agents"' in capsys.readouterr().err
+    assert not list(tmp_path.glob("x.*"))
+
+
+def test_openness_that_probes_down_to_its_floor_names_the_limit(tmp_path, capsys):
+    """At n = 9 the parent's smallest mass (2.2e-7) is below every radius the
+    bisection tries, so no target fits the tv ball; the error says so instead
+    of calling the input a bug.  At n = 8 a radius is still certified."""
+    cfg = tmp_path / "config.json"
+    family = {"kind": "analytic_unanimity", "n": [9]}
+    cfg.write_text(json.dumps({"analyses": ["openness"], "family": family}))
+    assert main(["experiment", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert "bug" not in err
+    assert "down to 1.9073486328125e-06 (1/2 over 2^18)" in err
+    assert "the last probe found no feasible target" in err
+    assert "smallest mass is 2.16" in err and "above the positivity floor 1e-09" in err
+    cfg.write_text(json.dumps({"analyses": ["openness"], "family": {**family, "n": [8]}}))
+    assert main(["experiment", str(cfg), "--out", str(tmp_path / "x")]) == 0
+    with open(tmp_path / "x.openness.csv") as fh:
+        (row,) = list(csv.DictReader(fh))
+    assert float(row["radius"]) > 0.0
+
+
 def test_suppression_solves_one_span_basis_per_instance(tmp_path, monkeypatch):
     """The plan scales with the budget, so each instance's basis is solved
     once however many budgets the table has."""

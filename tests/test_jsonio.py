@@ -28,6 +28,7 @@ from logpool import (
     rng_from,
     weights_from_json,
 )
+from logpool import jsonio
 from logpool.cli import _write_json
 
 LAYOUT_GOLDEN = Path(__file__).parent / "golden" / "jsonio_layout.json"
@@ -128,13 +129,92 @@ _FLOAT_EDGES = [5e-324, 2.2250738585072014e-308, 1e-5, 1e16, 1e17, 1.79769313486
 
 
 def test_the_float_list_pass_writes_each_float_as_format_17g():
-    """A list of plain floats is formatted in one ``%`` pass; each entry
+    """A list of plain floats is formatted by the NumPy kernel; each entry
     must read as ``format(x, ".17g")`` would write it."""
     rng = rng_from(805)
     bits = rng.integers(0, 2**64, size=20_000, dtype=np.uint64, endpoint=False)
     drawn = [x for x in bits.view(np.float64).tolist() if math.isfinite(x)]
     for values in (_FLOAT_EDGES, [-x for x in _FLOAT_EDGES], drawn):
         assert dumps(values, indent=None) == "[" + ", ".join(format(x, ".17g") for x in values) + "]"
+
+
+_STDLIB_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _reference_float(x):
+    text = format(x, ".17g")
+    return _STDLIB_SPECIALS.get(text, text)
+
+
+def _kernel_chunks(values, glue=",\n    "):
+    chunks = []
+    jsonio._float_text(np.asarray(values, dtype=np.float64), glue, chunks.append)
+    return chunks
+
+
+def _powers_of_ten_and_neighbours():
+    powers = np.array([float(f"1e{q}") for q in range(-323, 309)])
+    near = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+    return np.concatenate([near, -near])
+
+
+def _kernel_cases():
+    rng = rng_from(806)
+    odd = rng.integers(2 * 10**15, 2**52, size=50_000) * 2 + 1  # odd M in [4e15, 2^53)
+    subnormal = rng.integers(1, 2**52, size=10_000, dtype=np.uint64).view(np.float64)
+    middle = rng.random(3 * jsonio._CHUNK)
+    middle[[17, jsonio._CHUNK + 5, 2 * jsonio._CHUNK - 1]] = [math.nan, math.inf, -math.inf]
+    bits = rng.integers(0, 2**64, size=200_000, dtype=np.uint64)
+    return {
+        "random bit patterns": bits.view(np.float64),
+        "exact decimal ties M/4": odd / 4.0,
+        "10^q and both neighbours": _powers_of_ten_and_neighbours(),
+        "subnormals, negatives and signed zeros": np.concatenate(
+            [subnormal, -subnormal, [0.0, -0.0, 5e-324, -5e-324] * 1000]
+        ),
+        "NaN and infinities inside a chunk": middle,
+    }
+
+
+@pytest.mark.parametrize("case", list(_kernel_cases()))
+def test_the_float_kernel_writes_each_float_as_format_17g(case):
+    """Lists longer than one chunk, so chunk seams and the first row's
+    missing glue are crossed; each float's text is ``format(x, ".17g")``."""
+    values = _kernel_cases()[case]
+    chunks = _kernel_chunks(values)
+    assert len(chunks) == -(-len(values) // jsonio._CHUNK)
+    assert "".join(chunks) == ",\n    ".join(map(_reference_float, values.tolist()))
+
+
+def test_every_row_falling_back_gives_the_same_bytes(monkeypatch):
+    """A margin no fraction can clear sends every row to ``_scalar_text``: the
+    path of a platform whose long double is a plain double."""
+    drawn = _kernel_cases()["random bit patterns"][:9000]
+    values = np.concatenate([drawn, _powers_of_ten_and_neighbours()])
+    want = "".join(_kernel_chunks(values))
+    calls = []
+    monkeypatch.setattr(jsonio, "_TIE_MARGIN", 1.0)
+    monkeypatch.setattr(jsonio, "_scalar_text", lambda x: calls.append(x) or _reference_float(x))
+    assert "".join(_kernel_chunks(values)) == want
+    assert len(calls) == len(values)
+
+
+def test_few_persona_floats_fall_back_to_dtoa(monkeypatch):
+    """One next-token distribution over m = 32768 outcomes, drawn like the
+    benchmark's personas (a Zipf(1.1) base over a seeded token order, 0.3-nat
+    jitter, +2 nats on a 2 % topic subset): at most 5 % of its floats may be
+    left to ``_scalar_text``, the per-float dtoa the kernel exists to avoid."""
+    rng = np.random.default_rng([1, 7])
+    m = 32768
+    lw = -1.1 * np.log(rng.permutation(m) + 1.0) + 0.3 * rng.standard_normal(m)
+    lw[rng.choice(m, size=m // 50, replace=False)] += 2.0
+    p = np.exp(lw - lw.max())
+    p /= p.sum()
+    calls = []
+    monkeypatch.setattr(jsonio, "_scalar_text", lambda x: calls.append(x) or _reference_float(x))
+    text = dumps({"p": p.tolist()})
+    assert loads(text)["p"] == p.tolist()
+    assert len(calls) <= 0.05 * m, len(calls) / m
 
 
 def reference_dumps(o, pad="\n"):
