@@ -62,9 +62,10 @@ def _words(texts: list[bytes], size: int) -> np.ndarray:
 
 #: Floats per ``write`` of :func:`_float_text`: keeps its temporaries near 0.2 MB.
 _CHUNK = 4096
-#: ``10**q`` for q in [-292, 340], correctly rounded: ``|x| * 10**(16 - k)`` is
-#: in [1e16, 1e17) for every finite nonzero double with decimal exponent k.
-_POW10 = np.array([np.longdouble(f"1e{q}") for q in range(-292, 341)])
+#: ``10**q``, q in [-292, 340], correctly rounded (inf past the long double range):
+#: ``|x| * 10**(16 - k)`` is in [1e16, 1e17) for a finite nonzero x of exponent k.
+_POW10 = np.array([np.longdouble(f"1e{q}") if q < np.log10(np.finfo(np.longdouble).max)
+                   else np.inf for q in range(-292, 341)])
 #: Two roundings (the power, the product) move a scaled value by less than
 #: this, so a fraction at least this far from 1/2 rounds the right way.
 _TIE_MARGIN = 1e17 * float(np.finfo(np.longdouble).eps)
@@ -115,9 +116,8 @@ def _chunk_text(x: np.ndarray, glue_words: np.ndarray, glued: bool) -> str:
     and the exponent; a zero byte stands wherever ``%.17g`` writes nothing,
     and the zero bytes are deleted at the end."""
     groups, k, uncertain = _digit_groups(x)
-    zeros = _TRAILING_ZEROS[groups.T]
-    tz = zeros[0]
-    for z in zeros[1:]:
+    tz = 0
+    for z in _TRAILING_ZEROS[groups.T]:  # the trailing zeros of n
         tz = z + (z == 3) * tz
     # fixed notation for -4 <= k < 17, the point after digit k (k >= 0) or in
     # the "0.000" prefix (-9: in no group); otherwise d.ddde±XX, after digit 0

@@ -187,13 +187,16 @@ def test_the_float_kernel_writes_each_float_as_format_17g(case):
 
 
 def test_every_row_falling_back_gives_the_same_bytes(monkeypatch):
-    """A margin no fraction can clear sends every row to ``_scalar_text``: the
-    path of a platform whose long double is a plain double."""
+    """The path of a platform whose long double is a plain double: powers past
+    1e308 are inf and the margin (22) exceeds 1/2, so every row goes to
+    ``_scalar_text``, with the same bytes and no warning."""
     drawn = _kernel_cases()["random bit patterns"][:9000]
     values = np.concatenate([drawn, _powers_of_ten_and_neighbours()])
     want = "".join(_kernel_chunks(values))
     calls = []
-    monkeypatch.setattr(jsonio, "_TIE_MARGIN", 1.0)
+    powers = np.where(np.arange(-292, 341) > 308, np.inf, jsonio._POW10)
+    monkeypatch.setattr(jsonio, "_POW10", powers)
+    monkeypatch.setattr(jsonio, "_TIE_MARGIN", 1e17 * np.finfo(np.float64).eps)
     monkeypatch.setattr(jsonio, "_scalar_text", lambda x: calls.append(x) or _reference_float(x))
     assert "".join(_kernel_chunks(values)) == want
     assert len(calls) == len(values)
