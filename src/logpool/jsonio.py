@@ -60,7 +60,7 @@ def _words(texts: list[bytes], size: int) -> np.ndarray:
     return np.frombuffer(b"".join(t.ljust(size, b"\0") for t in texts), f"u{size}")
 
 
-#: Floats per ``write`` of :func:`_float_text`: keeps its temporaries near 0.2 MB.
+#: Floats per ``write`` of :func:`_float_text`: bounds its temporaries to about 1 MB.
 _CHUNK = 4096
 #: ``10**q``, q in [-292, 340], correctly rounded (inf past the long double range):
 #: ``|x| * 10**(16 - k)`` is in [1e16, 1e17) for a finite nonzero x of exponent k.
