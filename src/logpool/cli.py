@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from . import __version__, constructions, factorize, persona, stability
-from .core import Weights, rng_from
+from .core import Dist, OutcomeSpace, Weights, rng_from
 from .errors import (
     ConfigParse,
     IoError,
@@ -256,16 +256,20 @@ def _analysis_compensation(config: dict, seed: int) -> tuple[list[str], list[lis
     scale = _number(params.get("scale", 1e-3), float, "compensation.scale")
     if not 0.0 < scale < 1.0:  # a scale of 1 or more cannot keep every weight positive
         raise ConfigParse(f'"compensation.scale" must lie in (0, 1), got {scale}')
-    m = _number(params.get("outcomes", 5), int, "compensation.outcomes")
+    m = _number(params.get("outcomes", 5), int, "compensation.outcomes", 2)
     n = _number(params.get("agents", 4), int, "compensation.agents", 2)
     instances = _number(params.get("instances", 25), int, "compensation.instances", 0)
-    rows = []
+    space, rows = OutcomeSpace(m), []
     for i in range(instances):
-        rng_for = lambda attempt: rng_from(seed, 21, i, attempt)  # noqa: E731
-        rep = persona.random_compensation_report(rng_for, lambda rng: (m, n), scale)
-        rows.append(
-            [i, rep.lhs, rep.rhs, rep.slack, rep.residual_norm, rep.delta_l_norm]
-        )
+        for attempt in range(50):  # the first usable change, else the 50th
+            rng = rng_from(seed, 21, i, attempt)
+            (agents, beta, d), usable = constructions.random_weight_change(rng, m, n, scale)
+            if usable:
+                break
+        decomp = make_decomposition([Dist(space, a) for a in agents], Weights(beta))
+        h = int(d.argmax())
+        rep = persona.compensation_bound(decomp, h, float(d[h]), None, d)
+        rows.append([i, rep.lhs, rep.rhs, rep.slack, rep.residual_norm, rep.delta_l_norm])
     columns = ["instance", "lhs", "rhs", "slack", "residual_norm", "delta_l_norm"]
     return columns, rows, {"alignment_dead_zone": persona.ALIGNMENT_DEAD_ZONE}
 

@@ -15,11 +15,12 @@ How small "small epsilon" must be is discovered by logarithmic grid search
 (:func:`find_epsilon_for_unanimity`), recorded in reports, and never hard-coded.
 
 The seeded random instances are one array-level draw each,
-:func:`random_probs` and :func:`random_beta`; :func:`random_dist`,
+:func:`random_probs`, :func:`random_beta` and the weight change of
+:func:`random_weight_change`; :func:`random_dist`,
 :func:`random_strict_weights`, :func:`random_family` and
 :func:`random_decomposition` wrap them in objects.  The ``verify`` suites, the
 ``experiment`` analyses and the tests all draw from this one copy.  Given a
-list of per-instance streams in place of one ``Generator``, the two array
+list of per-instance streams in place of one ``Generator``, the array
 draws stack: each stream makes its own raw draw, in list order and with the
 same bits as a call on it alone, and the shift and normalization run once
 over the stacked (B, ...) array.
@@ -270,6 +271,18 @@ def random_beta(rng: _Streams, n: int) -> np.ndarray:
     beta = raw / raw.sum(axis=-1, keepdims=True)
     require_weight_rows(beta)
     return beta
+
+
+def random_weight_change(rng: _Streams, m: int, n: int, scale: float) -> tuple[tuple, np.ndarray]:
+    """``(agents, beta, d), usable``: :func:`random_decomposition`'s draws
+    (n, m) and (n,), then a standard normal weight change d (n,), centered and
+    scaled to a largest entry of ``scale``; usable when d amplifies argmax d
+    and keeps every weight positive.  B streams stack each (B, ...)."""
+    agents, beta = random_probs(rng, m, n), random_beta(rng, n)
+    d = _draws(rng, lambda r: r.standard_normal(n))
+    d -= d.mean(axis=-1, keepdims=True)
+    d *= scale / np.maximum(1e-12, np.abs(d).max(axis=-1, keepdims=True))
+    return (agents, beta, d), (d.max(axis=-1) > 0.0) & (beta + d > 0.0).all(axis=-1)
 
 
 def random_event(rng: np.random.Generator, m: int) -> np.ndarray:

@@ -14,6 +14,11 @@ product:
 * the exact squared-norm gain from enlarging the span by an elicited
   direction;
 * the second-order KL cost of a log-deviation.
+
+The math runs in private kernels on stacked rows (parents p (B, m), profile
+rows (B, n, m), one sorted index array per event); each public function is
+their one-instance case, with no leading axis.  A kernel keeps the
+one-instance arithmetic, so a row gives the same bits as the public call.
 """
 
 from __future__ import annotations
@@ -26,16 +31,16 @@ import numpy as np
 from .core import (
     Dist,
     ScoreFn,
-    Weights,
-    cov,
+    _cov,
+    first_row,
     _event_array,
     _integer,
     _require_finite,
-    dist_from_log_weights,
     expect,
-    inner_p,
-    kl,
     norm_p,
+    require_prob_rows,
+    require_weight_rows,
+    softmax,
 )
 from .errors import (
     BudgetViolated,
@@ -49,8 +54,7 @@ from .errors import (
     SpaceMismatch,
     TiltsNotCentered,
 )
-from .constructions import random_decomposition
-from .pooling import Decomposition, log_pool
+from .pooling import Decomposition, log_pool_arrays
 
 __all__ = [
     "LogProfile",
@@ -105,6 +109,167 @@ class LogProfile:
             )
 
 
+# Stacked kernels over leading axes (...): the public functions below are
+# their one-instance case, with no leading axis.
+
+def _centered(p: np.ndarray, logs: np.ndarray) -> np.ndarray:
+    """Log rows (..., n, m) centered under their parents p (..., m)."""
+    return logs - (p[..., None, :] * logs).sum(axis=-1, keepdims=True)
+
+
+def _combine(coef: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sum_i coef_i * rows_i over rows (..., n, m), added up row by row as a loop would."""
+    total = np.zeros(rows.shape[:-2] + rows.shape[-1:])
+    for i in range(rows.shape[-2]):
+        total = total + coef[..., i, None] * rows[..., i, :]
+    return total
+
+
+def _inner(p: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The p-weighted inner products of rows f and g (last axis)."""
+    return (p * f * g).sum(axis=-1)
+
+
+def _norm(p: np.ndarray, f: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.maximum(_inner(p, f, f), 0.0))
+
+
+def _residual(p: np.ndarray, predicted: np.ndarray, t: float) -> np.ndarray:
+    """``|log E_p[exp(t·predicted)]|`` per row, as ``|log1p(E_p[expm1(·)])|``."""
+    return np.abs(np.log1p((p * np.expm1(t * predicted)).sum(axis=-1)))
+
+
+def _event_mass(p: np.ndarray, events: Sequence[np.ndarray]) -> np.ndarray:
+    """Each row's mass on its event (one sorted index array per row of p), as
+    ``p[idx].sum()``: a masked sum over all m entries adds in another order."""
+    mass = [row[idx].sum() for row, idx in zip(np.atleast_2d(p), events)]
+    return np.reshape(mass, p.shape[:-1])
+
+
+def _event_direction(p: np.ndarray, events: Sequence[np.ndarray]) -> np.ndarray:
+    """Each event's indicator, centered under its row of p (..., m)."""
+    g = np.zeros(p.shape)
+    for row, idx in zip(np.atleast_2d(g), events):
+        row[idx] = 1.0
+    return g - _event_mass(p, events)[..., None]
+
+
+def _p_orthonormal_basis(p: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases (..., min(n, m), m) of span{rows} (..., n, m) under
+    p, and their dimensions.
+
+    One SVD per instance of the √p-scaled rows, on their tall transpose: a
+    left singular vector whose squared singular value falls to
+    :data:`PIVOT_REL_TOL` times the largest, or to :data:`ZERO_PIVOT_ABS`,
+    is dropped (a zero row); the kept prefix, divided by √p, is orthonormal
+    under p.  Each basis is C-contiguous, as a strided row of m >= 8 would be
+    summed in another order.
+    """
+    root = np.sqrt(p)[..., None, :]
+    u, s, _ = np.linalg.svd(np.swapaxes(rows * root, -1, -2), full_matrices=False)
+    floor = np.maximum(PIVOT_REL_TOL * s.max(-1, keepdims=True, initial=0.0) ** 2, ZERO_PIVOT_ABS)
+    keep = s * s > floor
+    basis = np.divide(np.swapaxes(u, -1, -2), root, order="C")
+    basis[~keep] = 0.0
+    return basis, keep.sum(axis=-1)
+
+
+def _project(p: np.ndarray, basis: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """The p-weighted projection of each row of vec (..., m) onto its basis."""
+    return _combine(((p * vec)[..., None, :] * basis).sum(axis=-1), basis)
+
+
+def _compensation(p, logs, beta, d, h, delta, epsilon: float | None) -> dict:
+    """:func:`compensation_bound`'s terms, for parents p (..., m), child log
+    rows (..., n, m), weights beta and changes d (..., n) amplifying child h
+    by delta; with the anti-aligned mask ``anti`` and the ``forced`` term."""
+    V = _centered(p, logs)
+    require_weight_rows(beta + d)
+    shifted = log_pool_arrays(logs, beta + d)[0]
+    require_prob_rows(shifted)
+    delta_l = np.log(shifted) - np.log(p)
+    delta_l_norm = _norm(p, delta_l)
+    budget = delta_l_norm * 1.25 + 1e-9 if epsilon is None else np.full_like(delta_l_norm, epsilon)
+    over = delta_l_norm > budget * (1.0 + 1e-12)
+    if over.any():
+        row, where = first_row(over)
+        raise BudgetViolated(
+            f"realized deviation{where} {float(delta_l_norm[row])!r} exceeds the budget "
+            f"{float(budget[row])!r}"
+        )
+    target = np.take_along_axis(V, np.asarray(h)[..., None, None], axis=-2)[..., 0, :]
+    target_norm = _norm(p, target)
+    inner = _inner(p[..., None, :], V, target[..., None, :])
+    anti = inner < -ALIGNMENT_DEAD_ZONE
+    residual_norm = _norm(p, delta_l - _combine(d, V))
+    # each side sums its class's terms in index order, as a loop over it would
+    lhs = _combine(np.where(anti, np.maximum(d, 0.0), 0.0), np.abs(inner)[..., None])[..., 0]
+    downgrade = _combine(np.where(anti, 0.0, np.maximum(-d, 0.0)), inner[..., None])[..., 0]
+    forced = delta * target_norm**2 - (budget + residual_norm) * target_norm
+    rhs = forced - downgrade
+    return dict(
+        budget=budget, inner_products=inner, target_norm=target_norm, residual_norm=residual_norm,
+        delta_l_norm=delta_l_norm, lhs=lhs, rhs=rhs, slack=lhs - rhs,
+        aligned_not_downgraded=downgrade <= ALIGNMENT_DEAD_ZONE, anti=anti, forced=forced,
+    )
+
+
+def _event_change(p: np.ndarray, events, delta_l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`event_first_order` for each row's event and log-deviation (..., m)."""
+    shifted = softmax(np.log(p) + delta_l)[0]  # P' ∝ P·exp(delta_l)
+    require_prob_rows(shifted)
+    exact = _event_mass(shifted, events) - _event_mass(p, events)
+    return exact, _inner(p, delta_l, _event_direction(p, events))
+
+
+def _suppression(p, rows, g, epsilon: float) -> tuple[np.ndarray, ...]:
+    """Each row's :func:`optimal_suppression` of event direction g (..., m):
+    the plan's delta_l (..., m), achieved reduction, projection norm and span
+    dimension."""
+    basis, dim = _p_orthonormal_basis(p, rows)
+    if not dim.all():
+        raise DegenerateSpan(f"every profile is numerically zero{first_row(dim == 0)[1]}")
+    proj = _project(p, basis, g)
+    proj_norm = _norm(p, proj)
+    zero = proj_norm <= _ZERO_PROJECTION_REL * _norm(p, g)
+    proj_norm = np.where(zero, 0.0, proj_norm)
+    out = np.zeros_like(proj)
+    delta_l = np.divide(-epsilon * proj, proj_norm[..., None], out=out, where=~zero[..., None])
+    return delta_l, epsilon * proj_norm, proj_norm, dim
+
+
+def _projection_gain(p, rows, w, g, epsilon: float) -> dict:
+    """:class:`ProjectionGainReport`'s fields, for enlarging span{rows}
+    (..., n, m) by w (..., m) against event directions g (..., m)."""
+    basis0, base_dim = _p_orthonormal_basis(p, rows)
+    proj0 = _project(p, basis0, g)
+    sq_base = _inner(p, proj0, proj0)
+    u = w - _project(p, basis0, w)
+    u_norm = _norm(p, u)
+    new = u_norm >= SPAN_MEMBERSHIP_TOL  # else the enlarged span is the old one
+    basis1, dim1 = _p_orthonormal_basis(p, np.concatenate([rows, w[..., None, :]], axis=-2))
+    proj1 = _project(p, basis1, g)
+    sq_direct = np.where(new, _inner(p, proj1, proj1), sq_base)
+    correlation = np.divide(_inner(p, g, u), u_norm, out=np.zeros(p.shape[:-1]), where=new)
+    base_value = epsilon * np.sqrt(np.maximum(sq_base, 0.0))
+    enlarged_value = epsilon * np.sqrt(np.maximum(sq_direct, 0.0))
+    return dict(
+        budget=np.full(p.shape[:-1], float(epsilon)), gain=enlarged_value - base_value,
+        u_norm=u_norm, correlation=correlation, base_value=base_value,
+        enlarged_value=enlarged_value, sq_base=sq_base, sq_enlarged_direct=sq_direct,
+        sq_enlarged_pythagoras=sq_base + correlation**2,
+        closed_form_gain=epsilon * np.abs(correlation), w_in_span=~new, base_dim=base_dim,
+        enlarged_dim=np.where(new, dim1, base_dim),
+    )
+
+
+def _kl_budget(p: np.ndarray, delta_l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`kl_budget` for each row's log-deviation (..., m)."""
+    shifted = softmax(np.log(p) + delta_l)[0]
+    require_prob_rows(shifted)
+    return (shifted * (np.log(shifted) - np.log(p))).sum(axis=-1), 0.5 * _cov(p, delta_l, delta_l)
+
+
 def _stack(profiles: Sequence[LogProfile]) -> tuple[Dist, np.ndarray]:
     """The shared base of ``profiles`` and their vectors as rows (n, m)."""
     if len(profiles) == 0:
@@ -116,31 +281,38 @@ def _stack(profiles: Sequence[LogProfile]) -> tuple[Dist, np.ndarray]:
     return base, np.stack([prof.v for prof in profiles])
 
 
-def _combine(coef: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """sum_i coef_i * rows_i, added up row by row as a loop would (not BLAS)."""
-    return sum(coef[:, None] * rows, np.zeros(rows.shape[-1]))
-
-
 def _require_budget(epsilon: float) -> None:
     if not 0.0 < epsilon < np.inf:
         raise ParamOutOfRange("the budget must be positive and finite")
 
 
-def _event_direction(P: Dist, event: Sequence[int]) -> np.ndarray:
-    """The indicator of a proper-subset ``event``, centered under P."""
-    idx = _event_array(P.space, event, allow_full=False)
-    g = np.zeros(P.space.size)
-    g[idx] = 1.0
-    return g - P.p[idx].sum()
+def _weight_change(dbeta: Sequence[float], n: int) -> np.ndarray:
+    """``dbeta`` as a vector of n weight changes that sum to zero."""
+    d = np.asarray(dbeta, dtype=float).reshape(-1)
+    if d.shape[0] != n:
+        raise LengthMismatch(f"{d.shape[0]} weight changes for {n} profiles")
+    if abs(total := float(d.sum())) > 1e-12:
+        raise DbetaNotZeroSum(f"weight changes sum to {total!r}, expected 0")
+    return d
+
+
+def _child_logs(decomp: Decomposition) -> np.ndarray:
+    if decomp.pool_kind != "log":
+        raise PreconditionViolation("profiles are defined for log-pool decompositions")
+    return np.log(np.stack([child.p for child in decomp.children]))
+
+
+def _span_rows(profiles: Sequence[LogProfile], event, epsilon: float) -> tuple:
+    """A span problem's base, profile rows (n, m) and event direction (m,)."""
+    _require_budget(epsilon)
+    base, V = _stack(profiles)
+    return base, V, _event_direction(base.p, [_event_array(base.space, event, allow_full=False)])
 
 
 def centered_profiles(decomp: Decomposition) -> list[LogProfile]:
     """The children's log-probability vectors, centered under the parent."""
-    if decomp.pool_kind != "log":
-        raise PreconditionViolation("profiles are defined for log-pool decompositions")
     parent = decomp.parent
-    logs = np.log(np.stack([child.p for child in decomp.children]))
-    return [LogProfile(parent, v) for v in logs - (parent.p * logs).sum(axis=-1, keepdims=True)]
+    return [LogProfile(parent, v) for v in _centered(parent.p, _child_logs(decomp))]
 
 
 def first_order_delta_l(
@@ -159,16 +331,11 @@ def first_order_delta_l(
     residual is far below the rounding of ``log P``.
     """
     base, V = _stack(profiles)
-    d = np.asarray(dbeta, dtype=float).reshape(-1)
-    if d.shape[0] != len(V):
-        raise LengthMismatch(f"{d.shape[0]} weight changes for {len(V)} profiles")
-    total = float(d.sum())
-    if abs(total) > 1e-12:
-        raise DbetaNotZeroSum(f"weight changes sum to {total!r}, expected 0")
+    d = _weight_change(dbeta, len(V))
     predicted = _combine(d, V)
 
     def residual_norm_fn(t: float) -> float:
-        return abs(float(np.log1p((base.p * np.expm1(t * predicted)).sum())))
+        return float(_residual(base.p, predicted, t))
 
     return ScoreFn(base.space, predicted), residual_norm_fn
 
@@ -210,28 +377,26 @@ class CompensationReport:
 
 
 def compensation_bound(
-    decomp: Decomposition,
-    h_index: int,
-    delta: float,
-    epsilon: float | None,
+    decomp: Decomposition, h_index: int, delta: float, epsilon: float | None,
     dbeta: Sequence[float],
 ) -> CompensationReport:
     """Evaluate the compensation inequality for an actual weight change.
 
     Amplify child ``h_index`` by ``delta`` via the zero-sum change ``dbeta``
     while the realized log-deviation stays within ``epsilon`` in the
-    parent-weighted norm; an ``epsilon`` of None budgets 1.25 times the
-    realized deviation plus 1e-9.  The residual is computed exactly from one
-    re-pool of ``beta + dbeta`` (re-pooled deviation minus the linear
-    prediction), so both sides of the inequality are finite-precision
-    numbers, not asymptotic bounds.  Inner products within
-    :data:`ALIGNMENT_DEAD_ZONE` of zero classify as aligned.
+    parent-weighted norm; ``epsilon`` must be positive and finite, and None
+    budgets 1.25 times the realized deviation plus 1e-9.  The residual is
+    computed exactly from one re-pool of ``beta + dbeta`` (re-pooled
+    deviation minus the linear prediction), so both sides of the inequality
+    are finite-precision numbers, not asymptotic bounds.  Inner products
+    within :data:`ALIGNMENT_DEAD_ZONE` of zero classify as aligned.
     """
     h_index = _integer(h_index, "amplified index", IndexOutOfRange)
-    profiles = centered_profiles(decomp)
-    predicted = first_order_delta_l(profiles, dbeta)[0].f
-    d = np.asarray(dbeta, dtype=float).reshape(-1)
-    n = len(profiles)
+    if epsilon is not None:
+        _require_budget(epsilon)
+    logs = _child_logs(decomp)
+    n = len(logs)
+    d = _weight_change(dbeta, n)
     if not (0 <= h_index < n):
         raise DbetaInconsistent(f"amplified index {h_index} outside [0, {n})")
     if not delta > 0.0:
@@ -240,83 +405,22 @@ def compensation_bound(
         raise DbetaInconsistent(
             f"dbeta[{h_index}] = {d[h_index]!r} does not equal delta = {delta!r}"
         )
-
-    base, V = _stack(profiles)
-    shifted = log_pool(decomp.children, Weights(decomp.weights.beta + d))
-    delta_l = shifted.log_p - base.log_p
-    delta_l_norm = norm_p(base, delta_l)
-    if epsilon is None:
-        epsilon = delta_l_norm * 1.25 + 1e-9
-    if delta_l_norm > epsilon * (1.0 + 1e-12):
-        raise BudgetViolated(
-            f"realized deviation {delta_l_norm!r} exceeds the budget {epsilon!r}"
-        )
-
-    target = V[h_index]
-    target_norm = norm_p(base, target)
-    inner = (base.p * V * target).sum(axis=-1)
-    anti = tuple(int(i) for i in range(n) if inner[i] < -ALIGNMENT_DEAD_ZONE)
-    aligned = tuple(int(i) for i in range(n) if inner[i] >= -ALIGNMENT_DEAD_ZONE)
-    residual_norm = norm_p(base, delta_l - predicted)
-
-    lhs = float(sum(max(d[i], 0.0) * abs(inner[i]) for i in anti))
-    downgrade_term = float(sum(max(-d[j], 0.0) * inner[j] for j in aligned))
-    forced = delta * target_norm**2 - (epsilon + residual_norm) * target_norm
-    rhs = forced - downgrade_term
-
-    single = len(anti) == 1
-    counter_index = anti[0] if single else None
-    counter_lower_bound = None
-    if single and abs(inner[counter_index]) > 0.0:
-        counter_lower_bound = forced / abs(inner[counter_index])
+    parent, beta = decomp.parent.p, decomp.weights.beta
+    row = _compensation(parent, logs, beta, d, h_index, float(delta), epsilon)
+    anti, forced, inner = row.pop("anti"), row.pop("forced"), row.pop("inner_products")
+    anti_indices = tuple(np.flatnonzero(anti).tolist())
+    single = len(anti_indices) == 1
     return CompensationReport(
-        h_index=h_index,
-        delta=float(delta),
-        budget=float(epsilon),
-        inner_products=inner,
-        anti_indices=anti,
-        aligned_indices=aligned,
-        target_norm=target_norm,
-        residual_norm=residual_norm,
-        delta_l_norm=delta_l_norm,
-        lhs=lhs,
-        rhs=float(rhs),
-        slack=float(lhs - rhs),
-        single_anti_aligned=single,
-        counter_index=counter_index,
-        counter_lower_bound=counter_lower_bound,
-        aligned_not_downgraded=bool(downgrade_term <= ALIGNMENT_DEAD_ZONE),
+        h_index=h_index, delta=float(delta), inner_products=inner, anti_indices=anti_indices,
+        aligned_indices=tuple(np.flatnonzero(~anti).tolist()), single_anti_aligned=single,
+        counter_index=anti_indices[0] if single else None,
+        # an anti-aligned inner product is below -ALIGNMENT_DEAD_ZONE, never 0
+        counter_lower_bound=forced / abs(inner[anti_indices[0]]) if single else None,
+        **{key: value.item() for key, value in row.items()},
     )
 
 
-def random_compensation_report(
-    rng_for: Callable[[int], np.random.Generator],
-    sizes: Callable[[np.random.Generator], tuple[int, int]],
-    scale: float,
-) -> CompensationReport:
-    """:func:`compensation_bound` for a random zero-sum weight change.
-
-    Attempt k (of 50) draws from ``rng_for(k)``: the outcome and agent counts
-    ``sizes(rng)``, a random decomposition, then a centered change ``d``
-    scaled to a largest entry of ``scale`` that amplifies h = argmax d.  The
-    first attempt that keeps every weight positive is used (the last one
-    otherwise), with a budget of 1.25 times the realized deviation plus 1e-9.
-    """
-    for attempt in range(50):
-        rng = rng_for(attempt)
-        decomp = random_decomposition(rng, *sizes(rng))
-        d = rng.standard_normal(decomp.n)
-        d -= d.mean()
-        d *= scale / max(1e-12, float(np.abs(d).max()))
-        h_index = int(d.argmax())
-        if d[h_index] > 0 and bool((decomp.weights.beta + d > 0).all()):
-            break
-    return compensation_bound(decomp, h_index, float(d[h_index]), None, d)
-
-
-def event_first_order(
-    P: Dist, event: Sequence[int], delta_l: ScoreFn
-) -> tuple[float, float]:
+def event_first_order(P: Dist, event: Sequence[int], delta_l: ScoreFn) -> tuple[float, float]:
     """Exact and linearized change of P(event) under a log-deviation.
 
     Returns ``(exact, linear)`` where exact = P'(event) − P(event) for
@@ -324,33 +428,11 @@ def event_first_order(
     indicator of the event.  Their difference shrinks quadratically as
     delta_l is scaled down.
     """
-    g = _event_direction(P, event)
+    events = [_event_array(P.space, event, allow_full=False)]
     if delta_l.space != P.space:
         raise SpaceMismatch("log-deviation must live on the distribution's space")
-    shifted = dist_from_log_weights(P.space, P.log_p + delta_l.f)
-    exact = shifted.prob_of(event) - P.prob_of(event)
-    return float(exact), float(inner_p(P, delta_l.f, g))
-
-
-def _p_orthonormal_basis(base: Dist, vectors: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (rows) of span{rows of vectors} in the base-weighted
-    inner product.
-
-    One SVD of the √p-scaled rows, taken on their tall transpose: a left
-    singular vector whose squared singular value falls to
-    :data:`PIVOT_REL_TOL` times the largest, or to :data:`ZERO_PIVOT_ABS`,
-    spans a dependent (or noise) direction and is dropped; the kept ones,
-    divided by √p, are orthonormal under p.
-    """
-    root = np.sqrt(base.p)
-    u, s, _ = np.linalg.svd((vectors * root).T, full_matrices=False)
-    keep = s * s > max(PIVOT_REL_TOL * s.max(initial=0.0) ** 2, ZERO_PIVOT_ABS)
-    return u[:, keep].T / root
-
-
-def _project(base: Dist, basis: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Base-weighted projection of ``vec`` onto the orthonormal rows of ``basis``."""
-    return _combine((base.p * vec * basis).sum(axis=-1), basis)
+    exact, linear = _event_change(P.p, events, delta_l.f)
+    return float(exact), float(linear)
 
 
 @dataclass(frozen=True, slots=True)
@@ -374,13 +456,9 @@ class SuppressionPlan:
     def __post_init__(self) -> None:
         realized = norm_p(self.base, self.delta_l.f)
         if realized > self.budget * (1.0 + 1e-9):
-            raise BudgetViolated(
-                f"plan norm {realized!r} exceeds budget {self.budget!r}"
-            )
+            raise BudgetViolated(f"plan norm {realized!r} exceeds budget {self.budget!r}")
         if abs(self.achieved - self.budget * self.projection_norm) > 1e-9:
-            raise DbetaInconsistent(
-                "achieved reduction must equal budget times projection norm"
-            )
+            raise DbetaInconsistent("achieved reduction must equal budget times projection norm")
 
 
 def optimal_suppression(
@@ -393,26 +471,11 @@ def optimal_suppression(
     opposite the span-projection of the event's centered indicator; the
     optimum equals epsilon times that projection's norm.
     """
-    _require_budget(epsilon)
-    base, V = _stack(profiles)
-    g = _event_direction(base, event)
-    basis = _p_orthonormal_basis(base, V)
-    if not len(basis):
-        raise DegenerateSpan("every profile is numerically zero")
-    proj = _project(base, basis, g)
-    proj_norm = norm_p(base, proj)
-    if proj_norm <= _ZERO_PROJECTION_REL * norm_p(base, g):
-        delta_l, achieved, proj_norm = np.zeros_like(g), 0.0, 0.0
-    else:
-        delta_l, achieved = -epsilon * proj / proj_norm, float(epsilon * proj_norm)
+    base, V, g = _span_rows(profiles, event, epsilon)
+    delta_l, achieved, proj_norm, dim = _suppression(base.p, V, g, epsilon)
     return SuppressionPlan(
-        base=base,
-        delta_l=ScoreFn(base.space, delta_l),
-        budget=float(epsilon),
-        achieved=achieved,
-        projection_norm=float(proj_norm),
-        span_dim=len(basis),
-        zero_projection=proj_norm == 0.0,
+        base, ScoreFn(base.space, delta_l), float(epsilon), float(achieved), float(proj_norm),
+        int(dim), bool(proj_norm == 0.0),
     )
 
 
@@ -447,10 +510,7 @@ class ProjectionGainReport:
 
 
 def projection_gain(
-    profiles: Sequence[LogProfile],
-    w: LogProfile,
-    event: Sequence[int],
-    epsilon: float,
+    profiles: Sequence[LogProfile], w: LogProfile, event: Sequence[int], epsilon: float
 ) -> ProjectionGainReport:
     """Enlarge the profile span by ``w`` and measure the suppression gain.
 
@@ -458,40 +518,9 @@ def projection_gain(
     falls below :data:`SPAN_MEMBERSHIP_TOL` the report is flagged
     ``w_in_span``, the enlarged span is the old one and the gain is zero.
     """
-    _require_budget(epsilon)
-    base, V = _stack([*profiles, w])
-    g = _event_direction(base, event)
-    basis0 = _p_orthonormal_basis(base, V[:-1])
-    proj0 = _project(base, basis0, g)
-    sq_base = inner_p(base, proj0, proj0)
-    base_value = epsilon * float(np.sqrt(max(sq_base, 0.0)))
-
-    u = V[-1] - _project(base, basis0, V[-1])
-    u_norm = norm_p(base, u)
-    in_span = u_norm < SPAN_MEMBERSHIP_TOL
-    if in_span:
-        basis1, sq_direct, correlation = basis0, sq_base, 0.0
-    else:
-        basis1 = _p_orthonormal_basis(base, V)
-        proj1 = _project(base, basis1, g)
-        sq_direct = inner_p(base, proj1, proj1)
-        correlation = inner_p(base, g, u) / u_norm
-    enlarged_value = epsilon * float(np.sqrt(max(sq_direct, 0.0)))
-    return ProjectionGainReport(
-        budget=float(epsilon),
-        gain=float(enlarged_value - base_value),
-        u_norm=float(u_norm),
-        correlation=float(correlation),
-        base_value=base_value,
-        enlarged_value=enlarged_value,
-        sq_base=float(sq_base),
-        sq_enlarged_direct=float(sq_direct),
-        sq_enlarged_pythagoras=float(sq_base + correlation**2),
-        closed_form_gain=float(epsilon * abs(correlation)),
-        w_in_span=in_span,
-        base_dim=len(basis0),
-        enlarged_dim=len(basis1),
-    )
+    base, V, g = _span_rows([*profiles, w], event, epsilon)
+    row = _projection_gain(base.p, V[:-1], V[-1], g, epsilon)
+    return ProjectionGainReport(**{key: value.item() for key, value in row.items()})
 
 
 def kl_budget(P: Dist, delta_l: ScoreFn) -> tuple[float, float]:
@@ -504,5 +533,5 @@ def kl_budget(P: Dist, delta_l: ScoreFn) -> tuple[float, float]:
     """
     if delta_l.space != P.space:
         raise SpaceMismatch("log-deviation must live on the distribution's space")
-    shifted = dist_from_log_weights(P.space, P.log_p + delta_l.f)
-    return kl(shifted, P), 0.5 * cov(P, delta_l.f, delta_l.f)
+    kl_value, half_var = _kl_budget(P.p, delta_l.f)
+    return float(kl_value), float(half_var)

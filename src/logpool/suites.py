@@ -16,9 +16,12 @@ suite's place in :data:`SUITE_NAMES` and the check's place in registration
 order; ``run.rngs()`` builds the streams ``run.rng(i)`` of all its instances
 in one batch, bit for bit the same.  ``run.size(rng)`` draws one instance's
 sizes from the registered ranges, and ``run.groups()`` groups the instances
-by them.  So a seed pins every number in the run.  Checks compare library
-results against independent re-computations (extended-precision pooling,
-closed forms, brute-force searches).
+by them; every check, ``persona``'s included, scores a group with one call
+of each stacked kernel.  ``run.retried(draw)`` groups attempt 0
+(``run.rng(i, 0)``), and only an unusable instance redraws alone, from
+``run.rng(i, attempt)``.  So a seed pins every number in the run.  Checks
+compare library results against independent re-computations
+(extended-precision pooling, closed forms, brute-force searches).
 
 These are runtime smoke batteries sized for seconds, not the exhaustive
 test-suite versions; the comparisons are the same, the instance counts are
@@ -34,10 +37,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import constructions, factorize, persona, stability
-from .constructions import _draws, random_beta, random_decomposition, random_dist, random_probs
+from .constructions import _draws, random_beta, random_probs
 from .core import (
-    VALUE_TOL, Dist, OutcomeSpace, ScoreFn, Weights, event_indices, expect, make_dist, norm_p,
-    normalize_rows, require_prob_rows, rng_from, _integer, _rng_streams, _tv_rows,
+    VALUE_TOL, Dist, OutcomeSpace, Weights, expect, make_dist, normalize_rows, require_prob_rows,
+    rng_from, _integer, _rng_streams, _tv_rows,
 )
 from .errors import ParamOutOfRange, UnknownSuite
 from .pooling import linear_pool_arrays, log_pool_arrays
@@ -103,6 +106,27 @@ class _Run(NamedTuple):
         for i, rng in enumerate(self.rngs() if rngs is None else rngs):
             groups.setdefault(self.size(rng), []).append((rng, i))
         return [(key, *map(list, zip(*rows))) for key, rows in groups.items()]
+
+    def retried(self, draw: Callable) -> list[tuple]:
+        """The usable rows of each size group, then each redrawn instance's:
+        ``draw(rngs, *sizes)`` returns ``(rows, usable)``, a tuple of (B, ...)
+        arrays and (B,) flags.  Instance i first draws from ``rng(i, 0)``; if
+        unusable it redraws alone from ``rng(i, attempt)``, sizes first, up to
+        the 50th attempt."""
+        out = []
+        first = _rng_streams(self.seed, *self.ids, 0, count=self.samples, at=3)  # rng(i, 0)
+        for sizes, rngs, index in self.groups(first):
+            rows, usable = draw(rngs, *sizes)
+            if usable.any():
+                out.append(tuple(x[usable] for x in rows))
+            for i in np.asarray(index)[~usable].tolist():
+                for attempt in range(1, 50):
+                    rng = self.rng(i, attempt)
+                    retry, usable = draw([rng], *self.size(rng))
+                    if usable[0]:
+                        break
+                out.append(retry)
+        return out
 
 
 class _Check(NamedTuple):
@@ -558,28 +582,14 @@ def _openness(run: _Run):
         "max relative error between -Cov(h, log p) and a central "
         "finite difference of the tilted gap", (2, 9))
 def _tilt_fd(run: _Run):
-    def score(rngs, m):
-        """Each stream's p and h: their derivatives and relative fd errors."""
+    def draw(rngs, m):
+        """Each stream's relative fd error; a derivative below 1e-3 redraws."""
         p, h = random_probs(rngs, m), _draws(rngs, lambda r: r.standard_normal(m))
         analytic = stability._gap_derivatives(p, h)
-        return analytic, np.abs(stability._gap_fd(p, h) - analytic) / np.abs(analytic)
+        err = np.abs(stability._gap_fd(p, h) - analytic) / np.abs(analytic)
+        return (err,), np.abs(analytic) >= 1e-3
 
-    worst = 0.0
-    first = _rng_streams(run.seed, *run.ids, 0, count=run.samples, at=3)  # run.rng(i, 0)
-    for (m,), rngs, index in run.groups(first):
-        analytic, err = score(rngs, m)
-        # a derivative below 1e-3 redraws from run.rng(i, k), k = 1, 2, ...,
-        # until it reaches 1e-3 or the 50th attempt
-        retry = np.abs(analytic) < 1e-3
-        for i in np.asarray(index)[retry].tolist():
-            for attempt in range(1, 50):
-                rng = run.rng(i, attempt)
-                derivative, retried = score([rng], *run.size(rng))
-                if attempt == 49 or abs(derivative[0]) >= 1e-3:
-                    break
-            worst = _worst(worst, retried)
-        worst = float(err.max(initial=worst, where=~retry))
-    return worst
+    return max(float(err.max()) for (err,) in run.retried(draw))
 
 
 @_check("stability.weighted_tilt_derivatives_cancel", 100, 1e-8, "<=",
@@ -601,37 +611,44 @@ def _local_audit(run: _Run):
 # persona
 # ---------------------------------------------------------------------------
 
+def _persona_group(rngs, m: int, n: int):
+    """Each stream's random decomposition as rows: its parent p (B, m) and
+    centered profiles (B, n, m)."""
+    logs = np.log(random_probs(rngs, m, n))
+    p = _log_pool(logs, random_beta(rngs, n))[0]
+    return p, persona._centered(p, logs)
+
+
 @_check("persona.linearization_residual_is_second_order", 80, 1.9, ">=",
         "min log-log slope of the linearization residual (quadratic "
         "decay means slope about 2)", (3, 9), (2, 6))
 def _residual_slope(run: _Run):
-    worst = np.inf
-    for i in range(run.samples):
-        for attempt in range(50):
-            rng = run.rng(i, attempt)
-            decomp = random_decomposition(rng, *run.size(rng))
-            d = rng.standard_normal(decomp.n)
-            d -= d.mean()
-            predicted, residual_norm_fn = persona.first_order_delta_l(
-                persona.centered_profiles(decomp), d
-            )
-            if norm_p(decomp.parent, predicted.f) > 1e-8:
-                break
-        t1, t2 = 1e-2, 1e-3
-        r1, r2 = residual_norm_fn(t1), residual_norm_fn(t2)
-        slope = (np.log(r1) - np.log(r2)) / (np.log(t1) - np.log(t2))
-        worst = min(worst, slope)
-    return worst
+    def draw(rngs, m, n):
+        """Each stream's parent and predicted deviation; a prediction of norm
+        at most 1e-8 redraws."""
+        p, V = _persona_group(rngs, m, n)
+        d = _draws(rngs, lambda r: r.standard_normal(n))
+        predicted = persona._combine(d - d.mean(axis=-1, keepdims=True), V)
+        return (p, predicted), persona._norm(p, predicted) > 1e-8
+
+    def slope(p, predicted):
+        r1, r2 = persona._residual(p, predicted, 1e-2), persona._residual(p, predicted, 1e-3)
+        return (np.log(r1) - np.log(r2)) / (np.log(1e-2) - np.log(1e-3))
+
+    return min(float(slope(*rows).min()) for rows in run.retried(draw))
 
 
 @_check("persona.compensation_inequality_slack", 80, -1e-9, ">=",
         "min slack of the compensation inequality over random "
         "small zero-sum weight changes", (3, 9), (2, 6))
 def _compensation_slack(run: _Run):
-    return min(
-        persona.random_compensation_report(lambda k: run.rng(i, k), run.size, 1e-3).slack
-        for i in range(run.samples)
-    )
+    def slack(agents, beta, d):
+        logs, h = np.log(agents), d.argmax(axis=-1)
+        p, delta = _log_pool(logs, beta)[0], d[np.arange(len(d)), h]
+        return persona._compensation(p, logs, beta, d, h, delta, None)["slack"]
+
+    draws = run.retried(lambda rngs, m, n: constructions.random_weight_change(rngs, m, n, 1e-3))
+    return min(float(slack(*rows).min()) for rows in draws)
 
 
 @_check("persona.counteragent_weight_forced_up", 0, 0.0, ">",
@@ -642,12 +659,8 @@ def _counteragent_bound(run: _Run):
     decomp, h_index, dbeta = constructions.single_counteragent_instance(delta=0.02)
     rep = persona.compensation_bound(decomp, h_index, 0.02, epsilon=0.005, dbeta=dbeta)
     bound = rep.counter_lower_bound if rep.counter_lower_bound is not None else -1.0
-    ok = (
-        rep.single_anti_aligned
-        and rep.aligned_not_downgraded
-        and float(dbeta[rep.counter_index]) >= bound - 1e-12
-    )
-    return bound, ok, 1
+    ok = rep.single_anti_aligned and rep.aligned_not_downgraded
+    return bound, ok and float(dbeta[rep.counter_index]) >= bound - 1e-12, 1
 
 
 @_check("persona.suppression_never_beaten", 40, 1e-9, "<=",
@@ -656,27 +669,23 @@ def _counteragent_bound(run: _Run):
 def _suppression_optimal(run: _Run):
     worst = -np.inf
     budget = 0.05
-    directions = 2000
-    for rng in run.rngs():
-        decomp = random_decomposition(rng, *run.size(rng))
-        profiles = persona.centered_profiles(decomp)
-        m = decomp.space.size
-        event = tuple(constructions.random_event(rng, m))
-        plan = persona.optimal_suppression(profiles, event, budget)
-        exact, linear = persona.event_first_order(decomp.parent, event, plan.delta_l)
-        worst = max(worst, abs(linear + plan.achieved))
-        v_mat = np.stack([prof.v for prof in profiles])
-        coeffs = rng.standard_normal((directions, len(profiles)))
-        cand = coeffs @ v_mat
-        p = decomp.parent.p
-        norms2 = (cand**2 * p).sum(axis=1)
+    for (m, n), rngs, _ in run.groups():
+        p, V = _persona_group(rngs, m, n)
+        events = [np.sort(constructions.random_event(rng, m)) for rng in rngs]
+        g = persona._event_direction(p, events)
+        delta_l, achieved, _, _ = persona._suppression(p, V, g, budget)
+        linear = persona._event_change(p, events, delta_l)[1]
+        worst = _worst(worst, np.abs(linear + achieved))
+        # 2000 random in-span directions scaled to the budget, each stream's
+        # standard normal coefficients drawn after its event
+        cand = _draws(rngs, lambda r: r.standard_normal((2000, n))) @ V
+        norms2 = (cand**2 * p[:, None]).sum(axis=-1)
         keep = norms2 > 1e-20
-        cand = cand[keep] * (budget / np.sqrt(norms2[keep]))[:, None]
-        g = np.zeros(m)
-        g[list(event_indices(decomp.space, event))] = 1.0
-        g -= g @ p
-        reductions = -(cand * g * p).sum(axis=1)
-        worst = max(worst, float(reductions.max()) - plan.achieved)
+        cand = cand * (budget / np.sqrt(np.where(keep, norms2, 1.0)))[..., None]
+        ind = (g > 0.0) * 1.0  # the event's indicator: g is 1 - P(event) on it, -P(event) off it
+        g = ind - np.matmul(ind[:, None], p[..., None])[:, 0]
+        reductions = -(cand * g[:, None] * p[:, None]).sum(axis=-1)
+        worst = _worst(worst, np.where(keep, reductions, -np.inf).max(axis=-1) - achieved)
     return worst
 
 
@@ -685,19 +694,16 @@ def _suppression_optimal(run: _Run):
         "projection norms; re-adding a spanned profile gains nothing", (3, 9), (2, 6))
 def _projection_gain(run: _Run):
     worst = 0.0
-    for rng in run.rngs():
-        decomp = random_decomposition(rng, *run.size(rng))
-        profiles = persona.centered_profiles(decomp)
-        m = decomp.space.size
-        raw = rng.standard_normal(m)
-        w = persona.LogProfile(decomp.parent, raw - expect(decomp.parent, raw))
-        event = tuple(constructions.random_event(rng, m))
-        rep = persona.projection_gain(profiles, w, event, epsilon=0.05)
-        worst = max(worst, abs(rep.sq_enlarged_direct - rep.sq_enlarged_pythagoras))
-        if rep.gain < -1e-12:
-            worst = max(worst, 1.0)
-        member = persona.projection_gain(profiles, profiles[0], event, epsilon=0.05)
-        if not member.w_in_span or member.gain != 0.0:
+    for (m, n), rngs, _ in run.groups():
+        p, V = _persona_group(rngs, m, n)
+        raw = _draws(rngs, lambda r: r.standard_normal(m))
+        events = [np.sort(constructions.random_event(rng, m)) for rng in rngs]
+        g = persona._event_direction(p, events)
+        w = raw - (p * raw).sum(axis=-1, keepdims=True)
+        rep = persona._projection_gain(p, V, w, g, 0.05)
+        member = persona._projection_gain(p, V, V[:, 0], g, 0.05)
+        worst = _worst(worst, np.abs(rep["sq_enlarged_direct"] - rep["sq_enlarged_pythagoras"]))
+        if (rep["gain"] < -1e-12).any() or not member["w_in_span"].all() or member["gain"].any():
             worst = max(worst, 1.0)
     return worst
 
@@ -707,12 +713,12 @@ def _projection_gain(run: _Run):
         "at most 0.01", (2, 13))
 def _kl_budget(run: _Run):
     worst = 0.0
-    for rng in run.rngs():
-        p = random_dist(rng, OutcomeSpace(*run.size(rng)))
-        raw = rng.standard_normal(p.space.size)
-        scale = float(rng.uniform(0.1, 1.0)) * 0.01
-        current = norm_p(p, raw - expect(p, raw))
-        delta_l = ScoreFn(p.space, raw * (scale / max(current, 1e-12)))
-        kl_value, half_var = persona.kl_budget(p, delta_l)
-        worst = max(worst, abs(kl_value / half_var - 1.0))
+    for (m,), rngs, _ in run.groups():
+        p = random_probs(rngs, m)
+        raw = _draws(rngs, lambda r: r.standard_normal(m))
+        scale = _draws(rngs, lambda r: r.uniform(0.1, 1.0)) * 0.01
+        current = persona._norm(p, raw - (p * raw).sum(axis=-1, keepdims=True))
+        delta_l = raw * (scale / np.maximum(current, 1e-12))[:, None]
+        kl_value, half_var = persona._kl_budget(p, delta_l)
+        worst = _worst(worst, np.abs(kl_value / half_var - 1.0))
     return worst

@@ -2,7 +2,8 @@
 their ``__all__``, each listed function or class is defined where it is
 listed, every export is used by the package itself or listed in the README's
 "Public helpers" table, every listed name exists, every default a public
-function offers is set by some caller, and the version has one value."""
+function offers is set by some caller, the version has one value, and the
+math modules import no seeded instance generator."""
 
 import ast
 import importlib
@@ -94,6 +95,26 @@ def test_every_module_all_entry_resolves():
         listed = getattr(module, "__all__", ())
         missing += [f"{name}.{attr}" for attr in listed if not hasattr(module, attr)]
     assert missing == []
+
+
+#: The library's math modules: seeded draws live in ``constructions``, and
+#: only ``suites`` and ``cli`` (and the tests) call them.
+MATH_MODULES = ("core", "pooling", "welfare", "factorize", "stability", "persona", "jsonio")
+
+
+def test_no_math_module_imports_the_instance_generators():
+    """A seeded generator inside a math module (``persona`` once held one,
+    taking a stream factory and a size callable) would put a second copy of
+    an instance family beside the one in ``constructions``."""
+    importers = []
+    for name in MATH_MODULES:
+        for node in ast.walk(ast.parse((ROOT / "src" / "logpool" / f"{name}.py").read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                (node.module or "").split(".")[-1] == "constructions"
+                or any(a.name == "constructions" for a in node.names)
+            ):
+                importers.append(name)
+    assert importers == []
 
 
 def _public_functions() -> dict[str, inspect.Signature]:

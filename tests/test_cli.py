@@ -538,6 +538,18 @@ def test_fewer_than_two_agents_is_a_usage_error(tmp_path, capsys, analysis, agen
     assert not list(tmp_path.glob("x.*"))
 
 
+@pytest.mark.parametrize("outcomes", [-3, 0, 1])
+def test_fewer_than_two_compensation_outcomes_is_a_usage_error(tmp_path, capsys, outcomes):
+    """An outcome space needs two outcomes; such a count used to exit 1 from
+    the OutcomeSpace check ("outcome space needs size >= 2")."""
+    cfg = tmp_path / "config.json"
+    change = {"analyses": ["compensation"], "compensation": {"outcomes": outcomes}}
+    cfg.write_text(json.dumps({**CONFIG, **change}))
+    assert main(["experiment", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert '"compensation.outcomes" must be at least 2' in capsys.readouterr().err
+    assert not list(tmp_path.glob("x.*"))
+
+
 def test_openness_that_probes_down_to_its_floor_names_the_limit(tmp_path, capsys):
     """At n = 9 the parent's smallest mass (2.2e-7) is below every radius the
     bisection tries, so no target fits the tv ball; the error says so instead

@@ -3,7 +3,7 @@ inner products, events, and the seeded generator tree."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _oracles
@@ -605,12 +605,15 @@ _SPOILERS = (np.nan, np.inf, -np.inf, 0.0, -1e-3, 2e-12, -2e-12, 5e-13)
     st.integers(2, 9),
     st.lists(st.tuples(st.sampled_from(_SPOILERS), st.integers(0, 10**6)), max_size=3),
 )
+@example(seed=0, count=0, m=2, spoils=[(np.inf, 0), (-np.inf, 1), (0.0, 0)])
 def test_validators_accept_exactly_what_their_full_checks_accept(seed, count, m, spoils):
     """The cheap accept path (min and sums) of require_prob_rows and
     require_weight_rows lets through exactly the rows every check passes:
     NaN, infinities, zeros, negatives and sums off by 2e-12 are caught with
     the error type of the first failing check; a 5e-13 shift is accepted.
-    ``count`` 0 is one unbatched row."""
+    ``count`` 0 is one unbatched row.  A zero or negative spoil keeps its
+    row's sum by shifting the difference onto the next entry, unless either
+    entry is already non-finite (inf - inf would make a NaN of the shift)."""
     rng = rng_from(seed)
     shape = (m,) if count == 0 else (count, m)
     for rows, validate, weights in (
@@ -623,8 +626,10 @@ def test_validators_accept_exactly_what_their_full_checks_accept(seed, count, m,
             if 0.0 < abs(spoil) < 1e-11:  # a shift of the row's sum
                 view[row, col] += spoil
             else:
-                if np.isfinite(spoil):  # a zero or negative entry: the sum stays 1
-                    view[row, (col + 1) % m] += view[row, col] - spoil
+                # a zero or negative entry: the sum stays 1
+                nxt = (col + 1) % m
+                if np.isfinite([spoil, view[row, col], view[row, nxt]]).all():
+                    view[row, nxt] += view[row, col] - spoil
                 view[row, col] = spoil
         try:
             validate(rows)

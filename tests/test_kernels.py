@@ -1,6 +1,6 @@
-"""The stacked factorization, split and tilt kernels against the object API:
-every row of a kernel call equals the one-instance public call bit for bit,
-retries and errors included."""
+"""The stacked factorization, split, tilt and persona kernels against the
+object API: every row of a kernel call equals the one-instance public call bit
+for bit, retries and errors included."""
 
 import numpy as np
 import pytest
@@ -8,21 +8,29 @@ import pytest
 from logpool import (
     Dist,
     DistinctnessFailure,
+    LogProfile,
     OutcomeSpace,
     ScoreFn,
     TiltsNotCentered,
     Weights,
+    centered_profiles,
+    compensation_bound,
+    event_first_order,
     factor_pairwise_distinct,
     factor_with_fixed,
+    first_order_delta_l,
+    kl_budget,
     local_unanimity_audit,
     make_decomposition,
+    optimal_suppression,
+    projection_gain,
     rng_from,
     split_invariance_check,
     tilt_gap_derivative,
     tilt_gap_fd,
 )
-from logpool import factorize, stability
-from logpool.constructions import random_beta, random_probs
+from logpool import factorize, persona, stability
+from logpool.constructions import random_beta, random_event, random_probs, random_weight_change
 
 B, M, N = 12, 5, 4
 SPACE = OutcomeSpace(M)
@@ -128,3 +136,98 @@ def test_audit_rows_are_the_public_audits_and_name_an_unbalanced_row():
     tilts[3, 0] += 1.0
     with pytest.raises(TiltsNotCentered, match="in row 3"):
         stability._audit(parents, tilts, betas)
+
+
+def _persona_rows(seed: int, m: int, n: int = 4):
+    """B random decompositions on m outcomes as objects and as rows: parents
+    (B, m), child logs (B, n, m), weights (B, n) and weight changes d (B, n)
+    that amplify argmax d; plus one sorted event per row."""
+    streams = [rng_from(seed, b) for b in range(B)]
+    (agents, beta, d), usable = random_weight_change(streams, m, n, 1e-3)
+    assert usable.all()
+    space = OutcomeSpace(m)
+    decomps = [
+        make_decomposition([Dist(space, a) for a in agents[b]], Weights(beta[b])) for b in range(B)
+    ]
+    rng = rng_from(seed)
+    events = [np.sort(random_event(rng, m)) for _ in range(B)]
+    p = np.stack([decomp.parent.p for decomp in decomps])
+    return decomps, p, np.log(agents), beta, d, events
+
+
+@pytest.mark.parametrize("m", [5, 8, 13])
+def test_profile_and_compensation_rows_are_the_public_calls(m):
+    decomps, p, logs, beta, d, _ = _persona_rows(708 + m, m)
+    V = persona._centered(p, logs)
+    predicted = persona._combine(d, V)
+    h = d.argmax(axis=-1)
+    rows = persona._compensation(p, logs, beta, d, h, d[np.arange(B), h], None)
+    for b, decomp in enumerate(decomps):
+        profiles = centered_profiles(decomp)
+        assert np.array_equal(V[b], [prof.v for prof in profiles]), b
+        one, residual_norm_fn = first_order_delta_l(profiles, d[b])
+        assert np.array_equal(predicted[b], one.f), b
+        assert persona._residual(p, predicted, 1e-2)[b] == residual_norm_fn(1e-2), b
+        rep = compensation_bound(decomp, int(h[b]), float(d[b, h[b]]), None, d[b])
+        assert np.array_equal(rows["inner_products"][b], rep.inner_products), b
+        assert tuple(np.flatnonzero(rows["anti"][b])) == rep.anti_indices, b
+        for key in ("budget", "target_norm", "residual_norm", "delta_l_norm", "lhs", "rhs", "slack"):
+            assert rows[key][b] == getattr(rep, key), (b, key)
+
+
+@pytest.mark.parametrize("m", [5, 8, 13])
+def test_span_kernel_rows_are_the_public_span_calls(m):
+    """Suppression, its event change, projection gain (a new direction, and a
+    spanned one whose enlarged basis drops a direction) and the KL budget."""
+    decomps, p, logs, _, _, events = _persona_rows(730 + m, m, 3)
+    rng = rng_from(731, m)
+    V = persona._centered(p, logs)
+    g = persona._event_direction(p, events)
+    raw = rng.standard_normal((B, m))
+    w = raw - (p * raw).sum(axis=-1, keepdims=True)
+    delta_l, achieved, proj_norm, dim = persona._suppression(p, V, g, 0.05)
+    exact, linear = persona._event_change(p, events, delta_l)
+    gains = [persona._projection_gain(p, V, x, g, 0.05) for x in (w, V[:, 0])]
+    tilt = 0.01 * rng.standard_normal((B, m))
+    kl_value, half_var = persona._kl_budget(p, tilt)
+    for b, decomp in enumerate(decomps):
+        profiles, event, base = centered_profiles(decomp), events[b], decomp.parent
+        plan = optimal_suppression(profiles, event, 0.05)
+        assert np.array_equal(delta_l[b], plan.delta_l.f), b
+        assert (achieved[b], proj_norm[b], dim[b]) == (
+            plan.achieved, plan.projection_norm, plan.span_dim
+        ), b
+        assert (exact[b], linear[b]) == event_first_order(base, event, plan.delta_l), b
+        for rows, x in zip(gains, (LogProfile(base, w[b]), profiles[0])):
+            rep = projection_gain(profiles, x, event, 0.05)
+            assert {key: value[b] for key, value in rows.items()} == {
+                key: getattr(rep, key) for key in rows
+            }, b
+        assert (kl_value[b], half_var[b]) == kl_budget(base, ScoreFn(base.space, tilt[b])), b
+    assert not gains[0]["w_in_span"].any() and gains[1]["w_in_span"].all()
+    assert (gains[0]["enlarged_dim"] == 4).all() and (gains[1]["enlarged_dim"] == 3).all()
+
+
+@pytest.mark.parametrize("m", [5, 8, 13])
+def test_span_rows_keep_the_one_instance_arithmetic(m):
+    """The basis, projection and event direction of each row equal the
+    one-instance arithmetic spelled out on 1-D arrays: one SVD of the row's
+    matrix with its kept columns transposed, a projection summed row by row
+    from zero, an event mass summed over the event alone.  A basis stored
+    with strided rows, a masked event sum or a matrix product in place of
+    the row-by-row sum each moves some of these bits at m >= 8."""
+    decomps, p, logs, _, _, events = _persona_rows(750 + m, m)
+    V = persona._centered(p, logs)
+    g = persona._event_direction(p, events)
+    basis, dim = persona._p_orthonormal_basis(p, V)
+    proj = persona._project(p, basis, g)
+    for b in range(B):
+        root = np.sqrt(p[b])
+        u, s, _ = np.linalg.svd((V[b] * root).T, full_matrices=False)
+        keep = s * s > max(persona.PIVOT_REL_TOL * s.max() ** 2, persona.ZERO_PIVOT_ABS)
+        one = u[:, keep].T / root
+        direction = -p[b][events[b]].sum() + np.isin(np.arange(m), events[b])
+        assert np.array_equal(g[b], direction), b
+        assert dim[b] == len(one) and np.array_equal(basis[b, : dim[b]], one), b
+        coef = (p[b] * g[b] * one).sum(axis=-1)
+        assert np.array_equal(proj[b], sum(coef[:, None] * one, np.zeros(m))), b

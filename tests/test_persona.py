@@ -45,7 +45,8 @@ from logpool import (
     tv,
     uniform,
 )
-from logpool.persona import _p_orthonormal_basis, _project, random_compensation_report
+from logpool.constructions import random_weight_change
+from logpool.persona import _p_orthonormal_basis, _project
 from logpool.suites import run_suite
 
 
@@ -245,36 +246,52 @@ def test_compensation_bound_error_paths():
         compensation_bound(decomp, h, float(bad[h]), eps, bad)
     with pytest.raises(BudgetViolated):
         compensation_bound(decomp, h, float(d[h]), 1e-15, d)
+    # an explicit budget that is not positive and finite used to give a NaN
+    # (or infinite) budget, rhs and slack
+    for budget in (np.nan, np.inf, 0.0):
+        with pytest.raises(ParamOutOfRange, match="positive and finite"):
+            compensation_bound(decomp, h, float(d[h]), budget, d)
 
 
-def test_random_compensation_report_re_pools_once(monkeypatch):
-    """One log_pool builds the decomposition and one re-pools ``beta + d``
-    for both the budget and the bound (a third re-pool used to repeat it);
-    the report is the one ``compensation_bound`` gives at that budget."""
-    from logpool import persona, pooling
+def test_a_random_weight_change_report_re_pools_once(monkeypatch):
+    """The report on a random_weight_change draw re-pools ``beta + d`` once,
+    for both its budget and its bound; the draw is the one
+    random_decomposition makes from the same stream, followed by d."""
+    from logpool import persona
 
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return log_pool(*args)
-
-    monkeypatch.setattr(pooling, "log_pool", counted)
-    monkeypatch.setattr(persona, "log_pool", counted)
-    rep = random_compensation_report(lambda k: rng_from(711, k), lambda rng: (5, 3), 1e-3)
-    assert len(calls) == 2
-    monkeypatch.undo()
-
+    (agents, beta, d), usable = random_weight_change(rng_from(711, 0), 5, 3, 1e-3)
     rng = rng_from(711, 0)
     decomp = random_decomposition(rng, 5, 3)
-    d = rng.standard_normal(3)
-    d -= d.mean()
-    d *= 1e-3 / float(np.abs(d).max())
+    raw = rng.standard_normal(3)
+    assert usable and np.array_equal(agents, [c.p for c in decomp.children])
+    assert np.array_equal(beta, decomp.weights.beta)
+    assert np.array_equal(d, (raw - raw.mean()) * (1e-3 / np.abs(raw - raw.mean()).max()))
+    calls, pool = [], persona.log_pool_arrays
+
+    def counted(logs, beta):
+        calls.append(beta)
+        return pool(logs, beta)
+
+    monkeypatch.setattr(persona, "log_pool_arrays", counted)
     h = int(d.argmax())
-    again = compensation_bound(decomp, h, float(d[h]), rep.budget, d)
-    assert (rep.h_index, rep.lhs, rep.rhs, rep.slack, rep.delta_l_norm) == (
-        again.h_index, again.lhs, again.rhs, again.slack, again.delta_l_norm
-    )
+    rep = compensation_bound(decomp, h, float(d[h]), None, d)
+    assert len(calls) == 1 and np.array_equal(calls[0], decomp.weights.beta + d)
+    assert rep.budget == rep.delta_l_norm * 1.25 + 1e-9 and rep.slack >= -1e-9
+
+
+@pytest.mark.parametrize("scale", [1e-3, 0.3, 0.9])
+def test_random_weight_change_stacks_and_flags_unusable_rows(scale):
+    """A list of streams gives each stream's own draw; a change is usable
+    when its largest entry is positive and every weight stays positive."""
+    seeds = range(40)
+    (agents, beta, d), usable = random_weight_change([rng_from(s) for s in seeds], 4, 3, scale)
+    for b, s in enumerate(seeds):
+        (a1, b1, d1), u1 = random_weight_change(rng_from(s), 4, 3, scale)
+        assert np.array_equal(agents[b], a1) and np.array_equal(beta[b], b1)
+        assert np.array_equal(d[b], d1) and usable[b] == u1
+        assert abs(d1.sum()) <= 1e-12 and np.abs(d1).max() == pytest.approx(scale, rel=1e-15)
+        assert u1 == ((b1 + d1 > 0).all() and d1.max() > 0)
+    assert usable.all() if scale == 1e-3 else not usable.all()
 
 
 def test_engineered_counteragent_forces_the_weight_up():
@@ -467,14 +484,16 @@ def _span_cases():
 
 
 def test_span_basis_is_orthonormal_spans_its_rows_and_has_their_rank():
+    """A basis keeps its rank's leading rows; the dropped rows are zero."""
     for base, rows, dim in _span_cases():
-        basis = _p_orthonormal_basis(base, rows)
-        assert basis.shape == (dim, rows.shape[-1])
-        gram = (base.p * basis) @ basis.T
+        basis, rank = _p_orthonormal_basis(base.p, rows)
+        assert rank == dim and basis.shape == (min(rows.shape), rows.shape[-1])
+        assert basis.flags.c_contiguous and not basis[dim:].any()
+        gram = (base.p * basis[:dim]) @ basis[:dim].T
         assert np.abs(gram - np.eye(dim)).max(initial=0.0) <= 1e-12
         if dim:
             for row in rows:
-                residual = row - _project(base, basis, row)
+                residual = row - _project(base.p, basis, row)
                 assert norm_p(base, residual) <= 1e-10 * norm_p(base, row)
 
 

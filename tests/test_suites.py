@@ -3,6 +3,7 @@
 
 import sys
 
+import numpy as np
 import pytest
 
 from logpool import ParamOutOfRange, UnknownSuite
@@ -94,10 +95,13 @@ def test_run_suite_rejects_an_unknown_suite():
 #: each threshold it finds (the cyclic catalog and the grid walk build none).
 #: ``rng_from`` counts the scalar stream constructions: a check builds its
 #: instances' streams in one batch, attempt-0 streams of retry loops
-#: included, so the calls left are the retries themselves (the persona
-#: checks, the tilt check's redraws below a derivative of 1e-3, and the
-#: factorization retries, none at seed 42).  ``normalize_rows`` counts
+#: included, so the calls left are the retries themselves (the tilt check's
+#: redraws below a derivative of 1e-3, and the factorization and persona
+#: retries, none at seed 42).  ``normalize_rows`` counts
 #: normalizations: a shape group's generator call normalizes its draws once.
+#: ``persona`` draws its instances as rows, with no ``random_decomposition``,
+#: and solves its span bases with one stacked ``np.linalg.svd`` (``svd``) per
+#: shape group and basis; its ``Dist``s are the engineered counteragent's.
 BATCHING_BOUNDS = {
     # suite: {counter: (count before batching, bound now)}
     "pools": {
@@ -114,14 +118,17 @@ BATCHING_BOUNDS = {
         "Dist": (3328, 100), "gap_terms": (534, 60), "rng_from": (373, 10),
         "normalize_rows": (471, 120),
     },
-    "persona": {"rng_from": (480, 170)},
+    "persona": {
+        "Dist": (1766, 10), "random_decomposition": (280, 0), "svd": (249, 120),
+        "rng_from": (480, 10),
+    },
 }
 
 
 @pytest.mark.parametrize("suite", sorted(BATCHING_BOUNDS))
 def test_batched_suites_build_few_objects_and_call_each_kernel_per_group(suite, monkeypatch):
     import logpool
-    from logpool import core, pooling, welfare
+    from logpool import constructions, core, pooling, welfare
 
     counts = dict.fromkeys(BATCHING_BOUNDS[suite], 0)
 
@@ -139,6 +146,7 @@ def test_batched_suites_build_few_objects_and_call_each_kernel_per_group(suite, 
         "gap_terms": welfare.gap_terms,
         "rng_from": core.rng_from,
         "normalize_rows": core.normalize_rows,
+        "random_decomposition": constructions.random_decomposition,
     }
     for name, fn in kernels.items():
         if name in counts:
@@ -146,6 +154,8 @@ def test_batched_suites_build_few_objects_and_call_each_kernel_per_group(suite, 
             for module in modules:
                 if getattr(module, name, None) is fn:
                     monkeypatch.setattr(module, name, counted(name, fn))
+    if "svd" in counts:
+        monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
     run_suite(suite, 42)
     for name, (before, bound) in BATCHING_BOUNDS[suite].items():
         assert counts[name] <= bound, (name, counts[name], before)
