@@ -11,6 +11,11 @@ float64 arrays are formatted in NumPy with long-double rounding; the few
 floats it cannot certify (all of them where long double is a plain double)
 go through ``format(x, ".17g")``, so the bytes are the same either way.
 
+Parsing gives exactly what ``json.loads`` gives: the same objects, the same
+float bits and the same error text.  orjson parses; the stdlib reads again
+only the documents orjson rejects or may read differently (see
+:func:`loads`).
+
 Deserialization never repairs data.  A distribution parsed from JSON goes
 straight through the :class:`~logpool.core.Dist` constructor, so an entry
 that is zero, negative, or off-normalization raises the same errors a
@@ -208,10 +213,73 @@ def dumps_canonical(obj: Any) -> str:
     return "".join(chunks)
 
 
+#: orjson reads an integer outside [-2**63, 2**64) as a float, where ``json``
+#: keeps the int; a float at least this large may be such an integer.
+_WIDE = 2.0**63
+
+#: orjson 3.8.3 parses nesting by native recursion with no depth limit, and
+#: overflows the C stack (a segfault) near 150,000 levels on an 8 MB stack
+#: and 20,000 on a 256 kB one.  A text with at most this many ``[`` and
+#: ``{`` nests no deeper; any other goes to ``json``, which raises
+#: ``RecursionError`` near ``sys.getrecursionlimit()`` levels.
+_MAX_OPENERS = 1024
+
+
+def _openers(text: str) -> int:
+    """How many ``[`` and ``{`` ``text`` holds, a bound on its depth.  UTF-8
+    writes every other character with bytes above 0x7f; NumPy counts ~3x
+    faster than ``str.count``."""
+    raw = np.frombuffer(text.encode("utf-8", "surrogatepass"), np.uint8)
+    return int(np.count_nonzero(raw == ord("[")) + np.count_nonzero(raw == ord("{")))
+
+
+def _holds_wide_float(obj: Any) -> bool:
+    """True if ``obj`` holds a float of magnitude at least ``_WIDE``.  Walks
+    with a stack, not recursion: documents ``_MAX_OPENERS`` deep reach it."""
+    stack = [[obj]]
+    while stack:
+        items = stack.pop()
+        if items and type(items[0]) in (float, int):
+            try:  # two passes in C; a number compared with anything else raises
+                if max(items) >= _WIDE or min(items) <= -_WIDE:
+                    return True
+                continue
+            except TypeError:
+                pass
+        for x in items:
+            if type(x) is float and abs(x) >= _WIDE:
+                return True
+            if type(x) is list:
+                stack.append(x)
+            elif type(x) is dict:
+                stack.append(list(x.values()))
+    return False
+
+
 def loads(text: str) -> Any:
+    """Parse a JSON document into what ``json.loads`` returns, float bits
+    included, or raise :class:`ParseError` with its message.
+
+    orjson parses a text with at most ``_MAX_OPENERS`` brackets and braces.
+    ``json`` reads every other text, each one orjson rejects (NaN and
+    infinities, lone surrogates, malformed text), and each one it may read
+    differently (an integer beyond 64 bits), so the result or the error is
+    always the stdlib's.  A document too deep or an integer too long for the
+    stdlib is a :class:`ParseError` too."""
+    # Imported here: orjson imports zoneinfo (~8 ms), and ``verify`` reads no JSON.
+    import orjson
+
+    if _openers(text) <= _MAX_OPENERS:
+        try:
+            obj = orjson.loads(text)
+        except orjson.JSONDecodeError:
+            pass
+        else:
+            if not _holds_wide_float(obj):
+                return obj
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
 
 
@@ -225,6 +293,13 @@ def _array_of(values: Any, *kinds: type) -> bool:
     return isinstance(values, (list, tuple)) and all(
         issubclass(t, kinds) and not issubclass(t, bool) for t in set(map(type, values))
     )
+
+
+def _float_array(values: list, what: str) -> np.ndarray:
+    try:
+        return np.asarray(values, dtype=float)
+    except OverflowError as exc:
+        raise ParseError(f"an entry of {what} is too large for a float") from exc
 
 
 def dist_to_json(dist: Dist) -> dict:
@@ -254,7 +329,7 @@ def dist_from_json(obj: Any, space: OutcomeSpace | None = None) -> Dist:
             raise ParseError("labels do not match the expected outcome space")
     else:
         space = OutcomeSpace(len(p), labels)
-    return Dist(space, np.asarray(p, dtype=float))
+    return Dist(space, _float_array(p, '"p"'))
 
 
 def weights_from_json(obj: Any) -> Weights:
@@ -263,7 +338,7 @@ def weights_from_json(obj: Any) -> Weights:
         obj = obj.get("beta")
     if not _array_of(obj, int, float):
         raise ParseError('weights are {"beta": [...]} or a bare array of numbers')
-    return Weights(np.asarray(obj, dtype=float))
+    return Weights(_float_array(obj, "the weights"))
 
 
 def decomposition_to_json(decomp: Decomposition) -> dict:

@@ -2,13 +2,15 @@
 their ``__all__``, each listed function or class is defined where it is
 listed, every export is used by the package itself or listed in the README's
 "Public helpers" table, every listed name exists, every default a public
-function offers is set by some caller, the version has one value, and the
-math modules import no seeded instance generator."""
+function offers is set by some caller, the version has one value, the
+math modules import no seeded instance generator, and the third-party
+modules imported are the declared dependencies."""
 
 import ast
 import importlib
 import inspect
 import re
+import sys
 from pathlib import Path
 
 import logpool
@@ -51,6 +53,33 @@ def test_the_version_in_pyproject_is_the_package_version():
     with a regex, as Python 3.10 has no ``tomllib``."""
     project = (ROOT / "pyproject.toml").read_text().split("[project]\n", 1)[1].split("\n[", 1)[0]
     assert re.search(r'^version = "([^"]*)"$', project, re.MULTILINE)[1] == logpool.__version__
+
+
+def _imports_in_src() -> dict[str, set[str]]:
+    """For each module of the package, the top-level names of the modules it
+    imports, at any nesting; relative imports do not count."""
+    imports = {}
+    for path in sorted((ROOT / "src" / "logpool").glob("*.py")):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+        imports[path.stem] = names
+    return imports
+
+
+def test_the_runtime_dependencies_are_what_pyproject_lists():
+    """Every third-party module ``src/`` imports is a declared dependency and
+    every declared dependency is imported; only ``jsonio`` parses JSON."""
+    project = (ROOT / "pyproject.toml").read_text().split("[project]\n", 1)[1].split("\n[", 1)[0]
+    listed = re.search(r"^dependencies = \[(.*?)^\]", project, re.MULTILINE | re.DOTALL)[1]
+    declared = set(re.findall(r'^\s*"([A-Za-z0-9_]+)', listed, re.MULTILINE))
+    imports = _imports_in_src()
+    third_party = set().union(*imports.values()) - set(sys.stdlib_module_names) - {"logpool"}
+    assert third_party == declared
+    assert [name for name, used in imports.items() if used & {"json", "orjson"}] == ["jsonio"]
 
 
 def _names_used_in_src() -> set[str]:

@@ -215,6 +215,34 @@ def test_malformed_json_is_a_parse_error(tmp_path):
     assert main(["pool", str(path)]) == 2
 
 
+@pytest.mark.parametrize("command", ["pool", "gap", "factor", "experiment"])
+def test_an_input_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, command):
+    """It used to end the run in a ``UnicodeDecodeError`` traceback."""
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps(FAMILY).encode()[:-1] + b', "note": "\xff"}')
+    assert main([command, str(path)]) == 2
+    assert f"error: cannot read {path} as UTF-8: " in capsys.readouterr().err
+
+
+def test_a_document_nested_too_deep_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text('{"agents": ' + "[" * 3000 + "]" * 3000 + ', "weights": [1]}')
+    assert_usage_error(capsys, ["pool", str(path)])
+
+
+@pytest.mark.parametrize("where", ["p", "weights"])
+def test_an_integer_entry_too_large_for_a_float_is_a_parse_error(tmp_path, capsys, where):
+    family = json.loads(json.dumps(FAMILY))
+    huge = 10**400
+    if where == "p":
+        family["agents"][1]["p"][0] = huge
+    else:
+        family["weights"]["beta"][0] = huge
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(family))
+    assert_usage_error(capsys, ["pool", str(path)])
+
+
 def test_domain_errors_exit_one(tmp_path):
     path = tmp_path / "unnormalized.json"
     path.write_text(

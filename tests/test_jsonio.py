@@ -4,6 +4,8 @@ hashing, and validated round-trips for every exchanged structure."""
 import json
 import math
 import struct
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -13,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _gen import random_decomposition, random_dist, random_strict_weights
+from _subproc import child_env
 from logpool import (
     NotAPoolWitness,
     OutcomeSpace,
@@ -300,8 +303,140 @@ def test_dumps_handles_numpy_scalars_and_arrays():
 
 
 def test_loads_rejects_malformed_documents():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as info:
         loads("{not json")
+    assert str(info.value) == (
+        "invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+    )
+
+
+def _same(got, want) -> bool:
+    """Equal in value and in type at every level, floats bit for bit (so
+    ``1.8446744073709552e19`` is not ``2**64``, nor ``-0.0`` the int 0)."""
+    if type(got) is not type(want):
+        return False
+    if isinstance(got, float):
+        return _bits.pack(got) == _bits.pack(want)
+    if isinstance(got, list):
+        return len(got) == len(want) and all(map(_same, got, want))
+    if isinstance(got, dict):
+        return list(got) == list(want) and all(_same(got[k], want[k]) for k in got)
+    return got == want
+
+
+def _assert_reads_as_json(text):
+    assert _same(loads(text), json.loads(text)), text
+
+
+@st.composite
+def _decimal_texts(draw):
+    """A JSON number of 1 to 25 digits: an integer, a fraction, or either
+    with an exponent in -345..315, in each of the spellings JSON allows."""
+    digits = draw(st.text("0123456789", min_size=1, max_size=25))
+    point = draw(st.integers(0, len(digits)))
+    text = draw(st.sampled_from(["", "-"])) + (digits[:point].lstrip("0") or "0")
+    if point < len(digits):
+        text += "." + digits[point:]
+    if draw(st.booleans()):
+        exponent = draw(st.integers(-345, 315))
+        mark = draw(st.sampled_from(["e", "E"]))
+        text += mark + ("-" if exponent < 0 else draw(st.sampled_from(["", "+"]))) + str(abs(exponent))
+    return text
+
+
+_any_double = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, -0.0, 1.7976931348623157e308]
+)
+_number_texts = st.one_of(
+    _any_double.map(repr),
+    _any_double.map(lambda x: "%.17g" % x),
+    _decimal_texts(),
+    st.integers(-(2**80), 2**80).map(str),
+    st.sampled_from([2**63 - 1, 2**63, 2**64 - 1, 2**64, -(2**63), -(2**63) - 1]).map(str),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_number_texts, min_size=1, max_size=30))
+def test_loads_reads_numbers_as_the_stdlib_does(tokens):
+    """The stdlib parser is the oracle: the same value, type and float bits,
+    for each number alone and for all of them in one array."""
+    for token in tokens:
+        _assert_reads_as_json(token)
+    _assert_reads_as_json("[" + ", ".join(tokens) + "]")
+    _assert_reads_as_json('{"agents": [{"p": [' + ",".join(tokens) + ']}], "weights": [1]}')
+
+
+def _short_id(text):
+    return ascii(text) if len(text) <= 40 else f"{text[:8]}...{len(text)}chars"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "NaN", "Infinity", "-Infinity", "[0.5, NaN, Infinity, -Infinity]",
+        "1e400", "[-1e400, 0.5]",
+        "18446744073709551616", "-9223372036854775809", '{"p": [0.5, 18446744073709551616]}',
+        "[[0.25, 1e19], -0.0, -0]",
+        '"\\ud800"', '["\ud800"]',
+        '{"a": 1, "b": 2, "a": 3}',
+        "2.2250738585072011e-308", "9007199254740993", "1e23",
+        "2.4703282292062327e-324", "2.4703282292062328e-324", "7.4109846876186982e-324",
+        "1.7976931348623158e308", "1.7976931348623159e308",
+        "[" + ", ".join(["[]"] * 1500) + "]",
+    ],
+    ids=_short_id,
+)
+def test_loads_gives_the_stdlib_result_where_orjson_differs(text):
+    """Each text orjson rejects, or would read otherwise, or that holds more
+    brackets than it may nest, and the floats hardest to round."""
+    _assert_reads_as_json(text)
+
+
+def test_a_plain_document_does_not_reach_the_stdlib_parser(monkeypatch):
+    """orjson reads it; the stdlib's parser is several times slower on float
+    arrays and is only a fallback."""
+    text = dumps({"agents": [{"labels": ["a", "b"], "p": [0.25, 0.75]}], "weights": [1, 2**63 - 1]})
+    want = json.loads(text)
+
+    def refuse(text):
+        raise AssertionError("json.loads called")
+
+    monkeypatch.setattr(json, "loads", refuse)
+    assert _same(loads(text), want)
+
+
+def test_importing_the_cli_leaves_orjson_unimported():
+    """Its import costs ~8 ms of start-up, which ``verify`` never needs."""
+    code = "import sys, logpool.cli; print('orjson' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
+    assert out.stdout == "False\n", out.stderr
+
+
+def test_duplicate_keys_keep_the_first_position_and_the_last_value():
+    assert list(loads('{"a": 1, "b": 2, "a": 3}').items()) == [("a", 3), ("b", 2)]
+
+
+def test_a_document_1000_deep_parses():
+    """The stdlib's parser overflows the recursion limit on it."""
+    obj = loads("[" * 1000 + "]" * 1000)
+    for _ in range(999):
+        (obj,) = obj
+    assert obj == []
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[" * 100_000 + "]" * 100_000,
+        '{"agents": ' + "[" * 3000 + "]" * 3000 + ', "weights": [1]}',
+        "1" * 5000,
+    ],
+    ids=_short_id,
+)
+def test_a_document_too_deep_or_an_integer_too_long_is_a_parse_error(text):
+    with pytest.raises(ParseError, match="^invalid JSON: "):
+        loads(text)
 
 
 def test_canonical_form_and_config_hash_are_order_insensitive():
@@ -340,6 +475,16 @@ def test_dist_from_json_validation():
         )
     ok = dist_from_json({"p": [0.2, 0.3, 0.5], "labels": ["o0", "o1", "o2"]}, space=space)
     assert ok.space == space
+
+
+def test_an_integer_entry_too_large_for_a_float_is_a_parse_error():
+    huge = 10**400
+    with pytest.raises(ParseError, match='"p"'):
+        dist_from_json({"p": [huge, 0.5]})
+    with pytest.raises(ParseError, match="weights"):
+        weights_from_json({"beta": [0.5, huge]})
+    with pytest.raises(ParseError, match="weights"):
+        weights_from_json([-huge, 1])
 
 
 def test_dist_from_json_does_not_renormalize():
