@@ -33,6 +33,7 @@ from .errors import (
     ConfigParse,
     IoError,
     LogPoolError,
+    NotFound,
     ParseError,
     UnknownSuite,
 )
@@ -263,11 +264,16 @@ def _analysis_compensation(config: dict, seed: int) -> tuple[list[str], list[lis
     instances = _number(params.get("instances", 25), int, "compensation.instances", 0)
     space, rows = OutcomeSpace(m), []
     for i in range(instances):
-        for attempt in range(50):  # the first usable change, else the 50th
+        for attempt in range(50):  # the first usable change
             rng = rng_from(seed, 21, i, attempt)
             (agents, beta, d), usable = constructions.random_weight_change(rng, m, n, scale)
             if usable:
                 break
+        else:
+            raise NotFound(
+                f"compensation instance {i}: none of 50 draws is a usable weight change "
+                f'(one that keeps every weight positive); lower "compensation.scale" from {scale}'
+            )
         decomp = make_decomposition([Dist(space, a) for a in agents], Weights(beta))
         h = int(d.argmax())
         rep = persona.compensation_bound(decomp, h, float(d[h]), None, d)
@@ -316,6 +322,10 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             raise ConfigParse(f"unknown analysis {name!r}; expected one of: {known}")
     raw_seed = config.get("seed", 0) if args.seed is None else args.seed
     seed = _require_seed(_number(raw_seed, int, "seed"))
+    try:  # before any analysis, so a config that cannot be hashed writes no table
+        digest = config_hash({**config, "seed": seed})
+    except RecursionError:
+        raise ConfigParse("experiment config is nested too deeply to hash") from None
 
     prefix = args.out or "experiment"
     started = time.perf_counter()
@@ -331,14 +341,12 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         thresholds[name] = used
     elapsed = time.perf_counter() - started
 
-    resolved = dict(config)
-    resolved["seed"] = seed
     manifest = {
         "schema": 1,
         "artifact": _ARTIFACT,
         "command": "experiment",
         "seed": seed,
-        "config_hash": config_hash(resolved),
+        "config_hash": digest,
         "thresholds": thresholds,
         "tables": tables,
     }

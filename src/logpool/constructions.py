@@ -40,7 +40,6 @@ from .core import (
     dist_from_log_weights,
     make_dist,
     normalize_rows,
-    require_prob_rows,
     require_weight_rows,
     _integer,
 )
@@ -135,9 +134,7 @@ def _analytic_agents(n: int, epsilon: float, weights: Weights | None) -> tuple[n
         raise DegenerateWeights(
             "a weight equal to 1 collapses the pool onto a single agent"
         )
-    agents = normalize_rows(analytic_unanimity_rows(n, epsilon))
-    require_prob_rows(agents)
-    return agents, weights
+    return normalize_rows(analytic_unanimity_rows(n, epsilon)), weights
 
 
 def analytic_unanimity_rows(n: int, epsilon) -> np.ndarray:
@@ -163,7 +160,6 @@ def find_epsilon_for_unanimity(n: int, weights: Weights | None = None) -> float:
     for eps in (e for e in EPSILON_GRID if e < 0.25):
         agents, weights = _analytic_agents(n, eps, weights)
         pooled = log_pool_arrays(np.log(agents), weights.beta)[0]
-        require_prob_rows(pooled)
         if (gap_terms(agents, pooled)[0] > UNANIMITY_TOL).all():
             return eps
     raise NotFound(
@@ -258,9 +254,7 @@ def random_probs(rng: _Streams, m: int, n: int | None = None) -> np.ndarray:
     gamma(1.5, 1) + 0.02, normalized and validated as :func:`~logpool.core.make_dist`
     does.  A list of B streams gives each stream's draw, (B, m) or (B, n, m)."""
     raw = _draws(rng, lambda r: r.gamma(1.5, 1.0, m if n is None else (n, m)))
-    p = normalize_rows(raw + 0.02)
-    require_prob_rows(p)
-    return p
+    return normalize_rows(raw + 0.02)
 
 
 def random_beta(rng: _Streams, n: int) -> np.ndarray:

@@ -309,9 +309,12 @@ def make_dist(space: OutcomeSpace, raw: Iterable[float]) -> Dist:
 
 def normalize_rows(raw: np.ndarray) -> np.ndarray:
     """Each row (last axis) of positive ``raw`` divided by its sum, twice: the
-    second pass pins the sum to 1 within float rounding.  Not validated."""
+    second pass pins the sum to 1 within float rounding.  Each row is
+    validated as :class:`Dist` validates it."""
     p = raw / raw.sum(axis=-1, keepdims=True)
-    return p / p.sum(axis=-1, keepdims=True)
+    p = p / p.sum(axis=-1, keepdims=True)
+    require_prob_rows(p)
+    return p
 
 
 def dist_from_log_weights(space: OutcomeSpace, log_w: Iterable[float]) -> Dist:
@@ -324,19 +327,21 @@ def dist_from_log_weights(space: OutcomeSpace, log_w: Iterable[float]) -> Dist:
     """
     lw = np.asarray(log_w, dtype=float).reshape(-1)
     _require_length(lw, space.size, "log-weight vector")
-    _require_finite(lw, "log-weight vector")
     return Dist(space, softmax(lw)[0])
 
 
 def softmax(log_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Max-shifted softmax over the last axis of ``log_w`` (..., m): returns
     ``p``, normalized twice to pin each row sum to 1, and each row's log-sum-exp
-    ``log_z`` (...).  Rows are not validated here."""
+    ``log_z`` (...).  A non-finite log-weight raises :class:`NonFinite`, and
+    each row of ``p`` is validated as :class:`Dist` validates it."""
+    _require_finite(log_w, "log-weight vector")
     shift = log_w.max(axis=-1, keepdims=True)
     w = np.exp(log_w - shift)
     total = w.sum(axis=-1, keepdims=True)
     p = w / total
     p = p / p.sum(axis=-1, keepdims=True)
+    require_prob_rows(p)
     return p, (shift + np.log(total))[..., 0]
 
 
@@ -356,9 +361,10 @@ def log_sum_exp(values: Iterable[float]) -> float:
         raise ParamOutOfRange("log_sum_exp needs at least one value")
     if not (arr < np.inf).all():  # NaN compares false too
         raise NonFinite("log_sum_exp values must be finite or -inf")
-    if arr.max() == -np.inf:  # all weights zero; the max shift would make nan
+    shift = arr.max()
+    if shift == -np.inf:  # all weights zero; the max shift would make nan
         return -np.inf
-    return float(softmax(arr)[1])
+    return float(shift + np.log(np.exp(arr - shift).sum()))
 
 
 def entropy(P: Dist) -> float:
@@ -398,6 +404,14 @@ def _cov(p: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
     fc = f - (p * f).sum(axis=-1, keepdims=True)
     gc = g - (p * g).sum(axis=-1, keepdims=True)
     return (p * fc * gc).sum(axis=-1)
+
+
+def _combine(coef: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sum_i coef_i * rows_i over rows (..., n, m), added up row by row as a loop would."""
+    total = np.zeros(rows.shape[:-2] + rows.shape[-1:])
+    for i in range(rows.shape[-2]):
+        total = total + coef[..., i, None] * rows[..., i, :]
+    return total
 
 
 def inner_p(P: Dist, f, g) -> float:

@@ -86,10 +86,9 @@ class DegenerateWeights(InputError):
 
 
 class NotFound(LogPoolError):
-    """An exhaustive search that is guaranteed to succeed found nothing.
-
-    Raised by grid searches whose target provably exists; seeing this error
-    indicates an implementation bug, not an unlucky input.
+    """A bounded search found nothing: a grid search whose target provably
+    exists (an implementation bug), or a search whose budget ran out on this
+    input, such as the openness bisection or the compensation draws.
     """
 
 

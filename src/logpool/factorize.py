@@ -23,14 +23,13 @@ from .core import (
     ScoreFn,
     Weights,
     dist_from_log_weights,
-    require_prob_rows,
     require_weight_rows,
     rng_from,
     softmax,
     tv,
     uniform,
+    _combine,
     _integer,
-    _require_finite,
     _tv_rows,
 )
 from .errors import (
@@ -88,22 +87,15 @@ def _balanced_children(
     g = draws - draws.mean(axis=-1, keepdims=True)
     scale = np.abs(g).max(axis=-1, keepdims=True)
     magnitude = TILT_MAGNITUDE_BASE * (1.0 + (np.array(free) + 1) / n)
-    # ones: the solved row, filled last, has a finite (unused) log until then
+    # ones: the solved row, filled last, adds log 1 = 0 to the weighted sum
     children = np.ones(beta.shape + (m,))
     children[..., :k, :] = fixed
     children[..., free, :] = softmax(magnitude[:, None] * (g / scale))[0]
-    require_prob_rows(children[..., free, :])
-    logs = np.log(children)
-    mixed = np.zeros(parent.shape)
-    for i in range(n):
-        if i != solved:
-            mixed += beta[..., i, None] * logs[..., i, :]
+    mixed = _combine(beta, np.log(children))
     b = beta[..., solved, None]
     gamma = 1.0 - b
     log_w = (np.log(parent) - gamma * (mixed / gamma)) / b
-    _require_finite(log_w, "log-weight vector")
     children[..., solved, :] = softmax(log_w)[0]
-    require_prob_rows(children[..., solved, :])
     return children
 
 
@@ -196,8 +188,8 @@ def compatible_split(child: Dist, alpha: float, g: ScoreFn) -> tuple[Dist, Dist]
         raise ParamOutOfRange("alpha must lie strictly between 0 and 1")
     if g.space != child.space:
         raise SpaceMismatch("tilt and child must share an outcome space")
-    first, second = (Dist(child.space, q) for q in _split_pieces(child.log_p, alpha, g.f))
-    return first, second
+    first, second = _split_pieces(child.log_p, alpha, g.f)
+    return Dist(child.space, first), Dist(child.space, second)
 
 
 def _split_pieces(log_child: np.ndarray, alpha, g: np.ndarray) -> np.ndarray:
@@ -206,11 +198,7 @@ def _split_pieces(log_child: np.ndarray, alpha, g: np.ndarray) -> np.ndarray:
     alpha = np.asarray(alpha)[..., None, None]
     coefficients = np.concatenate([1.0 - alpha, -alpha], axis=-2)
     log_w = log_child[..., None, :] + coefficients * g[..., None, :]
-    _require_finite(log_w, "log-weight vector")
-    pieces = softmax(log_w)[0]
-    require_prob_rows(pieces[..., 0, :])
-    require_prob_rows(pieces[..., 1, :])
-    return pieces
+    return softmax(log_w)[0]
 
 
 def _split_repool(parent, children, beta, idx, alpha, pieces) -> np.ndarray:
@@ -226,7 +214,6 @@ def _split_repool(parent, children, beta, idx, alpha, pieces) -> np.ndarray:
     np.put_along_axis(refined, idx + [0, 1], np.concatenate([alpha * b, (1.0 - alpha) * b], -1), -1)
     require_weight_rows(refined)
     repooled = log_pool_arrays(np.log(family), refined)[0]
-    require_prob_rows(repooled)
     return _tv_rows(repooled, parent)
 
 

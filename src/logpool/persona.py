@@ -31,6 +31,7 @@ import numpy as np
 from .core import (
     Dist,
     ScoreFn,
+    _combine,
     _cov,
     first_row,
     _event_array,
@@ -38,7 +39,6 @@ from .core import (
     _require_finite,
     expect,
     norm_p,
-    require_prob_rows,
     require_weight_rows,
     softmax,
 )
@@ -117,14 +117,6 @@ def _centered(p: np.ndarray, logs: np.ndarray) -> np.ndarray:
     return logs - (p[..., None, :] * logs).sum(axis=-1, keepdims=True)
 
 
-def _combine(coef: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """sum_i coef_i * rows_i over rows (..., n, m), added up row by row as a loop would."""
-    total = np.zeros(rows.shape[:-2] + rows.shape[-1:])
-    for i in range(rows.shape[-2]):
-        total = total + coef[..., i, None] * rows[..., i, :]
-    return total
-
-
 def _inner(p: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """The p-weighted inner products of rows f and g (last axis)."""
     return (p * f * g).sum(axis=-1)
@@ -185,9 +177,7 @@ def _compensation(p, logs, beta, d, h, delta, epsilon: float | None) -> dict:
     by delta; with the anti-aligned mask ``anti`` and the ``forced`` term."""
     V = _centered(p, logs)
     require_weight_rows(beta + d)
-    shifted = log_pool_arrays(logs, beta + d)[0]
-    require_prob_rows(shifted)
-    delta_l = np.log(shifted) - np.log(p)
+    delta_l = np.log(log_pool_arrays(logs, beta + d)[0]) - np.log(p)
     delta_l_norm = _norm(p, delta_l)
     budget = delta_l_norm * 1.25 + 1e-9 if epsilon is None else np.full_like(delta_l_norm, epsilon)
     over = delta_l_norm > budget * (1.0 + 1e-12)
@@ -217,7 +207,6 @@ def _compensation(p, logs, beta, d, h, delta, epsilon: float | None) -> dict:
 def _event_change(p: np.ndarray, events, delta_l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`event_first_order` for each row's event and log-deviation (..., m)."""
     shifted = softmax(np.log(p) + delta_l)[0]  # P' ∝ P·exp(delta_l)
-    require_prob_rows(shifted)
     exact = _event_mass(shifted, events) - _event_mass(p, events)
     return exact, _inner(p, delta_l, _event_direction(p, events))
 
@@ -266,7 +255,6 @@ def _projection_gain(p, rows, w, g, epsilon: float) -> dict:
 def _kl_budget(p: np.ndarray, delta_l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`kl_budget` for each row's log-deviation (..., m)."""
     shifted = softmax(np.log(p) + delta_l)[0]
-    require_prob_rows(shifted)
     return (shifted * (np.log(shifted) - np.log(p))).sum(axis=-1), 0.5 * _cov(p, delta_l, delta_l)
 
 

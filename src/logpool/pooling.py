@@ -63,8 +63,8 @@ def log_pool_arrays(logs: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.
 
     ``logs`` holds agent log-probabilities (..., n, m) and ``beta`` their
     weights (..., n).  Returns the pooled probabilities (..., m) and log Z
-    (...), Z = sum_o prod_j P_j(o)^beta_j.  Rows are not validated: wrap one
-    in a :class:`Dist` or pass a batch to :func:`~logpool.core.require_prob_rows`.
+    (...), Z = sum_o prod_j P_j(o)^beta_j.  Each pooled row is validated as
+    :class:`Dist` validates it (by :func:`~logpool.core.softmax`).
     """
     mixed = np.matmul(beta[..., None, :], logs)[..., 0, :]
     return softmax(mixed)
@@ -98,9 +98,12 @@ def linear_pool(agents: Sequence[Dist], weights: Weights) -> Dist:
 
 def linear_pool_arrays(probs: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Stacked linear pools: sum_j beta_j * probs_j, renormalized, for agent
-    probabilities (..., n, m) and weights (..., n).  Rows are not validated."""
+    probabilities (..., n, m) and weights (..., n).  Each pooled row is
+    validated as :class:`Dist` validates it."""
     mixed = np.matmul(beta[..., None, :], probs)[..., 0, :]
-    return mixed / mixed.sum(axis=-1, keepdims=True)
+    pooled = mixed / mixed.sum(axis=-1, keepdims=True)
+    require_prob_rows(pooled)
+    return pooled
 
 
 def require_pool_witness(
@@ -115,7 +118,6 @@ def require_pool_witness(
         pooled, log_z = log_pool_arrays(np.log(children), beta)
     else:
         pooled, log_z = linear_pool_arrays(children, beta), None
-    require_prob_rows(pooled)
     err = _tv_rows(pooled, parents)
     bad = err > tol
     if bad.any():

@@ -27,6 +27,7 @@ from .core import (
     first_row,
     require_prob_rows,
     softmax,
+    _combine,
     _cov,
     _integer,
     _rng_streams,
@@ -61,7 +62,7 @@ BISECTION_STEPS = 18
 def transport_rows(children: np.ndarray, base: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Stacked transport: the softmax of (log C + log T) − log P over the last
     axis, for children C, base P and target T broadcast together (..., m).
-    Rows are not validated."""
+    Each transported row is validated as :class:`Dist` validates it."""
     return softmax(np.log(children) + np.log(target) - np.log(base))[0]
 
 
@@ -164,7 +165,6 @@ def certify_openness(
             return "found no feasible target", np.inf
         require_prob_rows(targets)
         moved = transport_rows(children, decomp.parent.p, targets[:, None, :])
-        require_prob_rows(moved)
         require_pool_witness(moved, decomp.weights.beta, targets, POOL_REVALIDATION_TOL)
         gaps = gap_terms(moved, targets[:, None, :])[0]
         failed = "" if (gaps > UNANIMITY_TOL).all() else "lost strict unanimity"
@@ -218,7 +218,6 @@ def _gap_fd(p: np.ndarray, h: np.ndarray) -> np.ndarray:
     softmax of the up and down tilts (..., 2, m) and one gap call."""
     step = 1e-5
     tilted = softmax(np.log(p)[..., None, :] + np.array([[step], [-step]]) * h[..., None, :])[0]
-    require_prob_rows(tilted)
     gaps = gap_terms(tilted, p[..., None, :])[0]
     return (gaps[..., 0] - gaps[..., 1]) / (2.0 * step)
 
@@ -247,10 +246,7 @@ def _audit(p: np.ndarray, tilts: np.ndarray, beta: np.ndarray) -> tuple[np.ndarr
     """Stacked :func:`local_unanimity_audit` of rows p (..., m) with tilts
     (..., n, m) and weights (..., n): the derivatives (..., n) and their
     weighted sums (...); a batch error names the first unbalanced row."""
-    combined = np.zeros(p.shape)
-    for i in range(beta.shape[-1]):
-        combined += beta[..., i, None] * tilts[..., i, :]
-    worst = np.abs(combined).max(axis=-1)
+    worst = np.abs(_combine(beta, tilts)).max(axis=-1)
     if (worst > VALUE_TOL).any():
         row, where = first_row(worst > VALUE_TOL)
         raise TiltsNotCentered(

@@ -39,8 +39,8 @@ import numpy as np
 from . import constructions, factorize, persona, stability
 from .constructions import _draws, random_beta, random_probs
 from .core import (
-    VALUE_TOL, Dist, OutcomeSpace, Weights, expect, make_dist, normalize_rows, require_prob_rows,
-    rng_from, _integer, _rng_streams, _tv_rows,
+    VALUE_TOL, Dist, OutcomeSpace, Weights, expect, make_dist, normalize_rows, rng_from,
+    _combine, _integer, _rng_streams, _tv_rows,
 )
 from .errors import ParamOutOfRange, UnknownSuite
 from .pooling import linear_pool_arrays, log_pool_arrays
@@ -196,13 +196,6 @@ def run_suite(
 # Shared helpers
 # ---------------------------------------------------------------------------
 
-def _log_pool(logs: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked log pools and log Z, each pooled row validated as a ``Dist``."""
-    pooled, log_z = log_pool_arrays(logs, beta)
-    require_prob_rows(pooled)
-    return pooled, log_z
-
-
 def _worst(worst: float, *values: np.ndarray) -> float:
     return max(worst, *(float(v.max()) for v in values))
 
@@ -227,7 +220,7 @@ def _log_pool_extended(run: _Run):
     worst = 0.0
     for (m, n), rngs, _ in run.groups():
         agents, beta = random_probs(rngs, m, n), random_beta(rngs, n)
-        pooled = _log_pool(np.log(agents), beta)[0]
+        pooled = log_pool_arrays(np.log(agents), beta)[0]
         worst = _worst(worst, _tv_rows(pooled, _longdouble_log_pool(agents, beta)[0]))
     return worst
 
@@ -239,7 +232,6 @@ def _linear_pool_extended(run: _Run):
     for (m, n), rngs, _ in run.groups():
         agents, beta = random_probs(rngs, m, n), random_beta(rngs, n)
         pooled = linear_pool_arrays(agents, beta)
-        require_prob_rows(pooled)
         oracle = (beta.astype(np.longdouble)[..., None] * agents.astype(np.longdouble)).sum(axis=-2)
         worst = _worst(worst, _tv_rows(pooled, oracle / oracle.sum(axis=-1, keepdims=True)))
     return worst
@@ -254,16 +246,16 @@ def _pool_weight_edges(run: _Run):
         count, logs = len(rngs), np.log(agents)
         j, rows = _draws(rngs, lambda r: r.integers(0, n)), np.arange(count)
         # a one-hot weight vector must return that agent
-        onehot = _tv_rows(_log_pool(logs, np.eye(n)[j])[0], agents[rows, j])
+        onehot = _tv_rows(log_pool_arrays(logs, np.eye(n)[j])[0], agents[rows, j])
         # zero-weight agents must not matter
         zeroed = beta.copy()
         zeroed[rows, j] = 0.0
         zeroed = zeroed / zeroed.sum(axis=-1, keepdims=True)
         keep = np.arange(n) != j[:, None]
         reduced = logs[keep].reshape(count, n - 1, -1), zeroed[keep].reshape(count, n - 1)
-        dropped = _tv_rows(_log_pool(logs, zeroed)[0], _log_pool(*reduced)[0])
+        dropped = _tv_rows(log_pool_arrays(logs, zeroed)[0], log_pool_arrays(*reduced)[0])
         # pooling identical copies returns the copy
-        copies = _tv_rows(_log_pool(logs[:, [0] * n], beta)[0], agents[:, 0])
+        copies = _tv_rows(log_pool_arrays(logs[:, [0] * n], beta)[0], agents[:, 0])
         worst = _worst(worst, onehot, dropped, copies)
     return worst
 
@@ -276,7 +268,7 @@ def _log_z(run: _Run):
     for (m, n), rngs, _ in run.groups():
         agents, beta = random_probs(rngs, m, n), random_beta(rngs, n)
         logs = np.log(agents)
-        log_z = _log_pool(logs, beta)[1]
+        log_z = log_pool_arrays(logs, beta)[1]
         combo = (beta[..., None] * logs).sum(axis=-2)
         worst = _worst(
             worst,
@@ -328,8 +320,7 @@ def _binary_closed_form(run: _Run):
     x = _draws(rngs, lambda r: r.uniform(0.02, 0.98, 2))
     b = _draws(rngs, lambda r: r.uniform(0.1, 0.9))
     agents = normalize_rows(np.stack([x, 1.0 - x], axis=-1))
-    require_prob_rows(agents)
-    pooled = _log_pool(np.log(agents), np.stack([b, 1.0 - b], axis=-1))[0]
+    pooled = log_pool_arrays(np.log(agents), np.stack([b, 1.0 - b], axis=-1))[0]
     gaps = gap_terms(agents, pooled[:, None, :])[0]
     return _worst(0.0, np.abs(gaps - constructions.binary_gap_closed_form(x, pooled[:, :1])))
 
@@ -344,9 +335,8 @@ def _binary_census(run: _Run):
         np.arange(run.samples), np.arange(run.samples), betas, indexing="ij"
     ))
     x = normalize_rows(np.stack([grid, 1.0 - grid], axis=1))
-    require_prob_rows(x)
     agents = np.stack([x[i1], x[i2]], axis=1)
-    pooled = _log_pool(np.log(agents), np.stack([b, 1.0 - b], axis=1))[0]
+    pooled = log_pool_arrays(np.log(agents), np.stack([b, 1.0 - b], axis=1))[0]
     gaps = gap_terms(agents, pooled[:, None, :])[0]
     x1, x2, mass = grid[i1], grid[i2], pooled[:, 0]
     lo, hi = np.minimum(x1, x2), np.maximum(x1, x2)
@@ -383,8 +373,7 @@ def _cyclic(run: _Run):
         eps, uniform = fractions / n, np.full(n, 1.0 / n)
         raw, welfare = constructions.cyclic_welfare_rows(n, eps, C=2.0)
         agents = normalize_rows(raw)
-        require_prob_rows(agents)
-        pooled = _log_pool(np.log(agents), uniform)[0]
+        pooled = log_pool_arrays(np.log(agents), uniform)[0]
         gains = (pooled[:, None] * welfare).sum(axis=-1) - (agents * welfare).sum(axis=-1)
         margins = 2.0 * (1.0 / n - eps)
         worst = _worst(worst, _tv_rows(pooled, uniform), np.abs(gains - margins[:, None]))
@@ -422,8 +411,7 @@ def _unanimity_pool_formula(run: _Run):
     for (n,), rngs, _ in run.groups():
         eps, beta = _draws(rngs, lambda r: r.uniform(0.01, 0.24)), random_beta(rngs, n)
         agents = normalize_rows(constructions.analytic_unanimity_rows(n, eps))
-        require_prob_rows(agents)
-        pooled = _log_pool(np.log(agents), beta)[0]
+        pooled = log_pool_arrays(np.log(agents), beta)[0]
         e = eps.astype(np.longdouble)[:, None]
         shared = (1.0 - e - (n - 1) * e ** (n + 1)) ** np.longdouble(1.0)
         raw = np.concatenate([shared, e ** ((n + 1) - n * beta.astype(np.longdouble))], axis=-1)
@@ -445,9 +433,8 @@ def _peaked_negative(run: _Run):
     for n in (2, 4):
         beta = random_beta(run.rngs(n, count=max(10, run.samples // 8)), n)
         agents = normalize_rows(constructions.peaked_incompatible_rows(n, grid))
-        require_prob_rows(agents)
         # every weight vector (W) against every grid family (E) at once
-        pooled, log_z = _log_pool(np.log(agents), beta[:, None, :])
+        pooled, log_z = log_pool_arrays(np.log(agents), beta[:, None, :])
         gaps = gap_terms(agents, pooled[..., None, :])[0]
         sums = np.matmul(gaps[..., None, :], beta[:, None, :, None])[..., 0, 0]
         found = (sums < 0.0).any(axis=-1)
@@ -476,7 +463,7 @@ def _factor_distinct(run: _Run):
         # from run.rng(i, attempt)
         redraw = lambda r, attempt: run.rng(index[r], attempt)  # noqa: E731
         children = factorize._distinct_children(parent, beta, 0, redraw, draws)
-        worst_tv = _worst(worst_tv, _tv_rows(_log_pool(np.log(children), beta)[0], parent))
+        worst_tv = _worst(worst_tv, _tv_rows(log_pool_arrays(np.log(children), beta)[0], parent))
         family = np.concatenate([parent[:, None], children], axis=1)
         a, b = np.triu_indices(family.shape[1], 1)
         worst_dist = min(worst_dist, float(_tv_rows(family[:, a], family[:, b]).min()))
@@ -495,7 +482,7 @@ def _factor_fixed(run: _Run):
         children = factorize._balanced_children(parent, beta, fixed, k, draws)
         if not np.array_equal(fixed, children[:, :k]):
             worst = 1.0
-        worst = _worst(worst, _tv_rows(_log_pool(np.log(children), beta)[0], parent))
+        worst = _worst(worst, _tv_rows(log_pool_arrays(np.log(children), beta)[0], parent))
     return worst
 
 
@@ -509,7 +496,7 @@ def _split_invariance(run: _Run):
         idx = _draws(rngs, lambda r: r.integers(0, n))
         alpha = _draws(rngs, lambda r: r.uniform(0.1, 0.9))
         g = 0.7 * _draws(rngs, lambda r: r.standard_normal(m))
-        parent = _log_pool(np.log(agents), beta)[0]
+        parent = log_pool_arrays(np.log(agents), beta)[0]
         agent = np.take_along_axis(agents, idx[:, None, None], axis=1)[:, 0]
         pieces = factorize._split_pieces(np.log(agent), alpha, g)
         # a zero-tilt split produces two clones with the original's welfare gap
@@ -553,10 +540,9 @@ def _transport(run: _Run):
     for (m, n), rngs, _ in run.groups():
         agents, beta = random_probs(rngs, m, n), random_beta(rngs, n)
         target = random_probs(rngs, m)
-        parent = _log_pool(np.log(agents), beta)[0]
+        parent = log_pool_arrays(np.log(agents), beta)[0]
         moved = stability.transport_rows(agents, parent[:, None, :], target[:, None, :])
-        require_prob_rows(moved)
-        worst = _worst(worst, _tv_rows(_log_pool(np.log(moved), beta)[0], target))
+        worst = _worst(worst, _tv_rows(log_pool_arrays(np.log(moved), beta)[0], target))
         space = OutcomeSpace(m)
         child, base = Dist(space, agents[0, 0]), Dist(space, parent[0])
         identity_ok = identity_ok and stability.transport(child, base, base) is child
@@ -615,7 +601,7 @@ def _persona_group(rngs, m: int, n: int):
     """Each stream's random decomposition as rows: its parent p (B, m) and
     centered profiles (B, n, m)."""
     logs = np.log(random_probs(rngs, m, n))
-    p = _log_pool(logs, random_beta(rngs, n))[0]
+    p = log_pool_arrays(logs, random_beta(rngs, n))[0]
     return p, persona._centered(p, logs)
 
 
@@ -628,7 +614,7 @@ def _residual_slope(run: _Run):
         at most 1e-8 redraws."""
         p, V = _persona_group(rngs, m, n)
         d = _draws(rngs, lambda r: r.standard_normal(n))
-        predicted = persona._combine(d - d.mean(axis=-1, keepdims=True), V)
+        predicted = _combine(d - d.mean(axis=-1, keepdims=True), V)
         return (p, predicted), persona._norm(p, predicted) > 1e-8
 
     def slope(p, predicted):
@@ -644,7 +630,7 @@ def _residual_slope(run: _Run):
 def _compensation_slack(run: _Run):
     def slack(agents, beta, d):
         logs, h = np.log(agents), d.argmax(axis=-1)
-        p, delta = _log_pool(logs, beta)[0], d[np.arange(len(d)), h]
+        p, delta = log_pool_arrays(logs, beta)[0], d[np.arange(len(d)), h]
         return persona._compensation(p, logs, beta, d, h, delta, None)["slack"]
 
     draws = run.retried(lambda rngs, m, n: constructions.random_weight_change(rngs, m, n, 1e-3))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dist, ScoreFn, VALUE_TOL, first_row
+from .core import Dist, ScoreFn, VALUE_TOL, first_row, _cov
 from .errors import IdentityMismatch, SpaceMismatch
 from .pooling import Decomposition
 
@@ -98,10 +98,7 @@ def covariance_terms(agents: np.ndarray, welfare: np.ndarray, pools: np.ndarray)
     """Stacked covariance criteria Cov_R(w, P/R) over rows (..., m) of agents
     R, welfare values w and pools P, from centered values, with the ratio
     evaluated as exp(log P − log R)."""
-    ratio = np.exp(np.log(pools) - np.log(agents))
-    w_c = welfare - (agents * welfare).sum(axis=-1, keepdims=True)
-    ratio_c = ratio - (agents * ratio).sum(axis=-1, keepdims=True)
-    return (agents * w_c * ratio_c).sum(axis=-1)
+    return _cov(agents, welfare, np.exp(np.log(pools) - np.log(agents)))
 
 
 @dataclass(frozen=True, slots=True)

@@ -554,6 +554,33 @@ def test_a_compensation_scale_outside_the_unit_interval_is_a_usage_error(
     assert not list(tmp_path.glob("x.*"))
 
 
+def test_a_compensation_instance_without_a_usable_draw_is_a_domain_error(tmp_path, capsys):
+    """Five weights of about 0.2 and a change whose largest entry is 0.9: on
+    each of instance 0's 50 draws some weight goes negative.  The last draw
+    used to reach the pool and fail there with "weights must be nonnegative"."""
+    cfg = tmp_path / "config.json"
+    params = {"outcomes": 6, "agents": 5, "scale": 0.9, "instances": 3}
+    cfg.write_text(json.dumps({"analyses": ["compensation"], "compensation": params}))
+    assert main(["experiment", str(cfg), "--seed", "0", "--out", str(tmp_path / "x")]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: compensation instance 0: none of 50 draws")
+    assert '"compensation.scale"' in line
+    assert not list(tmp_path.glob("x.*"))
+
+
+def test_a_config_nested_too_deep_to_hash_is_a_usage_error(tmp_path, capsys):
+    """A value nested 1000 deep parses, but overflows the recursion limit when
+    the config is hashed; that used to end in a RecursionError traceback
+    after the gaps table was written."""
+    cfg = tmp_path / "config.json"
+    head = json.dumps({"family": {"kind": "analytic_unanimity", "n": [2]}, "analyses": ["gaps"]})
+    cfg.write_text(head[:-1] + ', "note": ' + "[" * 1000 + "]" * 1000 + "}")
+    assert main(["experiment", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == "error: experiment config is nested too deeply to hash"
+    assert not list(tmp_path.glob("x.*"))
+
+
 @pytest.mark.parametrize("agents", [-1, 0, 1])
 @pytest.mark.parametrize("analysis", ["suppression", "compensation"])
 def test_fewer_than_two_agents_is_a_usage_error(tmp_path, capsys, analysis, agents):

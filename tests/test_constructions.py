@@ -264,10 +264,15 @@ def test_instance_rows_stack_the_object_constructions():
 
 
 def test_random_draws_are_validated_as_dist_and_weights_validate(monkeypatch):
-    monkeypatch.setattr(constructions, "normalize_rows", lambda raw: np.zeros_like(raw))
-    with pytest.raises(NonPositiveEntry):
+    # a raw draw of -0.02 is a zero entry after the + 0.02 shift; normalizing
+    # it must raise, and a batch error names the first bad row
+    monkeypatch.setattr(constructions, "_draws", lambda rng, draw: np.array([-0.02, 0.5, 0.5, 0.5]))
+    with pytest.raises(NonPositiveEntry, match="on every outcome$"):
         random_probs(rng_from(150), 4)
-    with pytest.raises(NonPositiveEntry):
+    raw = np.full((2, 3, 4), 0.5)
+    raw[1, 2, 3] = -0.02
+    monkeypatch.setattr(constructions, "_draws", lambda rng, draw: raw)
+    with pytest.raises(NonPositiveEntry, match=r"in row \(1, 2\)"):
         random_probs([rng_from(150), rng_from(151)], 4, 3)
     # a raw weight below zero survives normalization as a negative weight
     monkeypatch.setattr(constructions, "_draws", lambda rng, draw: np.array([-1.0, 0.5, 0.5]))

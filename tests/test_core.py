@@ -47,7 +47,7 @@ from logpool import (
 )
 from _gen import random_dist
 from logpool.core import (
-    NORM_TOL, _rng_streams, normalize_rows, require_prob_rows, require_weight_rows,
+    NORM_TOL, _rng_streams, normalize_rows, require_prob_rows, require_weight_rows, softmax,
 )
 from logpool.suites import run_suite
 
@@ -253,6 +253,29 @@ def test_log_sum_exp_rejects_empty_and_non_finite_input():
         with pytest.raises(NonFinite):
             log_sum_exp(bad)
     assert log_sum_exp([0.0, -np.inf]) == 0.0
+
+
+def test_log_sum_exp_has_the_bits_of_the_softmax_normalizer():
+    rng = rng_from(241)
+    for m in (1, 2, 7, 33):
+        values = rng.normal(0.0, 30.0, m)
+        assert log_sum_exp(values) == float(softmax(values)[1])
+
+
+def test_softmax_validates_the_rows_it_makes():
+    """A log-weight span above about 745 nats underflows an entry to zero:
+    the producer raises as Dist would, naming the first bad row of a batch."""
+    with pytest.raises(NonPositiveEntry, match="on every outcome$"):
+        softmax(np.array([0.0, -800.0, -1.0]))
+    with pytest.raises(NonPositiveEntry, match="in row 1$"):
+        softmax(np.array([[0.0, -1.0, -2.0], [0.0, -800.0, -1.0]]))
+    with pytest.raises(NonFinite, match="^log-weight vector must be finite everywhere$"):
+        softmax(np.array([[0.0, -1.0], [np.nan, 0.0]]))
+
+
+def test_normalize_rows_validates_the_rows_it_makes():
+    with pytest.raises(NonPositiveEntry, match="in row 1$"):
+        normalize_rows(np.array([[1.0, 2.0], [0.0, 3.0]]))
 
 
 @pytest.mark.filterwarnings("error")

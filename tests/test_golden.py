@@ -10,6 +10,12 @@ Check names, verdicts and sample counts must match exactly.  Each value may
 drift by at most min(1e-12, |tolerance|), so a check with tolerance 0 must
 reproduce its value bit for bit.  A wider drift is a golden update,
 made on purpose and recorded in CHANGES.md, never a silent re-generation.
+
+``golden/bytes/`` holds whole CLI artifacts, compared byte for byte, so not
+even an ulp may move: the ``logpool verify all --seed 42 --out`` report and
+the ``logpool experiment`` outputs (four CSVs and the manifest) of the
+README config at its seed 3, written with ``--out
+golden/bytes/experiment_readme_seed3``.
 """
 
 import json
@@ -18,9 +24,21 @@ from pathlib import Path
 
 import pytest
 
+from logpool.cli import main
 from logpool.suites import run_suite
 
 GOLDEN = Path(__file__).parent / "golden"
+BYTES = GOLDEN / "bytes"
+
+#: The experiment config of README.md's ``experiment`` section.
+README_CONFIG = {
+    "seed": 3,
+    "family": {"kind": "analytic_unanimity", "n": [2, 3], "epsilon": [0.05, 0.01]},
+    "analyses": ["gaps", "openness", "suppression", "compensation"],
+    "openness": {"samples": 16},
+    "suppression": {"instances": 4, "budgets": [0.01, 0.02, 0.04, 0.08]},
+    "compensation": {"instances": 25},
+}
 
 SUITES = ("pools", "welfare", "constructions", "factorize", "stability", "persona")
 
@@ -51,3 +69,18 @@ def test_verify_report_matches_the_golden_report(suite, seed, samples):
         assert now["tolerance"] == row["tolerance"], name
         bound = min(1e-12, abs(row["tolerance"]))
         assert abs(now["value"] - row["value"]) <= bound, (name, now["value"], row["value"])
+
+
+@pytest.mark.parametrize("prefix", ["verify_all_seed42", "experiment_readme_seed3"])
+def test_cli_artifacts_match_their_golden_bytes(tmp_path, prefix):
+    out = str(tmp_path / prefix)
+    if prefix.startswith("verify"):
+        assert main(["verify", "all", "--seed", "42", "--out", out + ".json"]) == 0
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(README_CONFIG))
+        assert main(["experiment", str(config), "--out", out]) == 0
+    golden = sorted(BYTES.glob(prefix + ".*"))
+    assert [g.name for g in golden] == sorted(p.name for p in tmp_path.glob(prefix + ".*"))
+    for path in golden:
+        assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name

@@ -56,6 +56,13 @@ def test_linear_pool_matches_oracle_on_random_families():
         assert _oracles.tv_against(pooled.p, oracle) <= 1e-12
 
 
+def test_linear_pool_arrays_validates_the_rows_it_makes():
+    probs = np.full((3, 2, 4), 0.25)
+    probs[2, 1, 0] = np.nan
+    with pytest.raises(NonFinite, match="in row 2 must be finite"):
+        linear_pool_arrays(probs, np.full((3, 2), 0.5))
+
+
 def test_log_normalizer_matches_oracle_and_is_nonpositive():
     rng = rng_from(203)
     for _ in range(100):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from _gen import random_decomposition, random_dist, random_strict_weights, transported
 from logpool import (
     Dist,
+    NonPositiveEntry,
     NotFound,
     NotStrictlyUnanimous,
     OutcomeSpace,
@@ -257,3 +258,13 @@ def test_stacked_transport_rows_match_per_child_transport():
         for i, child in enumerate(decomp.children):
             assert np.array_equal(rows[k, i], moved.children[i].p)
             assert np.array_equal(rows[k, i], transport(child, decomp.parent, target).p)
+
+
+def test_transport_rows_validates_the_rows_it_makes():
+    """A child and target mass of 1e-200 on one outcome put it about 921 nats
+    below the rest, which underflows to zero: the producer raises as Dist
+    would, naming the first bad row."""
+    child, base = np.array([0.5, 0.5, 1e-200]), np.full(3, 1.0 / 3.0)
+    targets = np.array([[0.2, 0.3, 0.5], [0.5, 0.5, 1e-200]])
+    with pytest.raises(NonPositiveEntry, match="in row 1$"):
+        transport_rows(child, base, targets)
