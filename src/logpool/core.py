@@ -278,14 +278,15 @@ class ScoreFn:
 
 
 def _values(P: Dist, f) -> np.ndarray:
-    """The values of ``f`` on P's space: a ScoreFn on that space, or a bare
-    vector of shape (m,); anything else raises."""
+    """The values of ``f`` on P's space: a ScoreFn on that space, or a finite
+    bare vector of shape (m,); anything else raises."""
     if isinstance(f, ScoreFn):
         _require_same_space(P, f)
         return f.f
     arr = np.asarray(f, dtype=float)
     if arr.shape != (P.space.size,):
         raise DimensionMismatch(f"score vector has shape {arr.shape}, expected ({P.space.size},)")
+    _require_finite(arr, "score vector")
     return arr
 
 

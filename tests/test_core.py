@@ -42,6 +42,8 @@ from logpool import (
     rng_from,
     single_counteragent_instance,
     split_invariance_check,
+    tilt_gap_derivative,
+    tilt_gap_fd,
     tv,
     uniform,
 )
@@ -346,6 +348,27 @@ def test_scalar_functionals_reject_vectors_of_the_wrong_shape(call):
     p = make_dist(SPACE4, [1.0, 2.0, 3.0, 4.0])
     with pytest.raises(DimensionMismatch, match=r"expected \(4,\)$"):
         call(p)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p, f: expect(p, f),
+        lambda p, f: cov(p, f, [1.0, 2.0, 3.0]),
+        lambda p, f: inner_p(p, [1.0, 2.0, 3.0], f),
+        lambda p, f: norm_p(p, f),
+        lambda p, f: tilt_gap_derivative(p, f),
+        lambda p, f: tilt_gap_fd(p, f),
+    ],
+    ids=["expect", "cov", "inner_p", "norm_p", "tilt_gap_derivative", "tilt_gap_fd"],
+)
+def test_a_bare_score_vector_must_be_finite(call):
+    """As a ScoreFn must be: ``expect(P, [0, inf, 0])`` used to return inf
+    and ``cov(P, [0, nan, 0], g)`` nan."""
+    p = make_dist(SPACE3, [1.0, 2.0, 3.0])
+    for bad in ([0.0, np.nan, 0.0], [0.0, np.inf, 0.0], [0.0, 0.0, -np.inf]):
+        with pytest.raises(NonFinite, match="must be finite everywhere$"):
+            call(p, bad)
 
 
 # ---------------------------------------------------------------------------

@@ -15,15 +15,21 @@ made on purpose and recorded in CHANGES.md, never a silent re-generation.
 even an ulp may move: the ``logpool verify all --seed 42 --out`` report and
 the ``logpool experiment`` outputs (four CSVs and the manifest) of the
 README config at its seed 3, written with ``--out
-golden/bytes/experiment_readme_seed3``.
+golden/bytes/experiment_readme_seed3``.  Floats in the JSON artifacts are
+written as their shortest round-trip text; two more cases hold that the
+written files read back to the in-process floats bit for bit.
 """
 
 import json
+import struct
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from _gen import random_dist, random_strict_weights, seeded
+from logpool import OutcomeSpace, log_pool
 from logpool.cli import main
 from logpool.suites import run_suite
 
@@ -84,3 +90,41 @@ def test_cli_artifacts_match_their_golden_bytes(tmp_path, prefix):
     assert [g.name for g in golden] == sorted(p.name for p in tmp_path.glob(prefix + ".*"))
     for path in golden:
         assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+_bits = struct.Struct("<d")
+
+
+def test_the_verify_report_reads_back_to_the_in_process_floats(tmp_path):
+    """Every check's value and tolerance in the ``verify all --seed 42`` file
+    is a float with the bits ``run_suite`` computed."""
+    out = tmp_path / "report.json"
+    assert main(["verify", "all", "--seed", "42", "--out", str(out)]) == 0
+    written = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    checks = run_suite("all", 42, None)
+    assert sorted(written) == sorted(c.name for c in checks)
+    for check in checks:
+        for field in ("value", "tolerance"):
+            got, want = written[check.name][field], getattr(check, field)
+            assert type(got) is float and type(want) is float, (check.name, field, got)
+            assert _bits.pack(got) == _bits.pack(want), (check.name, field, got, want)
+
+
+def test_a_pool_at_vocabulary_size_reads_back_bit_for_bit(tmp_path):
+    """``pool`` over m = 32768 outcomes, eight output chunks: the written
+    ``p`` parses to ``log_pool``'s floats, bit for bit."""
+    rng = seeded(809)
+    space = OutcomeSpace(32768)
+    agents = [random_dist(rng, space) for _ in range(3)]
+    weights = random_strict_weights(rng, 3)
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps({"agents": [{"p": a.p.tolist()} for a in agents],
+                                  "weights": weights.beta.tolist()}))
+    out = tmp_path / "pool.json"
+    assert main(["pool", "--kind", "log", str(family), "--out", str(out)]) == 0
+    written = json.loads(out.read_text())["pool"]["p"]
+    assert set(map(type, written)) == {float}
+    got = np.array(written).view(np.uint64)
+    want = log_pool(agents, weights).p.view(np.uint64)
+    bad = np.flatnonzero(got != want)
+    assert not bad.size, f"{bad.size} floats moved, first at {bad[0]}: {written[bad[0]]!r}"

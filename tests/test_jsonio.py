@@ -1,8 +1,10 @@
-"""JSON serialization: 17-significant-digit float fidelity, canonical
-hashing, and validated round-trips for every exchanged structure."""
+"""JSON serialization: floats read back bit for bit from their shortest
+round-trip text, canonical hashing, and validated round-trips for every
+exchanged structure."""
 
 import json
 import math
+import os
 import struct
 import subprocess
 import sys
@@ -10,6 +12,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,8 +43,10 @@ LAYOUT_GOLDEN = Path(__file__).parent / "golden" / "jsonio_layout.json"
 def layout_object():
     """Every kind of value the encoder writes, in the nestings that decide
     its layout.  ``golden/jsonio_layout.json`` holds what ``dumps`` and
-    ``dumps_canonical`` wrote for it when they were built on the stdlib's
-    private ``json.encoder._make_iterencode``; the bytes must not change."""
+    ``dumps_canonical`` write for it: the layout of the stdlib's private
+    ``json.encoder._make_iterencode``, which they were first built on, with
+    each float as its shortest round-trip text.  The bytes change only on
+    purpose, with the change recorded in CHANGES.md."""
     floats = [0.1, 2.0 / 3.0, -0.0, 0.0, 5e-324, 1e300, -1.5e-310, 1.0, 123456789.0]
     return {
         "z_first": {"nested": {"deeper": [[], {}, [1, [2.5, "x"]], {"k": None}]}},
@@ -117,42 +122,35 @@ _finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(_finite.filter(lambda x: x != 0.0 or math.copysign(1.0, x) > 0), max_size=40))
+@given(st.lists(_finite, max_size=40))
 def test_float_lists_round_trip_bit_for_bit(values):
-    """Every finite double but -0.0 comes back with the same bits; -0.0 is
-    written ``-0``, which JSON parsers read as the integer 0."""
+    """Every finite double, -0.0 included, comes back as a float with the
+    same bits."""
     back = loads(dumps({"v": values}))["v"]
     assert len(back) == len(values)
     for got, want in zip(back, values):
-        assert isinstance(got, (int, float))
-        assert _bits.pack(float(got)) == _bits.pack(want)
+        assert type(got) is float
+        assert _bits.pack(got) == _bits.pack(want)
 
 
-_FLOAT_EDGES = [5e-324, 2.2250738585072014e-308, 1e-5, 1e16, 1e17, 1.7976931348623157e308, -0.0]
+def _assert_same_text(got: str, want: str) -> None:
+    """Report where two texts first differ: an ``assert got == want`` on
+    megabytes of float text makes pytest's diff run for minutes."""
+    if got != want:
+        i = len(os.path.commonprefix([got, want]))
+        raise AssertionError(f"first mismatch at {i} of {len(got)}/{len(want)}: "
+                             f"{got[i:i + 40]!r} != {want[i:i + 40]!r}")
 
 
-def test_the_float_list_pass_writes_each_float_as_format_17g():
-    """A list of plain floats is formatted by the NumPy kernel; each entry
-    must read as ``format(x, ".17g")`` would write it."""
-    rng = rng_from(805)
-    bits = rng.integers(0, 2**64, size=20_000, dtype=np.uint64, endpoint=False)
-    drawn = [x for x in bits.view(np.float64).tolist() if math.isfinite(x)]
-    for values in (_FLOAT_EDGES, [-x for x in _FLOAT_EDGES], drawn):
-        assert dumps(values, indent=None) == "[" + ", ".join(format(x, ".17g") for x in values) + "]"
-
-
-_STDLIB_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _reference_float(x):
-    text = format(x, ".17g")
-    return _STDLIB_SPECIALS.get(text, text)
-
-
-def _kernel_chunks(values, glue=",\n    "):
-    chunks = []
-    jsonio._float_text(np.asarray(values, dtype=np.float64), glue, chunks.append)
-    return chunks
+def _assert_same_floats(back, values: np.ndarray) -> None:
+    """``back`` holds Python floats with exactly the bits of ``values``."""
+    kinds = set(map(type, back))
+    assert kinds <= {float}, kinds
+    got = np.array(back, dtype=np.float64).view(np.uint64)
+    want = values.view(np.uint64)
+    assert len(got) == len(want), (len(got), len(want))
+    bad = np.flatnonzero(got != want)
+    assert not bad.size, f"{bad.size} moved, first at {bad[0]}: {values[bad[0]]!r} as {back[bad[0]]!r}"
 
 
 def _powers_of_ten_and_neighbours():
@@ -161,71 +159,65 @@ def _powers_of_ten_and_neighbours():
     return np.concatenate([near, -near])
 
 
-def _kernel_cases():
+def _round_trip_cases():
     rng = rng_from(806)
-    odd = rng.integers(2 * 10**15, 2**52, size=50_000) * 2 + 1  # odd M in [4e15, 2^53)
+    bits = rng.integers(0, 2**64, size=200_000, dtype=np.uint64).view(np.float64)
     subnormal = rng.integers(1, 2**52, size=10_000, dtype=np.uint64).view(np.float64)
-    middle = rng.random(3 * jsonio._CHUNK)
-    middle[[17, jsonio._CHUNK + 5, 2 * jsonio._CHUNK - 1]] = [math.nan, math.inf, -math.inf]
-    bits = rng.integers(0, 2**64, size=200_000, dtype=np.uint64)
+    odd = rng.integers(2 * 10**15, 2**52, size=50_000) * 2 + 1  # odd M in [4e15, 2^53)
     return {
-        "random bit patterns": bits.view(np.float64),
+        "random bit patterns": bits[np.isfinite(bits)],
         "exact decimal ties M/4": odd / 4.0,
         "10^q and both neighbours": _powers_of_ten_and_neighbours(),
         "subnormals, negatives and signed zeros": np.concatenate(
-            [subnormal, -subnormal, [0.0, -0.0, 5e-324, -5e-324] * 1000]
+            [subnormal, -subnormal, [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308] * 1000]
         ),
-        "NaN and infinities inside a chunk": middle,
+        "longer than one chunk": rng.random(3 * jsonio._CHUNK + 7),
     }
 
 
-@pytest.mark.parametrize("case", list(_kernel_cases()))
-def test_the_float_kernel_writes_each_float_as_format_17g(case):
-    """Lists longer than one chunk, so chunk seams and the first row's
-    missing glue are crossed; each float's text is ``format(x, ".17g")``."""
-    values = _kernel_cases()[case]
-    chunks = _kernel_chunks(values)
-    assert len(chunks) == -(-len(values) // jsonio._CHUNK)
-    assert "".join(chunks) == ",\n    ".join(map(_reference_float, values.tolist()))
+@pytest.mark.parametrize("case", list(_round_trip_cases()))
+def test_floats_read_back_with_the_same_bits(case):
+    """A list of plain floats, a 1-D float64 array and each float alone read
+    back as floats with the same bits; the lists cross chunk seams."""
+    values = _round_trip_cases()[case]
+    _assert_same_floats(loads(dumps(values.tolist())), values)
+    _assert_same_floats(loads(dumps({"p": values}, indent=None))["p"], values)
+    head = values[:2000]
+    _assert_same_floats([loads(dumps(x)) for x in head.tolist()], head)
 
 
-def test_every_row_falling_back_gives_the_same_bytes(monkeypatch):
-    """The path of a platform whose long double is a plain double: powers past
-    1e308 are inf and the margin (22) exceeds 1/2, so every row goes to
-    ``_scalar_text``, with the same bytes and no warning."""
-    drawn = _kernel_cases()["random bit patterns"][:9000]
-    values = np.concatenate([drawn, _powers_of_ten_and_neighbours()])
-    want = "".join(_kernel_chunks(values))
-    calls = []
-    powers = np.where(np.arange(-292, 341) > 308, np.inf, jsonio._POW10)
-    monkeypatch.setattr(jsonio, "_POW10", powers)
-    monkeypatch.setattr(jsonio, "_TIE_MARGIN", 1e17 * np.finfo(np.float64).eps)
-    monkeypatch.setattr(jsonio, "_scalar_text", lambda x: calls.append(x) or _reference_float(x))
-    assert "".join(_kernel_chunks(values)) == want
-    assert len(calls) == len(values)
+def _float_chunks(values, glue=",\n    "):
+    chunks = []
+    jsonio._float_text(values, glue, chunks.append)
+    return chunks
 
 
-def test_few_persona_floats_fall_back_to_dtoa(monkeypatch):
-    """One next-token distribution over m = 32768 outcomes, drawn like the
-    benchmark's personas (a Zipf(1.1) base over a seeded token order, 0.3-nat
-    jitter, +2 nats on a 2 % topic subset): at most 5 % of its floats may be
-    left to ``_scalar_text``, the per-float dtoa the kernel exists to avoid."""
-    rng = np.random.default_rng([1, 7])
-    m = 32768
-    lw = -1.1 * np.log(rng.permutation(m) + 1.0) + 0.3 * rng.standard_normal(m)
-    lw[rng.choice(m, size=m // 50, replace=False)] += 2.0
-    p = np.exp(lw - lw.max())
-    p /= p.sum()
-    calls = []
-    monkeypatch.setattr(jsonio, "_scalar_text", lambda x: calls.append(x) or _reference_float(x))
-    text = dumps({"p": p.tolist()})
-    assert loads(text)["p"] == p.tolist()
-    assert len(calls) <= 0.05 * m, len(calls) / m
+def test_nan_and_infinities_write_as_the_stdlib_writes_them():
+    """orjson writes them as ``null``; mid-chunk, in a list or an array, and
+    as scalars they are ``NaN``, ``Infinity`` and ``-Infinity``.  Each chunk
+    is one ``write``."""
+    values = rng_from(807).random(3 * jsonio._CHUNK)
+    at = [17, jsonio._CHUNK + 5, 2 * jsonio._CHUNK - 1]
+    values[at] = [math.nan, math.inf, -math.inf]
+    for given_as in (values, values.tolist()):
+        chunks = _float_chunks(given_as)
+        assert len(chunks) == 3
+        texts = "".join(chunks).split(",\n    ")
+        assert [texts[i] for i in at] == ["NaN", "Infinity", "-Infinity"]
+        _assert_same_floats(list(map(float, texts)), values)
+    assert [dumps(x) for x in (math.nan, math.inf, -math.inf)] == ["NaN", "Infinity", "-Infinity"]
+
+
+def test_a_strided_array_writes_as_its_list():
+    """orjson refuses an array that is not C-contiguous."""
+    x = rng_from(808).random(2 * jsonio._CHUNK + 3)
+    for view in (x[::2], x[::-1]):
+        _assert_same_text(dumps(view), dumps(view.tolist()))
 
 
 def reference_dumps(o, pad="\n"):
     """The per-element encoder the streamed one replaced: every value's text
-    built whole and joined, floats one ``format`` call each."""
+    built whole and joined, finite floats one ``orjson.dumps`` call each."""
     if isinstance(o, (np.ndarray, np.generic)):
         o = o.tolist()
     if isinstance(o, str) or o is None or isinstance(o, bool):
@@ -233,8 +225,7 @@ def reference_dumps(o, pad="\n"):
     if isinstance(o, int):
         return int.__repr__(o)
     if isinstance(o, float):
-        text = format(o, ".17g")
-        return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text)
+        return orjson.dumps(o).decode() if math.isfinite(o) else json.dumps(o)
     inner = pad + "  "
     if isinstance(o, dict):
         body = ("," + inner).join(json.dumps(k) + ": " + reference_dumps(v, inner) for k, v in o.items())
@@ -286,9 +277,9 @@ def test_float_round_trip_through_dumps():
     assert back == [float(v) for v in values]
 
 
-def test_dumps_uses_17_significant_digits():
+def test_dumps_writes_the_shortest_round_trip_text():
     text = dumps({"x": 0.1})
-    assert "0.10000000000000001" in text
+    assert "0.1" in text and "0.10000000000000001" not in text
 
 
 def test_dumps_handles_numpy_scalars_and_arrays():
