@@ -186,10 +186,71 @@ def test_floats_read_back_with_the_same_bits(case):
     _assert_same_floats([loads(dumps(x)) for x in head.tolist()], head)
 
 
+_FLOAT_EDGES = [5e-324, 2.2250738585072014e-308, 1e-5, 1e16, 1e17, 1.7976931348623157e308, -0.0]
+
+
+def test_the_float_list_pass_writes_each_float_as_its_scalar_text():
+    """A list of plain floats is written a chunk at a time; each entry must
+    read as the float alone is written, ``orjson.dumps(x)``."""
+    rng = rng_from(805)
+    bits = rng.integers(0, 2**64, size=20_000, dtype=np.uint64, endpoint=False)
+    drawn = [x for x in bits.view(np.float64).tolist() if math.isfinite(x)]
+    for values in (_FLOAT_EDGES, [-x for x in _FLOAT_EDGES], drawn):
+        want = "[" + ", ".join(orjson.dumps(x).decode() for x in values) + "]"
+        _assert_same_text(dumps(values, indent=None), want)
+
+
 def _float_chunks(values, glue=",\n    "):
     chunks = []
     jsonio._float_text(values, glue, chunks.append)
     return chunks
+
+
+def _counting_scalar_text(monkeypatch):
+    calls = []
+    real = jsonio._scalar_text
+    monkeypatch.setattr(jsonio, "_scalar_text", lambda x: calls.append(x) or real(x))
+    return calls
+
+
+def test_every_row_falling_back_gives_the_same_bytes(monkeypatch):
+    """A chunk that orjson writes with a ``null`` is written float by float
+    through ``_scalar_text``.  With a NaN closing every chunk, every float
+    takes that path, and the finite ones keep the bytes of the chunked path."""
+    glue = ",\n    "
+    drawn = _round_trip_cases()["random bit patterns"][:9000]
+    values = np.concatenate([drawn, _powers_of_ten_and_neighbours()])
+    texts = "".join(_float_chunks(values, glue)).split(glue)
+    step = jsonio._CHUNK - 1
+    spiked, want = [], []
+    for start in range(0, len(values), step):
+        spiked += values[start:start + step].tolist() + [math.nan]
+        want += texts[start:start + step] + ["NaN"]
+    calls = _counting_scalar_text(monkeypatch)
+    for given_as in (spiked, np.array(spiked)):
+        calls.clear()
+        _assert_same_text("".join(_float_chunks(given_as, glue)), glue.join(want))
+        assert len(calls) == len(spiked)
+
+
+def test_few_persona_floats_fall_back_to_dtoa(monkeypatch):
+    """One next-token distribution over m = 32768 outcomes, drawn like the
+    benchmark's personas (a Zipf(1.1) base over a seeded token order, 0.3-nat
+    jitter, +2 nats on a 2 % topic subset): at most 5 % of its floats may be
+    left to ``_scalar_text``, the per-float dtoa the chunked writer exists to
+    avoid."""
+    rng = np.random.default_rng([1, 7])
+    m = 32768
+    lw = -1.1 * np.log(rng.permutation(m) + 1.0) + 0.3 * rng.standard_normal(m)
+    lw[rng.choice(m, size=m // 50, replace=False)] += 2.0
+    p = np.exp(lw - lw.max())
+    p /= p.sum()
+    calls = _counting_scalar_text(monkeypatch)
+    for given_as in (p.tolist(), p):
+        calls.clear()
+        text = dumps({"p": given_as})
+        assert loads(text)["p"] == p.tolist()
+        assert len(calls) <= 0.05 * m, len(calls) / m
 
 
 def test_nan_and_infinities_write_as_the_stdlib_writes_them():
