@@ -8,8 +8,9 @@ Five subcommands::
     logpool gap    <input.json>
     logpool factor <input.json> [--seed N]
 
-Exit codes: 0 on success with all checks passing, 1 when a check fails or a
-domain error is raised, 2 on usage, parse, or unknown-suite errors.
+Exit codes: 0 on success with all checks passing, 1 when a check fails, a
+domain error is raised or the request does not fit in memory, 2 on usage,
+parse, or unknown-suite errors.
 
 Machine-readable output is deterministic: identical command, configuration,
 and seed produce byte-identical files.  Wall-clock timings go to stderr only,
@@ -479,6 +480,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except LogPoolError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"error: the request does not fit in memory{detail}", file=sys.stderr)
         return 1
 
 

@@ -7,7 +7,10 @@ the stdlib writes them (``NaN``, ``Infinity``, ``-Infinity``).  Keys keep
 insertion order unless a canonical form is requested, nothing carries
 wall-clock or filesystem state, and equal inputs give byte-identical text.
 The encoder uses public APIs only, writes the stdlib's layout, and streams
-the text in document order without ever holding the whole document.
+the text in document order without ever holding the whole document.  A
+list of strings, and each 4096-float run of a float list or array, is
+written from one orjson call, so a vocabulary-sized distribution costs no
+Python work per entry.
 
 Parsing gives exactly what ``json.loads`` gives: the same objects, the same
 float bits and the same error text.  orjson parses; the stdlib reads again
@@ -67,18 +70,40 @@ def _float_text(values: list[float] | np.ndarray, glue: str,
                 write: Callable[[str], object]) -> None:
     """Write the plain floats or 1-D float64 array ``values`` as exactly
     ``glue.join(map(_scalar_text, values))``, one ``write`` per chunk of
-    :data:`_CHUNK`.  orjson writes NaN and infinities as ``null``, so a
-    chunk holding one is written float by float."""
+    :data:`_CHUNK`.  The chunk's text stays orjson's bytes until one
+    ``decode``.  orjson writes NaN and infinities as ``null``, the only ``n``
+    its float text can hold, so a chunk holding one is written float by
+    float."""
     import orjson
 
     if isinstance(values, np.ndarray):
         values = np.ascontiguousarray(values)  # orjson refuses strided arrays
+    sep = glue.encode()
     for start in range(0, len(values), _CHUNK):
         chunk = values[start:start + _CHUNK]
-        text = orjson.dumps(chunk, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
-        if "null" in text:
-            text = ",".join(map(_scalar_text, chunk))
-        write((glue if start else "") + text.replace(",", glue))
+        text = orjson.dumps(chunk, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
+        if b"n" in text:
+            text = ",".join(map(_scalar_text, chunk)).encode()
+        write((glue if start else "") + text.replace(b",", sep).decode())
+
+
+def _str_list_text(values: list[str] | tuple[str, ...], glue: str) -> str:
+    """Exactly ``glue.join(map(_str_text, values))``, from one orjson call.
+    orjson escapes every ASCII character but DEL as ``json`` does, and a
+    JSON string never holds a raw newline, so in its indented text
+    ``,\\n  `` stands only between elements.  A list with a non-ASCII
+    character, a DEL or a lone surrogate (which orjson refuses) is joined
+    string by string."""
+    import orjson
+
+    try:
+        text = orjson.dumps(values, option=orjson.OPT_INDENT_2)[4:-2]
+    except orjson.JSONEncodeError:
+        pass
+    else:
+        if text.isascii() and b"\x7f" not in text:
+            return text.replace(b",\n  ", glue.encode()).decode()
+    return glue.join(map(_str_text, values))
 
 
 def _serialize(obj: Any, write: Callable[[str], object], indent: int | None = 2,
@@ -86,8 +111,9 @@ def _serialize(obj: Any, write: Callable[[str], object], indent: int | None = 2,
     """Pass JSON text to ``write`` in document order: the stdlib's layout and
     key rules, floats as their shortest round-trip text, numpy values as the
     Python values they hold and the defaults :func:`dumps`'s.  No container's
-    text is built whole; a list of strings is one ``join``, and plain floats
-    go through :func:`_float_text`."""
+    text is built whole; a list of strings goes through
+    :func:`_str_list_text`, and plain floats and 1-D float64 arrays through
+    :func:`_float_text`, one ``write`` per list or chunk."""
     step = "" if indent is None else " " * indent
 
     def encode(o: Any, pad: str) -> None:
@@ -116,7 +142,7 @@ def _serialize(obj: Any, write: Callable[[str], object], indent: int | None = 2,
             if kinds == {float}:
                 _float_text(o, glue, write)
             elif kinds == {str}:
-                write(glue.join(map(_str_text, o)))
+                write(_str_list_text(o, glue))
             else:
                 for i, x in enumerate(o):
                     if i:
@@ -232,7 +258,9 @@ def _float_array(values: list, what: str) -> np.ndarray:
 
 
 def dist_to_json(dist: Dist) -> dict:
-    return {"labels": dist.space.all_labels(), "p": dist.p.tolist()}
+    """``{"labels": [...], "p": array}``: ``p`` is the distribution's own
+    read-only float64 array, which the encoder writes as a float list."""
+    return {"labels": dist.space.all_labels(), "p": dist.p}
 
 
 def dist_from_json(obj: Any, space: OutcomeSpace | None = None) -> Dist:

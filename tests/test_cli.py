@@ -4,13 +4,15 @@ experiment harness's CSV/manifest artifacts."""
 import csv
 import json
 import math
+import resource
+import subprocess
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from _subproc import run_logpool
+from _subproc import child_env, run_logpool
 from logpool import loads
 from logpool.cli import main
 
@@ -578,6 +580,29 @@ def test_a_config_nested_too_deep_to_hash_is_a_usage_error(tmp_path, capsys):
     assert main(["experiment", str(cfg), "--out", str(tmp_path / "x")]) == 2
     (line,) = capsys.readouterr().err.splitlines()
     assert line == "error: experiment config is nested too deeply to hash"
+    assert not list(tmp_path.glob("x.*"))
+
+
+def _capped_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))
+
+
+def test_a_request_too_large_for_memory_is_one_error_line(tmp_path):
+    """n = 10**8 asks for a (n, n+1) array, 71 PiB, and used to end in a
+    NumPy ``_ArrayMemoryError`` traceback.  Before that array the request
+    fills about 1.5 GB (uniform weights, a repeated column), so the child
+    runs under a 512 MiB address-space cap and fails at the first of them."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"analyses": ["gaps"],
+                               "family": {"kind": "analytic_unanimity", "n": [10**8]}}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "logpool.cli", "experiment", str(cfg), "--out", str(tmp_path / "x")],
+        capture_output=True, text=True, env=child_env(), stdin=subprocess.DEVNULL,
+        preexec_fn=_capped_address_space,
+    )
+    assert proc.returncode == 1, proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: the request does not fit in memory"), line
     assert not list(tmp_path.glob("x.*"))
 
 

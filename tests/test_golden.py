@@ -20,6 +20,7 @@ written as their shortest round-trip text; two more cases hold that the
 written files read back to the in-process floats bit for bit.
 """
 
+import hashlib
 import json
 import struct
 from dataclasses import asdict
@@ -28,7 +29,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _gen import random_dist, random_strict_weights, seeded
+from _gen import personas, random_dist, random_strict_weights, seeded
 from logpool import OutcomeSpace, log_pool
 from logpool.cli import main
 from logpool.suites import run_suite
@@ -128,3 +129,30 @@ def test_a_pool_at_vocabulary_size_reads_back_bit_for_bit(tmp_path):
     want = log_pool(agents, weights).p.view(np.uint64)
     bad = np.flatnonzero(got != want)
     assert not bad.size, f"{bad.size} floats moved, first at {bad[0]}: {written[bad[0]]!r}"
+
+
+#: sha256 of the ``pool --kind log`` and ``factor --seed 5`` artifacts over
+#: ``personas(17, 32768, 4)``, recorded before the leaf writers moved onto
+#: single orjson calls per label list and float chunk.
+VOCAB_SHA256 = {
+    "pool": "bcbf6750cb284496842792cdd4dceb9d4d8b35c6753585ce7070e4ab2d1e470c",
+    "factor": "fcd77e590a9e09a1dbfe38d74da2e7d9bfd33a141161a7574dfcf721f1b8490a",
+}
+
+
+@pytest.mark.parametrize("command", sorted(VOCAB_SHA256))
+def test_vocabulary_sized_artifacts_match_their_pinned_bytes(tmp_path, command):
+    """The CLI artifacts at m = 32768: default labels, eight float chunks
+    per distribution, and a factor's four distributions, byte for byte."""
+    agents = personas(17, 32768, 4)
+    if command == "pool":
+        doc = {"agents": [{"p": a.tolist()} for a in agents], "weights": [0.4, 0.3, 0.2, 0.1]}
+        options = ["--kind", "log"]
+    else:
+        doc = {"parent": {"p": agents[0].tolist()}, "weights": [0.5, 0.3, 0.2]}
+        options = ["--seed", "5"]
+    src, out = tmp_path / "input.json", tmp_path / "out.json"
+    src.write_text(json.dumps(doc))
+    assert main([command, str(src), *options, "--out", str(out)]) == 0
+    got = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert got == VOCAB_SHA256[command], got

@@ -14,12 +14,13 @@ from pathlib import Path
 import numpy as np
 import orjson
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _gen import random_decomposition, random_dist, random_strict_weights
+from _gen import personas, random_decomposition, random_dist, random_strict_weights
 from _subproc import child_env
 from logpool import (
+    Dist,
     NotAPoolWitness,
     OutcomeSpace,
     ParseError,
@@ -35,7 +36,7 @@ from logpool import (
     weights_from_json,
 )
 from logpool import jsonio
-from logpool.cli import _write_json
+from logpool.cli import _write_json, main
 
 LAYOUT_GOLDEN = Path(__file__).parent / "golden" / "jsonio_layout.json"
 
@@ -234,23 +235,74 @@ def test_every_row_falling_back_gives_the_same_bytes(monkeypatch):
 
 
 def test_few_persona_floats_fall_back_to_dtoa(monkeypatch):
-    """One next-token distribution over m = 32768 outcomes, drawn like the
-    benchmark's personas (a Zipf(1.1) base over a seeded token order, 0.3-nat
-    jitter, +2 nats on a 2 % topic subset): at most 5 % of its floats may be
-    left to ``_scalar_text``, the per-float dtoa the chunked writer exists to
-    avoid."""
-    rng = np.random.default_rng([1, 7])
+    """A persona distribution over m = 32768 outcomes: at most 5 % of its
+    floats may be left to ``_scalar_text``, the per-float dtoa the chunked
+    writer exists to avoid."""
     m = 32768
-    lw = -1.1 * np.log(rng.permutation(m) + 1.0) + 0.3 * rng.standard_normal(m)
-    lw[rng.choice(m, size=m // 50, replace=False)] += 2.0
-    p = np.exp(lw - lw.max())
-    p /= p.sum()
+    p = personas(1, m, 1)[0]
     calls = _counting_scalar_text(monkeypatch)
     for given_as in (p.tolist(), p):
         calls.clear()
         text = dumps({"p": given_as})
         assert loads(text)["p"] == p.tolist()
         assert len(calls) <= 0.05 * m, len(calls) / m
+
+
+def test_a_vocabulary_sized_distribution_takes_no_per_item_path(monkeypatch):
+    """``dist_to_json`` of a persona distribution at m = 32768: its default
+    labels are one orjson call and its ``p`` eight float chunks, so neither
+    ``_str_text`` (only the two keys reach it) nor ``_scalar_text`` runs per
+    item."""
+    p = personas(1, 32768, 1)[0]
+    dist = Dist(OutcomeSpace(len(p)), p)
+    floats = _counting_scalar_text(monkeypatch)
+    strings = []
+    monkeypatch.setattr(jsonio, "_str_text", lambda x: strings.append(x) or json.dumps(x))
+    text = dumps(dist_to_json(dist))
+    assert floats == [] and strings == ["labels", "p"], (len(floats), len(strings))
+    assert loads(text) == {"labels": dist.space.all_labels(), "p": p.tolist()}
+
+
+@pytest.mark.parametrize("label", ["caf\u00e9", "\x7f", "\ud800"], ids=ascii)
+def test_a_pool_with_a_label_orjson_cannot_write_as_json_does(tmp_path, label):
+    """A non-ASCII label (orjson writes UTF-8), DEL (orjson writes it raw)
+    and a lone surrogate (orjson refuses it) send the label list to the
+    per-string path: the artifact still holds the stdlib's escapes."""
+    labels = ["a", label, "o2"]
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps({"agents": [{"labels": labels, "p": [0.2, 0.3, 0.5]},
+                                             {"labels": labels, "p": [0.6, 0.3, 0.1]}],
+                                  "weights": [0.5, 0.5]}))
+    out = tmp_path / "pool.json"
+    assert main(["pool", str(family), "--out", str(out)]) == 0
+    text = out.read_text()
+    assert json.loads(text)["pool"]["labels"] == labels
+    assert text == reference_dumps(json.loads(text)) + "\n"
+
+
+_TEXT_PIECES = st.one_of(
+    st.characters(),
+    st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF, categories=["Cs"]),
+    st.characters(max_codepoint=0x1F),
+    st.sampled_from(["\x7f", '"', "\\", ",", "\n", '","', ",\n  ", "\u2028"]),
+)
+_TEXTS = st.lists(_TEXT_PIECES, max_size=6).map("".join)
+_STR_LISTS = st.lists(_TEXTS, min_size=1, max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_STR_LISTS, st.lists(_STR_LISTS, max_size=3),
+                 st.lists(st.lists(_STR_LISTS, max_size=3), max_size=3)))
+@example(['u_","a",', ""])
+@example(["\ud800"])
+@example(["\x7f"])
+def test_string_lists_write_as_json_writes_them(obj):
+    """Any text, lone surrogates, DEL, controls, quotes, backslashes, commas
+    and newlines included, nested 0-2 lists deep, in each of the three
+    layouts."""
+    assert dumps(obj) == json.dumps(obj, indent=2)
+    assert dumps(obj, indent=None) == json.dumps(obj)
+    assert dumps_canonical(obj) == json.dumps(obj, separators=(",", ":"), sort_keys=True)
 
 
 def test_nan_and_infinities_write_as_the_stdlib_writes_them():
@@ -503,7 +555,9 @@ def test_canonical_form_and_config_hash_are_order_insensitive():
 def test_dist_round_trip_is_bit_exact():
     rng = rng_from(802)
     d = random_dist(rng, OutcomeSpace(5, tuple("abcde")))
-    back = dist_from_json(loads(dumps(dist_to_json(d))))
+    doc = dist_to_json(d)
+    assert doc["p"].dtype == np.float64 and not doc["p"].flags.writeable
+    back = dist_from_json(loads(dumps(doc)))
     assert np.array_equal(back.p, d.p)
     assert back.space.labels == d.space.labels
 
