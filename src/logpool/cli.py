@@ -39,7 +39,8 @@ from .errors import (
     UnknownSuite,
 )
 from .jsonio import (
-    _serialize,
+    _document,
+    _family_from_json,
     config_hash,
     decomposition_to_json,
     dist_from_json,
@@ -100,11 +101,12 @@ def _read_text(path: str) -> str:
 
 
 def _write_json(path: str | None, obj: Any) -> None:
-    """``dumps(obj)`` and a newline, streamed to ``path`` (stdout for none or ``-``)."""
+    """``dumps(obj)`` and a newline, as bytes, to ``path`` (stdout for none or ``-``)."""
+    text = _document(obj)
     try:
-        with nullcontext(sys.stdout) if path in (None, "-") else open(path, "w") as fh:
-            _serialize(obj, fh.write)
-            fh.write("\n")
+        with nullcontext(sys.stdout.buffer) if path in (None, "-") else open(path, "wb") as fh:
+            fh.write(text)
+            fh.write(b"\n")
     except OSError as exc:
         raise IoError(f"cannot write {path or '-'}: {exc}") from exc
 
@@ -361,12 +363,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 def _parse_family(obj: Any) -> tuple[list, Weights]:
     if not isinstance(obj, dict) or "agents" not in obj or "weights" not in obj:
         raise ParseError('input must be {"agents": [...], "weights": [...]}')
-    agents_raw = obj["agents"]
-    if not isinstance(agents_raw, list) or not agents_raw:
-        raise ParseError('"agents" must be a non-empty array')
-    first = dist_from_json(agents_raw[0])
-    agents = [first] + [dist_from_json(a, space=first.space) for a in agents_raw[1:]]
-    return agents, weights_from_json(obj["weights"])
+    return _family_from_json(obj, "agents"), weights_from_json(obj["weights"])
 
 
 def _cmd_pool(args: argparse.Namespace) -> int:

@@ -6,11 +6,10 @@ double (``0.1``, ``2.0``, ``-0.0``, ``1e-9``), and NaN and the infinities as
 the stdlib writes them (``NaN``, ``Infinity``, ``-Infinity``).  Keys keep
 insertion order unless a canonical form is requested, nothing carries
 wall-clock or filesystem state, and equal inputs give byte-identical text.
-The encoder uses public APIs only, writes the stdlib's layout, and streams
-the text in document order without ever holding the whole document.  A
-list of strings, and each 4096-float run of a float list or array, is
-written from one orjson call, so a vocabulary-sized distribution costs no
-Python work per entry.
+The encoder uses public APIs only and writes the stdlib's layout.  A
+document is written by one orjson call, so a vocabulary-sized distribution
+costs no Python work per entry; one that orjson cannot write as ``json``
+would (NaN, an int beyond 64 bits, a non-str key) is written value by value.
 
 Parsing gives exactly what ``json.loads`` gives: the same objects, the same
 float bits and the same error text.  orjson parses; the stdlib reads again
@@ -28,8 +27,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from json.encoder import encode_basestring_ascii as _str_text
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -62,109 +62,85 @@ def _scalar_text(o: None | bool | int | float) -> str:
     return orjson.dumps(float(o)).decode()
 
 
-#: Floats per ``write`` of :func:`_float_text`.
-_CHUNK = 4096
+def _plain(o: Any) -> Any:
+    """orjson's ``default``: a numpy value as the Python value it holds, so a
+    float32 or int array writes as its ``tolist()``."""
+    if isinstance(o, (np.ndarray, np.generic)):
+        return o.tolist()
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
-def _float_text(values: list[float] | np.ndarray, glue: str,
-                write: Callable[[str], object]) -> None:
-    """Write the plain floats or 1-D float64 array ``values`` as exactly
-    ``glue.join(map(_scalar_text, values))``, one ``write`` per chunk of
-    :data:`_CHUNK`.  The chunk's text stays orjson's bytes until one
-    ``decode``.  orjson writes NaN and infinities as ``null``, the only ``n``
-    its float text can hold, so a chunk holding one is written float by
-    float."""
+#: A ``null`` value in orjson's text, which is how it writes NaN, the
+#: infinities and None.  The literal comes first so the search runs at memchr
+#: speed; a string holding `` null `` also matches, which only costs the
+#: fallback.
+_NULL = re.compile(rb"null(?<![^\[,:\s]null)(?![^,\]}\s])")
+
+#: DEL and the UTF-8 of every non-ASCII character, which ``json`` escapes.
+_HIGH = re.compile(rb"[\x7f-\xff]+")
+
+
+def _document(obj: Any, canonical: bool = False) -> bytes:
+    """The text of :func:`dumps`, or of :func:`dumps_canonical` if
+    ``canonical``, as ASCII bytes from one orjson call.  orjson escapes every
+    ASCII character but DEL as ``json`` does, and each run of DEL and
+    non-ASCII bytes, which only a string can hold, is escaped afterwards.  A
+    document orjson refuses (an int beyond 64 bits, a lone surrogate, a
+    non-str key, nesting past 254, a type it cannot write) or whose text
+    holds a ``null`` value goes to :func:`_serialize`."""
     import orjson
 
-    if isinstance(values, np.ndarray):
-        values = np.ascontiguousarray(values)  # orjson refuses strided arrays
-    sep = glue.encode()
-    for start in range(0, len(values), _CHUNK):
-        chunk = values[start:start + _CHUNK]
-        text = orjson.dumps(chunk, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
-        if b"n" in text:
-            text = ",".join(map(_scalar_text, chunk)).encode()
-        write((glue if start else "") + text.replace(b",", sep).decode())
-
-
-def _str_list_text(values: list[str] | tuple[str, ...], glue: str) -> str:
-    """Exactly ``glue.join(map(_str_text, values))``, from one orjson call.
-    orjson escapes every ASCII character but DEL as ``json`` does, and a
-    JSON string never holds a raw newline, so in its indented text
-    ``,\\n  `` stands only between elements.  A list with a non-ASCII
-    character, a DEL or a lone surrogate (which orjson refuses) is joined
-    string by string."""
-    import orjson
-
+    option = orjson.OPT_PASSTHROUGH_DATACLASS | orjson.OPT_PASSTHROUGH_DATETIME
+    option |= orjson.OPT_SORT_KEYS if canonical else orjson.OPT_INDENT_2
     try:
-        text = orjson.dumps(values, option=orjson.OPT_INDENT_2)[4:-2]
+        text = orjson.dumps(obj, default=_plain, option=option)
     except orjson.JSONEncodeError:
-        pass
-    else:
-        if text.isascii() and b"\x7f" not in text:
-            return text.replace(b",\n  ", glue.encode()).decode()
-    return glue.join(map(_str_text, values))
+        text = None
+    if text is None or _NULL.search(text):
+        return _serialize(obj, canonical).encode()
+    if not text.isascii() or b"\x7f" in text:
+        text = _HIGH.sub(lambda run: _str_text(run[0].decode())[1:-1].encode(), text)
+    return text
 
 
-def _serialize(obj: Any, write: Callable[[str], object], indent: int | None = 2,
-               sep: str = ",", colon: str = ": ", sort_keys: bool = False) -> None:
-    """Pass JSON text to ``write`` in document order: the stdlib's layout and
-    key rules, floats as their shortest round-trip text, numpy values as the
-    Python values they hold and the defaults :func:`dumps`'s.  No container's
-    text is built whole; a list of strings goes through
-    :func:`_str_list_text`, and plain floats and 1-D float64 arrays through
-    :func:`_float_text`, one ``write`` per list or chunk."""
-    step = "" if indent is None else " " * indent
+def _serialize(obj: Any, canonical: bool = False) -> str:
+    """The text of :func:`_document`, one value at a time: the stdlib's
+    layout and key rules (two-space indent, or compact and key-sorted if
+    ``canonical``), floats as their shortest round-trip text and numpy values
+    as the Python values they hold."""
+    step, colon = ("", ":") if canonical else ("  ", ": ")
 
-    def encode(o: Any, pad: str) -> None:
-        floats = isinstance(o, np.ndarray) and o.ndim == 1 and o.dtype == np.float64
-        if isinstance(o, (np.ndarray, np.generic)) and not floats:
+    def encode(o: Any, pad: str) -> str:
+        if isinstance(o, (np.ndarray, np.generic)):
             o = o.tolist()
-        inner = pad + step
-        glue = sep + inner
         if o is None or isinstance(o, (str, int, float)):
-            write(_str_text(o) if isinstance(o, str) else _scalar_text(o))
-        elif not isinstance(o, (dict, list, tuple, np.ndarray)):
+            return _str_text(o) if isinstance(o, str) else _scalar_text(o)
+        if not isinstance(o, (dict, list, tuple)):
             raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-        elif not len(o):
-            write("{}" if isinstance(o, dict) else "[]")
-        elif isinstance(o, dict):
-            for i, (k, v) in enumerate(sorted(o.items()) if sort_keys else o.items()):
+        if not o:
+            return "{}" if isinstance(o, dict) else "[]"
+        inner = pad + step
+        if isinstance(o, dict):
+            items = []
+            for k, v in sorted(o.items()) if canonical else o.items():
                 if not (k is None or isinstance(k, (str, int, float))):
                     raise TypeError(f"keys must be str, int, float, bool or None, not {k!r}")
                 key = _str_text(k if isinstance(k, str) else _scalar_text(k))
-                write((glue if i else "{" + inner) + key + colon)
-                encode(v, inner)
-            write(pad + "}")
-        else:
-            write("[" + inner)
-            kinds = {float} if floats else set(map(type, o))
-            if kinds == {float}:
-                _float_text(o, glue, write)
-            elif kinds == {str}:
-                write(_str_list_text(o, glue))
-            else:
-                for i, x in enumerate(o):
-                    if i:
-                        write(glue)
-                    encode(x, inner)
-            write(pad + "]")
+                items.append(key + colon + encode(v, inner))
+            return "{" + inner + ("," + inner).join(items) + pad + "}"
+        return "[" + inner + ("," + inner).join(encode(x, inner) for x in o) + pad + "]"
 
-    encode(obj, "" if indent is None else "\n")
+    return encode(obj, "" if canonical else "\n")
 
 
-def dumps(obj: Any, indent: int | None = 2) -> str:
+def dumps(obj: Any) -> str:
     """Serialize with full float precision, stable across equal inputs."""
-    chunks: list[str] = []
-    _serialize(obj, chunks.append, indent, ", " if indent is None else ",")
-    return "".join(chunks)
+    return _document(obj).decode()
 
 
 def dumps_canonical(obj: Any) -> str:
     """Compact, key-sorted form used for hashing configurations."""
-    chunks: list[str] = []
-    _serialize(obj, chunks.append, None, ",", ":", sort_keys=True)
-    return "".join(chunks)
+    return _document(obj, canonical=True).decode()
 
 
 #: orjson reads an integer outside [-2**63, 2**64) as a float, where ``json``
@@ -298,6 +274,16 @@ def weights_from_json(obj: Any) -> Weights:
     return Weights(_float_array(obj, "the weights"))
 
 
+def _family_from_json(obj: dict, key: str) -> list[Dist]:
+    """``obj[key]``: a non-empty array of distributions, all on the first
+    one's outcome space."""
+    raw = obj[key]
+    if not isinstance(raw, list) or not raw:
+        raise ParseError(f'"{key}" must be a non-empty array')
+    first = dist_from_json(raw[0])
+    return [first] + [dist_from_json(d, space=first.space) for d in raw[1:]]
+
+
 def decomposition_to_json(decomp: Decomposition) -> dict:
     return {
         "pool_kind": decomp.pool_kind,
@@ -315,12 +301,8 @@ def decomposition_from_json(obj: Any) -> Decomposition:
         if key not in obj:
             raise ParseError(f'decomposition is missing "{key}"')
     kind = obj.get("pool_kind", "log")
-    children_raw = obj["children"]
-    if not isinstance(children_raw, list) or not children_raw:
-        raise ParseError('"children" must be a non-empty array')
-    first = dist_from_json(children_raw[0])
-    children = [first] + [dist_from_json(c, space=first.space) for c in children_raw[1:]]
-    parent = dist_from_json(obj["parent"], space=first.space)
+    children = _family_from_json(obj, "children")
+    parent = dist_from_json(obj["parent"], space=children[0].space)
     weights = weights_from_json(obj["weights"])
     return Decomposition(
         parent=parent, children=tuple(children), weights=weights, pool_kind=kind

@@ -48,14 +48,17 @@ __all__ = [
     "local_unanimity_audit",
 ]
 
-#: Probe coordinates must stay inside (POSITIVITY_FLOOR, 1) when sampling
-#: targets near a distribution; keeps every probe strictly positive.
+#: Probe coordinates must stay above this floor, or above half the center's
+#: smallest mass where that is lower, when sampling targets near a
+#: distribution; keeps every probe strictly positive.
 POSITIVITY_FLOOR = 1e-9
 
 #: Centered directions drawn per probe stream; the first that fits is used.
 PROBE_TRIES = 64
 
-#: Bisection steps of :func:`certify_openness` on the tv radius in (0, 1/2).
+#: Bisection steps of :func:`certify_openness` on the tv radius in (0, 1/2);
+#: while no radius has passed, halving goes on to the center's smallest mass
+#: over 2**BISECTION_STEPS.
 BISECTION_STEPS = 18
 
 
@@ -89,10 +92,14 @@ def _tv_directions(rng: np.random.Generator, m: int):
 
 def _at_radius(base: np.ndarray, d: np.ndarray, l1: np.ndarray, radius: float):
     """Scale directions (..., tries, m) to tv ``radius`` around ``base`` and
-    keep each stack's first draw with every coordinate in (POSITIVITY_FLOOR,
-    1): returns the normalized targets (..., m) and whether one fit (...)."""
+    keep each stack's first draw with every coordinate above the floor
+    ``min(POSITIVITY_FLOOR, min(base) / 2)``: returns the normalized targets
+    (..., m) and whether one fit (...).  Positive coordinates summing to 1
+    are each below 1, so no upper test is needed (one would fail by rounding
+    once ``max(base)`` rounds to 1)."""
+    floor = min(POSITIVITY_FLOOR, float(base.min()) / 2.0)
     p = base + d * (2.0 * radius / l1)[..., None]
-    fits = (l1 != 0.0) & (p > POSITIVITY_FLOOR).all(axis=-1) & (p < 1.0).all(axis=-1)
+    fits = (l1 != 0.0) & (p > floor).all(axis=-1)
     p = np.take_along_axis(p, fits.argmax(axis=-1)[..., None, None], axis=-2)[..., 0, :]
     return p / p.sum(axis=-1, keepdims=True), fits.any(axis=-1)
 
@@ -133,7 +140,10 @@ def certify_openness(
     its probes as one batch: one transport over (samples, n, m), one
     re-pool check at ``POOL_REVALIDATION_TOL`` and one gap computation.  A
     step fails when some sample has no feasible target at its radius or
-    loses strict unanimity.
+    loses strict unanimity.  While no step has passed, halving goes on past
+    the first ``BISECTION_STEPS`` down to the parent's smallest mass over
+    ``2**BISECTION_STEPS``, so a center with tiny masses is probed at its
+    own scale.
 
     This is sampled evidence with a seed and sample count, not a proof: the
     guarantee that *some* positive radius exists is the theorem's job; the
@@ -170,21 +180,20 @@ def certify_openness(
         failed = "" if (gaps > UNANIMITY_TOL).all() else "lost strict unanimity"
         return failed, float(gaps.min(initial=np.inf))
 
-    lo, hi, lo_gap, why = 0.0, 0.5, 0.0, ""
-    for _ in range(BISECTION_STEPS):
+    least = float(decomp.parent.p.min())
+    lo, hi, lo_gap, why, steps = 0.0, 0.5, 0.0, "", 0
+    while steps < BISECTION_STEPS or (lo == 0.0 and hi > least * 2.0**-BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
         failed, gap = probe(mid)
         if failed:
             hi, why = mid, failed
         else:
             lo, lo_gap = mid, gap
+        steps += 1
     if lo == 0.0:
-        least = float(decomp.parent.p.min())
         raise NotFound(
-            f"no tv radius survived probing down to {hi!r} (1/2 over 2^{BISECTION_STEPS}), "
-            f"where the last probe {why}; the parent's smallest mass is {least!r}, "
-            f"{'below' if least < POSITIVITY_FLOOR else 'above'} the positivity floor "
-            f"{POSITIVITY_FLOOR!r}"
+            f"no tv radius survived probing down to {hi!r} (1/2 over 2^{steps}), "
+            f"where the last probe {why}; the parent's smallest mass is {least!r}"
         )
     return OpennessCertificate(
         center=decomp,

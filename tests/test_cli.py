@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from _subproc import child_env, run_logpool
-from logpool import loads
+from logpool import loads, stability
 from logpool.cli import main
 
 
@@ -296,8 +296,14 @@ def test_a_write_that_fails_midway_is_an_io_error(tmp_path, capsys, command):
 
 
 class _ClosedPipe:
-    def write(self, text):
+    """A stdout whose reader went away, as text and as bytes."""
+
+    def write(self, data):
         raise BrokenPipeError(32, "Broken pipe")
+
+    @property
+    def buffer(self):
+        return self
 
 
 def test_a_stdout_that_fails_is_an_io_error(tmp_path, capsys, monkeypatch):
@@ -319,8 +325,9 @@ def test_out_dash_writes_the_file_bytes_to_stdout(tmp_path, capsys, command):
 
 
 def test_factor_peaks_below_twice_its_artifact(tmp_path):
-    """The artifact is streamed to its file, so the run never holds the whole
-    document as one string (which took over 4x the artifact's size)."""
+    """The artifact is written from one bytes object, so the run holds the
+    document once, not as a string built from pieces (which took over 4x
+    the artifact's size)."""
     argv = ["factor", str(_factor_input(tmp_path, 8192)), "--out", str(tmp_path / "out.json")]
     assert main(argv) == 0  # first run: imports and the label cache
     tracemalloc.start()
@@ -630,24 +637,34 @@ def test_fewer_than_two_compensation_outcomes_is_a_usage_error(tmp_path, capsys,
     assert not list(tmp_path.glob("x.*"))
 
 
-def test_openness_that_probes_down_to_its_floor_names_the_limit(tmp_path, capsys):
-    """At n = 9 the parent's smallest mass (2.2e-7) is below every radius the
-    bisection tries, so no target fits the tv ball; the error says so instead
-    of calling the input a bug.  At n = 8 a radius is still certified."""
+def test_openness_that_probes_down_to_its_floor_names_the_limit(tmp_path, capsys, monkeypatch):
+    """With every probe failing, the search at n = 9 halves the radius to
+    the parent's smallest mass (2.2e-7) over 2^18 and stops there; the error
+    says how far it went instead of calling the input a bug."""
+    monkeypatch.setattr(stability, "UNANIMITY_TOL", math.inf)
     cfg = tmp_path / "config.json"
     family = {"kind": "analytic_unanimity", "n": [9]}
     cfg.write_text(json.dumps({"analyses": ["openness"], "family": family}))
     assert main(["experiment", str(cfg), "--out", str(tmp_path / "x")]) == 1
     err = capsys.readouterr().err
     assert "bug" not in err
-    assert "down to 1.9073486328125e-06 (1/2 over 2^18)" in err
-    assert "the last probe found no feasible target" in err
-    assert "smallest mass is 2.16" in err and "above the positivity floor 1e-09" in err
-    cfg.write_text(json.dumps({"analyses": ["openness"], "family": {**family, "n": [8]}}))
+    assert "down to 4.547473508864641e-13 (1/2 over 2^40)" in err
+    assert "the last probe lost strict unanimity" in err
+    assert "smallest mass is 2.16" in err
+
+
+@pytest.mark.parametrize("n", [8, 9, 40])
+def test_openness_certifies_the_analytic_family(tmp_path, n):
+    """From n = 9 on the parent's smallest mass (2.2e-7 at n = 9, 1.2e-30 at
+    n = 40) is below every radius 18 halvings of 1/2 reach; the search goes
+    on down to that mass, and the certificate holds."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"analyses": ["openness"],
+                               "family": {"kind": "analytic_unanimity", "n": [n]}}))
     assert main(["experiment", str(cfg), "--out", str(tmp_path / "x")]) == 0
     with open(tmp_path / "x.openness.csv") as fh:
         (row,) = list(csv.DictReader(fh))
-    assert float(row["radius"]) > 0.0
+    assert float(row["radius"]) > 0.0 and float(row["min_gap_at_boundary"]) > 0.0
 
 
 def test_suppression_solves_one_span_basis_per_instance(tmp_path, monkeypatch):

@@ -112,8 +112,8 @@ def test_the_verify_report_reads_back_to_the_in_process_floats(tmp_path):
 
 
 def test_a_pool_at_vocabulary_size_reads_back_bit_for_bit(tmp_path):
-    """``pool`` over m = 32768 outcomes, eight output chunks: the written
-    ``p`` parses to ``log_pool``'s floats, bit for bit."""
+    """``pool`` over m = 32768 outcomes: the written ``p`` parses to
+    ``log_pool``'s floats, bit for bit."""
     rng = seeded(809)
     space = OutcomeSpace(32768)
     agents = [random_dist(rng, space) for _ in range(3)]
@@ -132,8 +132,8 @@ def test_a_pool_at_vocabulary_size_reads_back_bit_for_bit(tmp_path):
 
 
 #: sha256 of the ``pool --kind log`` and ``factor --seed 5`` artifacts over
-#: ``personas(17, 32768, 4)``, recorded before the leaf writers moved onto
-#: single orjson calls per label list and float chunk.
+#: ``personas(17, 32768, 4)``, recorded before the JSON writer moved onto
+#: orjson calls, first per label list and float chunk, then per document.
 VOCAB_SHA256 = {
     "pool": "bcbf6750cb284496842792cdd4dceb9d4d8b35c6753585ce7070e4ab2d1e470c",
     "factor": "fcd77e590a9e09a1dbfe38d74da2e7d9bfd33a141161a7574dfcf721f1b8490a",
@@ -142,8 +142,8 @@ VOCAB_SHA256 = {
 
 @pytest.mark.parametrize("command", sorted(VOCAB_SHA256))
 def test_vocabulary_sized_artifacts_match_their_pinned_bytes(tmp_path, command):
-    """The CLI artifacts at m = 32768: default labels, eight float chunks
-    per distribution, and a factor's four distributions, byte for byte."""
+    """The CLI artifacts at m = 32768: default labels, a float list per
+    distribution, and a factor's four distributions, byte for byte."""
     agents = personas(17, 32768, 4)
     if command == "pool":
         doc = {"agents": [{"p": a.tolist()} for a in agents], "weights": [0.4, 0.3, 0.2, 0.1]}

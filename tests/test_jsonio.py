@@ -85,20 +85,18 @@ def layout_object():
 def test_dumps_layout_matches_the_golden_bytes():
     golden = json.loads(LAYOUT_GOLDEN.read_text())
     assert dumps(layout_object()) == golden["dumps"]
-    assert dumps(layout_object(), indent=None) == golden["dumps_no_indent"]
 
 
-def _streamed(obj, tmp_dir) -> str:
-    """The CLI's file writer: ``dumps`` text handed to ``fh.write`` piece by
-    piece in document order, then a newline."""
-    path = Path(tmp_dir) / "streamed.json"
+def _written(obj, tmp_dir) -> str:
+    """The CLI's file writer: the bytes of the document, then a newline."""
+    path = Path(tmp_dir) / "written.json"
     _write_json(str(path), obj)
     return path.read_text()
 
 
 def test_streamed_layout_matches_the_golden_bytes(tmp_path):
     golden = json.loads(LAYOUT_GOLDEN.read_text())
-    assert _streamed(layout_object(), tmp_path) == golden["dumps"] + "\n"
+    assert _written(layout_object(), tmp_path) == golden["dumps"] + "\n"
 
 
 def canonical_object():
@@ -172,17 +170,17 @@ def _round_trip_cases():
         "subnormals, negatives and signed zeros": np.concatenate(
             [subnormal, -subnormal, [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308] * 1000]
         ),
-        "longer than one chunk": rng.random(3 * jsonio._CHUNK + 7),
+        "a long list": rng.random(12295),
     }
 
 
 @pytest.mark.parametrize("case", list(_round_trip_cases()))
 def test_floats_read_back_with_the_same_bits(case):
     """A list of plain floats, a 1-D float64 array and each float alone read
-    back as floats with the same bits; the lists cross chunk seams."""
+    back as floats with the same bits."""
     values = _round_trip_cases()[case]
     _assert_same_floats(loads(dumps(values.tolist())), values)
-    _assert_same_floats(loads(dumps({"p": values}, indent=None))["p"], values)
+    _assert_same_floats(loads(dumps({"p": values}))["p"], values)
     head = values[:2000]
     _assert_same_floats([loads(dumps(x)) for x in head.tolist()], head)
 
@@ -191,56 +189,51 @@ _FLOAT_EDGES = [5e-324, 2.2250738585072014e-308, 1e-5, 1e16, 1e17, 1.79769313486
 
 
 def test_the_float_list_pass_writes_each_float_as_its_scalar_text():
-    """A list of plain floats is written a chunk at a time; each entry must
+    """A list of plain floats is written by one orjson call; each entry must
     read as the float alone is written, ``orjson.dumps(x)``."""
     rng = rng_from(805)
     bits = rng.integers(0, 2**64, size=20_000, dtype=np.uint64, endpoint=False)
     drawn = [x for x in bits.view(np.float64).tolist() if math.isfinite(x)]
     for values in (_FLOAT_EDGES, [-x for x in _FLOAT_EDGES], drawn):
-        want = "[" + ", ".join(orjson.dumps(x).decode() for x in values) + "]"
-        _assert_same_text(dumps(values, indent=None), want)
+        want = "[\n  " + ",\n  ".join(orjson.dumps(x).decode() for x in values) + "\n]"
+        _assert_same_text(dumps(values), want)
 
 
-def _float_chunks(values, glue=",\n    "):
-    chunks = []
-    jsonio._float_text(values, glue, chunks.append)
-    return chunks
-
-
-def _counting_scalar_text(monkeypatch):
+def _counting(monkeypatch, name):
+    """Count the calls of ``jsonio.<name>``, which still does its work."""
     calls = []
-    real = jsonio._scalar_text
-    monkeypatch.setattr(jsonio, "_scalar_text", lambda x: calls.append(x) or real(x))
+    real = getattr(jsonio, name)
+    monkeypatch.setattr(jsonio, name, lambda *a, **k: calls.append(a) or real(*a, **k))
     return calls
 
 
 def test_every_row_falling_back_gives_the_same_bytes(monkeypatch):
-    """A chunk that orjson writes with a ``null`` is written float by float
-    through ``_scalar_text``.  With a NaN closing every chunk, every float
-    takes that path, and the finite ones keep the bytes of the chunked path."""
-    glue = ",\n    "
+    """orjson writes NaN as ``null``, so a document holding one is written
+    float by float through ``_scalar_text``.  With a NaN after every 4095
+    floats, the finite ones keep the bytes of the one-call path."""
     drawn = _round_trip_cases()["random bit patterns"][:9000]
     values = np.concatenate([drawn, _powers_of_ten_and_neighbours()])
-    texts = "".join(_float_chunks(values, glue)).split(glue)
-    step = jsonio._CHUNK - 1
+    calls = _counting(monkeypatch, "_scalar_text")
+    texts = dumps(values)[4:-2].split(",\n  ")
+    assert calls == []
+    step = 4095
     spiked, want = [], []
     for start in range(0, len(values), step):
         spiked += values[start:start + step].tolist() + [math.nan]
         want += texts[start:start + step] + ["NaN"]
-    calls = _counting_scalar_text(monkeypatch)
     for given_as in (spiked, np.array(spiked)):
         calls.clear()
-        _assert_same_text("".join(_float_chunks(given_as, glue)), glue.join(want))
+        _assert_same_text(dumps(given_as), "[\n  " + ",\n  ".join(want) + "\n]")
         assert len(calls) == len(spiked)
 
 
 def test_few_persona_floats_fall_back_to_dtoa(monkeypatch):
     """A persona distribution over m = 32768 outcomes: at most 5 % of its
-    floats may be left to ``_scalar_text``, the per-float dtoa the chunked
+    floats may be left to ``_scalar_text``, the per-float dtoa the one-call
     writer exists to avoid."""
     m = 32768
     p = personas(1, m, 1)[0]
-    calls = _counting_scalar_text(monkeypatch)
+    calls = _counting(monkeypatch, "_scalar_text")
     for given_as in (p.tolist(), p):
         calls.clear()
         text = dumps({"p": given_as})
@@ -249,25 +242,24 @@ def test_few_persona_floats_fall_back_to_dtoa(monkeypatch):
 
 
 def test_a_vocabulary_sized_distribution_takes_no_per_item_path(monkeypatch):
-    """``dist_to_json`` of a persona distribution at m = 32768: its default
-    labels are one orjson call and its ``p`` eight float chunks, so neither
-    ``_str_text`` (only the two keys reach it) nor ``_scalar_text`` runs per
-    item."""
+    """``dist_to_json`` of a persona distribution at m = 32768 is one orjson
+    call: neither ``_str_text`` nor ``_scalar_text`` runs, not even for the
+    two keys."""
     p = personas(1, 32768, 1)[0]
     dist = Dist(OutcomeSpace(len(p)), p)
-    floats = _counting_scalar_text(monkeypatch)
-    strings = []
-    monkeypatch.setattr(jsonio, "_str_text", lambda x: strings.append(x) or json.dumps(x))
+    floats = _counting(monkeypatch, "_scalar_text")
+    strings = _counting(monkeypatch, "_str_text")
     text = dumps(dist_to_json(dist))
-    assert floats == [] and strings == ["labels", "p"], (len(floats), len(strings))
+    assert floats == [] and strings == [], (len(floats), len(strings))
     assert loads(text) == {"labels": dist.space.all_labels(), "p": p.tolist()}
 
 
 @pytest.mark.parametrize("label", ["caf\u00e9", "\x7f", "\ud800"], ids=ascii)
 def test_a_pool_with_a_label_orjson_cannot_write_as_json_does(tmp_path, label):
-    """A non-ASCII label (orjson writes UTF-8), DEL (orjson writes it raw)
-    and a lone surrogate (orjson refuses it) send the label list to the
-    per-string path: the artifact still holds the stdlib's escapes."""
+    """A non-ASCII label (orjson writes UTF-8) and DEL (orjson writes it
+    raw) are escaped after orjson's call, and a lone surrogate (orjson
+    refuses it) sends the document to ``_serialize``: the artifact holds the
+    stdlib's escapes either way."""
     labels = ["a", label, "o2"]
     family = tmp_path / "family.json"
     family.write_text(json.dumps({"agents": [{"labels": labels, "p": [0.2, 0.3, 0.5]},
@@ -298,38 +290,33 @@ _STR_LISTS = st.lists(_TEXTS, min_size=1, max_size=6)
 @example(["\x7f"])
 def test_string_lists_write_as_json_writes_them(obj):
     """Any text, lone surrogates, DEL, controls, quotes, backslashes, commas
-    and newlines included, nested 0-2 lists deep, in each of the three
-    layouts."""
+    and newlines included, nested 0-2 lists deep, in both layouts."""
     assert dumps(obj) == json.dumps(obj, indent=2)
-    assert dumps(obj, indent=None) == json.dumps(obj)
     assert dumps_canonical(obj) == json.dumps(obj, separators=(",", ":"), sort_keys=True)
 
 
 def test_nan_and_infinities_write_as_the_stdlib_writes_them():
-    """orjson writes them as ``null``; mid-chunk, in a list or an array, and
-    as scalars they are ``NaN``, ``Infinity`` and ``-Infinity``.  Each chunk
-    is one ``write``."""
-    values = rng_from(807).random(3 * jsonio._CHUNK)
-    at = [17, jsonio._CHUNK + 5, 2 * jsonio._CHUNK - 1]
+    """orjson writes them as ``null``; in a long list or an array, and as
+    scalars, they are ``NaN``, ``Infinity`` and ``-Infinity``."""
+    values = rng_from(807).random(12288)
+    at = [17, 4101, 8191]
     values[at] = [math.nan, math.inf, -math.inf]
     for given_as in (values, values.tolist()):
-        chunks = _float_chunks(given_as)
-        assert len(chunks) == 3
-        texts = "".join(chunks).split(",\n    ")
+        texts = dumps(given_as)[4:-2].split(",\n  ")
         assert [texts[i] for i in at] == ["NaN", "Infinity", "-Infinity"]
         _assert_same_floats(list(map(float, texts)), values)
     assert [dumps(x) for x in (math.nan, math.inf, -math.inf)] == ["NaN", "Infinity", "-Infinity"]
 
 
 def test_a_strided_array_writes_as_its_list():
-    """orjson refuses an array that is not C-contiguous."""
-    x = rng_from(808).random(2 * jsonio._CHUNK + 3)
+    """A strided or reversed view writes as its values in view order."""
+    x = rng_from(808).random(8195)
     for view in (x[::2], x[::-1]):
         _assert_same_text(dumps(view), dumps(view.tolist()))
 
 
 def reference_dumps(o, pad="\n"):
-    """The per-element encoder the streamed one replaced: every value's text
+    """A per-element encoder independent of ``jsonio``: every value's text
     built whole and joined, finite floats one ``orjson.dumps`` call each."""
     if isinstance(o, (np.ndarray, np.generic)):
         o = o.tolist()
@@ -374,12 +361,93 @@ _DOCUMENTS = st.recursive(
 @given(_DOCUMENTS)
 def test_streamed_text_equals_dumps_and_the_per_element_encoder(obj):
     """NaN, infinities, -0.0, empty containers, tuples and numpy values, in
-    any nesting: the file the CLI streams holds ``dumps`` text, which is the
+    any nesting: the file the CLI writes holds ``dumps`` text, which is the
     per-element encoder's text."""
     with tempfile.TemporaryDirectory() as tmp:
-        streamed = _streamed(obj, tmp)
-    assert streamed == dumps(obj) + "\n"
+        written = _written(obj, tmp)
+    assert written == dumps(obj) + "\n"
     assert dumps(obj) == reference_dumps(obj)
+
+
+_FALLBACK_LEAVES = st.one_of(
+    st.sampled_from([2**64, -(2**63) - 1, 2**70, -(2**70), None, "null", " null ", "[null]",
+                     "\x7f", "\ud800", "caf\u00e9 \u2603"]),
+    st.lists(st.floats(width=32), max_size=4).map(lambda x: np.array(x, dtype=np.float32)),
+    st.lists(_SPECIAL_FLOATS, max_size=4).map(np.array),
+    st.sampled_from([object(), b"bytes", {1}, np.datetime64(0, "s")]),
+)
+_KEYS = st.text(max_size=3) | st.sampled_from(["null", "\x7f", "\u00e9", "\udc00", 7, 0.5, True, None])
+
+
+def _nested(obj, depth):
+    for _ in range(depth):
+        obj = [obj]
+    return obj
+
+
+_FALLBACK_DOCUMENTS = st.builds(
+    _nested,
+    st.recursive(
+        _LEAVES | _FALLBACK_LEAVES,
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_KEYS, inner, max_size=4),
+        max_leaves=16,
+    ),
+    st.sampled_from([0, 0, 0, 1, 260]),
+)
+
+
+def _text_or_error(write, obj):
+    try:
+        return write(obj)
+    except TypeError as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FALLBACK_DOCUMENTS)
+@example(math.nan)
+@example({"p": [0.5, -math.inf], "k": None})
+@example(["null", " null ", {"null": "[null]"}])
+@example({"caf\u00e9": ["\x7f", "\u2603"]})
+@example([2**64 - 1, -(2**63)])
+@example([2**64, "\ud800"])
+@example({7: 0.5})
+@example(_nested({"a": 1}, 260))
+@example(np.array([0.1, 2.5], dtype=np.float32))
+@example([object()])
+def test_one_call_text_equals_the_per_value_writer(obj):
+    """Whether orjson writes a document or refuses it (an int beyond 64
+    bits, a lone surrogate, a non-str key, nesting past 254, a type it
+    cannot write), and whether its text holds ``null`` or a word "null":
+    ``dumps`` and ``dumps_canonical`` give ``_serialize``'s text or error."""
+    assert _text_or_error(dumps, obj) == _text_or_error(jsonio._serialize, obj)
+    canonical = _text_or_error(lambda o: jsonio._serialize(o, canonical=True), obj)
+    assert _text_or_error(dumps_canonical, obj) == canonical
+
+
+@pytest.mark.parametrize("labels", ["default", "non-ASCII", "DEL", "null"])
+def test_a_vocabulary_sized_factor_never_reaches_the_per_value_writer(tmp_path, monkeypatch, labels):
+    """A ``factor`` artifact at m = 32768 is one orjson call, whatever its
+    labels: non-ASCII and DEL are escaped after it, and a label "null" is
+    not a ``null`` value."""
+    m = 32768
+    names = [f"o{i}" for i in range(m)]
+    if labels == "non-ASCII":
+        names = [f"\u00e9{i}\u2603" for i in range(m)]
+    elif labels != "default":
+        names[7] = {"DEL": "o7\x7f", "null": "null"}[labels]
+    parent = {"p": personas(23, m, 1)[0].tolist()}
+    if labels != "default":
+        parent["labels"] = names
+    src, out = tmp_path / "input.json", tmp_path / "out.json"
+    src.write_text(json.dumps({"parent": parent, "weights": [0.5, 0.3, 0.2]}))
+    calls = _counting(monkeypatch, "_serialize")
+    assert main(["factor", str(src), "--out", str(out)]) == 0
+    assert calls == []
+    monkeypatch.undo()
+    text = out.read_text()
+    _assert_same_text(text, jsonio._serialize(json.loads(text)) + "\n")
+    assert json.loads(text)["decomposition"]["parent"]["labels"] == names
 
 
 def test_float_round_trip_through_dumps():
