@@ -23,7 +23,6 @@ import argparse
 import csv
 import sys
 import time
-from contextlib import nullcontext
 from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Sequence
@@ -101,12 +100,17 @@ def _read_text(path: str) -> str:
 
 
 def _write_json(path: str | None, obj: Any) -> None:
-    """``dumps(obj)`` and a newline, as bytes, to ``path`` (stdout for none or ``-``)."""
+    """``dumps(obj)`` and a newline to ``path``, or to ``sys.stdout`` as text
+    (it may be a stream with no bytes layer) for none or ``-``."""
     text = _document(obj)
     try:
-        with nullcontext(sys.stdout.buffer) if path in (None, "-") else open(path, "wb") as fh:
-            fh.write(text)
-            fh.write(b"\n")
+        if path in (None, "-"):
+            sys.stdout.write(text.decode())
+            sys.stdout.write("\n")
+        else:
+            with open(path, "wb") as fh:
+                fh.write(text)
+                fh.write(b"\n")
     except OSError as exc:
         raise IoError(f"cannot write {path or '-'}: {exc}") from exc
 

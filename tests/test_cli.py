@@ -1,7 +1,9 @@
 """The command-line interface: deterministic reports, exit codes, and the
 experiment harness's CSV/manifest artifacts."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 import resource
@@ -169,6 +171,20 @@ def test_gap_outputs_every_information_term(tmp_path, capsys):
     assert out["strictly_positive"] == (out["gap"] > 0.0)
 
 
+def test_a_stdout_with_no_bytes_layer_gets_the_text_a_file_gets(tmp_path, monkeypatch):
+    """``redirect_stdout(io.StringIO())`` gives a stdout that takes text only;
+    the document written there reads as the ``--out`` file's bytes."""
+    payload = json.dumps({"agent": {"p": [0.5, 0.3, 0.2]}, "pool": {"p": [0.3, 0.4, 0.3]}})
+    path = tmp_path / "gap.json"
+    path.write_text(payload)
+    assert main(["gap", str(path), "--out", str(tmp_path / "out.json")]) == 0
+    monkeypatch.setattr(sys, "stdin", io.StringIO(payload))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["gap", "-"]) == 0
+    assert out.getvalue().encode() == (tmp_path / "out.json").read_bytes()
+
+
 def test_factor_round_trips_a_decomposition(tmp_path, capsys):
     from logpool import decomposition_from_json
 
@@ -296,14 +312,8 @@ def test_a_write_that_fails_midway_is_an_io_error(tmp_path, capsys, command):
 
 
 class _ClosedPipe:
-    """A stdout whose reader went away, as text and as bytes."""
-
-    def write(self, data):
+    def write(self, text):
         raise BrokenPipeError(32, "Broken pipe")
-
-    @property
-    def buffer(self):
-        return self
 
 
 def test_a_stdout_that_fails_is_an_io_error(tmp_path, capsys, monkeypatch):

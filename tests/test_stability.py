@@ -146,6 +146,18 @@ def test_certify_openness_needs_at_least_one_probe(samples):
         certify_openness(decomp, samples=samples, seed=0)
 
 
+def test_a_failing_openness_search_stops_after_a_fixed_number_of_steps(monkeypatch):
+    """At n = 80 the parent's smallest mass (1.2e-60) over 2^18 lies 217
+    halvings below 1/2; with every probe failing, the search stops at 128."""
+    from logpool import stability
+
+    monkeypatch.setattr(stability, "UNANIMITY_TOL", np.inf)
+    decomp = analytic_unanimity_instance(80, 0.17782794100389229)
+    assert decomp.parent.p.min() * 2.0**-18 < 0.5 * 2.0**-216
+    with pytest.raises(NotFound, match=r"\(1/2 over 2\^128\)"):
+        certify_openness(decomp, samples=1, seed=0)
+
+
 def test_certify_openness_requires_strict_unanimity():
     rng = rng_from(606)
     # generic random decompositions essentially never have all gaps positive
