@@ -88,15 +88,25 @@ def build_report(
     }
 
 
-def _read_text(path: str) -> str:
+def _read_text(path: str) -> str | bytes:
+    """The JSON text at ``path``, or on stdin (as text) for ``-``.  A file
+    is read as bytes and goes to ``loads`` as bytes if it is ASCII with no
+    CR and no NUL in its first two bytes: ``json.loads`` reads those bytes
+    as it reads their text.  Any other file is decoded as text mode decodes
+    it, CR and CRLF read as LF, so every error names the same position."""
     if path == "-":
         return sys.stdin.read()
     try:
-        return Path(path).read_text(encoding="utf-8")
+        raw = Path(path).read_bytes()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
+    if raw.isascii() and b"\r" not in raw and b"\0" not in raw[:2]:
+        return raw
+    try:
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"cannot read {path} as UTF-8: {exc}") from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _write_json(path: str | None, obj: Any) -> None:

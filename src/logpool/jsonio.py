@@ -28,6 +28,7 @@ import hashlib
 import json
 import math
 import re
+from array import array
 from json.encoder import encode_basestring_ascii as _str_text
 from typing import Any
 
@@ -155,26 +156,31 @@ _WIDE = 2.0**63
 _MAX_OPENERS = 1024
 
 
-def _openers(text: str) -> int:
+def _openers(text: str | bytes) -> int:
     """How many ``[`` and ``{`` ``text`` holds, a bound on its depth.  UTF-8
     writes every other character with bytes above 0x7f; NumPy counts ~3x
-    faster than ``str.count``."""
-    raw = np.frombuffer(text.encode("utf-8", "surrogatepass"), np.uint8)
+    faster than ``bytes.count``."""
+    if isinstance(text, str):
+        text = text.encode("utf-8", "surrogatepass")
+    raw = np.frombuffer(text, np.uint8)
     return int(np.count_nonzero(raw == ord("[")) + np.count_nonzero(raw == ord("{")))
 
 
 def _holds_wide_float(obj: Any) -> bool:
-    """True if ``obj`` holds a float of magnitude at least ``_WIDE``.  Walks
-    with a stack, not recursion: documents ``_MAX_OPENERS`` deep reach it."""
+    """True if ``obj`` holds a float of magnitude at least ``_WIDE``.  A list
+    of numbers costs one C pass: its 2-norm bounds every magnitude, so only a
+    list whose norm reaches ``_WIDE / 2`` (a margin far beyond the norm's
+    rounding), or that ``math.hypot`` refuses, is tested entry by entry.
+    Walks with a stack, not recursion: documents ``_MAX_OPENERS`` deep reach
+    it."""
     stack = [[obj]]
     while stack:
         items = stack.pop()
         if items and type(items[0]) in (float, int):
-            try:  # two passes in C; a number compared with anything else raises
-                if max(items) >= _WIDE or min(items) <= -_WIDE:
-                    return True
-                continue
-            except TypeError:
+            try:  # anything but a number, or an int beyond a float, raises
+                if math.hypot(*items) < _WIDE / 2:
+                    continue
+            except (TypeError, OverflowError):
                 pass
         for x in items:
             if type(x) is float and abs(x) >= _WIDE:
@@ -186,16 +192,18 @@ def _holds_wide_float(obj: Any) -> bool:
     return False
 
 
-def loads(text: str) -> Any:
+def loads(text: str | bytes) -> Any:
     """Parse a JSON document into what ``json.loads`` returns, float bits
-    included, or raise :class:`ParseError` with its message.
+    included, or raise :class:`ParseError` with its message.  ``text`` may
+    be bytes, read as ``json.loads`` reads bytes.
 
     orjson parses a text with at most ``_MAX_OPENERS`` brackets and braces.
     ``json`` reads every other text, each one orjson rejects (NaN and
-    infinities, lone surrogates, malformed text), and each one it may read
-    differently (an integer beyond 64 bits), so the result or the error is
-    always the stdlib's.  A document too deep or an integer too long for the
-    stdlib is a :class:`ParseError` too."""
+    infinities, lone surrogates, a BOM, malformed text), and each one it may
+    read differently (an integer beyond 64 bits, which orjson reads as a
+    float; :func:`_holds_wide_float` looks for one), so the result or the
+    error is always the stdlib's.  A document too deep or an integer too
+    long for the stdlib is a :class:`ParseError` too."""
     # Imported here, as by the writers: orjson imports zoneinfo (~8 ms), which
     # ``import logpool.cli`` should not pay.
     import orjson
@@ -226,7 +234,26 @@ def _array_of(values: Any, *kinds: type) -> bool:
     )
 
 
-def _float_array(values: list, what: str) -> np.ndarray:
+def _float_array(values: Any) -> np.ndarray | None:
+    """``values`` as float64 from one C pass, or None where that pass cannot
+    tell that it is a list or tuple of numbers.  ``array("d")`` refuses a
+    string, ``null``, a list, an object and an int too large for a float,
+    and reads a bool as exactly 0.0 or 1.0, so a list it refuses or one
+    holding either value is left to :func:`_array_of` and :func:`_floats`.
+    It also reads a number of any other type that converts to a float, such
+    as a NumPy scalar, which :func:`loads` never returns."""
+    if not isinstance(values, (list, tuple)):
+        return None
+    try:
+        out = np.frombuffer(array("d", values))
+    except (TypeError, OverflowError):
+        return None
+    return None if ((out == 0.0) | (out == 1.0)).any() else out
+
+
+def _floats(values: list, what: str) -> np.ndarray:
+    """A list of numbers as float64; an int too large for a float is a
+    :class:`ParseError` naming ``what``."""
     try:
         return np.asarray(values, dtype=float)
     except OverflowError as exc:
@@ -248,7 +275,8 @@ def dist_from_json(obj: Any, space: OutcomeSpace | None = None) -> Dist:
     if not isinstance(obj, dict) or "p" not in obj:
         raise ParseError('a distribution is an object with a "p" array')
     p = obj["p"]
-    if not _array_of(p, int, float):
+    floats = _float_array(p)
+    if floats is None and not _array_of(p, int, float):
         raise ParseError('"p" must be an array of numbers')
     labels = obj.get("labels")
     if labels is not None:
@@ -262,16 +290,17 @@ def dist_from_json(obj: Any, space: OutcomeSpace | None = None) -> Dist:
             raise ParseError("labels do not match the expected outcome space")
     else:
         space = OutcomeSpace(len(p), labels)
-    return Dist(space, _float_array(p, '"p"'))
+    return Dist(space, _floats(p, '"p"') if floats is None else floats)
 
 
 def weights_from_json(obj: Any) -> Weights:
     """Parse ``{"beta": [...]}`` or a bare array of numbers."""
     if isinstance(obj, dict):
         obj = obj.get("beta")
-    if not _array_of(obj, int, float):
+    floats = _float_array(obj)
+    if floats is None and not _array_of(obj, int, float):
         raise ParseError('weights are {"beta": [...]} or a bare array of numbers')
-    return Weights(_float_array(obj, "the weights"))
+    return Weights(_floats(obj, "the weights") if floats is None else floats)
 
 
 def _family_from_json(obj: dict, key: str) -> list[Dist]:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from _subproc import child_env, run_logpool
-from logpool import loads, stability
+from logpool import Dist, LogPoolError, OutcomeSpace, Weights, loads, stability
 from logpool.cli import main
 
 
@@ -259,6 +259,113 @@ def test_an_integer_entry_too_large_for_a_float_is_a_parse_error(tmp_path, capsy
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(family))
     assert_usage_error(capsys, ["pool", str(path)])
+
+
+#: Each vector an input holds, as (command, vector): "p" of the last agent
+#: (``pool``), of the agent (``gap``) or of the parent (``factor``), or the
+#: weights.
+_VECTORS = [("pool", "p"), ("pool", "weights"), ("gap", "p"), ("factor", "p"), ("factor", "weights")]
+
+
+def _input_with(command: str, where: str, m: int, entry) -> dict:
+    """An input for ``command`` whose ``where`` vector holds ``m`` entries,
+    ``1/m`` but for the last one, ``entry``."""
+    vector = [1.0 / m] * (m - 1) + [entry]
+    p = vector if where == "p" else [0.5, 0.3, 0.2]
+    weights = vector if where == "weights" else [0.5, 0.5]
+    if command == "pool":
+        return {"agents": [{"p": [1.0 / len(p)] * len(p)}, {"p": p}], "weights": {"beta": weights}}
+    if command == "gap":
+        return {"agent": {"p": p}, "pool": {"p": [1.0 / m] * m}}
+    return {"parent": {"p": p}, "weights": weights}
+
+
+_NOT_NUMBERS = {"true": True, "false": False, "string": "0.5", "null": None, "list": [0.5], "object": {"p": 0.5}}
+
+
+@pytest.mark.parametrize("m", [3, 32768])
+@pytest.mark.parametrize("command, where", _VECTORS)
+@pytest.mark.parametrize("entry", [*_NOT_NUMBERS.values(), 10**400], ids=[*_NOT_NUMBERS, "400 digits"])
+def test_an_entry_that_is_not_a_float_is_a_parse_error(tmp_path, capsys, entry, command, where, m):
+    """A bool, a string, ``null``, a list or an object among the numbers is
+    the vector's type error, and an integer too large for a float its own
+    error, wherever the entry sits in the vector."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(_input_with(command, where, m, entry)))
+    if where == "p":
+        what, kind = '"p"', '"p" must be an array of numbers'
+    else:
+        what, kind = "the weights", 'weights are {"beta": [...]} or a bare array of numbers'
+    message = f"an entry of {what} is too large for a float" if entry == 10**400 else kind
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("m", [3, 32768])
+@pytest.mark.parametrize("command, where", _VECTORS)
+@pytest.mark.parametrize("entry", [1.0, 0.0])
+def test_a_float_one_or_zero_entry_reaches_the_domain_checks(tmp_path, capsys, entry, command, where, m):
+    """``1.0`` and ``0.0`` are numbers, not the bools ``true`` and
+    ``false``: the input fails as the vector built directly fails."""
+    vector = np.array([1.0 / m] * (m - 1) + [entry])
+    with pytest.raises(LogPoolError) as want:
+        Dist(OutcomeSpace(m), vector) if where == "p" else Weights(vector)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(_input_with(command, where, m, entry)))
+    assert main([command, str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {want.value}\n"
+
+
+@pytest.mark.parametrize(
+    "agent, message",
+    [
+        ({"p": [10**400, "0.5", 0.5]}, '"p" must be an array of numbers'),
+        ({"labels": [1, 2, 3], "p": [10**400, 0.5, 0.5]}, '"labels" must be an array of strings'),
+        ({"p": [10**400, 0.25, 0.25, 0.5]}, "expected 3 probability entries, got 4"),
+        ({"labels": ["x", "y", "z"], "p": [10**400, 0.5, 0.5]}, "labels do not match the expected outcome space"),
+        ({"p": [10**400, 0.5, 0.5]}, 'an entry of "p" is too large for a float'),
+    ],
+    ids=["type", "label type", "length", "labels", "too large"],
+)
+def test_parse_errors_come_in_a_fixed_order(tmp_path, capsys, agent, message):
+    """The second agent's ``"p"`` holds an integer too large for a float
+    and the weights hold one too: the type of ``"p"``, then its labels, then
+    its length are checked before either integer."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"agents": [{"p": [0.5, 0.3, 0.2]}, agent], "weights": [10**400, 1]}))
+    assert main(["pool", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "raw", [b'{"agents": [],\r\n "weights": [1]} x', b'{"agents": [],\r "weights": [1]} x', b"1\0", b"\0\0\0\x31"], ids=ascii
+)
+def test_a_file_fails_as_its_text_fails(tmp_path, capsys, raw):
+    """A file is read as bytes, yet one holding a CR, or a leading NUL that
+    ``json.loads`` would take for UTF-16 or UTF-32, gets the error of its
+    text with CR and CRLF read as LF, as a file opened as text gives."""
+    path = tmp_path / "input.json"
+    path.write_bytes(raw)
+    with pytest.raises(json.JSONDecodeError) as want:
+        json.loads(raw.decode().replace("\r\n", "\n").replace("\r", "\n"))
+    assert main(["pool", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: invalid JSON: {want.value}\n"
+
+
+def test_stdin_stays_text_and_pools_as_the_file_does(tmp_path, monkeypatch):
+    """``-`` reads ``sys.stdin`` as text, so a stdin with no bytes layer
+    (an ``io.StringIO``) works.  It, the file read as bytes and the file
+    with CRLF line ends write the same artifact."""
+    payload = json.dumps(FAMILY, indent=1)
+    (tmp_path / "lf.json").write_text(payload)
+    (tmp_path / "crlf.json").write_bytes(payload.replace("\n", "\r\n").encode())
+    monkeypatch.setattr(sys, "stdin", io.StringIO(payload))
+    written = []
+    for src in ("-", str(tmp_path / "lf.json"), str(tmp_path / "crlf.json")):
+        out = tmp_path / "out.json"
+        assert main(["pool", src, "--out", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1] == written[2]
 
 
 def test_domain_errors_exit_one(tmp_path):

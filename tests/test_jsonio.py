@@ -254,6 +254,21 @@ def test_a_vocabulary_sized_distribution_takes_no_per_item_path(monkeypatch):
     assert loads(text) == {"labels": dist.space.all_labels(), "p": p.tolist()}
 
 
+def test_a_vocabulary_sized_pool_reads_each_list_in_one_pass(tmp_path, monkeypatch):
+    """A ``pool`` over four persona distributions at m = 32768 is parsed by
+    orjson alone, and each number list becomes an array without the
+    per-entry type scan."""
+    agents = personas(1, 32768, 4)
+    src = tmp_path / "family.json"
+    src.write_text(json.dumps({"agents": [{"p": p.tolist()} for p in agents], "weights": [0.1, 0.2, 0.3, 0.4]}))
+    parsed = []
+    real = json.loads
+    monkeypatch.setattr(json, "loads", lambda *a, **k: parsed.append(a) or real(*a, **k))
+    scans = _counting(monkeypatch, "_array_of")
+    assert main(["pool", str(src), "--out", str(tmp_path / "out.json")]) == 0
+    assert parsed == [] and scans == [], (len(parsed), len(scans))
+
+
 @pytest.mark.parametrize("label", ["caf\u00e9", "\x7f", "\ud800"], ids=ascii)
 def test_a_pool_with_a_label_orjson_cannot_write_as_json_does(tmp_path, label):
     """A non-ASCII label (orjson writes UTF-8) and DEL (orjson writes it
@@ -497,7 +512,11 @@ def _same(got, want) -> bool:
 
 
 def _assert_reads_as_json(text):
-    assert _same(loads(text), json.loads(text)), text
+    """As text and as its UTF-8 bytes, lone surrogates included (the bytes
+    ``json.loads`` reads back to the same text)."""
+    want = json.loads(text)
+    assert _same(loads(text), want), text
+    assert _same(loads(text.encode("utf-8", "surrogatepass")), want), text
 
 
 @st.composite
@@ -556,12 +575,21 @@ def _short_id(text):
         "2.4703282292062327e-324", "2.4703282292062328e-324", "7.4109846876186982e-324",
         "1.7976931348623158e308", "1.7976931348623159e308",
         "[" + ", ".join(["[]"] * 1500) + "]",
+        "[9223372036854775808, 1e-300, 0.5]", "[-9223372036854775809, 0.5]",
+        "[" + ", ".join(["1e16"] * 10_000) + "]", "[" + ", ".join(["1e17"] * 10_000) + "]",
+        "[1e200, 1e200]", "[1.5e308, 1.5e308, -18446744073709551617]",
+        '[0.5, "a", 18446744073709551616]', "[18446744073709551616, [0.5]]",
     ],
     ids=_short_id,
 )
 def test_loads_gives_the_stdlib_result_where_orjson_differs(text):
     """Each text orjson rejects, or would read otherwise, or that holds more
-    brackets than it may nest, and the floats hardest to round."""
+    brackets than it may nest, and the floats hardest to round.  The number
+    lists probe the 2-norm bound on wide integers: 2^63 stays an int in
+    orjson and -2^63 - 1 does not; 10,000 copies of 1e16 have a norm below
+    2^62 and of 1e17 one above it with no entry at 2^63; ``1.5e308`` twice
+    overflows the norm to inf; a string or a list in the list makes
+    ``math.hypot`` raise."""
     _assert_reads_as_json(text)
 
 
