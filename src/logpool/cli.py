@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 import time
 from dataclasses import asdict
@@ -431,7 +432,9 @@ def _cmd_factor(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="logpool",
         description="opinion pooling, epistemic welfare, and weight-change analysis",

@@ -19,11 +19,10 @@ The seeded random instances are one array-level draw each,
 :func:`random_weight_change`; :func:`random_dist`,
 :func:`random_strict_weights`, :func:`random_family` and
 :func:`random_decomposition` wrap them in objects.  The ``verify`` suites, the
-``experiment`` analyses and the tests all draw from this one copy.  Given a
-list of per-instance streams in place of one ``Generator``, the array
-draws stack: each stream makes its own raw draw, in list order and with the
-same bits as a call on it alone, and the shift and normalization run once
-over the stacked (B, ...) array.
+``experiment`` analyses and the tests all draw from this one copy.  A leading
+``batch`` shape draws that many instances with one generator call per draw,
+(*batch, ...), whose rows are the unbatched calls made one after another on
+the same stream; the shift and normalization run once over the whole array.
 """
 
 from __future__ import annotations
@@ -239,41 +238,36 @@ def single_counteragent_instance(
     return decomp, 0, dbeta
 
 
-_Streams = np.random.Generator | list[np.random.Generator]
-
-
-def _draws(rng: _Streams, draw) -> np.ndarray:
-    """``draw(rng)``; for a list of streams, each stream's ``draw`` in list
-    order, stacked (B, ...)."""
-    return draw(rng) if isinstance(rng, np.random.Generator) else np.array([draw(r) for r in rng])
-
-
-def random_probs(rng: _Streams, m: int, n: int | None = None) -> np.ndarray:
+def random_probs(
+    rng: np.random.Generator, m: int, n: int | None = None, batch: tuple[int, ...] = ()
+) -> np.ndarray:
     """A strictly positive random probability vector of length ``m`` (or
     ``n`` of them, (n, m), drawn in order), bounded away from zero:
     gamma(1.5, 1) + 0.02, normalized and validated as :func:`~logpool.core.make_dist`
-    does.  A list of B streams gives each stream's draw, (B, m) or (B, n, m)."""
-    raw = _draws(rng, lambda r: r.gamma(1.5, 1.0, m if n is None else (n, m)))
+    does; (*batch, m) or (*batch, n, m) for a batch shape."""
+    raw = rng.gamma(1.5, 1.0, (*batch, m) if n is None else (*batch, n, m))
     return normalize_rows(raw + 0.02)
 
 
-def random_beta(rng: _Streams, n: int) -> np.ndarray:
+def random_beta(rng: np.random.Generator, n: int, batch: tuple[int, ...] = ()) -> np.ndarray:
     """n strictly positive weights: 0.15 + U[0, 1), normalized and validated
-    as :class:`~logpool.core.Weights` validates ((B, n) for a list of B
-    streams)."""
-    raw = 0.15 + _draws(rng, lambda r: r.random(n))
+    as :class:`~logpool.core.Weights` validates ((*batch, n) for a batch
+    shape)."""
+    raw = 0.15 + rng.random((*batch, n))
     beta = raw / raw.sum(axis=-1, keepdims=True)
     require_weight_rows(beta)
     return beta
 
 
-def random_weight_change(rng: _Streams, m: int, n: int, scale: float) -> tuple[tuple, np.ndarray]:
+def random_weight_change(
+    rng: np.random.Generator, m: int, n: int, scale: float, batch: tuple[int, ...] = ()
+) -> tuple[tuple, np.ndarray]:
     """``(agents, beta, d), usable``: :func:`random_decomposition`'s draws
     (n, m) and (n,), then a standard normal weight change d (n,), centered and
     scaled to a largest entry of ``scale``; usable when d amplifies argmax d
-    and keeps every weight positive.  B streams stack each (B, ...)."""
-    agents, beta = random_probs(rng, m, n), random_beta(rng, n)
-    d = _draws(rng, lambda r: r.standard_normal(n))
+    and keeps every weight positive.  A batch shape leads each array."""
+    agents, beta = random_probs(rng, m, n, batch), random_beta(rng, n, batch)
+    d = rng.standard_normal((*batch, n))
     d -= d.mean(axis=-1, keepdims=True)
     d *= scale / np.maximum(1e-12, np.abs(d).max(axis=-1, keepdims=True))
     return (agents, beta, d), (d.max(axis=-1) > 0.0) & (beta + d > 0.0).all(axis=-1)

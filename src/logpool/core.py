@@ -546,19 +546,15 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
-def _rng_streams(
-    seed: int, *path: int, count: int, at: int | None = None
-) -> list[np.random.Generator]:
-    """``[rng_from(*key[:at], i, *key[at:]) for i in range(count)]`` for the
-    key ``(seed, *path)``, bit for bit; ``at`` defaults to the key's end.
+def _rng_streams(seed: int, *path: int, count: int) -> list[np.random.Generator]:
+    """``[rng_from(seed, *path, i) for i in range(count)]``, bit for bit.
 
     Replays NumPy's ``SeedSequence`` (a pool of 4 words) for all the keys at
     once: a shared 32-bit word is a Python int, hashed once, and the index a
     (count,) array, so each step from it on is one NumPy pass.  Each generator
     is seeded from its ready words, without a per-stream ``SeedSequence``.
     """
-    key: list = list(_key(seed, path))
-    key.insert(len(key) if at is None else at, np.arange(count, dtype=np.uint64))
+    key = [*_key(seed, path), np.arange(count, dtype=np.uint64)]
     # the seed is zero-padded to the pool, as NumPy pads it before a spawn key
     words = [w for j, x in enumerate(key) for w in _words(x, 4 if j == 0 else 1)]
     hc = _hash_constants(_INIT_A, _MULT_A, 4 * len(words))

@@ -235,8 +235,10 @@ def _projection_gain(p, rows, w, g, epsilon: float) -> dict:
     sq_base = _inner(p, proj0, proj0)
     u = w - _project(p, basis0, w)
     u_norm = _norm(p, u)
-    new = u_norm >= SPAN_MEMBERSHIP_TOL  # else the enlarged span is the old one
     basis1, dim1 = _p_orthonormal_basis(p, np.concatenate([rows, w[..., None, :]], axis=-2))
+    # else the enlarged span is the old one: u is too small, or the enlarged
+    # rows have no more numerical rank
+    new = (u_norm >= SPAN_MEMBERSHIP_TOL) & (dim1 > base_dim)
     proj1 = _project(p, basis1, g)
     sq_direct = np.where(new, _inner(p, proj1, proj1), sq_base)
     correlation = np.divide(_inner(p, g, u), u_norm, out=np.zeros(p.shape[:-1]), where=new)
@@ -503,8 +505,10 @@ def projection_gain(
     """Enlarge the profile span by ``w`` and measure the suppression gain.
 
     ``u = w − Proj_span(w)`` is the genuinely new direction; when its norm
-    falls below :data:`SPAN_MEMBERSHIP_TOL` the report is flagged
-    ``w_in_span``, the enlarged span is the old one and the gain is zero.
+    falls below :data:`SPAN_MEMBERSHIP_TOL`, or adding w leaves the numerical
+    rank of the profiles unchanged (:data:`PIVOT_REL_TOL`), the report is
+    flagged ``w_in_span``, the enlarged span is the old one and the gain is
+    zero.
     """
     base, V, g = _span_rows([*profiles, w], event, epsilon)
     row = _projection_gain(base.p, V[:-1], V[-1], g, epsilon)

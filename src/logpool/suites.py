@@ -10,18 +10,19 @@ instances a fixed catalog checked.  One runner builds every
 :class:`CheckResult`: a check passes when ``value`` meets its tolerance in the
 registered direction and ``ok`` holds.
 
-A check draws its instances through ``run.rng(*path)``, which is
-:func:`~logpool.core.rng_from` at ``(seed, suite_id, check_id, *path)``: the
+A randomized check draws all its instances from one stream, ``run.rng``,
+which is :func:`~logpool.core.rng_from` at ``(seed, suite_id, check_id)``: the
 suite's place in :data:`SUITE_NAMES` and the check's place in registration
-order; ``run.rngs()`` builds the streams ``run.rng(i)`` of all its instances
-in one batch, bit for bit the same.  ``run.size(rng)`` draws one instance's
-sizes from the registered ranges, and ``run.groups()`` groups the instances
-by them; every check, ``persona``'s included, scores a group with one call
-of each stacked kernel.  ``run.retried(draw)`` groups attempt 0
-(``run.rng(i, 0)``), and only an unusable instance redraws alone, from
-``run.rng(i, attempt)``.  So a seed pins every number in the run.  Checks
-compare library results against independent re-computations
-(extended-precision pooling, closed forms, brute-force searches).
+order, so appending a check leaves every other check's draws alone.
+``run.groups()`` draws every instance's sizes, one generator call per
+registered range, and groups the instances by them in first-seen order; each
+group then draws its arrays with one generator call per draw, (B, ...), and
+every check, ``persona``'s included, scores it with one call of each stacked
+kernel.  ``run.retried(draw)`` redraws a group's unusable rows as one batch
+from the same stream.  So a seed pins every number in the run, though an
+instance can only be rebuilt by replaying its check's stream.  Checks compare
+library results against independent re-computations (extended-precision
+pooling, closed forms, brute-force searches).
 
 These are runtime smoke batteries sized for seconds, not the exhaustive
 test-suite versions; the comparisons are the same, the instance counts are
@@ -31,16 +32,17 @@ smaller.
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import constructions, factorize, persona, stability
-from .constructions import _draws, random_beta, random_probs
+from .constructions import random_beta, random_probs
 from .core import (
     VALUE_TOL, Dist, OutcomeSpace, Weights, expect, make_dist, normalize_rows, rng_from,
-    _combine, _integer, _rng_streams, _tv_rows,
+    _combine, _integer, _tv_rows,
 )
 from .errors import ParamOutOfRange, UnknownSuite
 from .pooling import linear_pool_arrays, log_pool_arrays
@@ -75,57 +77,37 @@ class CheckResult:
 
 class _Run(NamedTuple):
     """What a check body is handed: the seed, its instance count, tolerance
-    and size ranges, and ``rng(*path)``, ``rngs()``, ``size(rng)`` and
-    ``groups()`` on the check's own streams."""
+    and size ranges, and ``rng``, the check's one stream (None on a fixed
+    catalog), which ``groups()`` and ``retried(draw)`` draw from."""
 
     seed: int
     samples: int
     tol: float
-    ids: tuple[int, int]
+    rng: np.random.Generator | None
     sizes: tuple[tuple[int, int], ...]
 
-    def rng(self, *path: int) -> np.random.Generator:
-        return rng_from(self.seed, *self.ids, *path)
-
-    def rngs(self, *path: int, count: int | None = None) -> list[np.random.Generator]:
-        """``rng(*path, i)`` for i below ``count`` (the instance count)."""
-        count = self.samples if count is None else count
-        return _rng_streams(self.seed, *self.ids, *path, count=count)
-
-    def size(self, rng: np.random.Generator) -> tuple[int, ...]:
-        """One instance's sizes: a draw from each registered [lo, hi), in order."""
-        return tuple([int(rng.integers(lo, hi)) for lo, hi in self.sizes])
-
-    def groups(self, rngs: list[np.random.Generator] | None = None) -> list[tuple]:
-        """Instance i's stream (``rngs[i]``, by default ``rng(i)``) first draws
-        its sizes; the instances grouped by sizes in first-seen order, as
-        ``(sizes, rngs, index)`` lists, ``index`` holding their numbers.  A
-        group's later draws, one generator call each, then leave every
-        stream's draw order as one instance at a time would draw it."""
-        groups: dict = {}
-        for i, rng in enumerate(self.rngs() if rngs is None else rngs):
-            groups.setdefault(self.size(rng), []).append((rng, i))
-        return [(key, *map(list, zip(*rows))) for key, rows in groups.items()]
+    def groups(self) -> list[tuple[tuple[int, ...], int]]:
+        """Every instance's sizes, one ``integers(lo, hi)`` call of all the
+        instances per registered range, in order; the instances grouped by
+        sizes in first-seen order, as ``(sizes, count)`` pairs."""
+        drawn = [self.rng.integers(lo, hi, self.samples).tolist() for lo, hi in self.sizes]
+        return list(Counter(zip(*drawn)).items())
 
     def retried(self, draw: Callable) -> list[tuple]:
-        """The usable rows of each size group, then each redrawn instance's:
-        ``draw(rngs, *sizes)`` returns ``(rows, usable)``, a tuple of (B, ...)
-        arrays and (B,) flags.  Instance i first draws from ``rng(i, 0)``; if
-        unusable it redraws alone from ``rng(i, attempt)``, sizes first, up to
-        the 50th attempt."""
+        """The usable rows of each size group: ``draw(count, *sizes)`` returns
+        ``(rows, usable)``, a tuple of (count, ...) arrays and (count,) flags.
+        A group's unusable rows redraw as one batch of its sizes, up to the
+        50th attempt, whose rows are all kept."""
         out = []
-        first = _rng_streams(self.seed, *self.ids, 0, count=self.samples, at=3)  # rng(i, 0)
-        for sizes, rngs, index in self.groups(first):
-            rows, usable = draw(rngs, *sizes)
-            if usable.any():
-                out.append(tuple(x[usable] for x in rows))
-            for i in np.asarray(index)[~usable].tolist():
-                for attempt in range(1, 50):
-                    rng = self.rng(i, attempt)
-                    retry, usable = draw([rng], *self.size(rng))
-                    if usable[0]:
-                        break
-                out.append(retry)
+        for sizes, count in self.groups():
+            for attempt in range(50):
+                rows, usable = draw(count, *sizes)
+                keep = usable | (attempt == 49)
+                if keep.any():
+                    out.append(tuple(x[keep] for x in rows))
+                count -= int(keep.sum())
+                if not count:
+                    break
         return out
 
 
@@ -148,7 +130,7 @@ def _check(name: str, samples: int, tol: float, passes: str, detail: str, *sizes
     """Register the decorated body as check ``name``, in the suite its prefix
     names.  ``samples`` 0 marks a fixed catalog that no override resizes;
     each of ``sizes`` is a ``[lo, hi)`` range an instance draws a size from,
-    in order (``run.size``)."""
+    in order (``run.groups``)."""
 
     def register(body: Callable[[_Run], object]) -> Callable[[_Run], object]:
         check = _Check(name, samples, tol, _PASSES[passes], detail, sizes, body)
@@ -185,7 +167,8 @@ def run_suite(
         for check_id, check in enumerate(_CHECKS[suite]):
             n = check.samples if samples is None or check.samples == 0 else samples
             tol = check.tol if tolerance is None else tolerance
-            out = check.body(_Run(seed, n, tol, (suite_id, check_id), check.sizes))
+            rng = rng_from(seed, suite_id, check_id) if check.samples else None
+            out = check.body(_Run(seed, n, tol, rng, check.sizes))
             value, ok, count = (*out, n)[:3] if isinstance(out, tuple) else (out, True, n)
             passed = check.passes(value, tol) and ok
             results.append(CheckResult(check.name, passed, value, tol, count, check.detail))
@@ -218,8 +201,8 @@ def _longdouble_log_pool(agents: np.ndarray, beta: np.ndarray) -> tuple[np.ndarr
         "max tv between log_pool and an extended-precision recomputation", (2, 9), (2, 7))
 def _log_pool_extended(run: _Run):
     worst = 0.0
-    for (m, n), rngs, _ in run.groups():
-        agents, beta = random_probs(rngs, m, n), random_beta(rngs, n)
+    for (m, n), B in run.groups():
+        agents, beta = random_probs(run.rng, m, n, (B,)), random_beta(run.rng, n, (B,))
         pooled = log_pool_arrays(np.log(agents), beta)[0]
         worst = _worst(worst, _tv_rows(pooled, _longdouble_log_pool(agents, beta)[0]))
     return worst
@@ -229,8 +212,8 @@ def _log_pool_extended(run: _Run):
         "max tv between linear_pool and an extended-precision recomputation", (2, 9), (2, 7))
 def _linear_pool_extended(run: _Run):
     worst = 0.0
-    for (m, n), rngs, _ in run.groups():
-        agents, beta = random_probs(rngs, m, n), random_beta(rngs, n)
+    for (m, n), B in run.groups():
+        agents, beta = random_probs(run.rng, m, n, (B,)), random_beta(run.rng, n, (B,))
         pooled = linear_pool_arrays(agents, beta)
         oracle = (beta.astype(np.longdouble)[..., None] * agents.astype(np.longdouble)).sum(axis=-2)
         worst = _worst(worst, _tv_rows(pooled, oracle / oracle.sum(axis=-1, keepdims=True)))
@@ -241,10 +224,9 @@ def _linear_pool_extended(run: _Run):
         "max tv over one-hot weights, dropped zero weights, identical agents", (2, 9), (3, 7))
 def _pool_weight_edges(run: _Run):
     worst = 0.0
-    for (m, n), rngs, _ in run.groups():
-        agents, beta = random_probs(rngs, m, n), random_beta(rngs, n)
-        count, logs = len(rngs), np.log(agents)
-        j, rows = _draws(rngs, lambda r: r.integers(0, n)), np.arange(count)
+    for (m, n), B in run.groups():
+        agents, beta = random_probs(run.rng, m, n, (B,)), random_beta(run.rng, n, (B,))
+        logs, j, rows = np.log(agents), run.rng.integers(0, n, B), np.arange(B)
         # a one-hot weight vector must return that agent
         onehot = _tv_rows(log_pool_arrays(logs, np.eye(n)[j])[0], agents[rows, j])
         # zero-weight agents must not matter
@@ -252,7 +234,7 @@ def _pool_weight_edges(run: _Run):
         zeroed[rows, j] = 0.0
         zeroed = zeroed / zeroed.sum(axis=-1, keepdims=True)
         keep = np.arange(n) != j[:, None]
-        reduced = logs[keep].reshape(count, n - 1, -1), zeroed[keep].reshape(count, n - 1)
+        reduced = logs[keep].reshape(B, n - 1, -1), zeroed[keep].reshape(B, n - 1)
         dropped = _tv_rows(log_pool_arrays(logs, zeroed)[0], log_pool_arrays(*reduced)[0])
         # pooling identical copies returns the copy
         copies = _tv_rows(log_pool_arrays(logs[:, [0] * n], beta)[0], agents[:, 0])
@@ -265,8 +247,8 @@ def _pool_weight_edges(run: _Run):
         "its sign bound, and exact renormalization", (2, 9), (2, 7))
 def _log_z(run: _Run):
     worst = 0.0
-    for (m, n), rngs, _ in run.groups():
-        agents, beta = random_probs(rngs, m, n), random_beta(rngs, n)
+    for (m, n), B in run.groups():
+        agents, beta = random_probs(run.rng, m, n, (B,)), random_beta(run.rng, n, (B,))
         logs = np.log(agents)
         log_z = log_pool_arrays(logs, beta)[1]
         combo = (beta[..., None] * logs).sum(axis=-2)
@@ -288,8 +270,8 @@ def _log_z(run: _Run):
         "max |welfare_gap - extended-precision recomputation|", (2, 9))
 def _gap_extended(run: _Run):
     worst = 0.0
-    for (m,), rngs, _ in run.groups():
-        agent, pool = random_probs(rngs, m, 2).swapaxes(0, 1)
+    for (m,), B in run.groups():
+        agent, pool = random_probs(run.rng, m, 2, (B,)).swapaxes(0, 1)
         gaps = gap_terms(agent, pool)[0]  # raises if its two forms disagree
         pa, pr = agent.astype(np.longdouble), pool.astype(np.longdouble)
         la = np.log(pa)
@@ -302,9 +284,9 @@ def _gap_extended(run: _Run):
         "max |covariance criterion - (E_pool[w] - E_agent[w])|", (2, 9))
 def _cov_condition(run: _Run):
     worst = 0.0
-    for (m,), rngs, _ in run.groups():
-        agent, pool = random_probs(rngs, m, 2).swapaxes(0, 1)
-        w = _draws(rngs, lambda r: r.standard_normal(m))
+    for (m,), B in run.groups():
+        agent, pool = random_probs(run.rng, m, 2, (B,)).swapaxes(0, 1)
+        w = run.rng.standard_normal((B, m))
         c = covariance_terms(agent, w, pool)
         shift = (pool * w).sum(axis=-1) - (agent * w).sum(axis=-1)
         worst = _worst(worst, np.abs(c - shift))
@@ -316,9 +298,8 @@ def _cov_condition(run: _Run):
 @_check("welfare.binary_closed_form", 200, 1e-10, "<=",
         "max |welfare_gap - (x - x_i) log(x_i/(1-x_i))| on two outcomes")
 def _binary_closed_form(run: _Run):
-    rngs = run.rngs()
-    x = _draws(rngs, lambda r: r.uniform(0.02, 0.98, 2))
-    b = _draws(rngs, lambda r: r.uniform(0.1, 0.9))
+    x = run.rng.uniform(0.02, 0.98, (run.samples, 2))
+    b = run.rng.uniform(0.1, 0.9, run.samples)
     agents = normalize_rows(np.stack([x, 1.0 - x], axis=-1))
     pooled = log_pool_arrays(np.log(agents), np.stack([b, 1.0 - b], axis=-1))[0]
     gaps = gap_terms(agents, pooled[:, None, :])[0]
@@ -349,8 +330,8 @@ def _binary_census(run: _Run):
         "-(KL(r,u)+KL(u,r)); value is the max identity error", (2, 13))
 def _uniform_no_gain(run: _Run):
     worst_err, worst_gap = 0.0, -np.inf
-    for (m,), rngs, _ in run.groups():
-        r = random_probs(rngs, m)
+    for (m,), B in run.groups():
+        r = random_probs(run.rng, m, batch=(B,))
         u = np.full_like(r, 1.0 / r.shape[-1])
         gap = gap_terms(r, u)[0]  # each r's welfare gap against the uniform pool
         log_r, log_u = np.log(r), np.log(u)
@@ -408,8 +389,8 @@ def _unanimity_threshold(run: _Run):
         "eps^((n+1) - n*beta_i) on private outcomes", (2, 6))
 def _unanimity_pool_formula(run: _Run):
     worst = 0.0
-    for (n,), rngs, _ in run.groups():
-        eps, beta = _draws(rngs, lambda r: r.uniform(0.01, 0.24)), random_beta(rngs, n)
+    for (n,), B in run.groups():
+        eps, beta = run.rng.uniform(0.01, 0.24, B), random_beta(run.rng, n, (B,))
         agents = normalize_rows(constructions.analytic_unanimity_rows(n, eps))
         pooled = log_pool_arrays(np.log(agents), beta)[0]
         e = eps.astype(np.longdouble)[:, None]
@@ -431,7 +412,7 @@ def _peaked_negative(run: _Run):
     # grid (1e-6 down to 1e-10)
     tail = grid <= 1e-6
     for n in (2, 4):
-        beta = random_beta(run.rngs(n, count=max(10, run.samples // 8)), n)
+        beta = random_beta(run.rng, n, (max(10, run.samples // 8),))
         agents = normalize_rows(constructions.peaked_incompatible_rows(n, grid))
         # every weight vector (W) against every grid family (E) at once
         pooled, log_z = log_pool_arrays(np.log(agents), beta[:, None, :])
@@ -456,13 +437,11 @@ def _peaked_negative(run: _Run):
         "distances exceed the distinctness floor", (3, 9), (2, 6))
 def _factor_distinct(run: _Run):
     worst_tv, worst_dist = 0.0, np.inf
-    for (m, n), rngs, index in run.groups():
-        parent, beta = random_probs(rngs, m), random_beta(rngs, n)
-        draws = _draws(rngs, lambda r: r.standard_normal((n - 1, m)))
-        # strict weights: child 0 is the absorber; a retry of instance i draws
-        # from run.rng(i, attempt)
-        redraw = lambda r, attempt: run.rng(index[r], attempt)  # noqa: E731
-        children = factorize._distinct_children(parent, beta, 0, redraw, draws)
+    for (m, n), B in run.groups():
+        parent, beta = random_probs(run.rng, m, batch=(B,)), random_beta(run.rng, n, (B,))
+        draws = run.rng.standard_normal((B, n - 1, m))
+        # strict weights: child 0 is the absorber; a retry draws on from run.rng
+        children = factorize._distinct_children(parent, beta, 0, lambda r, a: run.rng, draws)
         worst_tv = _worst(worst_tv, _tv_rows(log_pool_arrays(np.log(children), beta)[0], parent))
         family = np.concatenate([parent[:, None], children], axis=1)
         a, b = np.triu_indices(family.shape[1], 1)
@@ -475,10 +454,10 @@ def _factor_distinct(run: _Run):
         "family still re-pools to the parent", (1, 3), (0, 3), (3, 9))
 def _factor_fixed(run: _Run):
     worst = 0.0
-    for (k, extra, m), rngs, _ in run.groups():
+    for (k, extra, m), B in run.groups():
         n = k + 2 + extra  # k fixed children, one solved for, at least one tilted
-        parent, fixed, beta = random_probs(rngs, m), random_probs(rngs, m, k), random_beta(rngs, n)
-        draws = _draws(rngs, lambda r: r.standard_normal((n - k - 1, m)))
+        parent, fixed = random_probs(run.rng, m, batch=(B,)), random_probs(run.rng, m, k, (B,))
+        beta, draws = random_beta(run.rng, n, (B,)), run.rng.standard_normal((B, n - k - 1, m))
         children = factorize._balanced_children(parent, beta, fixed, k, draws)
         if not np.array_equal(fixed, children[:, :k]):
             worst = 1.0
@@ -491,11 +470,10 @@ def _factor_fixed(run: _Run):
         "agreement for zero tilts", (3, 9), (2, 5))
 def _split_invariance(run: _Run):
     worst = 0.0
-    for (m, n), rngs, _ in run.groups():
-        agents, beta = random_probs(rngs, m, n), random_beta(rngs, n)
-        idx = _draws(rngs, lambda r: r.integers(0, n))
-        alpha = _draws(rngs, lambda r: r.uniform(0.1, 0.9))
-        g = 0.7 * _draws(rngs, lambda r: r.standard_normal(m))
+    for (m, n), B in run.groups():
+        agents, beta = random_probs(run.rng, m, n, (B,)), random_beta(run.rng, n, (B,))
+        idx, alpha = run.rng.integers(0, n, B), run.rng.uniform(0.1, 0.9, B)
+        g = 0.7 * run.rng.standard_normal((B, m))
         parent = log_pool_arrays(np.log(agents), beta)[0]
         agent = np.take_along_axis(agents, idx[:, None, None], axis=1)[:, 0]
         pieces = factorize._split_pieces(np.log(agent), alpha, g)
@@ -537,9 +515,9 @@ def _parent_benefit(run: _Run):
 def _transport(run: _Run):
     worst = 0.0
     identity_ok = True
-    for (m, n), rngs, _ in run.groups():
-        agents, beta = random_probs(rngs, m, n), random_beta(rngs, n)
-        target = random_probs(rngs, m)
+    for (m, n), B in run.groups():
+        agents, beta = random_probs(run.rng, m, n, (B,)), random_beta(run.rng, n, (B,))
+        target = random_probs(run.rng, m, batch=(B,))
         parent = log_pool_arrays(np.log(agents), beta)[0]
         moved = stability.transport_rows(agents, parent[:, None, :], target[:, None, :])
         worst = _worst(worst, _tv_rows(log_pool_arrays(np.log(moved), beta)[0], target))
@@ -568,9 +546,9 @@ def _openness(run: _Run):
         "max relative error between -Cov(h, log p) and a central "
         "finite difference of the tilted gap", (2, 9))
 def _tilt_fd(run: _Run):
-    def draw(rngs, m):
-        """Each stream's relative fd error; a derivative below 1e-3 redraws."""
-        p, h = random_probs(rngs, m), _draws(rngs, lambda r: r.standard_normal(m))
+    def draw(B, m):
+        """Each row's relative fd error; a derivative below 1e-3 redraws."""
+        p, h = random_probs(run.rng, m, batch=(B,)), run.rng.standard_normal((B, m))
         analytic = stability._gap_derivatives(p, h)
         err = np.abs(stability._gap_fd(p, h) - analytic) / np.abs(analytic)
         return (err,), np.abs(analytic) >= 1e-3
@@ -583,9 +561,9 @@ def _tilt_fd(run: _Run):
         "weighted sum vanishes pointwise", (2, 9), (2, 6))
 def _local_audit(run: _Run):
     worst = 0.0
-    for (m, n), rngs, _ in run.groups():
-        p, beta = random_probs(rngs, m), random_beta(rngs, n)
-        hs = _draws(rngs, lambda r: r.standard_normal((n - 1, m)))
+    for (m, n), B in run.groups():
+        p, beta = random_probs(run.rng, m, batch=(B,)), random_beta(run.rng, n, (B,))
+        hs = run.rng.standard_normal((B, n - 1, m))
         # the closing tilt cancels the others pointwise, summed in j order
         closing = -sum(beta[:, j, None] * hs[:, j] for j in range(n - 1))
         tilts = np.concatenate([hs, (closing / beta[:, -1:])[:, None]], axis=1)
@@ -597,23 +575,32 @@ def _local_audit(run: _Run):
 # persona
 # ---------------------------------------------------------------------------
 
-def _persona_group(rngs, m: int, n: int):
-    """Each stream's random decomposition as rows: its parent p (B, m) and
-    centered profiles (B, n, m)."""
-    logs = np.log(random_probs(rngs, m, n))
-    p = log_pool_arrays(logs, random_beta(rngs, n))[0]
+def _persona_group(rng: np.random.Generator, B: int, m: int, n: int):
+    """B random decompositions as rows: their parents p (B, m) and centered
+    profiles (B, n, m)."""
+    logs = np.log(random_probs(rng, m, n, (B,)))
+    p = log_pool_arrays(logs, random_beta(rng, n, (B,)))[0]
     return p, persona._centered(p, logs)
+
+
+def _events(rng: np.random.Generator, B: int, m: int) -> list[np.ndarray]:
+    """B random events of 1 to m - 2 distinct outcomes of ``m``, as sorted
+    index arrays: each event's size, then the first outcomes of a uniform
+    random order of all m."""
+    size = rng.integers(1, m - 1, B)
+    rank = rng.random((B, m)).argsort(axis=-1).argsort(axis=-1)
+    return [np.flatnonzero(row) for row in rank < size[:, None]]
 
 
 @_check("persona.linearization_residual_is_second_order", 80, 1.9, ">=",
         "min log-log slope of the linearization residual (quadratic "
         "decay means slope about 2)", (3, 9), (2, 6))
 def _residual_slope(run: _Run):
-    def draw(rngs, m, n):
-        """Each stream's parent and predicted deviation; a prediction of norm
-        at most 1e-8 redraws."""
-        p, V = _persona_group(rngs, m, n)
-        d = _draws(rngs, lambda r: r.standard_normal(n))
+    def draw(B, m, n):
+        """Each row's parent and predicted deviation; a prediction of norm at
+        most 1e-8 redraws."""
+        p, V = _persona_group(run.rng, B, m, n)
+        d = run.rng.standard_normal((B, n))
         predicted = _combine(d - d.mean(axis=-1, keepdims=True), V)
         return (p, predicted), persona._norm(p, predicted) > 1e-8
 
@@ -633,7 +620,9 @@ def _compensation_slack(run: _Run):
         p, delta = log_pool_arrays(logs, beta)[0], d[np.arange(len(d)), h]
         return persona._compensation(p, logs, beta, d, h, delta, None)["slack"]
 
-    draws = run.retried(lambda rngs, m, n: constructions.random_weight_change(rngs, m, n, 1e-3))
+    draws = run.retried(
+        lambda B, m, n: constructions.random_weight_change(run.rng, m, n, 1e-3, (B,))
+    )
     return min(float(slack(*rows).min()) for rows in draws)
 
 
@@ -655,16 +644,15 @@ def _counteragent_bound(run: _Run):
 def _suppression_optimal(run: _Run):
     worst = -np.inf
     budget = 0.05
-    for (m, n), rngs, _ in run.groups():
-        p, V = _persona_group(rngs, m, n)
-        events = [np.sort(constructions.random_event(rng, m)) for rng in rngs]
+    for (m, n), B in run.groups():
+        p, V = _persona_group(run.rng, B, m, n)
+        events = _events(run.rng, B, m)
         g = persona._event_direction(p, events)
         delta_l, achieved, _, _ = persona._suppression(p, V, g, budget)
         linear = persona._event_change(p, events, delta_l)[1]
         worst = _worst(worst, np.abs(linear + achieved))
-        # 2000 random in-span directions scaled to the budget, each stream's
-        # standard normal coefficients drawn after its event
-        cand = _draws(rngs, lambda r: r.standard_normal((2000, n))) @ V
+        # 2000 random in-span directions per row, scaled to the budget
+        cand = run.rng.standard_normal((B, 2000, n)) @ V
         norms2 = (cand**2 * p[:, None]).sum(axis=-1)
         keep = norms2 > 1e-20
         cand = cand * (budget / np.sqrt(np.where(keep, norms2, 1.0)))[..., None]
@@ -680,10 +668,9 @@ def _suppression_optimal(run: _Run):
         "projection norms; re-adding a spanned profile gains nothing", (3, 9), (2, 6))
 def _projection_gain(run: _Run):
     worst = 0.0
-    for (m, n), rngs, _ in run.groups():
-        p, V = _persona_group(rngs, m, n)
-        raw = _draws(rngs, lambda r: r.standard_normal(m))
-        events = [np.sort(constructions.random_event(rng, m)) for rng in rngs]
+    for (m, n), B in run.groups():
+        p, V = _persona_group(run.rng, B, m, n)
+        raw, events = run.rng.standard_normal((B, m)), _events(run.rng, B, m)
         g = persona._event_direction(p, events)
         w = raw - (p * raw).sum(axis=-1, keepdims=True)
         rep = persona._projection_gain(p, V, w, g, 0.05)
@@ -699,10 +686,9 @@ def _projection_gain(run: _Run):
         "at most 0.01", (2, 13))
 def _kl_budget(run: _Run):
     worst = 0.0
-    for (m,), rngs, _ in run.groups():
-        p = random_probs(rngs, m)
-        raw = _draws(rngs, lambda r: r.standard_normal(m))
-        scale = _draws(rngs, lambda r: r.uniform(0.1, 1.0)) * 0.01
+    for (m,), B in run.groups():
+        p, raw = random_probs(run.rng, m, batch=(B,)), run.rng.standard_normal((B, m))
+        scale = run.rng.uniform(0.1, 1.0, B) * 0.01
         current = persona._norm(p, raw - (p * raw).sum(axis=-1, keepdims=True))
         delta_l = raw * (scale / np.maximum(current, 1e-12))[:, None]
         kl_value, half_var = persona._kl_budget(p, delta_l)

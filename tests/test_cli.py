@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import math
+import re
 import resource
 import subprocess
 import sys
@@ -455,6 +456,45 @@ def test_factor_peaks_below_twice_its_artifact(tmp_path):
         tracemalloc.stop()
     size = (tmp_path / "out.json").stat().st_size
     assert peak < 2 * size, (peak, size)
+
+
+def test_repeated_calls_in_one_process_answer_as_the_first(tmp_path, capsys):
+    """The parser is built once per process; every subcommand, a usage error
+    and ``--version``, each run twice in alternating order, keep their exit
+    codes, stdout, stderr (timings aside) and written files."""
+    from logpool import cli
+
+    family, gap, config = tmp_path / "family.json", tmp_path / "gap.json", tmp_path / "c.json"
+    family.write_text(json.dumps(FAMILY))
+    gap.write_text(json.dumps({"agent": {"p": [0.5, 0.3, 0.2]}, "pool": {"p": [0.3, 0.4, 0.3]}}))
+    config.write_text(json.dumps({**CONFIG, "analyses": ["gaps", "compensation"]}))
+    out = tmp_path / "exp"
+    calls = [
+        ["verify", "welfare", "--seed", "3", "--samples", "2"],
+        ["experiment", str(config), "--out", str(out)],
+        ["pool", "--kind", "linear", str(family)],
+        ["gap", str(gap)],
+        ["factor", str(tmp_path / "missing.json")],
+        ["factor", str(family), "--seed", "x"],
+        ["--version"],
+    ]
+
+    def run(argv):
+        for path in tmp_path.glob("exp.*"):
+            path.unlink()
+        code = main(argv)
+        got = capsys.readouterr()
+        files = {p.name: p.read_bytes() for p in sorted(tmp_path.glob("exp.*"))}
+        return code, got.out, re.sub(r"\d+\.\d{3}s$", "<t>s", got.err, flags=re.M), files
+
+    cli._build_parser.cache_clear()
+    first = [run(argv) for argv in calls]
+    assert [code for code, *_ in first] == [0, 0, 0, 0, 2, 2, 0]
+    assert all(out for _, out, _, _ in first[2:4] + first[-1:])
+    assert "<t>s" in first[0][2] and first[1][3]
+    for argv, want in zip(calls, first):
+        assert run(argv) == want, argv
+    assert cli._build_parser.cache_info().misses == 1
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from logpool import (
     unanimity_report,
     uniform,
 )
-from logpool import constructions
 from logpool.constructions import (
     analytic_unanimity_rows, cyclic_welfare_rows, peaked_incompatible_rows, random_beta,
     random_dist, random_family, random_probs,
@@ -231,18 +230,18 @@ def test_array_draws_match_the_object_draws_bit_for_bit():
 @pytest.mark.parametrize("count", [1, 100])
 @pytest.mark.parametrize("m,n", [(2, None), (13, None), (2, 2), (7, 5)])
 def test_stacked_draws_are_each_streams_own_draw(count, m, n):
-    """A list of streams gives, row by row, the one-stream call on a fresh
-    copy of that stream, bit for bit, and leaves each stream where that call
-    leaves it."""
-    streams = [rng_from(140, m, i) for i in range(count)]
-    copies = [rng_from(140, m, i) for i in range(count)]
-    probs, beta = random_probs(streams, m, n), random_beta(streams, 4)
+    """A batch of ``count`` draws gives, row by row, the unbatched call made
+    ``count`` times in a row on a fresh copy of the stream, bit for bit, and
+    leaves the stream where those calls leave it."""
+    stream, copy = rng_from(140, m), rng_from(140, m)
+    probs, beta = random_probs(stream, m, n, (count,)), random_beta(stream, 4, (count,))
     assert probs.shape == ((count, m) if n is None else (count, n, m))
     assert beta.shape == (count, 4)
-    for stream, copy, row, weights in zip(streams, copies, probs, beta):
+    for row in probs:
         assert np.array_equal(row, random_probs(copy, m, n))
+    for weights in beta:
         assert np.array_equal(weights, random_beta(copy, 4))
-        assert stream.random() == copy.random()
+    assert stream.random() == copy.random()
 
 
 def test_instance_rows_stack_the_object_constructions():
@@ -263,21 +262,28 @@ def test_instance_rows_stack_the_object_constructions():
             assert np.array_equal(welfare, np.stack([w.f for w in inst.welfares]))
 
 
-def test_random_draws_are_validated_as_dist_and_weights_validate(monkeypatch):
+def test_random_draws_are_validated_as_dist_and_weights_validate():
     # a raw draw of -0.02 is a zero entry after the + 0.02 shift; normalizing
     # it must raise, and a batch error names the first bad row
-    monkeypatch.setattr(constructions, "_draws", lambda rng, draw: np.array([-0.02, 0.5, 0.5, 0.5]))
+    class Raw:
+        def __init__(self, raw):
+            self.raw = raw
+
+        def gamma(self, shape, scale, size):
+            return self.raw
+
+        def random(self, size):
+            return self.raw
+
     with pytest.raises(NonPositiveEntry, match="on every outcome$"):
-        random_probs(rng_from(150), 4)
+        random_probs(Raw(np.array([-0.02, 0.5, 0.5, 0.5])), 4)
     raw = np.full((2, 3, 4), 0.5)
     raw[1, 2, 3] = -0.02
-    monkeypatch.setattr(constructions, "_draws", lambda rng, draw: raw)
     with pytest.raises(NonPositiveEntry, match=r"in row \(1, 2\)"):
-        random_probs([rng_from(150), rng_from(151)], 4, 3)
+        random_probs(Raw(raw), 4, 3, (2,))
     # a raw weight below zero survives normalization as a negative weight
-    monkeypatch.setattr(constructions, "_draws", lambda rng, draw: np.array([-1.0, 0.5, 0.5]))
     with pytest.raises(ParamOutOfRange):
-        random_beta(rng_from(150), 3)
+        random_beta(Raw(np.array([-1.0, 0.5, 0.5])), 3)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])

@@ -563,12 +563,13 @@ def test_batched_streams_match_rng_from_on_random_keys(seed, path, count):
 @pytest.mark.parametrize("path, at", [((0,), 0), ((3, 1, 0), 3), ((3, 1, 0), 1), ((5,), 2)])
 @pytest.mark.parametrize("count", [0, 1, 100])
 def test_batched_streams_vary_the_word_at_any_key_position(seed, path, at, count):
-    """``at`` places the index anywhere in the key: first (``rng_from(i,
-    ...)``), in the middle, or last."""
-    key = (seed, *path)
-    streams = _rng_streams(seed, *path, count=count, at=at)
+    """A key entry of one or more words, ``seed`` here, placed anywhere in the
+    key: first (as the seed), in the middle of the path, or last before the
+    index."""
+    key = (*path[:at], seed, *path[at:])
+    streams = _rng_streams(*key, count=count)
     assert [s.bit_generator.state for s in streams] == [
-        rng_from(*key[:at], i, *key[at:]).bit_generator.state for i in range(count)
+        rng_from(*key, i).bit_generator.state for i in range(count)
     ]
 
 

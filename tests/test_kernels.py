@@ -142,8 +142,7 @@ def _persona_rows(seed: int, m: int, n: int = 4):
     """B random decompositions on m outcomes as objects and as rows: parents
     (B, m), child logs (B, n, m), weights (B, n) and weight changes d (B, n)
     that amplify argmax d; plus one sorted event per row."""
-    streams = [rng_from(seed, b) for b in range(B)]
-    (agents, beta, d), usable = random_weight_change(streams, m, n, 1e-3)
+    (agents, beta, d), usable = random_weight_change(rng_from(seed, 0), m, n, 1e-3, (B,))
     assert usable.all()
     space = OutcomeSpace(m)
     decomps = [

@@ -45,9 +45,11 @@ from logpool import (
     tv,
     uniform,
 )
-from logpool.constructions import random_weight_change
+from logpool.constructions import random_beta, random_probs, random_weight_change
+from logpool import persona
+from logpool.core import _combine
 from logpool.persona import _p_orthonormal_basis, _project
-from logpool.suites import run_suite
+from logpool.pooling import log_pool_arrays
 
 
 # ---------------------------------------------------------------------------
@@ -171,11 +173,19 @@ def test_first_order_residual_matches_the_mpmath_closed_form(scale):
 
 
 def test_residual_slope_check_passes_where_rounding_used_to_fail_it():
-    # instance 25 of this seed has |predicted| = 1.8e-5: a slope of 1.73
-    # when the residual was measured as a difference of two log vectors
-    results = {r.name: r for r in run_suite("persona", 1741860215)}
-    check = results["persona.linearization_residual_is_second_order"]
-    assert check.passed and check.value >= 1.9
+    """An instance whose |predicted| is 1.8e-5: its residual slope was 1.73
+    when the residual was measured as a difference of two log vectors.  It
+    is drawn as the persona residual check once drew instance 25 of seed
+    1741860215: sizes, agents, weights, then d."""
+    rng = rng_from(1741860215, 5, 0, 25, 0)
+    m, n = int(rng.integers(3, 9)), int(rng.integers(2, 6))
+    logs, beta = np.log(random_probs(rng, m, n)), random_beta(rng, n)
+    d = rng.standard_normal(n)
+    p = log_pool_arrays(logs, beta)[0]
+    predicted = _combine(d - d.mean(), persona._centered(p, logs))
+    assert norm_p(make_dist(OutcomeSpace(m), p), predicted) == pytest.approx(1.8e-5, rel=0.05)
+    r1, r2 = persona._residual(p, predicted, 1e-2), persona._residual(p, predicted, 1e-3)
+    assert _oracles.loglog_slope((1e-2, 1e-3), (r1, r2)) >= 1.9
 
 
 def test_first_order_delta_l_validates_lengths():
@@ -257,8 +267,6 @@ def test_a_random_weight_change_report_re_pools_once(monkeypatch):
     """The report on a random_weight_change draw re-pools ``beta + d`` once,
     for both its budget and its bound; the draw is the one
     random_decomposition makes from the same stream, followed by d."""
-    from logpool import persona
-
     (agents, beta, d), usable = random_weight_change(rng_from(711, 0), 5, 3, 1e-3)
     rng = rng_from(711, 0)
     decomp = random_decomposition(rng, 5, 3)
@@ -281,16 +289,19 @@ def test_a_random_weight_change_report_re_pools_once(monkeypatch):
 
 @pytest.mark.parametrize("scale", [1e-3, 0.3, 0.9])
 def test_random_weight_change_stacks_and_flags_unusable_rows(scale):
-    """A list of streams gives each stream's own draw; a change is usable
-    when its largest entry is positive and every weight stays positive."""
-    seeds = range(40)
-    (agents, beta, d), usable = random_weight_change([rng_from(s) for s in seeds], 4, 3, scale)
-    for b, s in enumerate(seeds):
-        (a1, b1, d1), u1 = random_weight_change(rng_from(s), 4, 3, scale)
-        assert np.array_equal(agents[b], a1) and np.array_equal(beta[b], b1)
-        assert np.array_equal(d[b], d1) and usable[b] == u1
-        assert abs(d1.sum()) <= 1e-12 and np.abs(d1).max() == pytest.approx(scale, rel=1e-15)
-        assert u1 == ((b1 + d1 > 0).all() and d1.max() > 0)
+    """A batch of changes is its draws made in turn, each as a batch, from the
+    same stream; a change is usable when its largest entry is positive and
+    every weight stays positive."""
+    (agents, beta, d), usable = random_weight_change(rng_from(712), 4, 3, scale, (40,))
+    copy = rng_from(712)
+    assert np.array_equal(agents, random_probs(copy, 4, 3, (40,)))
+    assert np.array_equal(beta, random_beta(copy, 3, (40,)))
+    raw = copy.standard_normal((40, 3))
+    for b in range(40):
+        centered = raw[b] - raw[b].mean()
+        assert np.array_equal(d[b], centered * (scale / np.abs(centered).max()))
+        assert abs(d[b].sum()) <= 1e-12 and np.abs(d[b]).max() == pytest.approx(scale, rel=1e-15)
+        assert usable[b] == ((beta[b] + d[b] > 0).all() and d[b].max() > 0)
     assert usable.all() if scale == 1e-3 else not usable.all()
 
 
@@ -530,6 +541,26 @@ def test_projection_gain_zero_when_w_already_in_span():
     rep = projection_gain(profiles, profiles[0], (1, 2), 0.02)
     assert rep.w_in_span
     assert rep.gain == 0.0
+
+
+@pytest.mark.parametrize("size", [1e-5, 1e-6, 1e-8])
+def test_projection_gain_never_negative_when_w_adds_no_numerical_rank(size):
+    """A w that leaves span{profiles} by ``size`` (far above
+    SPAN_MEMBERSHIP_TOL) in a direction the SVD rank test drops: the
+    enlarged span is the old one, not a truncated basis of it, and the gain
+    is zero, never negative.  Such rows made the verify check fail at seeds 778 and
+    977, with gains of -7e-8 and -7e-7."""
+    rng = rng_from(720)
+    decomp = random_decomposition(rng, 5, 3)
+    profiles = centered_profiles(decomp)
+    p, V = decomp.parent.p, np.stack([prof.v for prof in profiles])
+    basis, dim = _p_orthonormal_basis(p, V)
+    out = rng.standard_normal(5)
+    out -= (p * out).sum() + _project(p, basis, out - (p * out).sum())
+    w = V.sum(axis=0) + size * out / norm_p(decomp.parent, out)
+    rep = projection_gain(profiles, LogProfile(decomp.parent, w), (0, 3), 0.05)
+    assert dim == rep.base_dim == rep.enlarged_dim == 3
+    assert rep.u_norm == pytest.approx(size) and rep.w_in_span and rep.gain == 0.0
 
 
 def test_projection_gain_strictly_positive_when_new_direction_correlates():

@@ -1,13 +1,14 @@
 """The verification-suite registry: what each suite holds, and how the
 ``samples`` and ``tolerance`` overrides reach its checks."""
 
+import operator
 import sys
 
 import numpy as np
 import pytest
 
 from logpool import ParamOutOfRange, UnknownSuite
-from logpool.suites import _CHECKS, SUITE_NAMES, run_suite
+from logpool.suites import _CHECKS, SUITE_NAMES, _Check, run_suite
 
 CHECK_COUNTS = {
     "pools": 4,
@@ -86,18 +87,20 @@ def test_run_suite_rejects_an_unknown_suite():
 
 #: Per suite at seed 42: ``Dist`` constructions and stacked-kernel calls
 #: before the instance loops were batched, and the most allowed now.  A
-#: batched check draws each instance from its own stream but validates, pools
-#: and scores a whole (m, n) shape group at once, so kernel calls scale with
+#: batched check draws, validates, pools and scores a whole (m, n) shape
+#: group at once, so kernel calls scale with
 #: the shape groups (up to 42 per check), not the instances; most calls left
 #: in ``stability`` are one per bisection step of each openness certificate.
 #: The ``Dist``s left in ``factorize`` are the fixed parent-benefit catalog's,
 #: and in ``constructions`` the instances the threshold catalog re-checks at
 #: each threshold it finds (the cyclic catalog and the grid walk build none).
-#: ``rng_from`` counts the scalar stream constructions: a check builds its
-#: instances' streams in one batch, attempt-0 streams of retry loops
-#: included, so the calls left are the retries themselves (the tilt check's
-#: redraws below a derivative of 1e-3, and the factorization and persona
-#: retries, none at seed 42).  ``normalize_rows`` counts
+#: ``generators`` counts every random generator the suite builds: each
+#: ``rng_from`` call and each stream a ``core._rng_streams`` batch returns.
+#: Its "before" is the count when each instance drew from its own stream.
+#: Now a check with an instance count builds its one stream and retries draw
+#: on from it, so the bound is one per such check; ``stability`` adds the
+#: 16 per-sample streams of each of its two openness certificates.
+#: ``normalize_rows`` counts
 #: normalizations: a shape group's generator call normalizes its draws once.
 #: ``persona`` draws its instances as rows, with no ``random_decomposition``,
 #: and solves its span bases with one stacked ``np.linalg.svd`` (``svd``) per
@@ -105,22 +108,22 @@ def test_run_suite_rejects_an_unknown_suite():
 BATCHING_BOUNDS = {
     # suite: {counter: (count before batching, bound now)}
     "pools": {
-        "Dist": (3503, 350), "log_pool_arrays": (640, 192), "rng_from": (660, 0),
+        "Dist": (3503, 350), "log_pool_arrays": (640, 192), "generators": (660, 4),
         "normalize_rows": (660, 140),
     },
     "welfare": {
-        "Dist": (2021, 202), "gap_terms": (801, 80), "rng_from": (800, 0),
+        "Dist": (2021, 202), "gap_terms": (801, 80), "generators": (800, 5),
         "normalize_rows": (602, 40),
     },
-    "constructions": {"Dist": (162, 40), "rng_from": (80, 0)},
-    "factorize": {"Dist": (1562, 100), "rng_from": (360, 10), "normalize_rows": (281, 110)},
+    "constructions": {"Dist": (162, 40), "generators": (80, 2)},
+    "factorize": {"Dist": (1562, 100), "generators": (220, 3), "normalize_rows": (281, 110)},
     "stability": {
-        "Dist": (3328, 100), "gap_terms": (534, 60), "rng_from": (373, 10),
+        "Dist": (3328, 100), "gap_terms": (534, 60), "generators": (373, 3 + 2 * 16),
         "normalize_rows": (471, 120),
     },
     "persona": {
         "Dist": (1766, 10), "random_decomposition": (280, 0), "svd": (249, 120),
-        "rng_from": (480, 10),
+        "generators": (480, 5),
     },
 }
 
@@ -144,18 +147,43 @@ def test_batched_suites_build_few_objects_and_call_each_kernel_per_group(suite, 
     kernels = {
         "log_pool_arrays": pooling.log_pool_arrays,
         "gap_terms": welfare.gap_terms,
-        "rng_from": core.rng_from,
         "normalize_rows": core.normalize_rows,
         "random_decomposition": constructions.random_decomposition,
     }
-    for name, fn in kernels.items():
-        if name in counts:
-            # rebind every module-level reference, wherever it was imported
-            for module in modules:
-                if getattr(module, name, None) is fn:
-                    monkeypatch.setattr(module, name, counted(name, fn))
+
+    def streams(*args, _rng_streams=core._rng_streams, **kwargs):
+        out = _rng_streams(*args, **kwargs)
+        counts["generators"] += len(out)
+        return out
+
+    rebind = {fn: counted(name, fn) for name, fn in kernels.items() if name in counts}
+    rebind[core.rng_from] = counted("generators", core.rng_from)
+    rebind[core._rng_streams] = streams
+    # rebind every module-level reference, wherever it was imported
+    for module in modules:
+        for attr, value in list(vars(module).items()):
+            if callable(value) and value in rebind:
+                monkeypatch.setattr(module, attr, rebind[value])
     if "svd" in counts:
         monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
     run_suite(suite, 42)
     for name, (before, bound) in BATCHING_BOUNDS[suite].items():
         assert counts[name] <= bound, (name, counts[name], before)
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_appending_a_check_leaves_every_other_checks_report_alone(suite, monkeypatch):
+    """A check draws from its own stream, keyed by its place in its suite,
+    so a new check at the end of any suite moves no other check's report."""
+    before = run_suite("all", 11)
+
+    def dummy(run):
+        for _, count in run.groups():
+            run.rng.standard_normal((count, 1000))
+        return 0.0
+
+    check = _Check(f"{suite}.dummy", 50, 0.0, operator.le, "dummy", ((2, 9),), dummy)
+    monkeypatch.setitem(_CHECKS, suite, [*_CHECKS[suite], check])
+    after = run_suite("all", 11)
+    assert [r for r in after if r.name != check.name] == before
+    assert len(after) == len(before) + 1
