@@ -229,7 +229,7 @@ def _analysis_gaps(config: dict, seed: int) -> tuple[list[str], list[list], dict
 
 
 def _analysis_openness(config: dict, seed: int) -> tuple[list[str], list[list], dict]:
-    """Certified unanimity radius at each n's discovered threshold epsilon."""
+    """Proved unanimity radii at each n's discovered threshold epsilon."""
     kind, ns, _, _ = _family_grid(config)
     if kind != "analytic_unanimity":
         raise ConfigParse("the openness analysis needs the analytic_unanimity family")
@@ -242,8 +242,8 @@ def _analysis_openness(config: dict, seed: int) -> tuple[list[str], list[list], 
         epsilon_by_n[str(n)] = eps
         decomp = constructions.analytic_unanimity_instance(n, eps)
         cert = stability.certify_openness(decomp, samples=samples, seed=seed)
-        rows.append([n, eps, cert.radius, cert.min_gap_at_boundary, samples])
-    columns = ["n", "epsilon", "radius", "min_gap_at_boundary", "samples"]
+        rows.append([n, eps, cert.radius, cert.min_gap_at_boundary, samples, cert.log_ratio_radius])
+    columns = ["n", "epsilon", "radius", "min_gap_at_boundary", "samples", "log_ratio_radius"]
     return columns, rows, {"strict_gap": UNANIMITY_TOL, "epsilon_by_n": epsilon_by_n}
 
 

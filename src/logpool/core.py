@@ -39,7 +39,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -528,81 +527,7 @@ def rng_from(seed: int, *path: int) -> np.random.Generator:
     negative or not an integer (``2.0`` is 2; ``1.7`` and ``True`` are not)
     raises :class:`ParamOutOfRange`.
     """
-    key = _key(seed, path)
-    return np.random.default_rng(np.random.SeedSequence(entropy=key[0], spawn_key=key[1:]))
-
-
-def _key(seed: int, path: tuple[int, ...]) -> tuple[int, ...]:
     key = tuple(_integer(x, "a seed or path entry") for x in (seed, *path))
     if min(key) < 0:
         raise ParamOutOfRange(f"seed and path must be non-negative, got {seed!r}, {path!r}")
-    return key
-
-
-# NumPy's SeedSequence hashing constants (numpy/random/bit_generator.pyx)
-_M32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-
-
-def _rng_streams(seed: int, *path: int, count: int) -> list[np.random.Generator]:
-    """``[rng_from(seed, *path, i) for i in range(count)]``, bit for bit.
-
-    Replays NumPy's ``SeedSequence`` (a pool of 4 words) for all the keys at
-    once: a shared 32-bit word is a Python int, hashed once, and the index a
-    (count,) array, so each step from it on is one NumPy pass.  Each generator
-    is seeded from its ready words, without a per-stream ``SeedSequence``.
-    """
-    key = [*_key(seed, path), np.arange(count, dtype=np.uint64)]
-    # the seed is zero-padded to the pool, as NumPy pads it before a spawn key
-    words = [w for j, x in enumerate(key) for w in _words(x, 4 if j == 0 else 1)]
-    hc = _hash_constants(_INIT_A, _MULT_A, 4 * len(words))
-    steps = iter(zip(hc, hc[1:]))
-
-    def hashmix(value):
-        before, after = next(steps)
-        value = (value ^ before) * after & _M32
-        return value ^ value >> 16
-
-    def mix(x, y):
-        value = (_MIX_L * x - _MIX_R * hashmix(y)) & _M32
-        return value ^ value >> 16
-
-    pool = [hashmix(w) for w in words[:4]]
-    for src, dst in permutations(range(4), 2):
-        pool[dst] = mix(pool[dst], pool[src])
-    for w in words[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], w)
-    # generate_state(4, uint64): 8 uint32 words drawn round-robin from the
-    # pool, paired little-endian
-    hc = np.array(_hash_constants(_INIT_B, _MULT_B, 8), np.uint64)[:, None]
-    state = (np.stack(pool * 2) ^ hc[:-1]) * hc[1:] & _M32
-    state ^= state >> 16
-    seeds = (state[0::2] | state[1::2] << 32).T.copy()
-    return [np.random.Generator(np.random.PCG64(_Seeded(row))) for row in seeds]
-
-
-def _words(x, size: int = 1) -> list:
-    """``x`` as SeedSequence reads it: little-endian 32-bit words, zero-padded
-    to at least ``size`` words; the index array (below 2**32) is one word."""
-    if isinstance(x, np.ndarray):
-        return [x] + [0] * (size - 1)
-    return [(x >> s) & _M32 for s in range(0, max(x.bit_length(), 32 * size), 32)]
-
-
-@lru_cache(maxsize=None)
-def _hash_constants(init: int, mult: int, k: int) -> tuple[int, ...]:
-    """SeedSequence's running hash constants ``init * mult**j``, j = 0..k."""
-    return tuple(init * pow(mult, j, 1 << 32) & _M32 for j in range(k + 1))
-
-
-class _Seeded(np.random.bit_generator.ISeedSequence):
-    """A seed sequence whose four uint64 PCG64 seed words are already made."""
-
-    def __init__(self, words: np.ndarray) -> None:
-        self.words = words
-
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        return self.words
+    return np.random.default_rng(np.random.SeedSequence(entropy=key[0], spawn_key=key[1:]))

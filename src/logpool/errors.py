@@ -86,9 +86,11 @@ class DegenerateWeights(InputError):
 
 
 class NotFound(LogPoolError):
-    """A bounded search found nothing: a grid search whose target provably
-    exists (an implementation bug), or a search whose budget ran out on this
-    input, such as the openness bisection or the compensation draws.
+    """A bounded search found nothing, or a seeded probe broke a proved
+    bound: a grid search whose target provably exists or an openness vertex
+    probe that loses strict unanimity (both implementation bugs), or a
+    search whose budget ran out on this input, such as the compensation
+    draws.
     """
 
 

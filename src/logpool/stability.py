@@ -3,9 +3,10 @@
 Transport reweights every child of a decomposition by the ratio
 target/parent, which moves the pooled distribution *exactly* onto the target
 (not perturbatively) while keeping the weights.  Built on that, the openness
-certifier probes a strictly unanimous decomposition with seeded random
-targets on tv-spheres of shrinking radius and reports the largest radius at
-which every probe stayed strictly unanimous.
+certifier proves, in closed form, a ball of targets around a strictly
+unanimous parent inside which every transported gap stays strictly positive:
+a log-ratio radius ρ*, and the tv radius it implies.  Seeded vertex probes of
+that ball cross-check the bound; they do not search for it.
 
 The small-tilt tools differentiate an agent's welfare gap along exponential
 tilts of the pool, which is where the local impossibility phenomenon lives:
@@ -25,12 +26,11 @@ from .core import (
     ScoreFn,
     Weights,
     first_row,
-    require_prob_rows,
+    rng_from,
     softmax,
     _combine,
     _cov,
     _integer,
-    _rng_streams,
     _values,
 )
 from .errors import (
@@ -47,25 +47,6 @@ __all__ = [
     "tilt_gap_fd",
     "local_unanimity_audit",
 ]
-
-#: Probe coordinates must stay above this floor, or above half the center's
-#: smallest mass where that is lower, when sampling targets near a
-#: distribution; keeps every probe strictly positive.
-POSITIVITY_FLOOR = 1e-9
-
-#: Centered directions drawn per probe stream; the first that fits is used.
-PROBE_TRIES = 64
-
-#: Bisection steps of :func:`certify_openness` on the tv radius in (0, 1/2);
-#: while no radius has passed, halving goes on to the center's smallest mass
-#: over 2**BISECTION_STEPS, but never past _MAX_STEPS steps in all.
-BISECTION_STEPS = 18
-
-#: The most steps one certification takes.  1/2 over 2**128 (1.5e-39) still
-#: certifies the analytic family up to n = 52 with the default samples, and a
-#: failing search costs at most 128 / BISECTION_STEPS times the first steps.
-_MAX_STEPS = 128
-
 
 def transport_rows(children: np.ndarray, base: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Stacked transport: the softmax of (log C + log T) − log P over the last
@@ -87,36 +68,47 @@ def transport(child: Dist, base: Dist, target: Dist) -> Dist:
     return Dist(child.space, transport_rows(child.p, base.p, target.p))
 
 
-def _tv_directions(rng: np.random.Generator, m: int):
-    """:data:`PROBE_TRIES` centered directions (PROBE_TRIES, m), drawn in
-    order, and their L1 norms: what a probe at any radius scales."""
-    d = rng.standard_normal((PROBE_TRIES, m))
-    d = d - d.mean(axis=-1, keepdims=True)
-    return d, np.abs(d).sum(axis=-1)
+def _log_ratio_radius(children: np.ndarray, gaps: np.ndarray) -> float:
+    """ρ* = min_i (g_i − UNANIMITY_TOL) / (2(osc(log C_i) + 1)) for children
+    (n, m) with gaps (n,): every target T = P·e^u/Z with ‖u‖∞ ≤ ρ* keeps each
+    transported gap at least UNANIMITY_TOL (see :func:`certify_openness`)."""
+    logs = np.log(children)
+    osc = logs.max(axis=-1) - logs.min(axis=-1)
+    return float(((gaps - UNANIMITY_TOL) / (2.0 * (osc + 1.0))).min())
 
 
-def _at_radius(base: np.ndarray, d: np.ndarray, l1: np.ndarray, radius: float):
-    """Scale directions (..., tries, m) to tv ``radius`` around ``base`` and
-    keep each stack's first draw with every coordinate above the floor
-    ``min(POSITIVITY_FLOOR, min(base) / 2)``: returns the normalized targets
-    (..., m) and whether one fit (...).  Positive coordinates summing to 1
-    are each below 1, so no upper test is needed (one would fail by rounding
-    once ``max(base)`` rounds to 1)."""
-    floor = min(POSITIVITY_FLOOR, float(base.min()) / 2.0)
-    p = base + d * (2.0 * radius / l1)[..., None]
-    fits = (l1 != 0.0) & (p > floor).all(axis=-1)
-    p = np.take_along_axis(p, fits.argmax(axis=-1)[..., None, None], axis=-2)[..., 0, :]
-    return p / p.sum(axis=-1, keepdims=True), fits.any(axis=-1)
+def _vertex_probes(decomp: Decomposition, rng: np.random.Generator, samples: int):
+    """ρ* of ``decomp``, which must be strictly unanimous, and the gaps
+    (samples, n) at ``samples`` vertices of its log-ratio ball, u = ±ρ* per
+    outcome, drawn with one ``rng`` call: one transport, one re-pool check at
+    ``POOL_REVALIDATION_TOL`` and one gap computation for all of them."""
+    report = unanimity_report(decomp)
+    if not report.strictly_unanimous:
+        raise NotStrictlyUnanimous(
+            "openness certification needs every gap strictly positive; "
+            f"min gap is {report.min_gap!r}"
+        )
+    parent = decomp.parent.p
+    children = np.stack([c.p for c in decomp.children])
+    rho = _log_ratio_radius(children, report.gaps)
+    u = rng.choice((-rho, rho), (samples, parent.size))
+    targets = softmax(np.log(parent) + u)[0]
+    moved = transport_rows(children, parent, targets[:, None, :])
+    require_pool_witness(moved, decomp.weights.beta, targets, POOL_REVALIDATION_TOL)
+    return rho, gap_terms(moved, targets[:, None, :])[0]
 
 
 @dataclass(frozen=True, slots=True)
 class OpennessCertificate:
-    """Empirical evidence that strict unanimity survives in a tv-ball.
+    """A proved ball around a strictly unanimous decomposition, and the
+    probes that cross-checked it.
 
-    ``radius`` is the largest bisection-tested tv radius at which every one
-    of ``samples`` seeded probe targets, after exact transport, still had
-    all welfare gaps strictly positive; ``min_gap_at_boundary`` is the
-    smallest gap observed among those probes.
+    Every target P·e^u/Z with ‖u‖∞ ≤ ``log_ratio_radius`` keeps strict
+    unanimity after exact transport; so does every target within tv
+    ``radius`` of the parent, which is min(p)·(1 − e^(−ρ*)) and underflows
+    to 0.0 where the parent's smallest mass is tiny (n = 430 of the analytic
+    family).  ``min_gap_at_boundary`` is the smallest gap among ``samples``
+    seeded vertex probes of the log-ratio ball.
     """
 
     center: Decomposition
@@ -124,10 +116,11 @@ class OpennessCertificate:
     samples: int
     min_gap_at_boundary: float
     seed: int
+    log_ratio_radius: float
 
     def __post_init__(self) -> None:
-        if not self.radius > 0.0:
-            raise NotFound("certificate radius must be positive")
+        if not self.log_ratio_radius > 0.0:
+            raise NotFound("certificate log-ratio radius must be positive")
         if not self.min_gap_at_boundary > 0.0:
             raise NotFound("boundary gap must be positive")
 
@@ -135,78 +128,47 @@ class OpennessCertificate:
 def certify_openness(
     decomp: Decomposition, samples: int = 64, seed: int = 0
 ) -> OpennessCertificate:
-    """Bisect for the largest empirically clean tv radius around the parent.
+    """Prove a ball of strict unanimity around the parent in closed form and
+    cross-check it at ``samples`` seeded vertices.
 
     The input must be strictly unanimous and ``samples`` an integer of at
-    least 1: a certificate rests on at least one probe.  Probe directions
-    are keyed by (seed, sample index) only, so a run with more samples
-    extends — never replaces — the probe set of a run with fewer; certified
-    radii can therefore only shrink or hold as ``samples`` grows.  Each step scores
-    its probes as one batch: one transport over (samples, n, m), one
-    re-pool check at ``POOL_REVALIDATION_TOL`` and one gap computation.  A
-    step fails when some sample has no feasible target at its radius or
-    loses strict unanimity.  While no step has passed, halving goes on past
-    the first ``BISECTION_STEPS`` down to the parent's smallest mass over
-    ``2**BISECTION_STEPS``, so a center with tiny masses is probed at its
-    own scale, for at most ``_MAX_STEPS`` steps in all.
+    least 1.  Take a target T = P·e^u/Z with ‖u‖∞ ≤ ρ.  Transport turns each
+    child into C_i' = C_i·e^u/Z_i, and the Z_i cancel in the gap, so
 
-    This is sampled evidence with a seed and sample count, not a proof: the
-    guarantee that *some* positive radius exists is the theorem's job; the
-    certificate records how far probing got.
+        g_i(T) − g_i(P) = (E_T − E_P)[log C_i] − (E_C_i' − E_C_i)[log C_i]
+                          + (E_T − E_C_i')[u].
+
+    Both log-ratios log(T/P) and log(C_i'/C_i) lie in an interval of width
+    2ρ, so each pair of measures is within tv tanh(ρ/2) ≤ ρ, and
+    |E_Q' f − E_Q f| ≤ tv·osc f; the last term is at most osc u ≤ 2ρ.
+    Hence g_i(T) ≥ g_i(P) − 2ρ(osc(log C_i) + 1), and the ball holds at
+    ρ* = min_i (g_i − UNANIMITY_TOL) / (2(osc_i + 1)).  A target within tv r
+    of P moves each mass by at most r, so r = min(p)·(1 − e^(−ρ*)) keeps
+    |log(T/P)| ≤ ρ*: that is ``radius``.
+
+    The probes are vertices u = ±ρ* per outcome, drawn from
+    ``rng_from(seed)`` in one call, so a run with more samples extends the
+    probe set of a run with fewer.  A probe that loses strict unanimity
+    breaks the bound, and raises :class:`NotFound` naming ρ* and its gap.
     """
     samples = _integer(samples, "openness needs at least one probe sample; the count")
     if samples < 1:
         raise ParamOutOfRange(f"openness needs at least one probe sample, got {samples!r}")
-    base_report = unanimity_report(decomp)
-    if not base_report.strictly_unanimous:
-        raise NotStrictlyUnanimous(
-            "openness certification needs every gap strictly positive; "
-            f"min gap is {base_report.min_gap!r}"
-        )
-
-    # a probe direction does not depend on the radius, only its rejection
-    # does: each sample's stream is drawn once and scaled at every step
-    m = decomp.space.size
-    d, l1 = np.empty((samples, PROBE_TRIES, m)), np.empty((samples, PROBE_TRIES))
-    for s, rng in enumerate(_rng_streams(seed, count=samples)):
-        d[s], l1[s] = _tv_directions(rng, m)
-    children = np.stack([c.p for c in decomp.children])
-
-    def probe(radius: float) -> tuple[str, float]:
-        """Why some sample fails at ``radius`` ("" if none does), and the min gap."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            targets, found = _at_radius(decomp.parent.p, d, l1, radius)
-        if not found.all():
-            return "found no feasible target", np.inf
-        require_prob_rows(targets)
-        moved = transport_rows(children, decomp.parent.p, targets[:, None, :])
-        require_pool_witness(moved, decomp.weights.beta, targets, POOL_REVALIDATION_TOL)
-        gaps = gap_terms(moved, targets[:, None, :])[0]
-        failed = "" if (gaps > UNANIMITY_TOL).all() else "lost strict unanimity"
-        return failed, float(gaps.min(initial=np.inf))
-
-    least = float(decomp.parent.p.min())
-    lo, hi, lo_gap, why, steps = 0.0, 0.5, 0.0, "", 0
-    floor = least * 2.0**-BISECTION_STEPS
-    while steps < BISECTION_STEPS or (lo == 0.0 and hi > floor and steps < _MAX_STEPS):
-        mid = 0.5 * (lo + hi)
-        failed, gap = probe(mid)
-        if failed:
-            hi, why = mid, failed
-        else:
-            lo, lo_gap = mid, gap
-        steps += 1
-    if lo == 0.0:
+    rho, gaps = _vertex_probes(decomp, rng_from(seed), samples)
+    least = gaps.min(axis=-1)
+    if not (least > UNANIMITY_TOL).all():
+        k = int(np.argmin(least > UNANIMITY_TOL))
         raise NotFound(
-            f"no tv radius survived probing down to {hi!r} (1/2 over 2^{steps}), "
-            f"where the last probe {why}; the parent's smallest mass is {least!r}"
+            f"vertex probe {k} of the proved log-ratio ball of radius {rho!r} lost "
+            f"strict unanimity: its smallest gap is {float(least[k])!r}"
         )
     return OpennessCertificate(
         center=decomp,
-        radius=lo,
+        radius=float(decomp.parent.p.min() * -np.expm1(-rho)),
         samples=samples,
-        min_gap_at_boundary=lo_gap,
+        min_gap_at_boundary=float(least.min()),
         seed=seed,
+        log_ratio_radius=rho,
     )
 
 

@@ -98,3 +98,22 @@ def mp_tilt_log_normalizer(p, f, t):
     p, f = _mpf_list(p), _mpf_list(f)
     t = mp.mpf(repr(float(t)))
     return float(mp.log(mp.fsum(pi * mp.e ** (t * fi) for pi, fi in zip(p, f)) / mp.fsum(p)))
+
+
+def mp_transported_gaps(children, parent, u):
+    """Welfare gaps after moving the pool P to the target T = P·e^u/Z: each
+    child C becomes C·e^u/Z_C, the transport that keeps the weights, and is
+    scored against T, all from the definitions."""
+    u = _mpf_list(u)
+    target = _normalized([p * mp.e**x for p, x in zip(_mpf_list(parent), u)])
+    gaps = []
+    for child in children:
+        moved = _normalized([c * mp.e**x for c, x in zip(_mpf_list(child), u)])
+        log_r = [mp.log(x) for x in moved]
+        gaps.append(float(mp.fsum((t - c) * lr for t, c, lr in zip(target, moved, log_r))))
+    return gaps
+
+
+def _normalized(values):
+    z = mp.fsum(values)
+    return [v / z for v in values]

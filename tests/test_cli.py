@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from _subproc import child_env, run_logpool
-from logpool import Dist, LogPoolError, OutcomeSpace, Weights, loads, stability
+from logpool import Dist, LogPoolError, OutcomeSpace, Weights, loads
 from logpool.cli import main
 
 
@@ -794,34 +794,65 @@ def test_fewer_than_two_compensation_outcomes_is_a_usage_error(tmp_path, capsys,
     assert not list(tmp_path.glob("x.*"))
 
 
-def test_openness_that_probes_down_to_its_floor_names_the_limit(tmp_path, capsys, monkeypatch):
-    """With every probe failing, the search at n = 9 halves the radius to
-    the parent's smallest mass (2.2e-7) over 2^18 and stops there; the error
-    says how far it went instead of calling the input a bug."""
-    monkeypatch.setattr(stability, "UNANIMITY_TOL", math.inf)
+def test_openness_whose_probe_breaks_the_bound_exits_1_with_one_error_line(tmp_path):
+    """A vertex probe of a ball 100 times the proved one loses strict
+    unanimity; the run names that radius and the probe's gap on one line."""
+    code = (
+        "import sys; from logpool import stability, cli\n"
+        "radius = stability._log_ratio_radius\n"
+        "stability._log_ratio_radius = lambda *a: 100.0 * radius(*a)\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
     cfg = tmp_path / "config.json"
-    family = {"kind": "analytic_unanimity", "n": [9]}
-    cfg.write_text(json.dumps({"analyses": ["openness"], "family": family}))
-    assert main(["experiment", str(cfg), "--out", str(tmp_path / "x")]) == 1
-    err = capsys.readouterr().err
-    assert "bug" not in err
-    assert "down to 4.547473508864641e-13 (1/2 over 2^40)" in err
-    assert "the last probe lost strict unanimity" in err
-    assert "smallest mass is 2.16" in err
+    cfg.write_text(json.dumps({"analyses": ["openness"],
+                               "family": {"kind": "analytic_unanimity", "n": [2]}}))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "experiment", str(cfg), "--out", str(tmp_path / "x")],
+        capture_output=True, text=True, env=child_env(), stdin=subprocess.DEVNULL,
+    )
+    assert proc.returncode == 1, proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert re.fullmatch(
+        r"error: vertex probe \d+ of the proved log-ratio ball of radius 0\.546\d* lost "
+        r"strict unanimity: its smallest gap is -?\d\.\d+(e-\d+)?", line
+    ), line
+    assert not list(tmp_path.glob("x.*"))
 
 
-@pytest.mark.parametrize("n", [8, 9, 40])
+@pytest.mark.parametrize("n", [8, 9, 40, 53, 100])
 def test_openness_certifies_the_analytic_family(tmp_path, n):
     """From n = 9 on the parent's smallest mass (2.2e-7 at n = 9, 1.2e-30 at
-    n = 40) is below every radius 18 halvings of 1/2 reach; the search goes
-    on down to that mass, and the certificate holds."""
+    n = 40) was below every radius the old tv bisection reached in 18
+    halvings, and from n = 53 below any it reached at all; the proved
+    log-ratio radius does not depend on that mass."""
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"analyses": ["openness"],
                                "family": {"kind": "analytic_unanimity", "n": [n]}}))
     assert main(["experiment", str(cfg), "--out", str(tmp_path / "x")]) == 0
     with open(tmp_path / "x.openness.csv") as fh:
         (row,) = list(csv.DictReader(fh))
-    assert float(row["radius"]) > 0.0 and float(row["min_gap_at_boundary"]) > 0.0
+    assert float(row["log_ratio_radius"]) > 0.0 and float(row["radius"]) > 0.0
+    assert float(row["min_gap_at_boundary"]) > 0.0
+
+
+def test_openness_past_the_analytic_familys_range_is_one_error_line(tmp_path):
+    """At n = 431 the parent's smallest mass underflows to zero."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"analyses": ["openness"],
+                               "family": {"kind": "analytic_unanimity", "n": [431]}}))
+    code, out, err = run_cli("experiment", str(cfg), "--out", str(tmp_path / "x"))
+    assert code == 1
+    (line,) = err.splitlines()
+    assert line.startswith("error: ") and "strictly positive" in line, line
+    assert not list(tmp_path.glob("x.*"))
+
+
+def test_importing_the_cli_leaves_numpy_random_unimported():
+    """Only a seeded command needs ``numpy.random``, about 12 ms of start-up
+    with the ``secrets`` and ``hashlib`` it pulls in."""
+    code = "import sys, logpool.cli; print('numpy.random' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
+    assert out.stdout == "False\n", out.stderr
 
 
 def test_suppression_solves_one_span_basis_per_instance(tmp_path, monkeypatch):

@@ -49,7 +49,7 @@ from logpool import (
 )
 from _gen import random_dist
 from logpool.core import (
-    NORM_TOL, _rng_streams, normalize_rows, require_prob_rows, require_weight_rows, softmax,
+    NORM_TOL, normalize_rows, require_prob_rows, require_weight_rows, softmax,
 )
 from logpool.suites import run_suite
 
@@ -529,15 +529,16 @@ def test_rng_from_is_deterministic_and_path_split():
 def test_rng_from_rejects_negative_keys_as_a_logpool_error(seed, path):
     with pytest.raises(ParamOutOfRange, match="non-negative"):
         rng_from(seed, *path)
-    with pytest.raises(ParamOutOfRange, match="non-negative"):
-        _rng_streams(seed, *path, count=3)
 
 
 def _assert_streams_are_rng_from(seed, path, count):
-    streams = _rng_streams(seed, *path, count=count)
+    """NumPy's own batch of ``count`` streams spawned from the (seed, *path)
+    sequence is ``rng_from(seed, *path, i)``, i = 0..count-1, so any stream
+    can be rebuilt with NumPy alone."""
+    streams = np.random.SeedSequence(seed, spawn_key=path).spawn(count)
     assert len(streams) == count
-    for i, rng in enumerate(streams):
-        want = rng_from(seed, *path, i)
+    for i, sequence in enumerate(streams):
+        rng, want = np.random.default_rng(sequence), rng_from(seed, *path, i)
         assert rng.bit_generator.state == want.bit_generator.state, (seed, path, i)
         assert np.array_equal(rng.random(8), want.random(8))
 
@@ -567,10 +568,7 @@ def test_batched_streams_vary_the_word_at_any_key_position(seed, path, at, count
     key: first (as the seed), in the middle of the path, or last before the
     index."""
     key = (*path[:at], seed, *path[at:])
-    streams = _rng_streams(*key, count=count)
-    assert [s.bit_generator.state for s in streams] == [
-        rng_from(*key, i).bit_generator.state for i in range(count)
-    ]
+    _assert_streams_are_rng_from(key[0], key[1:], count)
 
 
 @pytest.mark.parametrize("seed, path", [(1.7, ()), (True, ()), (3, (0.5,)), (3, (np.True_, 1))])
@@ -578,8 +576,6 @@ def test_rng_from_rejects_a_non_integer_seed_or_path_entry(seed, path):
     """``int(x)`` used to make 1.7, True and 1 the same stream."""
     with pytest.raises(ParamOutOfRange, match="must be an integer"):
         rng_from(seed, *path)
-    with pytest.raises(ParamOutOfRange, match="must be an integer"):
-        _rng_streams(seed, *path, count=3)
 
 
 # ---------------------------------------------------------------------------

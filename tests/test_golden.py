@@ -3,12 +3,17 @@
 ``golden/verify_all_seed42.json`` is the report ``logpool verify all --seed 42``
 writes, and the ``verify_<suite>_seed<s>[_samples3].json`` reports are what
 ``logpool verify <suite> --seed s [--samples 3]`` writes; ``--samples 3``
-leaves most shape groups with a single instance.  They were last written
-when each randomized check moved from one stream per instance onto one
-stream per check, which changed the drawn instances: only ``value`` fields
-moved, and every name, verdict, sample count, tolerance and config hash
-stayed.  Before that they dated from before the pool and gap computations
-moved onto stacked-array kernels and the instance loops were batched.
+leaves most shape groups with a single instance.  The ``stability`` and
+``all`` reports were last written when the openness check moved from a
+bisected tv radius to the proved log-ratio radius: only the
+``stability.unanimity_survives_in_a_ball`` entry moved (its value, detail
+and sample count, now the vertex probes per ball).  Every report before
+that was written when each randomized check moved from one stream per
+instance onto one stream per check, which changed the drawn instances: only
+``value`` fields moved, and every name, verdict, sample count, tolerance and
+config hash stayed.  Before that they dated from before the pool and gap
+computations moved onto stacked-array kernels and the instance loops were
+batched.
 Check names, verdicts and sample counts must match exactly.  Each value may
 drift by at most min(1e-12, |tolerance|), so a check with tolerance 0 must
 reproduce its value bit for bit.  A wider drift is a golden update,

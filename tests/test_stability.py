@@ -1,12 +1,16 @@
 """Pool-preserving transport, openness certification, and the first-order
 analysis of welfare gaps under exponential tilts."""
 
+import itertools
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _gen import random_decomposition, random_dist, random_strict_weights, transported
+from _gen import random_decomposition, random_dist, transported
+from _oracles import mp_transported_gaps
 from logpool import (
     Dist,
     NonPositiveEntry,
@@ -24,19 +28,21 @@ from logpool import (
     find_epsilon_for_unanimity,
     local_unanimity_audit,
     log_pool,
-    make_decomposition,
-    make_dist,
     rng_from,
     tilt_gap_derivative,
     tilt_gap_fd,
     tilt_representation,
     transport,
     tv,
+    unanimity_report,
     uniform,
     kl,
     welfare_gap,
 )
-from logpool.stability import _at_radius, _tv_directions, transport_rows
+from logpool import stability
+from logpool.stability import transport_rows
+from logpool.suites import run_suite
+from logpool.welfare import UNANIMITY_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -79,60 +85,78 @@ def test_transport_composes_along_a_path():
 
 
 # ---------------------------------------------------------------------------
-# Probing at a tv radius
-# ---------------------------------------------------------------------------
-
-
-def _probe(base, radius, rng):
-    """One seeded probe target at tv ``radius`` from ``base``, as
-    ``certify_openness`` draws each sample's, or None when no draw fits."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p, found = _at_radius(base.p, *_tv_directions(rng, base.space.size), radius)
-    return Dist(base.space, p) if found else None
-
-
-def test_probe_at_tv_radius_hits_the_radius():
-    rng = rng_from(604)
-    base = random_dist(rng, OutcomeSpace(6))
-    for radius in (1e-4, 1e-3, 1e-2):
-        probe = _probe(base, radius, rng_from(604, 1))
-        assert probe is not None
-        assert tv(base, probe) == pytest.approx(radius, rel=1e-9)
-
-
-def test_probe_at_tv_radius_gives_up_when_radius_is_impossible():
-    base = make_dist(OutcomeSpace(2), [0.5, 0.5])
-    assert _probe(base, 0.75, rng_from(605)) is None
-
-
-# ---------------------------------------------------------------------------
 # Openness certification
 # ---------------------------------------------------------------------------
 
 
+def _unanimous(n):
+    return analytic_unanimity_instance(n, find_epsilon_for_unanimity(n))
+
+
 def test_certify_openness_on_a_strictly_unanimous_instance():
-    eps = find_epsilon_for_unanimity(3)
-    decomp = analytic_unanimity_instance(3, eps)
-    cert = certify_openness(decomp, samples=16, seed=0)
-    assert cert.radius > 0.0
+    cert = certify_openness(_unanimous(3), samples=16, seed=0)
+    assert cert.log_ratio_radius > 0.0 and cert.radius > 0.0
     assert cert.min_gap_at_boundary > 0.0
     assert cert.samples == 16 and cert.seed == 0
 
 
-def test_certify_openness_radius_weakly_decreases_with_more_samples():
-    eps = find_epsilon_for_unanimity(2)
-    decomp = analytic_unanimity_instance(2, eps)
-    r_small = certify_openness(decomp, samples=4, seed=7).radius
-    r_large = certify_openness(decomp, samples=24, seed=7).radius
-    assert r_large <= r_small + 1e-15
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_the_gap_bound_holds_at_every_vertex_in_extended_precision(n):
+    """g_i(T) ≥ g_i(P) − 2ρ(osc(log C_i) + 1) for T = P·e^u/Z at all 2^(n+1)
+    vertices u ∈ {−ρ, ρ}^m, at ρ*, 10ρ* and 100ρ*, with every gap computed
+    to 50 digits; at ρ* itself every gap stays above ``UNANIMITY_TOL``."""
+    decomp = _unanimous(n)
+    rho = certify_openness(decomp, samples=1).log_ratio_radius
+    children = np.stack([c.p for c in decomp.children])
+    before = np.array(mp_transported_gaps(children, decomp.parent.p, np.zeros(n + 1)))
+    osc = np.log(children).max(axis=-1) - np.log(children).min(axis=-1)
+    assert rho == pytest.approx(((before - UNANIMITY_TOL) / (2.0 * (osc + 1.0))).min(), rel=1e-12)
+    for scale in (1.0, 10.0, 100.0):
+        for signs in itertools.product((-1.0, 1.0), repeat=n + 1):
+            after = mp_transported_gaps(children, decomp.parent.p, scale * rho * np.array(signs))
+            bound = before - 2.0 * scale * rho * (osc + 1.0)
+            assert (np.array(after) >= bound).all(), (scale, signs, after, bound)
+            if scale == 1.0:
+                assert min(after) > UNANIMITY_TOL, (signs, after)
+
+
+def test_probe_at_tv_radius_hits_the_radius():
+    """Targets exactly at the certified tv radius stay inside the proved
+    log-ratio ball, and so stay strictly unanimous after transport."""
+    decomp = _unanimous(4)
+    cert = certify_openness(decomp, samples=4, seed=0)
+    rng = rng_from(604)
+    p = decomp.parent.p
+    for _ in range(20):
+        d = rng.standard_normal(p.size)
+        d -= d.mean()
+        target = Dist(decomp.space, p + d * (2.0 * cert.radius / np.abs(d).sum()))
+        assert tv(decomp.parent, target) == pytest.approx(cert.radius, rel=1e-6)
+        assert np.abs(np.log(target.p / p)).max() <= cert.log_ratio_radius
+        assert unanimity_report(transported(decomp, target)).strictly_unanimous
+
+
+def test_certified_radii_do_not_depend_on_samples_or_seed():
+    decomp = _unanimous(2)
+    first = certify_openness(decomp, samples=4, seed=7)
+    for samples, seed in ((24, 7), (4, 8), (1, 0)):
+        cert = certify_openness(decomp, samples=samples, seed=seed)
+        assert cert.radius == first.radius
+        assert cert.log_ratio_radius == first.log_ratio_radius
+
+
+def test_boundary_gap_weakly_decreases_with_more_samples():
+    """A run with more samples extends the vertex set of a run with fewer."""
+    decomp = _unanimous(2)
+    gaps = [certify_openness(decomp, samples=s, seed=7).min_gap_at_boundary for s in (1, 4, 24, 96)]
+    assert gaps == sorted(gaps, reverse=True)
 
 
 def test_certify_openness_is_deterministic():
-    eps = find_epsilon_for_unanimity(2)
-    decomp = analytic_unanimity_instance(2, eps)
+    decomp = _unanimous(2)
     a = certify_openness(decomp, samples=8, seed=3)
     b = certify_openness(decomp, samples=8, seed=3)
-    assert a.radius == b.radius
+    assert (a.radius, a.log_ratio_radius) == (b.radius, b.log_ratio_radius)
     assert a.min_gap_at_boundary == b.min_gap_at_boundary
 
 
@@ -141,21 +165,46 @@ def test_certify_openness_needs_at_least_one_probe(samples):
     """With no probe every bisection step used to pass vacuously (radius
     0.49999809, boundary gap inf); a negative count raised numpy's bare
     ValueError and a fractional one a bare TypeError from ``range``."""
-    decomp = analytic_unanimity_instance(2, find_epsilon_for_unanimity(2))
     with pytest.raises(ParamOutOfRange, match="at least one probe"):
-        certify_openness(decomp, samples=samples, seed=0)
+        certify_openness(_unanimous(2), samples=samples, seed=0)
 
 
-def test_a_failing_openness_search_stops_after_a_fixed_number_of_steps(monkeypatch):
-    """At n = 80 the parent's smallest mass (1.2e-60) over 2^18 lies 217
-    halvings below 1/2; with every probe failing, the search stops at 128."""
-    from logpool import stability
+def _scaled_radius(monkeypatch, scale):
+    """Make every certificate use ``scale`` times the proved radius."""
+    radius = stability._log_ratio_radius
+    monkeypatch.setattr(stability, "_log_ratio_radius", lambda *a: scale * radius(*a))
 
-    monkeypatch.setattr(stability, "UNANIMITY_TOL", np.inf)
-    decomp = analytic_unanimity_instance(80, 0.17782794100389229)
-    assert decomp.parent.p.min() * 2.0**-18 < 0.5 * 2.0**-216
-    with pytest.raises(NotFound, match=r"\(1/2 over 2\^128\)"):
-        certify_openness(decomp, samples=1, seed=0)
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_the_vertex_cross_check_fails_at_a_hundred_times_the_radius(n, monkeypatch):
+    """The 16 vertex probes of a ball 100 times the proved one lose strict
+    unanimity at every seed tried, so the cross-check can fail."""
+    decomp = _unanimous(n)
+    _scaled_radius(monkeypatch, 100.0)
+    for seed in range(20):
+        with pytest.raises(NotFound, match="lost strict unanimity"):
+            certify_openness(decomp, samples=16, seed=seed)
+
+
+def test_the_openness_check_fails_at_a_hundred_times_the_radius(monkeypatch):
+    (check,) = [r for r in run_suite("stability", 42) if r.name.endswith("in_a_ball")]
+    assert check.passed
+    _scaled_radius(monkeypatch, 100.0)
+    (check,) = [r for r in run_suite("stability", 42) if r.name.endswith("in_a_ball")]
+    assert not check.passed
+
+
+def test_a_vertex_probe_that_breaks_the_bound_raises_not_found(monkeypatch):
+    """The error names the radius that was probed and the failing gap."""
+    decomp = _unanimous(2)
+    rho = certify_openness(decomp, samples=1).log_ratio_radius
+    _scaled_radius(monkeypatch, 100.0)
+    with pytest.raises(NotFound) as info:
+        certify_openness(decomp, samples=16, seed=0)
+    message = str(info.value)
+    assert f"proved log-ratio ball of radius {100.0 * rho!r}" in message
+    gap = float(re.search(r"its smallest gap is (\S+)$", message).group(1))
+    assert gap <= UNANIMITY_TOL
 
 
 def test_certify_openness_requires_strict_unanimity():
@@ -163,8 +212,6 @@ def test_certify_openness_requires_strict_unanimity():
     # generic random decompositions essentially never have all gaps positive
     for _ in range(10):
         decomp = random_decomposition(rng, 5, 3)
-        from logpool import unanimity_report
-
         if not unanimity_report(decomp).strictly_unanimous:
             with pytest.raises(NotStrictlyUnanimous):
                 certify_openness(decomp, samples=4, seed=0)

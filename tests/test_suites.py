@@ -24,7 +24,6 @@ CATALOG_SIZES = {
     "constructions.cyclic_uniform_pool_and_margins": 12,
     "constructions.unanimity_threshold_exists": 9,
     "factorize.depressed_subagent_loses": 11,
-    "stability.unanimity_survives_in_a_ball": 2,
     "persona.counteragent_weight_forced_up": 1,
 }
 
@@ -40,11 +39,13 @@ def test_each_suite_registers_its_checks_once_under_its_prefix():
 
 
 #: Resizable checks whose instances all have one shape (two outcomes, the
-#: binary census grid, the peaked grid), so they draw no sizes.
+#: binary census grid, the peaked grid, the vertex probes of two fixed
+#: balls), so they draw no sizes.
 FIXED_SHAPES = {
     "welfare.binary_closed_form",
     "welfare.binary_census",
     "constructions.peaked_sum_negative_with_slope",
+    "stability.unanimity_survives_in_a_ball",
 }
 
 
@@ -89,17 +90,15 @@ def test_run_suite_rejects_an_unknown_suite():
 #: before the instance loops were batched, and the most allowed now.  A
 #: batched check draws, validates, pools and scores a whole (m, n) shape
 #: group at once, so kernel calls scale with
-#: the shape groups (up to 42 per check), not the instances; most calls left
-#: in ``stability`` are one per bisection step of each openness certificate.
+#: the shape groups (up to 42 per check), not the instances; ``stability``
+#: scores all the vertex probes of each of its two openness balls in one call.
 #: The ``Dist``s left in ``factorize`` are the fixed parent-benefit catalog's,
 #: and in ``constructions`` the instances the threshold catalog re-checks at
 #: each threshold it finds (the cyclic catalog and the grid walk build none).
-#: ``generators`` counts every random generator the suite builds: each
-#: ``rng_from`` call and each stream a ``core._rng_streams`` batch returns.
-#: Its "before" is the count when each instance drew from its own stream.
-#: Now a check with an instance count builds its one stream and retries draw
-#: on from it, so the bound is one per such check; ``stability`` adds the
-#: 16 per-sample streams of each of its two openness certificates.
+#: ``generators`` counts every ``rng_from`` call the suite makes.  Its
+#: "before" is the count when each instance drew from its own stream.  Now a
+#: check with an instance count builds its one stream and retries draw on
+#: from it, so the bound is one per such check.
 #: ``normalize_rows`` counts
 #: normalizations: a shape group's generator call normalizes its draws once.
 #: ``persona`` draws its instances as rows, with no ``random_decomposition``,
@@ -118,7 +117,7 @@ BATCHING_BOUNDS = {
     "constructions": {"Dist": (162, 40), "generators": (80, 2)},
     "factorize": {"Dist": (1562, 100), "generators": (220, 3), "normalize_rows": (281, 110)},
     "stability": {
-        "Dist": (3328, 100), "gap_terms": (534, 60), "generators": (373, 3 + 2 * 16),
+        "Dist": (3328, 100), "gap_terms": (534, 13), "generators": (373, 4),
         "normalize_rows": (471, 120),
     },
     "persona": {
@@ -151,14 +150,8 @@ def test_batched_suites_build_few_objects_and_call_each_kernel_per_group(suite, 
         "random_decomposition": constructions.random_decomposition,
     }
 
-    def streams(*args, _rng_streams=core._rng_streams, **kwargs):
-        out = _rng_streams(*args, **kwargs)
-        counts["generators"] += len(out)
-        return out
-
     rebind = {fn: counted(name, fn) for name, fn in kernels.items() if name in counts}
     rebind[core.rng_from] = counted("generators", core.rng_from)
-    rebind[core._rng_streams] = streams
     # rebind every module-level reference, wherever it was imported
     for module in modules:
         for attr, value in list(vars(module).items()):
