@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import math
 import sys
 import time
 from dataclasses import asdict
@@ -55,6 +56,10 @@ from .welfare import UNANIMITY_TOL, gap_terms, unanimity_report
 __all__ = ["main", "build_report"]
 
 _ARTIFACT = {"name": "logpool", "version": __version__}
+
+#: The largest ``family.n``: an (n, n + 1) array of it is 8.4 MB, and the
+#: analytic family builds only up to n = 430.
+_MAX_FAMILY_N = 1024
 
 
 def build_report(
@@ -137,6 +142,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     _require_seed(args.seed)
     if args.samples is not None and args.samples < 1:
         raise ParseError(f"--samples must be at least 1, got {args.samples}")
+    if args.tolerance is not None and not math.isfinite(args.tolerance):
+        raise ParseError(f"--tolerance must be finite, got {args.tolerance}")
     started = time.perf_counter()
     checks = run_suite(args.suite, args.seed, args.samples, args.tolerance)
     elapsed = time.perf_counter() - started
@@ -184,6 +191,8 @@ def _family_grid(config: dict) -> tuple[str, list[int], list[float], dict]:
         raise ConfigParse('config needs a "family" object with a "kind"')
     kind = family["kind"]
     ns = [_number(n, int, "family.n") for n in _as_list(family.get("n", [2, 3]))]
+    if max(ns, default=0) > _MAX_FAMILY_N:
+        raise ConfigParse(f'"family.n" must be at most {_MAX_FAMILY_N}, got {max(ns)}')
     eps = _as_list(family.get("epsilon", [0.1, 0.03, 0.01]))
     return kind, ns, [_number(e, float, "family.epsilon") for e in eps], family
 

@@ -101,6 +101,7 @@ def first_row(bad: np.ndarray) -> tuple[tuple[int, ...], str]:
     return idx, f" in row {idx[0] if len(idx) == 1 else idx}" if idx else ""
 
 
+@np.errstate(over="ignore")  # a row of huge entries sums to inf: NotNormalized
 def require_prob_rows(p: np.ndarray) -> None:
     """Validate each row (last axis) of ``p`` as :class:`Dist` does, in its
     order: ``NonFinite``, ``NonPositiveEntry``, then ``NotNormalized`` (sum
@@ -130,6 +131,7 @@ def require_prob_rows(p: np.ndarray) -> None:
         )
 
 
+@np.errstate(over="ignore")  # as in require_prob_rows
 def require_weight_rows(beta: np.ndarray) -> None:
     """Validate each row (last axis) of ``beta`` as :class:`Weights` does:
     ``NonFinite``, negative weights (``ParamOutOfRange``), then a sum off 1 by
@@ -293,17 +295,21 @@ def _values(P: Dist, f) -> np.ndarray:
 # Construction helpers
 # ---------------------------------------------------------------------------
 
+@np.errstate(over="ignore")
 def make_dist(space: OutcomeSpace, raw: Iterable[float]) -> Dist:
     """Normalize strictly positive raw weights into a :class:`Dist`.
 
     Raises :class:`NonPositiveEntry` on any entry <= 0 — zeros are rejected
-    outright rather than handled by support reduction.
+    outright rather than handled by support reduction.  Weights whose sum
+    overflows are first divided by their largest.
     """
     arr = np.array(list(raw) if not isinstance(raw, np.ndarray) else raw, dtype=float)
     _require_length(arr, space.size, "raw weight vector")
     _require_finite(arr, "raw weight vector")
     if (arr <= 0.0).any():
         raise NonPositiveEntry("raw weights must all be > 0")
+    if np.isinf(arr.sum()):
+        arr = arr / arr.max()
     return Dist(space, normalize_rows(arr))
 
 

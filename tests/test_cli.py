@@ -11,6 +11,7 @@ import resource
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -97,6 +98,17 @@ def test_negative_verify_seed_is_a_usage_error(capsys):
 def test_verify_samples_below_one_is_a_usage_error(tmp_path, capsys, samples):
     out = tmp_path / "report.json"
     assert_usage_error(capsys, ["verify", "pools", "--samples", samples, "--out", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf"])
+def test_a_non_finite_verify_tolerance_is_a_usage_error(tmp_path, capsys, tolerance):
+    """``--tolerance nan`` used to fail every check and write NaN into the
+    report."""
+    out = tmp_path / "report.json"
+    assert main(["verify", "welfare", f"--tolerance={tolerance}", "--out", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: --tolerance must be finite"), line
     assert not out.exists()
 
 
@@ -215,6 +227,32 @@ def test_factor_is_seed_deterministic(tmp_path):
     assert main(["factor", "--seed", "5", str(path), "--out", str(a)]) == 0
     assert main(["factor", "--seed", "5", str(path), "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+HUGE = [1e308, 1e308]
+
+
+@pytest.mark.parametrize(
+    "command,doc,what",
+    [
+        ("pool", {"agents": [{"p": HUGE}, {"p": [0.5, 0.5]}], "weights": [0.5, 0.5]}, "probabilities"),
+        ("pool", {"agents": [{"p": [0.5, 0.5]}, {"p": [0.5, 0.5]}], "weights": HUGE}, "weights"),
+        ("gap", {"agent": {"p": HUGE}, "pool": {"p": [0.5, 0.5]}}, "probabilities"),
+        ("factor", {"parent": {"p": HUGE}, "weights": [0.5, 0.5]}, "probabilities"),
+        ("factor", {"parent": {"p": [0.5, 0.5]}, "weights": HUGE}, "weights"),
+    ],
+    ids=["pool-p", "pool-weights", "gap-p", "factor-p", "factor-weights"],
+)
+def test_entries_whose_sum_overflows_are_not_normalized(tmp_path, capsys, command, doc, what):
+    """Two entries of 1e308 sum to inf.  The validators' row sums used to
+    print NumPy's overflow warning before the error."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, str(path)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {what} sum to inf"), line
 
 
 def test_negative_factor_seed_is_a_usage_error(tmp_path, capsys):
@@ -752,13 +790,11 @@ def _capped_address_space():
 
 
 def test_a_request_too_large_for_memory_is_one_error_line(tmp_path):
-    """n = 10**8 asks for a (n, n+1) array, 71 PiB, and used to end in a
-    NumPy ``_ArrayMemoryError`` traceback.  Before that array the request
-    fills about 1.5 GB (uniform weights, a repeated column), so the child
-    runs under a 512 MiB address-space cap and fails at the first of them."""
+    """10**9 outcomes ask for three 8 GB agent rows at the first draw, which
+    used to end in a NumPy ``_ArrayMemoryError`` traceback.  The child runs
+    under a 512 MiB address-space cap, so that allocation fails at once."""
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({"analyses": ["gaps"],
-                               "family": {"kind": "analytic_unanimity", "n": [10**8]}}))
+    cfg.write_text(json.dumps({"analyses": ["suppression"], "suppression": {"outcomes": 10**9}}))
     proc = subprocess.run(
         [sys.executable, "-m", "logpool.cli", "experiment", str(cfg), "--out", str(tmp_path / "x")],
         capture_output=True, text=True, env=child_env(), stdin=subprocess.DEVNULL,
@@ -767,6 +803,18 @@ def test_a_request_too_large_for_memory_is_one_error_line(tmp_path):
     assert proc.returncode == 1, proc.stderr
     (line,) = proc.stderr.splitlines()
     assert line.startswith("error: the request does not fit in memory"), line
+    assert not list(tmp_path.glob("x.*"))
+
+
+def test_a_family_n_above_the_bound_is_a_usage_error(tmp_path, capsys):
+    """n = 10**8 used to fill about 1.5 GB (uniform weights, a repeated
+    column) before its (n, n + 1) array, 71 PiB, failed to allocate."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"analyses": ["gaps"],
+                               "family": {"kind": "analytic_unanimity", "n": [3, 10**8]}}))
+    assert main(["experiment", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == 'error: "family.n" must be at most 1024, got 100000000', line
     assert not list(tmp_path.glob("x.*"))
 
 

@@ -1,6 +1,8 @@
 """Core types and scalar helpers: construction rules, information quantities,
 inner products, events, and the seeded generator tree."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -161,6 +163,18 @@ def test_make_dist_normalizes_and_rejects_bad_input():
         make_dist(SPACE3, [1.0, -0.5, 1.0])
     with pytest.raises(NonFinite):
         make_dist(SPACE3, [1.0, np.inf, 1.0])
+
+
+def test_make_dist_takes_weights_whose_sum_overflows():
+    """The sum of two 1e308 entries is inf; it used to warn twice and raise
+    ``NonFinite``.  Such weights are divided by their largest first, and
+    ordinary weights keep their bits."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert make_dist(OutcomeSpace(2), [1e308, 1e308]).p.tolist() == [0.5, 0.5]
+        assert make_dist(SPACE3, [1e308, 5e307, 5e307]).p.tolist() == [0.5, 0.25, 0.25]
+    raw = np.array([3.0, 1.0, 7.0])
+    assert make_dist(SPACE3, raw).p.tolist() == normalize_rows(raw).tolist()
 
 
 def test_direct_dist_construction_demands_exact_normalization():

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from logpool import ParamOutOfRange, UnknownSuite
+from logpool import ParamOutOfRange, UnknownSuite, core
 from logpool.suites import _CHECKS, SUITE_NAMES, _Check, run_suite
 
 CHECK_COUNTS = {
@@ -97,8 +97,8 @@ def test_run_suite_rejects_an_unknown_suite():
 #: each threshold it finds (the cyclic catalog and the grid walk build none).
 #: ``generators`` counts every ``rng_from`` call the suite makes.  Its
 #: "before" is the count when each instance drew from its own stream.  Now a
-#: check with an instance count builds its one stream and retries draw on
-#: from it, so the bound is one per such check.
+#: check with an instance count builds its one stream and draws every
+#: instance from it, so the bound is one per such check.
 #: ``normalize_rows`` counts
 #: normalizations: a shape group's generator call normalizes its draws once.
 #: ``persona`` draws its instances as rows, with no ``random_decomposition``,
@@ -180,3 +180,100 @@ def test_appending_a_check_leaves_every_other_checks_report_alone(suite, monkeyp
     after = run_suite("all", 11)
     assert [r for r in after if r.name != check.name] == before
     assert len(after) == len(before) + 1
+
+
+def _result(suite, name, seed=3):
+    (result,) = [r for r in run_suite(suite, seed) if r.name == name]
+    return result
+
+
+def test_a_covariance_sign_mismatch_fails_with_the_measured_error(monkeypatch):
+    """Adding 0.5 to each covariance flips the sign verdict of every row whose
+    mean shift lies in [-0.5, 0); the check then reports the largest error it
+    measured, 0.5 plus rounding, not a stand-in value."""
+    from logpool import suites
+
+    covariance_terms = suites.covariance_terms
+    monkeypatch.setattr(suites, "covariance_terms", lambda *a: covariance_terms(*a) + 0.5)
+    result = _result("welfare", "welfare.covariance_equals_mean_shift")
+    assert not result.passed
+    assert result.value == pytest.approx(0.5, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "suite,name",
+    [
+        ("constructions", "constructions.cyclic_uniform_pool_and_margins"),
+        ("factorize", "factorize.fixed_children_reconstructs"),
+        ("persona", "persona.projection_gain_pythagoras"),
+    ],
+)
+def test_a_failed_side_condition_keeps_the_measured_value(monkeypatch, suite, name):
+    """Each side condition is broken after the statistic is computed (the
+    covariance criterion misses every gain, a prescribed child changes after
+    the family is built, the enlarged span loses): the check fails, and its
+    value is the one the unbroken run measures."""
+    from logpool import factorize, persona, suites
+
+    measured = _result(suite, name)
+    assert measured.passed and measured.value != 1.0
+    if suite == "constructions":
+        monkeypatch.setattr(suites, "covariance_terms", lambda *a: np.full(a[1].shape[:-1], -1.0))
+    elif suite == "factorize":
+        balanced = factorize._balanced_children
+
+        def moved_fixed(parent, beta, fixed, k, draws):
+            children = balanced(parent, beta, fixed, k, draws)
+            fixed *= 1.0 + 1e-9  # the children hold their own copy
+            return children
+
+        monkeypatch.setattr(factorize, "_balanced_children", moved_fixed)
+    else:
+        projection_gain = persona._projection_gain
+
+        def lost(*args):
+            return {**projection_gain(*args), "gain": np.full(len(args[0]), -1.0)}
+
+        monkeypatch.setattr(persona, "_projection_gain", lost)
+    result = _result(suite, name)
+    assert not result.passed
+    assert result.value == measured.value
+
+
+def test_a_tilt_derivative_below_the_floor_is_scored_against_it(monkeypatch):
+    """With every analytic derivative scaled below 1e-3, each drawn row is
+    still scored, by its error over the 1e-3 floor, and no row is redrawn:
+    the check's rows are its stream's draws, one per group, in order."""
+    from logpool import stability
+    from logpool.constructions import random_probs
+    from logpool.suites import _Run
+
+    derivatives, fd, seen = stability._gap_derivatives, stability._gap_fd, []
+
+    def small(p, h):
+        analytic = derivatives(p, h) * 1e-6
+        assert (np.abs(analytic) < 1e-3).all()
+        if h.ndim == 2:  # the tilt check's (B, m) rows, not the audit's (B, n, m)
+            seen.append((p, h, np.abs(fd(p, h) - analytic) / 1e-3))
+        return analytic
+
+    monkeypatch.setattr(stability, "_gap_derivatives", small)
+    name = "stability.tilt_derivative_matches_finite_difference"
+    result = _result("stability", name)
+    assert not result.passed
+    assert result.value == max(float(err.max()) for _, _, err in seen)
+
+    check_id = [c.name for c in _CHECKS["stability"]].index(name)
+    rng = core.rng_from(3, SUITE_NAMES.index("stability"), check_id)
+    groups = _Run(120, 1e-6, rng, ((2, 9),)).groups()
+    assert len(groups) == len(seen)
+    for ((m,), B), (p, h, _) in zip(groups, seen):
+        assert np.array_equal(p, random_probs(rng, m, batch=(B,)))
+        assert np.array_equal(h, rng.standard_normal((B, m)))
+    assert sum(B for _, B in groups) == result.samples == 120
+
+
+def test_a_non_finite_tolerance_is_out_of_range():
+    for tolerance in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ParamOutOfRange):
+            run_suite("welfare", 0, tolerance=tolerance)
